@@ -1,6 +1,6 @@
 """Wavelet-packet speech denoising.
 
-Overlap-add framing, wavelet-packet decomposition/reconstruction,
+Overlap-add framing, a batched wavelet-packet transform of all frames,
 shrinkage and band thresholding driven by coefficient-histogram
 statistics (KL divergence, entropy), plus WAV I/O, synthetic signals
 and SNR metrics.
@@ -15,6 +15,7 @@ from .pipeline import (
     classify_vuv,
     enhance,
     estimate_noise_profile,
+    leaf_coefficients,
 )
 from .report import Report, report_schema, validate_report_dict
 from .signal_io import (
@@ -36,12 +37,12 @@ from .stats import (
     entropy,
     kl_divergence,
     ratio_profile,
+    row_histograms,
     shared_edges,
     symmetric_divergence,
     to_probability,
 )
 from .thresholding import (
-    ThresholdSpec,
     band_hard_threshold,
     estimate_sigma,
     hard_threshold,
@@ -51,13 +52,12 @@ from .thresholding import (
     universal_threshold,
 )
 from .wavelet import (
-    CoefficientTree,
     FilterBank,
     analysis_step,
     filter_bank,
     synthesis_step,
-    wp_decompose,
-    wp_reconstruct,
+    wp_analysis,
+    wp_synthesis,
 )
 
 __all__ = [
@@ -73,6 +73,7 @@ __all__ = [
     "classify_vuv",
     "enhance",
     "estimate_noise_profile",
+    "leaf_coefficients",
     "Report",
     "report_schema",
     "validate_report_dict",
@@ -92,10 +93,10 @@ __all__ = [
     "entropy",
     "kl_divergence",
     "ratio_profile",
+    "row_histograms",
     "shared_edges",
     "symmetric_divergence",
     "to_probability",
-    "ThresholdSpec",
     "band_hard_threshold",
     "estimate_sigma",
     "hard_threshold",
@@ -103,11 +104,10 @@ __all__ = [
     "semisoft_threshold",
     "soft_threshold",
     "universal_threshold",
-    "CoefficientTree",
     "FilterBank",
     "analysis_step",
     "filter_bank",
     "synthesis_step",
-    "wp_decompose",
-    "wp_reconstruct",
+    "wp_analysis",
+    "wp_synthesis",
 ]

@@ -14,12 +14,17 @@ import os
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from ._version import __version__
 from .experiments import PRESETS, run_preset
-from .framing import ColaError
-from .pipeline import METHODS, NOISE_MODES, EnhanceConfig, enhance
+from .framing import ColaError, frame_count
+from .pipeline import (
+    METHODS,
+    NOISE_MODES,
+    EnhanceConfig,
+    check_epsilon,
+    enhance,
+    leaf_coefficients,
+)
 from .report import HistogramPair, Report
 from .signal_io import (
     WavFormatError,
@@ -30,14 +35,13 @@ from .signal_io import (
     write_wav,
 )
 from .stats import (
+    bin_count,
     build_histogram,
     ratio_profile,
     shared_edges,
     symmetric_divergence,
     to_probability,
 )
-from .wavelet import filter_bank, wp_decompose
-from .framing import make_frames
 
 SEED_ENV_VAR = "WAVEDENOISE_SEED"
 
@@ -45,6 +49,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_PROCESSING = 3
+
+
+class UsageError(Exception):
+    """Bad invocation found after parsing; exits with status 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,7 +106,12 @@ def _config_from_args(args, method: str | None = None, seed=None) -> EnhanceConf
 def _resolve_seed(args) -> int | None:
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise UsageError(
+                f"{SEED_ENV_VAR} must be an integer, got {env!r}"
+            ) from None
     return getattr(args, "seed", None)
 
 
@@ -127,27 +140,23 @@ def _cmd_analyze(args) -> int:
     if noisy.sample_rate_hz != noise.sample_rate_hz:
         raise ValueError("noisy and noise files must share a sample rate")
 
-    fb = filter_bank(config.wavelet)
-    n_sub = config.n_subbands
-
-    def pooled_leaves(signal):
-        per_leaf = [[] for _ in range(n_sub)]
-        frames = make_frames(signal, config.frame_len, config.hop, config.window)
-        for frame in frames.frames:
-            tree = wp_decompose(frame, fb, config.depth)
-            for i, leaf in enumerate(tree.leaves):
-                per_leaf[i].append(leaf)
-        return [np.concatenate(c) for c in per_leaf]
-
-    noisy_leaves = pooled_leaves(noisy)
-    noise_leaves = pooled_leaves(noise)
+    # The pooled histograms are the largest: the smaller file's frames
+    # times the frame length, binned by the square-root rule.
+    fewer_frames = min(
+        frame_count(len(s), config.frame_len, config.hop) for s in (noisy, noise)
+    )
+    check_epsilon(config.epsilon, bin_count(fewer_frames * config.frame_len))
+    noisy_leaves = leaf_coefficients(noisy, config)
+    noise_leaves = leaf_coefficients(noise, config)
 
     divergences = []
     histograms = []
-    for i in range(n_sub):
-        edges = shared_edges(noisy_leaves[i], noise_leaves[i])
-        h_ns = build_histogram(noisy_leaves[i], edges=edges)
-        h_n = build_histogram(noise_leaves[i], edges=edges)
+    for i in range(config.n_subbands):
+        sub_ns = noisy_leaves[:, i].ravel()
+        sub_n = noise_leaves[:, i].ravel()
+        edges = shared_edges(sub_ns, sub_n)
+        h_ns = build_histogram(sub_ns, edges=edges)
+        h_n = build_histogram(sub_n, edges=edges)
         div = symmetric_divergence(
             to_probability(h_ns, config.epsilon), to_probability(h_n, config.epsilon)
         )
@@ -163,8 +172,8 @@ def _cmd_analyze(args) -> int:
             )
         )
 
-    pooled_ns = np.concatenate(noisy_leaves)
-    pooled_n = np.concatenate(noise_leaves)
+    pooled_ns = noisy_leaves.ravel()
+    pooled_n = noise_leaves.ravel()
     edges = shared_edges(pooled_ns, pooled_n)
     ratios = ratio_profile(
         to_probability(build_histogram(pooled_ns, edges=edges), config.epsilon),
@@ -210,9 +219,7 @@ def _cmd_experiment(args) -> int:
     if seed is None:
         seed = 0
     config = _config_from_args(args, method=args.method, seed=seed)
-    clean, noisy, enhanced, report = run_preset(
-        args.preset, method=args.method, seed=seed, config=config
-    )
+    clean, noisy, enhanced, report = run_preset(args.preset, seed=seed, config=config)
     print(f"input_snr_db {report.input_snr_db:.6f}")
     print(f"output_snr_db {report.output_snr_db:.6f}")
     if args.out:
@@ -284,6 +291,9 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -35,20 +35,24 @@ def sine_0db_material(seed: int) -> tuple:
 
 def run_preset(
     name: str,
-    method: str = "universal-hard",
+    method: str | None = None,
     seed: int = 0,
     config: EnhanceConfig | None = None,
 ) -> tuple:
     """Run a named preset; returns (clean, noisy, enhanced, report).
 
-    The report's mode is "experiment" and carries input/output SNR
-    against the clean signal.
+    Pass either `method` (default "universal-hard", with every other
+    setting at its default) or a full `config`, not both. `seed` draws
+    the preset's noise. The report's mode is "experiment" and carries
+    input/output SNR against the clean signal.
     """
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r} (expected one of {PRESETS})")
+    if method is not None and config is not None:
+        raise ValueError("pass either method or config, not both")
     clean, noisy = sine_0db_material(seed)
     if config is None:
-        config = EnhanceConfig(method=method, seed=seed)
+        config = EnhanceConfig(method=method or "universal-hard", seed=seed)
     enhanced, report = enhance(noisy, config, reference=clean)
     report = replace(report, mode="experiment")
     return clean, noisy, enhanced, report

@@ -12,8 +12,6 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-import jsonschema
-
 SCHEMA_VERSION = 1
 SCHEMA_RESOURCE = "schemas/report-v1.schema.json"
 
@@ -131,4 +129,8 @@ def report_schema() -> dict:
 
 def validate_report_dict(d: dict) -> None:
     """Raise jsonschema.ValidationError if `d` is not a valid report."""
+    # Imported here: jsonschema costs about 0.1 s, which every CLI call
+    # would pay at start-up while only report validation needs it.
+    import jsonschema
+
     jsonschema.validate(instance=d, schema=report_schema())

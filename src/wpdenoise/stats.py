@@ -7,6 +7,12 @@ only comparable bin-by-bin, so cross-distribution operations insist on
 shared bin edges; build histograms with an explicit `edges` argument
 (out-of-range values are clamped into the end bins) to put two samples
 on common support.
+
+Histograms and probability vectors may hold a batch: counts and probs
+of shape (..., B) over edges of shape (B + 1,) shared by every row or
+(..., B + 1) per row. `row_histograms` bins every row of an array in
+one call; `to_probability`, `entropy` and the divergences then reduce
+over the last axis, row by row.
 """
 
 from __future__ import annotations
@@ -32,16 +38,17 @@ class Histogram:
     """Binned counts over strictly increasing edges.
 
     Bins are right-open, except the last bin which also includes its
-    right edge; counts always sum to the number of values binned.
+    right edge; counts always sum to the number of values binned. A
+    batch holds counts (..., B) over edges (B + 1,) or (..., B + 1).
     """
 
-    bin_edges: np.ndarray  # length B + 1
-    counts: np.ndarray  # length B, non-negative ints
+    bin_edges: np.ndarray  # (..., B + 1)
+    counts: np.ndarray  # (..., B), non-negative ints
 
     def __post_init__(self):
         self.bin_edges = np.asarray(self.bin_edges, dtype=np.float64)
         self.counts = np.asarray(self.counts, dtype=np.int64)
-        if len(self.bin_edges) != len(self.counts) + 1:
+        if self.bin_edges.shape[-1:] != (self.counts.shape[-1] + 1,):
             raise ValueError("need exactly len(counts) + 1 edges")
         if np.any(np.diff(self.bin_edges) <= 0):
             raise ValueError("bin_edges must be strictly increasing")
@@ -49,12 +56,14 @@ class Histogram:
             raise ValueError("counts must be non-negative")
 
     @property
-    def total(self) -> int:
-        return int(np.sum(self.counts))
+    def total(self):
+        """Values binned (an int, or one per row of a batch)."""
+        total = np.sum(self.counts, axis=-1)
+        return int(total) if total.ndim == 0 else total
 
     @property
     def n_bins(self) -> int:
-        return len(self.counts)
+        return self.counts.shape[-1]
 
     @property
     def bin_centers(self) -> np.ndarray:
@@ -69,23 +78,56 @@ def build_histogram(values, edges=None) -> Histogram:
     the given support is reused and out-of-range values are clamped into
     the end bins, so two samples can share one support.
     """
-    x = np.asarray(values, dtype=np.float64).ravel()
-    if len(x) == 0:
+    return row_histograms(np.asarray(values, dtype=np.float64).ravel(), edges)
+
+
+def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Bin of every value: the number of inner edges at or below it.
+
+    That is np.histogram's rule (right-open bins, last bin closed), with
+    values below the first edge or above the last clamped into the end
+    bins. Shared edges use one binary search; per-row edges count their
+    inner edges one at a time.
+    """
+    inner = edges[..., 1:-1]
+    if inner.ndim == 1:
+        return np.searchsorted(inner, x, side="right")
+    idx = np.zeros(x.shape, dtype=np.intp)
+    for j in range(inner.shape[-1]):
+        idx += x >= inner[..., j, None]
+    return idx
+
+
+def row_histograms(values, edges=None) -> Histogram:
+    """One histogram per row (last axis) of `values`, in one pass.
+
+    Without `edges`, each row gets the square-root-rule bins over its
+    own [min, max] (np.linspace, widened by +-1e-9 when degenerate).
+    With `edges`, either one (B + 1,) support shared by every row or one
+    (..., B + 1) support per row; out-of-range values are clamped into
+    the end bins. Row r's counts equal np.histogram's for that row
+    clamped into [edges[0], edges[-1]], exactly.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    if x.ndim == 0 or x.shape[-1] == 0:
         raise ValueError("cannot histogram an empty sample")
     if edges is None:
-        lo = float(np.min(x))
-        hi = float(np.max(x))
-        if lo == hi:
-            lo -= _DEGENERATE_HALF_SPAN
-            hi += _DEGENERATE_HALF_SPAN
-        edges = np.linspace(lo, hi, bin_count(len(x)) + 1)
+        lo = np.min(x, axis=-1)
+        hi = np.max(x, axis=-1)
+        flat = lo == hi
+        lo = np.where(flat, lo - _DEGENERATE_HALF_SPAN, lo)
+        hi = np.where(flat, hi + _DEGENERATE_HALF_SPAN, hi)
+        edges = np.linspace(lo, hi, bin_count(x.shape[-1]) + 1, axis=-1)
     else:
         edges = np.asarray(edges, dtype=np.float64)
-        if len(edges) < 2 or np.any(np.diff(edges) <= 0):
+        if edges.shape[-1] < 2 or np.any(np.diff(edges) <= 0):
             raise ValueError("edges must be strictly increasing, length >= 2")
-        x = np.clip(x, edges[0], edges[-1])
-    counts, _ = np.histogram(x, bins=edges)
-    return Histogram(bin_edges=edges, counts=counts)
+    n_bins = edges.shape[-1] - 1
+    idx = _bin_index(x, edges)
+    rows = idx.reshape(-1, x.shape[-1])
+    rows += n_bins * np.arange(len(rows))[:, None]
+    counts = np.bincount(rows.ravel(), minlength=len(rows) * n_bins)
+    return Histogram(bin_edges=edges, counts=counts.reshape(x.shape[:-1] + (n_bins,)))
 
 
 @dataclass
@@ -94,7 +136,8 @@ class ProbabilityVector:
 
     Every entry is >= epsilon > 0 and the entries sum to 1 (within
     1e-12), so log-ratios against another vector on the same edges are
-    always finite.
+    always finite. A batch holds probs (..., B), each row a distribution,
+    over edges (B + 1,) or (..., B + 1).
     """
 
     probs: np.ndarray
@@ -104,18 +147,18 @@ class ProbabilityVector:
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
         self.bin_edges = np.asarray(self.bin_edges, dtype=np.float64)
-        if len(self.bin_edges) != len(self.probs) + 1:
+        if self.bin_edges.shape[-1:] != (self.probs.shape[-1] + 1,):
             raise ValueError("need exactly len(probs) + 1 edges")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if np.any(self.probs < self.epsilon):
             raise ValueError("all probabilities must be >= epsilon")
-        if abs(float(np.sum(self.probs)) - 1.0) > 1e-12:
+        if np.any(np.abs(np.sum(self.probs, axis=-1) - 1.0) > 1e-12):
             raise ValueError("probabilities must sum to 1")
 
     @property
     def n_bins(self) -> int:
-        return len(self.probs)
+        return self.probs.shape[-1]
 
     @property
     def bin_centers(self) -> np.ndarray:
@@ -127,18 +170,18 @@ def to_probability(h: Histogram, epsilon: float) -> ProbabilityVector:
 
     Raw frequencies are floored at epsilon and the above-floor mass is
     rescaled so the result sums to exactly 1; requires
-    0 < epsilon < 1/B.
+    0 < epsilon < 1/B. A batch of histograms gives a batch of vectors.
     """
     b = h.n_bins
     if not 0.0 < epsilon < 1.0 / b:
         raise ValueError(f"epsilon must be in (0, {1.0 / b}) for {b} bins")
-    total = h.total
-    if total == 0:
+    total = np.sum(h.counts, axis=-1, keepdims=True)
+    if np.any(total == 0):
         raise ValueError("histogram has zero total count")
     raw = h.counts / total
     floored = np.maximum(raw, epsilon)
     above = floored - epsilon
-    scale = (1.0 - b * epsilon) / float(np.sum(above))
+    scale = (1.0 - b * epsilon) / np.sum(above, axis=-1, keepdims=True)
     probs = epsilon + above * scale
     return ProbabilityVector(probs=probs, bin_edges=h.bin_edges, epsilon=epsilon)
 
@@ -148,28 +191,37 @@ def _check_compatible(p: ProbabilityVector, q: ProbabilityVector) -> None:
         raise ValueError("distributions must share identical bin edges")
 
 
-def kl_divergence(p: ProbabilityVector, q: ProbabilityVector) -> float:
+def _per_row(values: np.ndarray):
+    """A float for a single distribution, an array for a batch."""
+    return float(values) if values.ndim == 0 else values
+
+
+def kl_divergence(p: ProbabilityVector, q: ProbabilityVector):
     """sum_i p_i * ln(p_i / q_i) in nats; >= 0, 0 iff p == q."""
     _check_compatible(p, q)
-    return float(np.sum(p.probs * np.log(p.probs / q.probs)))
+    return _per_row(np.sum(p.probs * np.log(p.probs / q.probs), axis=-1))
 
 
-def symmetric_divergence(p_ns: ProbabilityVector, p_n: ProbabilityVector) -> float:
+def symmetric_divergence(p_ns: ProbabilityVector, p_n: ProbabilityVector):
     """Two-way divergence D(p||q) + D(q||p); symmetric in its arguments."""
     return kl_divergence(p_ns, p_n) + kl_divergence(p_n, p_ns)
 
 
-def entropy(p: ProbabilityVector) -> float:
+def entropy(p: ProbabilityVector):
     """-sum_i p_i * ln(p_i), in [0, ln B]."""
-    return float(-np.sum(p.probs * np.log(p.probs)))
+    return _per_row(-np.sum(p.probs * np.log(p.probs), axis=-1))
 
 
-def zero_bin_index(edges: np.ndarray) -> int:
-    """Index of the bin containing 0; raises if the support misses 0."""
+def zero_bin_index(edges: np.ndarray):
+    """Index of the bin containing 0; raises if the support misses 0.
+
+    For a batch of edge rows (..., B + 1) the result is an index array.
+    """
     edges = np.asarray(edges, dtype=np.float64)
-    if edges[0] > 0 or edges[-1] < 0:
+    if np.any(edges[..., 0] > 0) or np.any(edges[..., -1] < 0):
         raise ValueError("bin support does not cover 0")
-    return min(int(np.searchsorted(edges, 0.0, side="right")) - 1, len(edges) - 2)
+    index = np.minimum(np.sum(edges <= 0.0, axis=-1) - 1, edges.shape[-1] - 2)
+    return int(index) if index.ndim == 0 else index
 
 
 def ratio_profile(p_ns: ProbabilityVector, p_n: ProbabilityVector) -> list:

@@ -13,12 +13,16 @@ The band interval is selected by comparing the noisy-coefficient
 distribution with an estimated-noise distribution: bins are accepted
 outward from the zero bin while their contribution to the symmetric
 divergence stays within a tolerance.
+
+Thresholds may be arrays that broadcast against the coefficients, e.g.
+one threshold per (frame, subband) of a (frames, subbands, coeffs)
+array with a trailing axis of length 1; select_band likewise picks one
+band per row of a batch of distributions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,57 +31,61 @@ from .stats import ProbabilityVector, zero_bin_index
 # MAD-to-sigma factor for Gaussian data: median(|X|) = 0.6745 sigma.
 _MAD_SCALE = 0.6745
 
-RULES = ("hard", "soft", "semisoft", "band_hard")
 
+def estimate_sigma(detail_coeffs, axis=None):
+    """Robust noise level: median(|coeffs|) / 0.6745.
 
-def estimate_sigma(detail_coeffs) -> float:
-    """Robust noise level: median(|coeffs|) / 0.6745."""
-    x = np.asarray(detail_coeffs, dtype=np.float64).ravel()
-    if len(x) == 0:
+    With `axis`, one level per slice along the other axes (an array).
+    """
+    x = np.asarray(detail_coeffs, dtype=np.float64)
+    if x.size == 0:
         raise ValueError("cannot estimate sigma from an empty vector")
-    return float(np.median(np.abs(x))) / _MAD_SCALE
+    if axis is None:
+        return float(np.median(np.abs(x))) / _MAD_SCALE
+    return np.median(np.abs(x), axis=axis) / _MAD_SCALE
 
 
-def universal_threshold(sigma: float, n: int) -> float:
+def universal_threshold(sigma, n: int):
     """sigma * sqrt(2 ln n), the classical shrinkage threshold."""
-    if sigma < 0:
+    if np.any(np.asarray(sigma) < 0):
         raise ValueError("sigma must be non-negative")
     if n < 1:
         raise ValueError("n must be >= 1")
     return sigma * math.sqrt(2.0 * math.log(n))
 
 
-def hard_threshold(coeffs, t: float) -> np.ndarray:
+def hard_threshold(coeffs, t) -> np.ndarray:
     """Zero entries with |w| < t; keep the rest (|w| = t is kept).
 
     Idempotent: applying the rule again changes nothing.
     """
-    if t < 0:
+    if np.any(np.asarray(t) < 0):
         raise ValueError("threshold must be non-negative")
     w = np.asarray(coeffs, dtype=np.float64)
     return np.where(np.abs(w) < t, 0.0, w)
 
 
-def soft_threshold(coeffs, t: float) -> np.ndarray:
+def soft_threshold(coeffs, t) -> np.ndarray:
     """sign(w) * max(|w| - t, 0).
 
     Not idempotent: it shrinks again on each pass, and applying it twice
     with t equals applying it once with 2t.
     """
-    if t < 0:
+    if np.any(np.asarray(t) < 0):
         raise ValueError("threshold must be non-negative")
     w = np.asarray(coeffs, dtype=np.float64)
     return np.sign(w) * np.maximum(np.abs(w) - t, 0.0)
 
 
-def semisoft_threshold(coeffs, t1: float, t2: float) -> np.ndarray:
+def semisoft_threshold(coeffs, t1, t2) -> np.ndarray:
     """Two-knee rule: 0 below t1, identity above t2, linear ramp between.
 
     Continuous in w; requires 0 <= t1 < t2. Not idempotent: the ramp
     re-maps its own output, and applying the rule twice equals applying
     it once with t1 replaced by t2 - (t2 - t1)**2 / t2 (t2 unchanged).
     """
-    if not 0 <= t1 < t2:
+    t1, t2 = np.asarray(t1), np.asarray(t2)
+    if not np.all((0 <= t1) & (t1 < t2)):
         raise ValueError("need 0 <= t1 < t2")
     w = np.asarray(coeffs, dtype=np.float64)
     mag = np.abs(w)
@@ -85,12 +93,12 @@ def semisoft_threshold(coeffs, t1: float, t2: float) -> np.ndarray:
     return np.where(mag <= t1, 0.0, np.where(mag >= t2, w, ramp))
 
 
-def band_hard_threshold(coeffs, t1: float, t2: float) -> np.ndarray:
+def band_hard_threshold(coeffs, t1, t2) -> np.ndarray:
     """Zero entries with t1 <= w <= t2 (signed, inclusive); keep the rest.
 
     Idempotent: applying the rule again changes nothing.
     """
-    if t1 > t2:
+    if np.any(np.asarray(t1) > np.asarray(t2)):
         raise ValueError("need t1 <= t2")
     w = np.asarray(coeffs, dtype=np.float64)
     return np.where((w >= t1) & (w <= t2), 0.0, w)
@@ -105,7 +113,8 @@ def select_band(
     their symmetric-divergence contribution
     |(p_ns_i - p_n_i) * ln(p_ns_i / p_n_i)| stays <= tolerance. The zero
     bin is always accepted. Returns the outer coefficient-value edges of
-    the accepted run.
+    the accepted run: two floats, or two arrays with one band per row
+    when p_ns and p_n hold batches (their rows broadcast).
     """
     if p_ns.n_bins != p_n.n_bins or not np.array_equal(
         p_ns.bin_edges, p_n.bin_edges
@@ -117,52 +126,15 @@ def select_band(
     contribution = np.abs(
         (p_ns.probs - p_n.probs) * np.log(p_ns.probs / p_n.probs)
     )
-    center = zero_bin_index(edges)
-    left = center
-    while left > 0 and contribution[left - 1] <= tolerance:
-        left -= 1
-    right = center
-    while right < len(contribution) - 1 and contribution[right + 1] <= tolerance:
-        right += 1
-    return float(edges[left]), float(edges[right + 1])
-
-
-@dataclass
-class ThresholdSpec:
-    """A shrinkage rule plus its parameter(s), ready to apply.
-
-    hard/soft use the scalar `t`; semisoft uses magnitudes 0 <= t1 < t2;
-    band_hard uses the signed interval t1 <= t2.
-    """
-
-    rule: str
-    t: float | None = None
-    t1: float | None = None
-    t2: float | None = None
-
-    def __post_init__(self):
-        if self.rule not in RULES:
-            raise ValueError(f"unknown rule {self.rule!r} (expected {RULES})")
-        if self.rule in ("hard", "soft"):
-            if self.t is None or self.t < 0:
-                raise ValueError(f"{self.rule} requires t >= 0")
-        elif self.rule == "semisoft":
-            if self.t1 is None or self.t2 is None or not 0 <= self.t1 < self.t2:
-                raise ValueError("semisoft requires 0 <= t1 < t2")
-        else:  # band_hard
-            if self.t1 is None or self.t2 is None or self.t1 > self.t2:
-                raise ValueError("band_hard requires t1 <= t2")
-
-    def apply(self, coeffs) -> np.ndarray:
-        if self.rule == "hard":
-            return hard_threshold(coeffs, self.t)
-        if self.rule == "soft":
-            return soft_threshold(coeffs, self.t)
-        if self.rule == "semisoft":
-            return semisoft_threshold(coeffs, self.t1, self.t2)
-        return band_hard_threshold(coeffs, self.t1, self.t2)
-
-    def to_json_dict(self) -> dict:
-        if self.rule in ("hard", "soft"):
-            return {"rule": self.rule, "t": self.t}
-        return {"rule": self.rule, "t1": self.t1, "t2": self.t2}
+    center = np.asarray(zero_bin_index(edges))[..., None]
+    bins = np.arange(contribution.shape[-1])
+    rejected = ~(contribution <= tolerance)
+    # The run stops just inside the nearest rejected bin on either side.
+    left = np.max(np.where(rejected & (bins < center), bins, -1), axis=-1) + 1
+    right = np.min(np.where(rejected & (bins > center), bins, len(bins)), axis=-1)
+    edges = np.broadcast_to(edges, contribution.shape[:-1] + edges.shape[-1:])
+    t1 = np.take_along_axis(edges, left[..., None], axis=-1)[..., 0]
+    t2 = np.take_along_axis(edges, right[..., None], axis=-1)[..., 0]
+    if t1.ndim == 0:
+        return float(t1), float(t2)
+    return t1, t2

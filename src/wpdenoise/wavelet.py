@@ -1,16 +1,18 @@
-"""Wavelet-packet decomposition and perfect reconstruction of a frame.
+"""Wavelet-packet decomposition and perfect reconstruction of frames.
 
 Filtering is periodic (circular), so for an orthonormal filter pair the
 frame transform is an orthogonal matrix: reconstruction is exact and
 coefficient energy equals sample energy. Both the approximation and the
 detail branch are split recursively down to the requested depth, giving
-2^depth uniform subbands per frame.
+2^depth uniform subbands per frame. Every function works on a whole
+batch of frames at once: the transform runs level by level over the
+last axis, so a (frames, samples) array becomes one
+(frames, subbands, coeffs) array of leaf coefficients and back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -71,29 +73,52 @@ def filter_bank(name: str) -> FilterBank:
     return FilterBank(name=name, lowpass=lowpass, highpass=signs * lowpass[::-1])
 
 
-@lru_cache(maxsize=256)
-def _gather_indices(n: int, taps: int) -> np.ndarray:
-    """Row k holds the circular sample positions (2m + k) mod n."""
-    starts = 2 * np.arange(n // 2)
-    idx = np.stack([(starts + k) % n for k in range(taps)])
-    idx.flags.writeable = False
-    return idx
+def _filter_pairs(x: np.ndarray, matrix: np.ndarray, lead: int) -> np.ndarray:
+    """Two decimated circular filters along the last axis, as one matmul.
 
-
-def analysis_step(input_vec, fb: FilterBank):
-    """One circular filter-and-decimate split.
-
-    approx[m] = sum_k lowpass[k] * x[(2m+k) mod n], likewise for detail
-    with the highpass. Each output has half the input length.
+    Row m of the stride-2 window view holds x[(2m - lead + k) mod n] for
+    k < taps; multiplying it by the (taps, 2) matrix gives output pair
+    m. Returns shape (..., n/2, 2).
     """
-    x = np.asarray(input_vec, dtype=np.float64)
-    n = len(x)
+    n = x.shape[-1]
+    taps = len(matrix)
+    ext = np.concatenate((x[..., n - lead :], x, x[..., : taps - 2 - lead]), axis=-1)
+    windows = np.lib.stride_tricks.sliding_window_view(ext, taps, axis=-1)
+    return windows[..., ::2, :] @ matrix
+
+
+def _analysis_pairs(x: np.ndarray, fb: FilterBank) -> np.ndarray:
+    """(..., n) -> (..., n/2, 2): (approx, detail) pairs of analysis_step."""
+    n = x.shape[-1]
     if n % 2:
         raise ValueError(f"input length {n} must be even")
     if n < len(fb):
         raise ValueError(f"input length {n} shorter than filter length {len(fb)}")
-    seg = x[_gather_indices(n, len(fb))]  # (taps, n//2)
-    return fb.lowpass @ seg, fb.highpass @ seg
+    return _filter_pairs(x, np.stack((fb.lowpass, fb.highpass), axis=1), 0)
+
+
+def _synthesis_pairs(z: np.ndarray, fb: FilterBank) -> np.ndarray:
+    """Inverse of _analysis_pairs on interleaved (a0, d0, a1, d1, ...)."""
+    taps = len(fb)
+    if z.shape[-1] < taps:
+        raise ValueError(
+            f"output length {z.shape[-1]} shorter than filter length {taps}"
+        )
+    # out[2j + p] = sum_q lowpass[2q + p] a[j - q] + highpass[2q + p] d[j - q]:
+    # window entry 2r + c is (a, d)[c][j - q] with q = taps/2 - 1 - r.
+    bank = np.stack((fb.lowpass, fb.highpass)).reshape(2, taps // 2, 2)
+    matrix = bank[:, ::-1, :].transpose(1, 0, 2).reshape(taps, 2)
+    return _filter_pairs(z, matrix, taps - 2).reshape(z.shape)
+
+
+def analysis_step(input_vec, fb: FilterBank):
+    """One circular filter-and-decimate split along the last axis.
+
+    approx[..., m] = sum_k lowpass[k] * x[..., (2m+k) mod n], likewise
+    for detail with the highpass. Each output has half the input length.
+    """
+    pairs = _analysis_pairs(np.asarray(input_vec, dtype=np.float64), fb)
+    return pairs[..., 0], pairs[..., 1]
 
 
 def synthesis_step(approx, detail, fb: FilterBank) -> np.ndarray:
@@ -101,73 +126,22 @@ def synthesis_step(approx, detail, fb: FilterBank) -> np.ndarray:
     a = np.asarray(approx, dtype=np.float64)
     d = np.asarray(detail, dtype=np.float64)
     if a.shape != d.shape:
-        raise ValueError(f"length mismatch: {len(a)} vs {len(d)}")
-    n = 2 * len(a)
-    idx = _gather_indices(n, len(fb))
-    out = np.zeros(n)
-    for k in range(len(fb)):
-        # row indices are distinct for a fixed tap, so += is safe
-        out[idx[k]] += fb.lowpass[k] * a + fb.highpass[k] * d
-    return out
+        raise ValueError(f"shape mismatch: {a.shape} vs {d.shape}")
+    z = np.stack((a, d), axis=-1).reshape(a.shape[:-1] + (2 * a.shape[-1],))
+    return _synthesis_pairs(z, fb)
 
 
-@dataclass
-class CoefficientTree:
-    """Complete packet tree for one frame.
+def wp_analysis(frames, fb: FilterBank, depth: int) -> np.ndarray:
+    """Full packet expansion of every frame down to `depth` levels.
 
-    Node (level, index) holds frame_len / 2**level coefficients; level 0
-    is the frame itself and level `depth` holds the 2**depth leaf
-    subbands. Treat instances as immutable; derive modified trees with
-    with_leaves().
+    frames has shape (F, N); the result has shape (F, 2**depth,
+    N >> depth), leaf i of a frame being its i-th subband in natural
+    order (node 2i is the approximation and 2i+1 the detail of node i).
     """
-
-    depth: int
-    frame_len: int
-    filter: FilterBank
-    nodes: dict
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        for level in range(self.depth + 1):
-            width = self.frame_len >> level
-            for index in range(1 << level):
-                node = self.nodes.get((level, index))
-                if node is None or len(node) != width:
-                    raise ValueError(f"malformed tree: bad node {(level, index)}")
-
-    @property
-    def leaves(self) -> list:
-        """Leaf subband vectors, ordered by leaf index."""
-        return [self.nodes[(self.depth, i)] for i in range(1 << self.depth)]
-
-    def node(self, level: int, index: int) -> np.ndarray:
-        return self.nodes[(level, index)]
-
-    def with_leaves(self, new_leaves) -> "CoefficientTree":
-        """Rebuild a consistent tree from replacement leaf vectors."""
-        if len(new_leaves) != 1 << self.depth:
-            raise ValueError(f"expected {1 << self.depth} leaves")
-        nodes = {}
-        for i, leaf in enumerate(new_leaves):
-            leaf = np.asarray(leaf, dtype=np.float64)
-            if len(leaf) != self.frame_len >> self.depth:
-                raise ValueError(f"leaf {i} has wrong length {len(leaf)}")
-            nodes[(self.depth, i)] = leaf
-        for level in range(self.depth - 1, -1, -1):
-            for i in range(1 << level):
-                nodes[(level, i)] = synthesis_step(
-                    nodes[(level + 1, 2 * i)],
-                    nodes[(level + 1, 2 * i + 1)],
-                    self.filter,
-                )
-        return CoefficientTree(self.depth, self.frame_len, self.filter, nodes)
-
-
-def wp_decompose(frame, fb: FilterBank, depth: int) -> CoefficientTree:
-    """Full packet expansion of a frame down to `depth` levels."""
-    x = np.asarray(frame, dtype=np.float64)
-    n = len(x)
+    x = np.asarray(frames, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"frames must be (n_frames, frame_len), got shape {x.shape}")
+    n = x.shape[1]
     if n <= 0 or n & (n - 1):
         raise ValueError(f"frame length {n} must be a power of two")
     if depth < 1:
@@ -177,21 +151,26 @@ def wp_decompose(frame, fb: FilterBank, depth: int) -> CoefficientTree:
             f"frame length {n} too short for depth {depth} with "
             f"{len(fb)}-tap filter"
         )
-    nodes = {(0, 0): x.copy()}
+    nodes = x[:, None, :]
     for level in range(depth):
-        for i in range(1 << level):
-            approx, detail = analysis_step(nodes[(level, i)], fb)
-            nodes[(level + 1, 2 * i)] = approx
-            nodes[(level + 1, 2 * i + 1)] = detail
-    return CoefficientTree(depth=depth, frame_len=n, filter=fb, nodes=nodes)
+        pairs = _analysis_pairs(nodes, fb)  # (F, 2**level, width/2, 2)
+        nodes = pairs.swapaxes(-1, -2).reshape(len(x), 2 << level, n >> level + 1)
+    return nodes
 
 
-def wp_reconstruct(tree: CoefficientTree) -> np.ndarray:
-    """Invert wp_decompose from the leaf subbands."""
-    current = [np.asarray(leaf, dtype=np.float64) for leaf in tree.leaves]
-    for _ in range(tree.depth):
-        current = [
-            synthesis_step(current[2 * i], current[2 * i + 1], tree.filter)
-            for i in range(len(current) // 2)
-        ]
-    return current[0]
+def wp_synthesis(leaves, fb: FilterBank) -> np.ndarray:
+    """Invert wp_analysis: (F, 2**depth, N >> depth) leaves -> (F, N) frames."""
+    nodes = np.asarray(leaves, dtype=np.float64)
+    if nodes.ndim != 3:
+        raise ValueError(
+            f"leaves must be (n_frames, n_subbands, coeffs), got shape {nodes.shape}"
+        )
+    n_frames, n_sub, width = nodes.shape
+    if n_sub < 2 or n_sub & (n_sub - 1):
+        raise ValueError(f"subband count {n_sub} must be a power of two >= 2")
+    while n_sub > 1:
+        n_sub //= 2
+        pairs = nodes.reshape(n_frames, n_sub, 2, width).swapaxes(-1, -2)
+        width *= 2
+        nodes = _synthesis_pairs(pairs.reshape(n_frames, n_sub, width), fb)
+    return nodes[:, 0]

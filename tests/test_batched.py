@@ -1,0 +1,219 @@
+"""The batched packet core against the per-frame scalar oracle.
+
+Property tests cover the transform, the row-wise histograms and band
+selection; whole `enhance` runs are compared on the sine-0db preset and
+on a speech-like input in mad mode.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import scalar_oracle as oracle
+from wpdenoise.experiments import sine_0db_material
+from wpdenoise import pipeline
+from wpdenoise.pipeline import EnhanceConfig, enhance
+from wpdenoise.signal_io import SignalBuffer, mix_at_snr, white_noise
+from wpdenoise.stats import (
+    Histogram,
+    ProbabilityVector,
+    bin_count,
+    build_histogram,
+    entropy,
+    row_histograms,
+    to_probability,
+    zero_bin_index,
+)
+from wpdenoise.thresholding import select_band
+from wpdenoise.wavelet import filter_bank, wp_analysis, wp_synthesis
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def packet_cases(draw):
+    """A valid (wavelet, depth, frame length, frame count) and frames."""
+    name = draw(st.sampled_from(["haar", "db4"]))
+    taps = len(filter_bank(name))
+    log_n = draw(st.integers(min_value=taps.bit_length(), max_value=10))
+    depth = draw(st.integers(min_value=1, max_value=log_n - (taps.bit_length() - 1)))
+    n_frames = draw(st.integers(min_value=1, max_value=5))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    frames = scale * np.random.default_rng(seed).normal(size=(n_frames, 1 << log_n))
+    return name, depth, frames
+
+
+@PROPERTY
+@given(packet_cases())
+def test_batched_transform_equals_scalar_oracle(case):
+    name, depth, frames = case
+    fb = filter_bank(name)
+    scale = max(1.0, float(np.max(np.abs(frames))))
+    leaves = wp_analysis(frames, fb, depth)
+    assert leaves.shape == (len(frames), 1 << depth, frames.shape[1] >> depth)
+    for frame, frame_leaves in zip(frames, leaves):
+        want = np.array(oracle.wp_decompose(frame, fb, depth).leaves)
+        np.testing.assert_allclose(frame_leaves, want, rtol=0, atol=1e-12 * scale)
+    rebuilt = wp_synthesis(leaves, fb)
+    for frame_leaves, frame in zip(leaves, rebuilt):
+        want = oracle.wp_reconstruct(list(frame_leaves), fb)
+        np.testing.assert_allclose(frame, want, rtol=0, atol=1e-12 * scale)
+
+
+@PROPERTY
+@given(packet_cases())
+def test_batched_round_trip(case):
+    name, depth, frames = case
+    fb = filter_bank(name)
+    scale = max(1.0, float(np.max(np.abs(frames))))
+    rebuilt = wp_synthesis(wp_analysis(frames, fb, depth), fb)
+    np.testing.assert_allclose(rebuilt, frames, rtol=0, atol=1e-10 * scale)
+
+
+@st.composite
+def binning_cases(draw):
+    """Edges, and rows of values on, between and outside those edges."""
+    n_bins = draw(st.integers(min_value=1, max_value=12))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    edges = np.cumsum(rng.uniform(0.1, 2.0, n_bins + 1)) - draw(
+        st.floats(min_value=-5.0, max_value=30.0)
+    )
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    outside = np.array([edges[0] - 1.0, edges[-1] + 1.0, edges[0] - 1e-12,
+                        np.nextafter(edges[-1], np.inf)])
+    pool = np.concatenate([edges, mids, outside, rng.uniform(edges[0], edges[-1], 8)])
+    n_rows = draw(st.integers(min_value=1, max_value=4))
+    n_values = draw(st.integers(min_value=1, max_value=40))
+    values = rng.choice(pool, size=(n_rows, n_values))
+    return edges, values
+
+
+def _np_counts(row, edges):
+    """The specification: np.histogram of the row clamped into the edges."""
+    return np.histogram(np.clip(row, edges[0], edges[-1]), bins=edges)[0]
+
+
+@PROPERTY
+@given(binning_cases())
+def test_row_histograms_equal_np_histogram(case):
+    edges, values = case
+    shared = row_histograms(values, edges=edges)
+    per_row_edges = np.stack([edges + i for i in range(len(values))])
+    per_row = row_histograms(values + np.arange(len(values))[:, None],
+                             edges=per_row_edges)
+    own = row_histograms(values)
+    for i, row in enumerate(values):
+        want = _np_counts(row, edges)
+        np.testing.assert_array_equal(shared.counts[i], want)
+        np.testing.assert_array_equal(build_histogram(row, edges=edges).counts, want)
+        np.testing.assert_array_equal(per_row.counts[i], _np_counts(row + i, edges + i))
+        lo, hi = float(np.min(row)), float(np.max(row))
+        if lo == hi:
+            lo, hi = lo - 1e-9, hi + 1e-9
+        own_edges = np.linspace(lo, hi, bin_count(len(row)) + 1)
+        np.testing.assert_array_equal(own.bin_edges[i], own_edges)
+        np.testing.assert_array_equal(own.counts[i], _np_counts(row, own_edges))
+        np.testing.assert_array_equal(build_histogram(row).counts, own.counts[i])
+    # to_probability and entropy reduce row by row
+    p = to_probability(shared, 1e-12)
+    for i, row in enumerate(values):
+        q = to_probability(build_histogram(row, edges=edges), 1e-12)
+        np.testing.assert_allclose(p.probs[i], q.probs, rtol=0, atol=1e-15)
+        assert abs(entropy(p)[i] - entropy(q)) <= 1e-12
+
+
+@st.composite
+def band_cases(draw):
+    """Noise and noisy distributions on edges that straddle zero.
+
+    Each noisy row scales every noise count by 1 or 2, so rows range
+    from the noise distribution itself (all contributions 0) to ones
+    far from it.
+    """
+    n_bins = draw(st.integers(min_value=1, max_value=15))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    edges = np.cumsum(rng.uniform(0.1, 1.0, n_bins + 1))
+    edges -= rng.uniform(edges[0], edges[-1])  # zero lies inside the support
+    n_rows = draw(st.integers(min_value=1, max_value=6))
+    noise = rng.integers(1, 100, n_bins)
+    noisy = noise * rng.integers(1, 3, size=(n_rows, n_bins))
+    p_ns = to_probability(Histogram(edges, noisy), 1e-12)
+    p_n = to_probability(Histogram(edges, noise), 1e-12)
+    tolerance = draw(st.sampled_from([0.0, 1e-4, 1e-3, 1e-2, 0.1, 10.0]))
+    return p_ns, p_n, tolerance
+
+
+@PROPERTY
+@given(band_cases())
+def test_vectorised_select_band_equals_scalar(case):
+    p_ns, p_n, tolerance = case
+    t1, t2 = select_band(p_ns, p_n, tolerance)
+    edges = p_n.bin_edges
+    zero = zero_bin_index(edges)
+    for i in range(len(p_ns.probs)):
+        row = ProbabilityVector(p_ns.probs[i], edges, p_ns.epsilon)
+        want = oracle.select_band(row, p_n, tolerance)
+        assert (t1[i], t2[i]) == want
+        assert select_band(row, p_n, tolerance) == want
+        # the band always contains the zero bin
+        assert t1[i] <= edges[zero] and t2[i] >= edges[zero + 1]
+
+
+def _speech_like(seconds: float, seed: int) -> tuple:
+    """Harmonic bursts between noise-only gaps, with a 0.25 s noise lead-in."""
+    rate = 16000
+    rng = np.random.default_rng(seed)
+    clean = np.zeros(int(seconds * rate))
+    start = int(0.25 * rate)
+    while start < len(clean):
+        length = int(rng.uniform(0.15, 0.4) * rate)
+        t = np.arange(min(length, len(clean) - start)) / rate
+        f0 = rng.uniform(95.0, 250.0)
+        burst = sum(np.sin(2 * np.pi * h * f0 * t) / h for h in range(1, 6))
+        clean[start:start + len(t)] = 0.3 * burst * np.hanning(len(t))
+        start += length + int(rng.uniform(0.05, 0.3) * rate)
+    clean = SignalBuffer(clean, rate)
+    noisy = mix_at_snr(clean, white_noise(1.0, seconds, rate, seed), 5.0)
+    return clean, noisy
+
+
+def _assert_matches_oracle(noisy, config):
+    enhanced, report = enhance(noisy, config)
+    samples, records = oracle.enhance(noisy, config)
+    np.testing.assert_allclose(enhanced.samples, samples, rtol=0, atol=1e-12)
+    assert len(report.frames) == len(records)
+    for frame, (vuv, subbands) in zip(report.frames, records):
+        assert frame.vuv == vuv
+        for sub, (sigma, threshold, band, n_zero_pre, n_zero_post) in zip(
+            frame.subbands, subbands
+        ):
+            assert (sub.n_zero_pre, sub.n_zero_post) == (n_zero_pre, n_zero_post)
+            assert abs(sub.sigma - sigma) <= 1e-12
+            if threshold is None:
+                assert sub.threshold is None
+                np.testing.assert_allclose(sub.band, band, rtol=0, atol=1e-12)
+            else:
+                assert sub.band is None
+                assert abs(sub.threshold - threshold) <= 1e-12
+    return report
+
+
+@pytest.mark.parametrize("method", ["universal-hard", "universal-soft", "band"])
+def test_enhance_matches_oracle_on_preset(method):
+    _, noisy = sine_0db_material(seed=11)
+    report = _assert_matches_oracle(noisy, EnhanceConfig(method=method, seed=11))
+    assert {f.vuv for f in report.frames} == {"voiced", "unvoiced"}
+
+
+@pytest.mark.parametrize("method", ["universal-hard", "band"])
+def test_enhance_matches_oracle_on_speech_like_mad(method, monkeypatch):
+    _, noisy = _speech_like(3.0, seed=12)
+    config = EnhanceConfig(method=method, noise_estimation="mad", seed=12)
+    # 187 frames x 16 subbands x 109 bins: blocks of 11 frames, the last
+    # one shorter, check that band selection block by block changes nothing.
+    monkeypatch.setattr(pipeline, "_BAND_BLOCK_VALUES", 11 * 16 * 109)
+    _assert_matches_oracle(noisy, config)

@@ -1,6 +1,9 @@
 """Tests for the command-line surface: flags, exit codes, reports."""
 
 import json
+import os
+import subprocess
+import sys
 
 from wpdenoise.cli import run
 from wpdenoise.report import validate_report_dict
@@ -38,6 +41,16 @@ class TestSynth:
         assert run(["synth", "--kind", "noise", "--out", str(env),
                     "--seed", "999", "--duration", "1.0"]) == 0
         assert flag.read_bytes() == env.read_bytes()
+
+    def test_non_integer_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("WAVEDENOISE_SEED", "abc")
+        status = run(["synth", "--kind", "noise", "--out", str(tmp_path / "x.wav"),
+                      "--duration", "1.0"])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "WAVEDENOISE_SEED" in err and "'abc'" in err
+        assert not (tmp_path / "x.wav").exists()
 
     def test_quiet_on_success(self, tmp_path, capsys):
         _synth(tmp_path, "q.wav", kind="noise")
@@ -195,3 +208,30 @@ class TestExperiment:
     def test_unknown_preset_is_usage_error(self, capsys):
         assert run(["experiment", "--preset", "speech-5db"]) == 1
         capsys.readouterr()
+
+
+class TestAnalyzeEpsilon:
+    def test_epsilon_too_large_for_pooled_histograms(self, tmp_path, capsys):
+        # 1 s of audio is 62 frames: the pooled histograms have
+        # bin_count(62 * 512) = 89 bins, so 0.02 (under 1/11 per frame and
+        # 1/22 per subband) fails, before any transform.
+        wav = _synth(tmp_path, "x.wav", kind="noise")
+        status = run([
+            "analyze", "--in", str(wav), "--noise", str(wav),
+            "--report", str(tmp_path / "r.json"), "--epsilon", "0.02",
+        ])
+        assert status == 3
+        err = capsys.readouterr().err
+        assert "epsilon=0.02" in err and "1/89" in err
+        assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_import_leaves_out_jsonschema():
+    # jsonschema is only needed to validate reports; the CLI must not pay
+    # for its import at start-up.
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, wpdenoise.cli; print('jsonschema' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -10,11 +10,12 @@ from wpdenoise.pipeline import (
     classify_vuv,
     enhance,
     estimate_noise_profile,
+    leaf_coefficients,
 )
 from wpdenoise.signal_io import SignalBuffer, sine_wave, white_noise
 from wpdenoise.stats import build_histogram, symmetric_divergence, to_probability
 from wpdenoise.thresholding import universal_threshold
-from wpdenoise.wavelet import filter_bank, wp_decompose
+from wpdenoise.wavelet import filter_bank, wp_analysis
 from wpdenoise.experiments import sine_0db_material
 
 
@@ -48,6 +49,27 @@ class TestEnhanceConfig:
             with pytest.raises(ValueError):
                 cfg.validate()
 
+    @pytest.mark.parametrize("noise_estimation", ["leading_silence", "mad"])
+    def test_epsilon_checked_against_largest_histogram_first(
+        self, noise_estimation, monkeypatch
+    ):
+        # 0.05 passes the per-frame check (11 bins) but not the pooled
+        # noise histograms: 25 bins from the leading silence, 141 from
+        # the level-1 detail of all 312 frames in mad mode.
+        import wpdenoise.pipeline as pipeline
+
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transform ran before the epsilon check")
+
+        monkeypatch.setattr(pipeline, "wp_analysis", no_transform)
+        monkeypatch.setattr(pipeline, "analysis_step", no_transform)
+        _, noisy = sine_0db_material(seed=1)
+        config = EnhanceConfig(epsilon=0.05, noise_estimation=noise_estimation)
+        config.validate()
+        bins = 25 if noise_estimation == "leading_silence" else 141
+        with pytest.raises(ValueError, match=rf"epsilon=0\.05 .*\(0, 1/{bins}\)"):
+            enhance(noisy, config)
+
 
 class TestEstimateNoiseProfile:
     def test_leading_silence_matches_full_signal_distribution(self):
@@ -58,23 +80,15 @@ class TestEstimateNoiseProfile:
         noise = white_noise(1.0, 0.4, rate, seed=21)
         config = EnhanceConfig()
         profile = estimate_noise_profile(noise, config)
-        fb = filter_bank(config.wavelet)
 
-        from wpdenoise.framing import make_frames
         from wpdenoise.stats import shared_edges
 
         span = int(round(config.silence_ms / 1000 * rate))
         assert span == 10**5
 
         def subband_pools(samples):
-            pools = [[] for _ in range(config.n_subbands)]
-            sig = SignalBuffer(samples, rate)
-            frames = make_frames(sig, config.frame_len, config.hop, config.window)
-            for frame in frames.frames:
-                tree = wp_decompose(frame, fb, config.depth)
-                for i, leaf in enumerate(tree.leaves):
-                    pools[i].append(leaf)
-            return [np.concatenate(c) for c in pools]
+            leaves = leaf_coefficients(SignalBuffer(samples, rate), config)
+            return [leaves[:, i].ravel() for i in range(config.n_subbands)]
 
         lead_pools = subband_pools(noise.samples[: span - span % config.hop])
         full_pools = subband_pools(noise.samples)
@@ -88,13 +102,13 @@ class TestEstimateNoiseProfile:
             )
             assert symmetric_divergence(p, q) <= 0.05
             # the stored profile sigma tracks the full-signal level
-            full_sigma = profile.subbands[i].sigma
+            full_sigma = profile.subbands.sigma[i]
             assert abs(full_sigma - np.median(np.abs(full_pools[i])) / 0.6745) < 0.05
 
     def test_zero_signal_gives_zero_sigma(self):
         silent = SignalBuffer(np.zeros(16000), 16000)
         profile = estimate_noise_profile(silent, EnhanceConfig())
-        assert all(s.sigma == 0.0 for s in profile.subbands)
+        assert np.all(profile.subbands.sigma == 0.0)
         assert profile.pooled.sigma == 0.0
 
     def test_mad_mode_recovers_unit_sigma(self):
@@ -102,8 +116,8 @@ class TestEstimateNoiseProfile:
         noise = white_noise(1.0, 2.0, 16000, seed=22)
         config = EnhanceConfig(noise_estimation="mad", window="rectangular")
         profile = estimate_noise_profile(noise, config)
-        for entry in profile.subbands:
-            assert abs(entry.sigma - 1.0) < 0.05
+        sigma = np.broadcast_to(profile.subbands.sigma, (config.n_subbands,))
+        assert np.all(np.abs(sigma - 1.0) < 0.05)
 
     def test_short_silence_span_rejected(self):
         sig = white_noise(1.0, 1.0, 16000, seed=23)
@@ -116,30 +130,36 @@ class TestEstimateNoiseProfile:
             estimate_noise_profile(sig, EnhanceConfig(silence_ms=100.0))
 
 
+def _frame_leaves(frames):
+    return wp_analysis(np.atleast_2d(frames), filter_bank("db4"), 4)
+
+
 class TestClassifyVuv:
     def test_peaky_coefficients_are_unvoiced(self):
         frame = np.zeros(512)
         frame[100] = 5.0  # a single spike concentrates the histogram
-        tree = wp_decompose(frame, filter_bank("db4"), 4)
-        assert classify_vuv(tree, 0.5, 1e-12) == "unvoiced"
+        assert classify_vuv(_frame_leaves(frame), 0.5, 1e-12) == ["unvoiced"]
 
     def test_spread_coefficients_are_voiced(self):
-        tree = wp_decompose(np.zeros(512), filter_bank("db4"), 4)
         rng = np.random.default_rng(25)
-        spread = tree.with_leaves(
-            [rng.uniform(-1, 1, 32) for _ in range(16)]
-        )
-        assert classify_vuv(spread, 0.5, 1e-12) == "voiced"
+        spread = rng.uniform(-1, 1, (1, 16, 32))
+        assert classify_vuv(spread, 0.5, 1e-12) == ["voiced"]
 
     def test_tie_goes_to_voiced(self):
         from wpdenoise.stats import entropy
 
         rng = np.random.default_rng(26)
-        tree = wp_decompose(rng.normal(size=512), filter_bank("db4"), 4)
-        pooled = np.concatenate(tree.leaves)
-        e = entropy(to_probability(build_histogram(pooled), 1e-12))
-        assert classify_vuv(tree, e, 1e-12) == "voiced"
-        assert classify_vuv(tree, math.nextafter(e, math.inf), 1e-12) == "unvoiced"
+        leaves = _frame_leaves(rng.normal(size=512))
+        e = entropy(to_probability(build_histogram(leaves), 1e-12))
+        assert classify_vuv(leaves, e, 1e-12) == ["voiced"]
+        assert classify_vuv(leaves, math.nextafter(e, math.inf), 1e-12) == ["unvoiced"]
+
+    def test_one_label_per_frame(self):
+        peaky = np.zeros(512)
+        peaky[100] = 5.0
+        spread = np.random.default_rng(27).normal(size=512)
+        leaves = _frame_leaves([spread, peaky, spread])
+        assert classify_vuv(leaves, 0.5, 1e-12) == ["voiced", "unvoiced", "voiced"]
 
 
 class TestEnhance:

@@ -7,7 +7,6 @@ import pytest
 
 from wpdenoise.stats import build_histogram, shared_edges, to_probability, zero_bin_index
 from wpdenoise.thresholding import (
-    ThresholdSpec,
     band_hard_threshold,
     estimate_sigma,
     hard_threshold,
@@ -92,6 +91,10 @@ class TestSoftThreshold:
     def test_zero_threshold_is_identity(self):
         x = np.array([0.5, -2.0])
         np.testing.assert_array_equal(soft_threshold(x, 0.0), x)
+
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(ValueError):
+            soft_threshold([1.0], -1.0)
 
     def test_never_grows_magnitude(self):
         x = np.random.default_rng(2).normal(size=512)
@@ -246,36 +249,36 @@ class TestSelectBand:
             select_band(p, p, 1e-3)
 
 
-class TestThresholdSpec:
-    def test_apply_dispatch(self):
-        x = np.array([0.5, -2.0, 1.5])
-        np.testing.assert_array_equal(
-            ThresholdSpec(rule="hard", t=1.0).apply(x),
-            hard_threshold(x, 1.0))
-        np.testing.assert_array_equal(
-            ThresholdSpec(rule="soft", t=1.0).apply(x),
-            soft_threshold(x, 1.0))
-        np.testing.assert_array_equal(
-            ThresholdSpec(rule="semisoft", t1=1.0, t2=2.0).apply(x),
-            semisoft_threshold(x, 1.0, 2.0))
-        np.testing.assert_array_equal(
-            ThresholdSpec(rule="band_hard", t1=-1.0, t2=1.0).apply(x),
-            band_hard_threshold(x, -1.0, 1.0))
+class TestArrayThresholds:
+    """One threshold per row, broadcast over the coefficients of that row."""
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ThresholdSpec(rule="hard")
-        with pytest.raises(ValueError):
-            ThresholdSpec(rule="soft", t=-1.0)
-        with pytest.raises(ValueError):
-            ThresholdSpec(rule="semisoft", t1=2.0, t2=1.0)
-        with pytest.raises(ValueError):
-            ThresholdSpec(rule="band_hard", t1=1.0, t2=-1.0)
-        with pytest.raises(ValueError):
-            ThresholdSpec(rule="quintile", t=1.0)
+    RULES = {
+        "hard": (hard_threshold, lambda t: (t,)),
+        "soft": (soft_threshold, lambda t: (t,)),
+        "semisoft": (semisoft_threshold, lambda t: (t, 2.0 * t + 0.1)),
+        "band_hard": (band_hard_threshold, lambda t: (-t, 0.5 * t)),
+    }
 
-    def test_json_round(self):
-        assert ThresholdSpec(rule="hard", t=0.5).to_json_dict() == {
-            "rule": "hard", "t": 0.5}
-        assert ThresholdSpec(rule="band_hard", t1=-0.1, t2=0.2).to_json_dict() == {
-            "rule": "band_hard", "t1": -0.1, "t2": 0.2}
+    @pytest.mark.parametrize("rule", list(RULES))
+    def test_row_thresholds_equal_scalar_calls(self, rule):
+        fn, params = self.RULES[rule]
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(3, 4, 32))
+        t = rng.uniform(0.0, 1.5, size=(3, 4, 1))
+        out = fn(x, *params(t))
+        for idx in np.ndindex(3, 4):
+            scalar = fn(x[idx], *params(float(t[idx][0])))
+            np.testing.assert_array_equal(out[idx], scalar)
+
+    @pytest.mark.parametrize("rule", list(RULES))
+    def test_one_bad_row_rejects_the_call(self, rule):
+        fn, _ = self.RULES[rule]
+        x = np.zeros((2, 8))
+        if rule in ("hard", "soft"):
+            args = (np.array([[0.5], [-0.1]]),)
+        elif rule == "semisoft":
+            args = (np.array([[0.5], [1.0]]), np.array([[1.0], [1.0]]))
+        else:
+            args = (np.array([[0.5], [1.0]]), np.array([[1.0], [0.5]]))
+        with pytest.raises(ValueError):
+            fn(x, *args)

@@ -1,15 +1,19 @@
-"""Tests for the wavelet-packet transform: filters, splits, trees."""
+"""Tests for the wavelet-packet transform: filters, splits, packet arrays.
+
+TestWpDecompose, TestWpReconstruct and TestCoefficientTree keep the
+names of the per-frame tree API they once covered; they check the same
+properties on the batched (frames, subbands, coeffs) array.
+"""
 
 import numpy as np
 import pytest
 
 from wpdenoise.wavelet import (
-    CoefficientTree,
     analysis_step,
     filter_bank,
     synthesis_step,
-    wp_decompose,
-    wp_reconstruct,
+    wp_analysis,
+    wp_synthesis,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -78,6 +82,16 @@ class TestAnalysisStep:
         with pytest.raises(ValueError):
             analysis_step(np.zeros(4), filter_bank("db4"))
 
+    def test_works_along_last_axis(self):
+        fb = filter_bank("db4")
+        x = np.random.default_rng(9).normal(size=(3, 2, 64))
+        approx, detail = analysis_step(x, fb)
+        assert approx.shape == detail.shape == (3, 2, 32)
+        for idx in np.ndindex(3, 2):
+            a, d = analysis_step(x[idx], fb)
+            np.testing.assert_array_equal(approx[idx], a)
+            np.testing.assert_array_equal(detail[idx], d)
+
 
 class TestSynthesisStep:
     @pytest.mark.parametrize("name", ["haar", "db4"])
@@ -100,53 +114,65 @@ class TestSynthesisStep:
         with pytest.raises(ValueError):
             synthesis_step(np.zeros(8), np.zeros(9), filter_bank("haar"))
 
+    def test_inverts_analysis_along_last_axis(self):
+        fb = filter_bank("db4")
+        x = np.random.default_rng(10).normal(size=(4, 3, 32))
+        np.testing.assert_allclose(synthesis_step(*analysis_step(x, fb), fb), x,
+                                   atol=1e-12)
+
+
+def _leaves(x, name, depth):
+    """Leaves of a single frame: (2**depth, n >> depth)."""
+    return wp_analysis(np.asarray(x)[None, :], filter_bank(name), depth)[0]
+
+
+def _frame(leaves, name):
+    """The single frame rebuilt from its (2**depth, width) leaves."""
+    return wp_synthesis(np.asarray(leaves)[None], filter_bank(name))[0]
+
 
 class TestWpDecompose:
     def test_depth_one_equals_single_split(self):
         fb = filter_bank("db4")
         x = np.random.default_rng(1).normal(size=128)
-        tree = wp_decompose(x, fb, 1)
+        leaves = _leaves(x, "db4", 1)
         approx, detail = analysis_step(x, fb)
-        np.testing.assert_array_equal(tree.node(1, 0), approx)
-        np.testing.assert_array_equal(tree.node(1, 1), detail)
+        np.testing.assert_array_equal(leaves[0], approx)
+        np.testing.assert_array_equal(leaves[1], detail)
 
     def test_leaf_shape(self):
-        tree = wp_decompose(np.random.default_rng(2).normal(size=64),
-                            filter_bank("haar"), 3)
-        assert len(tree.leaves) == 8
-        assert all(len(leaf) == 8 for leaf in tree.leaves)
+        x = np.random.default_rng(2).normal(size=(5, 64))
+        assert wp_analysis(x, filter_bank("haar"), 3).shape == (5, 8, 8)
 
     @pytest.mark.parametrize("name", ["haar", "db4"])
     def test_parseval(self, name):
         x = np.random.default_rng(3).normal(size=512)
-        tree = wp_decompose(x, filter_bank(name), 4)
-        leaf_energy = sum(float(np.sum(leaf**2)) for leaf in tree.leaves)
+        leaves = _leaves(x, name, 4)
+        leaf_energy = float(np.sum(leaves**2))
         assert abs(leaf_energy / float(np.sum(x**2)) - 1.0) < 1e-9
 
     def test_rejects_insufficient_length(self):
         with pytest.raises(ValueError):
-            wp_decompose(np.zeros(64), filter_bank("db4"), 4)  # leaf 4 < 8 taps
+            _leaves(np.zeros(64), "db4", 4)  # leaf 4 < 8 taps
         with pytest.raises(ValueError):
-            wp_decompose(np.zeros(60), filter_bank("haar"), 2)  # not power of two
+            _leaves(np.zeros(60), "haar", 2)  # not power of two
+        with pytest.raises(ValueError):
+            wp_analysis(np.zeros(64), filter_bank("haar"), 2)  # not (frames, N)
 
 
 class TestWpReconstruct:
     def test_roundtrip_512_db4_depth4(self):
         x = np.random.default_rng(4).normal(size=512)
-        tree = wp_decompose(x, filter_bank("db4"), 4)
-        np.testing.assert_allclose(wp_reconstruct(tree), x, atol=1e-10)
+        np.testing.assert_allclose(_frame(_leaves(x, "db4", 4), "db4"), x, atol=1e-10)
 
     def test_zero_leaves_give_zero_frame(self):
-        tree = wp_decompose(np.random.default_rng(5).normal(size=256),
-                            filter_bank("db4"), 3)
-        zeroed = tree.with_leaves([np.zeros_like(l) for l in tree.leaves])
-        assert np.all(wp_reconstruct(zeroed) == 0.0)
+        leaves = _leaves(np.random.default_rng(5).normal(size=256), "db4", 3)
+        assert np.all(_frame(np.zeros_like(leaves), "db4") == 0.0)
 
     def test_scaling_leaves_scales_output(self):
         x = np.random.default_rng(6).normal(size=256)
-        tree = wp_decompose(x, filter_bank("haar"), 3)
-        scaled = tree.with_leaves([2.5 * l for l in tree.leaves])
-        np.testing.assert_allclose(wp_reconstruct(scaled), 2.5 * x, atol=1e-10)
+        scaled = 2.5 * _leaves(x, "haar", 3)
+        np.testing.assert_allclose(_frame(scaled, "haar"), 2.5 * x, atol=1e-10)
 
     @pytest.mark.parametrize("name", ["haar", "db4"])
     @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
@@ -156,32 +182,35 @@ class TestWpReconstruct:
         for n in (64, 256, 1024):
             if n >> depth < len(fb):
                 continue
-            x = rng.normal(size=n)
+            x = rng.normal(size=(3, n))
             np.testing.assert_allclose(
-                wp_reconstruct(wp_decompose(x, fb, depth)), x, atol=1e-10
+                wp_synthesis(wp_analysis(x, fb, depth), fb), x, atol=1e-10
             )
 
 
 class TestCoefficientTree:
     def test_with_leaves_rebuilds_consistent_ancestors(self):
+        # Rebuilding from modified leaves goes through every internal
+        # node: one level of synthesis gives back the level above.
+        fb = filter_bank("db4")
         x = np.random.default_rng(7).normal(size=128)
-        tree = wp_decompose(x, filter_bank("db4"), 2)
-        new_leaves = [0.5 * l for l in tree.leaves]
-        rebuilt = tree.with_leaves(new_leaves)
-        # the rebuilt root is exactly the packet reconstruction
-        np.testing.assert_array_equal(rebuilt.node(0, 0), wp_reconstruct(rebuilt))
-        np.testing.assert_allclose(rebuilt.node(0, 0), 0.5 * x, atol=1e-12)
+        leaves = 0.5 * _leaves(x, "db4", 2)
+        level1 = synthesis_step(leaves[0::2], leaves[1::2], fb)
+        np.testing.assert_allclose(level1, 0.5 * _leaves(x, "db4", 1), atol=1e-12)
+        root = synthesis_step(level1[0], level1[1], fb)
+        np.testing.assert_allclose(root, _frame(leaves, "db4"), atol=1e-12)
+        np.testing.assert_allclose(root, 0.5 * x, atol=1e-12)
 
     def test_with_leaves_validates_shape(self):
-        tree = wp_decompose(np.zeros(64), filter_bank("haar"), 2)
+        fb = filter_bank("haar")
         with pytest.raises(ValueError):
-            tree.with_leaves([np.zeros(16)] * 3)
+            wp_synthesis(np.zeros((1, 3, 16)), fb)  # not a power of two
         with pytest.raises(ValueError):
-            tree.with_leaves([np.zeros(5)] * 4)
+            wp_synthesis(np.zeros((1, 1, 64)), fb)  # no split to undo
 
     def test_malformed_tree_rejected(self):
-        tree = wp_decompose(np.zeros(64), filter_bank("haar"), 2)
-        nodes = dict(tree.nodes)
-        del nodes[(2, 3)]
+        fb = filter_bank("haar")
         with pytest.raises(ValueError):
-            CoefficientTree(2, 64, tree.filter, nodes)
+            wp_synthesis(np.zeros((4, 16)), fb)  # frame axis missing
+        with pytest.raises(ValueError):
+            wp_synthesis(np.zeros((1, 4, 2)), filter_bank("db4"))  # leaves < taps
