@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from ._version import __version__
 from .experiments import PRESETS, run_preset
-from .framing import ColaError, frame_count
+from .framing import WINDOWS, ColaError, frame_count
 from .pipeline import (
     METHODS,
     NOISE_MODES,
@@ -25,7 +25,7 @@ from .pipeline import (
     enhance,
     leaf_coefficients,
 )
-from .report import HistogramPair, Report
+from .report import Report
 from .signal_io import (
     WavFormatError,
     mix_at_snr,
@@ -42,6 +42,7 @@ from .stats import (
     symmetric_divergence,
     to_probability,
 )
+from .wavelet import FILTERS
 
 SEED_ENV_VAR = "WAVEDENOISE_SEED"
 
@@ -64,43 +65,36 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_config_flags(parser) -> None:
+    """The EnhanceConfig flags; each dest is the field it sets."""
+    d = EnhanceConfig
     group = parser.add_argument_group("pipeline configuration")
-    group.add_argument("--frame-len", type=int, default=512)
-    group.add_argument("--hop", type=int, default=256)
-    group.add_argument("--window", choices=("rectangular", "hann"), default="hann")
-    group.add_argument("--wavelet", choices=("haar", "db4"), default="db4")
-    group.add_argument("--depth", type=int, default=4)
+    group.add_argument("--frame-len", type=int, default=d.frame_len)
+    group.add_argument("--hop", type=int, default=d.hop)
+    group.add_argument("--window", choices=WINDOWS, default=d.window)
+    group.add_argument("--wavelet", choices=FILTERS, default=d.wavelet)
+    group.add_argument("--depth", type=int, default=d.depth)
     group.add_argument(
-        "--noise-estimation", choices=NOISE_MODES, default="leading_silence"
+        "--noise-estimation", choices=NOISE_MODES, default=d.noise_estimation
     )
-    group.add_argument("--silence-ms", type=float, default=100.0)
-    group.add_argument("--band-tolerance", type=float, default=1e-3)
-    group.add_argument("--epsilon", type=float, default=1e-12)
+    group.add_argument("--silence-ms", type=float, default=d.silence_ms)
+    group.add_argument("--band-tolerance", type=float, default=d.band_tolerance)
+    group.add_argument("--epsilon", type=float, default=d.epsilon)
     group.add_argument(
-        "--vuv", action=argparse.BooleanOptionalAction, default=True,
+        "--vuv", dest="vuv_enabled", action=argparse.BooleanOptionalAction,
+        default=d.vuv_enabled,
         help="entropy-based voiced/unvoiced threshold adaptation",
     )
-    group.add_argument("--entropy-threshold", type=float, default=None)
-    group.add_argument("--unvoiced-scale", type=float, default=0.5)
+    group.add_argument("--entropy-threshold", type=float, default=d.entropy_threshold)
+    group.add_argument("--unvoiced-scale", type=float, default=d.unvoiced_scale)
 
 
-def _config_from_args(args, method: str | None = None, seed=None) -> EnhanceConfig:
-    return EnhanceConfig(
-        frame_len=args.frame_len,
-        hop=args.hop,
-        window=args.window,
-        wavelet=args.wavelet,
-        depth=args.depth,
-        method=method if method is not None else "universal-hard",
-        vuv_enabled=args.vuv,
-        entropy_threshold=args.entropy_threshold,
-        unvoiced_scale=args.unvoiced_scale,
-        noise_estimation=args.noise_estimation,
-        silence_ms=args.silence_ms,
-        band_tolerance=args.band_tolerance,
-        epsilon=args.epsilon,
-        seed=seed,
-    )
+def _config_from_args(args, seed) -> EnhanceConfig:
+    """The validated config of the parsed flags, checked before any read."""
+    names = [f.name for f in fields(EnhanceConfig)]
+    given = {name: getattr(args, name) for name in names if hasattr(args, name)}
+    config = EnhanceConfig(**{**given, "seed": seed})
+    config.validate()
+    return config
 
 
 def _resolve_seed(args) -> int | None:
@@ -117,7 +111,7 @@ def _resolve_seed(args) -> int | None:
 
 def _cmd_denoise(args) -> int:
     seed = _resolve_seed(args)
-    config = _config_from_args(args, method=args.method, seed=seed)
+    config = _config_from_args(args, seed)
     noisy = read_wav(args.infile)
     reference = read_wav(args.ref) if args.ref else None
     enhanced, report = enhance(noisy, config, reference=reference)
@@ -133,8 +127,7 @@ def _cmd_denoise(args) -> int:
 
 def _cmd_analyze(args) -> int:
     seed = _resolve_seed(args)
-    config = _config_from_args(args, seed=seed)
-    config.validate()
+    config = _config_from_args(args, seed)
     noisy = read_wav(args.infile)
     noise = read_wav(args.noise)
     if noisy.sample_rate_hz != noise.sample_rate_hz:
@@ -149,8 +142,7 @@ def _cmd_analyze(args) -> int:
     noisy_leaves = leaf_coefficients(noisy, config)
     noise_leaves = leaf_coefficients(noise, config)
 
-    divergences = []
-    histograms = []
+    histograms = []  # (divergence, noisy, noise) per subband
     for i in range(config.n_subbands):
         sub_ns = noisy_leaves[:, i].ravel()
         sub_n = noise_leaves[:, i].ravel()
@@ -160,17 +152,7 @@ def _cmd_analyze(args) -> int:
         div = symmetric_divergence(
             to_probability(h_ns, config.epsilon), to_probability(h_n, config.epsilon)
         )
-        divergences.append(div)
-        histograms.append(
-            HistogramPair(
-                subband=i,
-                divergence=div,
-                noisy_edges=[float(e) for e in h_ns.bin_edges],
-                noisy_counts=[int(c) for c in h_ns.counts],
-                noise_edges=[float(e) for e in h_n.bin_edges],
-                noise_counts=[int(c) for c in h_n.counts],
-            )
-        )
+        histograms.append((div, h_ns, h_n))
 
     pooled_ns = noisy_leaves.ravel()
     pooled_n = noise_leaves.ravel()
@@ -185,8 +167,7 @@ def _cmd_analyze(args) -> int:
         mode="analyze",
         config=asdict(config),
         seed=seed,
-        frames=[],
-        subband_divergence=divergences,
+        subband_divergence=[div for div, _, _ in histograms],
         near_zero_ratios=ratios,
         histograms=histograms,
     )
@@ -218,7 +199,7 @@ def _cmd_experiment(args) -> int:
     seed = _resolve_seed(args)
     if seed is None:
         seed = 0
-    config = _config_from_args(args, method=args.method, seed=seed)
+    config = _config_from_args(args, seed)
     clean, noisy, enhanced, report = run_preset(args.preset, seed=seed, config=config)
     print(f"input_snr_db {report.input_snr_db:.6f}")
     print(f"output_snr_db {report.output_snr_db:.6f}")
@@ -240,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--ref", default=None, help="clean reference for SNR reporting")
-    p.add_argument("--method", choices=METHODS, default="universal-hard")
+    p.add_argument("--method", choices=METHODS, default=EnhanceConfig.method)
     p.add_argument("--report", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--verbose", action="store_true")
@@ -271,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a reproducible preset end to end")
     p.add_argument("--preset", choices=PRESETS, required=True)
-    p.add_argument("--method", choices=METHODS, default="universal-hard")
+    p.add_argument("--method", choices=METHODS, default=EnhanceConfig.method)
     p.add_argument("--out", default=None)
     p.add_argument("--report", default=None)
     p.add_argument("--seed", type=int, default=None)

@@ -43,6 +43,11 @@ def frame_count(original_len: int, frame_len: int, hop: int) -> int:
     return -(-max(original_len - frame_len, 0) // hop) + 1
 
 
+def _frame_index(n_frames: int, frame_len: int, hop: int) -> np.ndarray:
+    """(n_frames, frame_len) array: frame k, sample n lies at hop*k + n."""
+    return hop * np.arange(n_frames)[:, None] + np.arange(frame_len)[None, :]
+
+
 @dataclass
 class FrameSet:
     """Windowed frames plus the parameters needed to reassemble them."""
@@ -94,9 +99,8 @@ def make_frames(
     padded = np.zeros((n_frames - 1) * hop + frame_len, dtype=np.float64)
     padded[:original_len] = signal.samples
 
-    idx = hop * np.arange(n_frames)[:, None] + np.arange(frame_len)[None, :]
     return FrameSet(
-        frames=padded[idx] * w[None, :],
+        frames=padded[_frame_index(n_frames, frame_len, hop)] * w[None, :],
         frame_len=frame_len,
         hop=hop,
         window=window,
@@ -112,14 +116,12 @@ def overlap_add(frames: FrameSet) -> SignalBuffer:
     the original signal span. Output is truncated to original_len.
     """
     w = window_values(frames.window, frames.frame_len)
-    w2 = w * w
     padded_len = (frames.n_frames - 1) * frames.hop + frames.frame_len
-    numerator = np.zeros(padded_len, dtype=np.float64)
-    denominator = np.zeros(padded_len, dtype=np.float64)
-    for k in range(frames.n_frames):
-        start = k * frames.hop
-        numerator[start : start + frames.frame_len] += w * frames.frames[k]
-        denominator[start : start + frames.frame_len] += w2
+    # bincount sums each sample's terms in frame order, as a loop would
+    idx = _frame_index(frames.n_frames, frames.frame_len, frames.hop).ravel()
+    numerator = np.bincount(idx, (w * frames.frames).ravel(), padded_len)
+    w2 = np.broadcast_to(w * w, frames.frames.shape)
+    denominator = np.bincount(idx, w2.ravel(), padded_len)
 
     span = frames.original_len
     if span > 0:

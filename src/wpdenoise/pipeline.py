@@ -23,7 +23,7 @@ input or from a MAD estimate over the finest detail coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .thresholding import (
     universal_threshold,
 )
 from .wavelet import FILTERS, analysis_step, filter_bank, wp_analysis, wp_synthesis
-from .report import FrameRecord, Report, SubbandRecord
+from .report import Report
 
 METHODS = ("universal-hard", "universal-soft", "band")
 NOISE_MODES = ("leading_silence", "mad")
@@ -96,6 +96,10 @@ class EnhanceConfig:
     seed: int | None = None
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.frame_len <= 0 or self.frame_len & (self.frame_len - 1):
             raise ValueError("frame_len must be a power of two")
         if self.hop <= 0 or self.frame_len % self.hop:
@@ -238,7 +242,7 @@ def classify_vuv(leaves, entropy_threshold: float, epsilon: float) -> list:
     leaves = np.asarray(leaves, dtype=np.float64)
     pooled = leaves.reshape(len(leaves), -1)
     h = entropy(to_probability(row_histograms(pooled), epsilon))
-    return [UNVOICED if e < entropy_threshold else VOICED for e in h.tolist()]
+    return np.where(h < entropy_threshold, UNVOICED, VOICED).tolist()
 
 
 def _select_bands(leaves: np.ndarray, noise: SubbandNoise, config: EnhanceConfig):
@@ -300,19 +304,17 @@ def enhance(
 
     # One threshold or band per (frame, subband), broadcast over the coeffs.
     n_zero_pre = np.count_nonzero(leaves == 0.0, axis=-1)
+    threshold = band = None
     if config.method == "band":
         t1, t2 = _select_bands(leaves, noise, config)
         out = band_hard_threshold(leaves, t1[..., None], t2[..., None])
-        thresholds = [[None] * n_sub] * n_frames
-        bands = [list(zip(*rows)) for rows in zip(t1.tolist(), t2.tolist())]
+        band = np.stack((t1, t2), axis=-1)
     else:
-        scale = np.where([v == UNVOICED for v in vuv], config.unvoiced_scale, 1.0)
-        t = universal_threshold(noise.sigma, n_coeff) * scale[:, None]
-        t = np.broadcast_to(t, (n_frames, n_sub))
+        scale = np.where(np.asarray(vuv) == UNVOICED, config.unvoiced_scale, 1.0)
+        threshold = universal_threshold(noise.sigma, n_coeff) * scale[:, None]
+        threshold = np.broadcast_to(threshold, (n_frames, n_sub))
         rule = hard_threshold if config.method == "universal-hard" else soft_threshold
-        out = rule(leaves, t[..., None])
-        thresholds = t.tolist()
-        bands = [[None] * n_sub] * n_frames
+        out = rule(leaves, threshold[..., None])
     del leaves  # at most two leaf-sized arrays alive at once bounds peak memory
     n_zero_post = np.count_nonzero(out == 0.0, axis=-1)
     enhanced_frames = wp_synthesis(out, filter_bank(config.wavelet))
@@ -329,34 +331,17 @@ def enhance(
         )
     )
 
-    sigma = np.broadcast_to(noise.sigma, (n_sub,)).tolist()
-    frame_records = [
-        FrameRecord(
-            frame=f,
-            vuv=vuv[f],
-            subbands=[
-                SubbandRecord(
-                    subband=s,
-                    sigma=sigma[s],
-                    threshold=thr[s],
-                    band=band[s],
-                    n_zero_pre=pre[s],
-                    n_zero_post=post[s],
-                )
-                for s in range(n_sub)
-            ],
-        )
-        for f, (thr, band, pre, post) in enumerate(
-            zip(thresholds, bands, n_zero_pre.tolist(), n_zero_post.tolist())
-        )
-    ]
-
     report = Report(
         tool_version=__version__,
         mode="denoise",
         config=asdict(config),
         seed=config.seed,
-        frames=frame_records,
+        vuv=vuv,
+        sigma=np.broadcast_to(noise.sigma, (n_sub,)),
+        threshold=threshold,
+        band=band,
+        n_zero_pre=n_zero_pre,
+        n_zero_post=n_zero_post,
         subband_divergence=divergences.tolist(),
         near_zero_ratios=ratios,
     )

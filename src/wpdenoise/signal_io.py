@@ -189,7 +189,8 @@ def mix_at_snr(
 
     alpha scales the noise power so 10*log10(P_clean / P_scaled_noise)
     equals the target. target_snr_db = +inf is the alpha = 0 limit and
-    returns a copy of the clean signal.
+    returns a copy of the clean signal; a target so low (or NaN) that
+    alpha is not finite raises ValueError.
     """
     _check_aligned(clean, noise)
     p_clean = float(np.sum(clean.samples**2))
@@ -200,7 +201,13 @@ def mix_at_snr(
     p_noise = float(np.sum(noise.samples**2))
     if p_noise == 0.0:
         raise ValueError("noise signal has zero power")
-    alpha = math.sqrt(p_clean / (p_noise * 10.0 ** (target_snr_db / 10.0)))
+    try:
+        scaled_noise = p_noise * 10.0 ** (target_snr_db / 10.0)
+    except OverflowError:  # a target beyond float range: the noise gain is 0
+        scaled_noise = math.inf
+    alpha = math.sqrt(p_clean / scaled_noise) if scaled_noise > 0 else math.inf
+    if not math.isfinite(alpha):
+        raise ValueError(f"target_snr_db={target_snr_db} leaves no finite noise gain")
     return SignalBuffer(clean.samples + alpha * noise.samples, clean.sample_rate_hz)
 
 

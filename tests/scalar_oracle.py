@@ -2,8 +2,9 @@
 
 This is the per-frame implementation the library used before its core
 became one (frames, subbands, coeffs) array: a dict-of-nodes packet tree
-per frame, and per-frame, per-subband loops for VUV classification,
-band selection, thresholding and the report records. The tests compare
+per frame, per-frame, per-subband loops for VUV classification,
+band selection, thresholding and the report records, and overlap-add
+one frame at a time. The tests compare
 the batched library against it; it is not part of the package.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wpdenoise.framing import FrameSet, make_frames, overlap_add
+from wpdenoise.framing import FrameSet, make_frames, window_values
 from wpdenoise.signal_io import SignalBuffer
 from wpdenoise.stats import (
     ProbabilityVector,
@@ -161,6 +162,20 @@ def noise_profile(signal: SignalBuffer, config) -> list:
     return [entry] * n_sub
 
 
+def overlap_add(frames: FrameSet) -> np.ndarray:
+    """Weighted overlap-add samples, accumulated one frame at a time."""
+    w = window_values(frames.window, frames.frame_len)
+    padded_len = (frames.n_frames - 1) * frames.hop + frames.frame_len
+    numerator = np.zeros(padded_len)
+    denominator = np.zeros(padded_len)
+    for k, frame in enumerate(frames.frames):
+        start = k * frames.hop
+        numerator[start : start + frames.frame_len] += w * frame
+        denominator[start : start + frames.frame_len] += w * w
+    span = frames.original_len
+    return numerator[:span] / denominator[:span]
+
+
 def enhance(noisy: SignalBuffer, config):
     """Per-frame pipeline; returns (enhanced samples, per-frame records).
 
@@ -212,4 +227,4 @@ def enhance(noisy: SignalBuffer, config):
         FrameSet(out_frames, frames.frame_len, frames.hop, frames.window,
                  frames.original_len, frames.sample_rate_hz)
     )
-    return enhanced.samples, records
+    return enhanced, records

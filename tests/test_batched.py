@@ -1,7 +1,7 @@
 """The batched packet core against the per-frame scalar oracle.
 
-Property tests cover the transform, the row-wise histograms and band
-selection; whole `enhance` runs are compared on the sine-0db preset and
+Property tests cover the transform, overlap-add, the row-wise histograms
+and band selection; whole `enhance` runs are compared on the sine-0db preset and
 on a speech-like input in mad mode.
 """
 
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import scalar_oracle as oracle
 from wpdenoise.experiments import sine_0db_material
 from wpdenoise import pipeline
+from wpdenoise.framing import WINDOWS, make_frames, overlap_add
 from wpdenoise.pipeline import EnhanceConfig, enhance
 from wpdenoise.signal_io import SignalBuffer, mix_at_snr, white_noise
 from wpdenoise.stats import (
@@ -70,6 +71,33 @@ def test_batched_round_trip(case):
     scale = max(1.0, float(np.max(np.abs(frames))))
     rebuilt = wp_synthesis(wp_analysis(frames, fb, depth), fb)
     np.testing.assert_allclose(rebuilt, frames, rtol=0, atol=1e-10 * scale)
+
+
+@st.composite
+def ola_cases(draw):
+    """A signal, a valid (frame length, hop, window) and a seeded generator."""
+    frame_len = 1 << draw(st.integers(min_value=0, max_value=9))
+    shift = draw(st.integers(min_value=0, max_value=frame_len.bit_length() - 1))
+    hop = frame_len >> shift
+    n = draw(st.integers(min_value=0, max_value=4 * frame_len))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    signal = SignalBuffer(rng.normal(size=n), 16000)
+    return signal, frame_len, hop, draw(st.sampled_from(WINDOWS)), rng
+
+
+@PROPERTY
+@given(ola_cases())
+def test_overlap_add_identity_and_frame_loop(case):
+    signal, frame_len, hop, window, rng = case
+    frames = make_frames(signal, frame_len, hop, window)
+    np.testing.assert_allclose(
+        overlap_add(frames).samples, signal.samples, rtol=0, atol=1e-12
+    )
+    # frames that no signal framed: the same sums as the frame-by-frame loop
+    frames.frames = frames.frames * rng.normal(size=frames.frames.shape)
+    np.testing.assert_array_equal(
+        overlap_add(frames).samples, oracle.overlap_add(frames)
+    )
 
 
 @st.composite
@@ -185,20 +213,26 @@ def _assert_matches_oracle(noisy, config):
     enhanced, report = enhance(noisy, config)
     samples, records = oracle.enhance(noisy, config)
     np.testing.assert_allclose(enhanced.samples, samples, rtol=0, atol=1e-12)
-    assert len(report.frames) == len(records)
-    for frame, (vuv, subbands) in zip(report.frames, records):
-        assert frame.vuv == vuv
-        for sub, (sigma, threshold, band, n_zero_pre, n_zero_post) in zip(
-            frame.subbands, subbands
-        ):
-            assert (sub.n_zero_pre, sub.n_zero_post) == (n_zero_pre, n_zero_post)
-            assert abs(sub.sigma - sigma) <= 1e-12
-            if threshold is None:
-                assert sub.threshold is None
-                np.testing.assert_allclose(sub.band, band, rtol=0, atol=1e-12)
-            else:
-                assert sub.band is None
-                assert abs(sub.threshold - threshold) <= 1e-12
+    assert list(report.vuv) == [vuv for vuv, _ in records]
+    shape = (len(records), config.n_subbands)
+    rows = [row for _, subbands in records for row in subbands]
+    sigma, threshold, band, n_zero_pre, n_zero_post = zip(*rows)
+    np.testing.assert_array_equal(report.n_zero_pre, np.reshape(n_zero_pre, shape))
+    np.testing.assert_array_equal(report.n_zero_post, np.reshape(n_zero_post, shape))
+    np.testing.assert_allclose(
+        np.broadcast_to(report.sigma, shape), np.reshape(sigma, shape),
+        rtol=0, atol=1e-12,
+    )
+    if config.method == "band":
+        assert report.threshold is None and set(threshold) == {None}
+        np.testing.assert_allclose(
+            report.band, np.reshape(band, (*shape, 2)), rtol=0, atol=1e-12
+        )
+    else:
+        assert report.band is None and set(band) == {None}
+        np.testing.assert_allclose(
+            report.threshold, np.reshape(threshold, shape), rtol=0, atol=1e-12
+        )
     return report
 
 
@@ -206,7 +240,7 @@ def _assert_matches_oracle(noisy, config):
 def test_enhance_matches_oracle_on_preset(method):
     _, noisy = sine_0db_material(seed=11)
     report = _assert_matches_oracle(noisy, EnhanceConfig(method=method, seed=11))
-    assert {f.vuv for f in report.frames} == {"voiced", "unvoiced"}
+    assert set(report.vuv) == {"voiced", "unvoiced"}
 
 
 @pytest.mark.parametrize("method", ["universal-hard", "band"])

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from wpdenoise.cli import run
 from wpdenoise.report import validate_report_dict
 from wpdenoise.signal_io import read_wav
@@ -208,6 +210,38 @@ class TestExperiment:
     def test_unknown_preset_is_usage_error(self, capsys):
         assert run(["experiment", "--preset", "speech-5db"]) == 1
         capsys.readouterr()
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--band-tolerance", "nan", "--method", "band"),
+            ("--entropy-threshold", "nan"),
+            ("--silence-ms", "inf"),
+        ],
+    )
+    def test_config_rejected_before_any_read(self, tmp_path, capsys, flags):
+        # the input does not exist: reading it first would exit 2
+        out, report = tmp_path / "o.wav", tmp_path / "r.json"
+        status = run([
+            "denoise", "--in", str(tmp_path / "missing.wav"), "--out", str(out),
+            "--report", str(report), *flags,
+        ])
+        assert status == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert flags[0][2:].replace("-", "_") in err
+        assert not out.exists() and not report.exists()
+
+    @pytest.mark.parametrize("snr", ["-inf", "-4000", "nan"])
+    def test_synth_mix_without_finite_noise_gain(self, tmp_path, capsys, snr):
+        out = tmp_path / "m.wav"
+        status = run(["synth", "--kind", "mix", "--out", str(out), f"--snr-db={snr}"])
+        assert status == 3
+        err = capsys.readouterr().err
+        assert "target_snr_db" in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestAnalyzeEpsilon:

@@ -12,6 +12,7 @@ from wpdenoise.pipeline import (
     estimate_noise_profile,
     leaf_coefficients,
 )
+from wpdenoise.framing import frame_count
 from wpdenoise.signal_io import SignalBuffer, sine_wave, white_noise
 from wpdenoise.stats import build_histogram, symmetric_divergence, to_probability
 from wpdenoise.thresholding import universal_threshold
@@ -48,6 +49,19 @@ class TestEnhanceConfig:
         for cfg in bad:
             with pytest.raises(ValueError):
                 cfg.validate()
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "silence_ms", "band_tolerance", "entropy_threshold",
+            "unvoiced_scale", "epsilon",
+        ],
+    )
+    def test_rejects_non_finite_floats(self, field):
+        # NaN slips through every range check written as a comparison
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=rf"^{field} "):
+                EnhanceConfig(**{field: value}).validate()
 
     @pytest.mark.parametrize("noise_estimation", ["leading_silence", "mad"])
     def test_epsilon_checked_against_largest_histogram_first(
@@ -171,8 +185,8 @@ class TestEnhance:
         config = EnhanceConfig(method=method, vuv_enabled=False)
         out, report = enhance(clean, config)
         np.testing.assert_allclose(out.samples, clean.samples, atol=1e-10)
-        for frame in report.frames:
-            assert all(s.threshold == 0.0 for s in frame.subbands)
+        assert report.threshold.shape == report.n_zero_pre.shape
+        assert np.all(report.threshold == 0.0)
 
     @pytest.mark.parametrize("method", ["universal-hard", "universal-soft", "band"])
     def test_silence_in_silence_out(self, method):
@@ -198,15 +212,13 @@ class TestEnhance:
         config = EnhanceConfig(method="universal-hard", seed=3)
         _, report = enhance(noisy, config, reference=clean)
         n = config.coeffs_per_subband
-        seen = {"voiced": 0, "unvoiced": 0}
-        for frame in report.frames:
-            seen[frame.vuv] += 1
-            scale = config.unvoiced_scale if frame.vuv == "unvoiced" else 1.0
-            for sub in frame.subbands:
-                expected = scale * universal_threshold(sub.sigma, n)
-                assert abs(sub.threshold - expected) < 1e-12
+        unvoiced = np.array([v == "unvoiced" for v in report.vuv])
+        scale = np.where(unvoiced, config.unvoiced_scale, 1.0)
+        expected = scale[:, None] * universal_threshold(report.sigma, n)[None, :]
+        assert report.threshold.shape == expected.shape
+        np.testing.assert_allclose(report.threshold, expected, rtol=0, atol=1e-12)
         # the preset must exercise both frame classes
-        assert seen["voiced"] > 0 and seen["unvoiced"] > 0
+        assert set(report.vuv) == {"voiced", "unvoiced"}
 
     def test_report_snr_fields_only_with_reference(self):
         clean, noisy = sine_0db_material(seed=4)
@@ -224,22 +236,25 @@ class TestEnhance:
             noisy, EnhanceConfig(method="band", seed=6), reference=clean
         )
         assert report.output_snr_db > report.input_snr_db
-        for frame in report.frames:
-            for sub in frame.subbands:
-                assert sub.threshold is None
-                t1, t2 = sub.band
-                assert t1 <= 0.0 <= t2 or t1 <= t2  # well-formed interval
-                assert sub.n_zero_post >= sub.n_zero_pre
+        assert report.threshold is None
+        assert report.band.shape == (*report.n_zero_pre.shape, 2)
+        t1, t2 = report.band[..., 0], report.band[..., 1]
+        # well-formed interval
+        assert np.all(((t1 <= 0.0) & (0.0 <= t2)) | (t1 <= t2))
+        assert np.all(report.n_zero_post >= report.n_zero_pre)
 
     def test_report_arrays_ordered_and_sized(self):
         _, noisy = sine_0db_material(seed=7)
         config = EnhanceConfig(seed=7)
         _, report = enhance(noisy, config)
-        assert [f.frame for f in report.frames] == list(range(len(report.frames)))
-        for frame in report.frames:
-            assert [s.subband for s in frame.subbands] == list(
-                range(config.n_subbands)
-            )
+        shape = (frame_count(len(noisy), config.frame_len, config.hop), config.n_subbands)
+        assert len(report.vuv) == shape[0] and report.sigma.shape == shape[1:]
+        assert report.threshold.shape == report.n_zero_pre.shape == shape
+        assert report.n_zero_post.shape == shape
+        frames = report.to_json_dict()["frames"]
+        assert [f["frame"] for f in frames] == list(range(shape[0]))
+        for frame in frames:
+            assert [s["subband"] for s in frame["subbands"]] == list(range(shape[1]))
         assert len(report.subband_divergence) == config.n_subbands
         assert all(math.isfinite(d) for d in report.subband_divergence)
         assert all(math.isfinite(r) for _, r in report.near_zero_ratios)

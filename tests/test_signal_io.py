@@ -181,6 +181,20 @@ class TestMixAtSnr:
         assert abs(achieved - target) < 1e-9
         assert abs(snr_db(clean, mixed) - target) < 1e-9
 
+    @pytest.mark.parametrize("target", [-math.inf, -4000.0, math.nan])
+    def test_non_finite_noise_gain_rejected(self, target):
+        # -4000 dB: 10**(target/10) underflows to 0, so the gain is infinite
+        clean = sine_wave(440, 0.5, 0.1, 8000)
+        noise = white_noise(1.0, 0.1, 8000, seed=3)
+        with pytest.raises(ValueError, match="target_snr_db"):
+            mix_at_snr(clean, noise, target)
+
+    def test_target_beyond_float_range_returns_clean(self):
+        # 10**(4000/10) overflows; the noise gain is 0, as for +inf
+        clean = sine_wave(440, 0.5, 0.1, 8000)
+        noise = white_noise(1.0, 0.1, 8000, seed=3)
+        assert np.array_equal(mix_at_snr(clean, noise, 4000.0).samples, clean.samples)
+
     def test_zero_power_noise_rejected(self):
         clean = SignalBuffer(np.ones(4), 8000)
         silent = SignalBuffer(np.zeros(4), 8000)
