@@ -2,8 +2,9 @@
 
 Exit statuses: 0 success, 1 usage error, 2 I/O error, 3 processing
 error; every failure prints a one-line diagnostic on stderr. Successful
-runs stay quiet unless --verbose is given (the experiment subcommand's
-SNR lines are its output, not diagnostics). The environment variable
+runs stay quiet unless --verbose is given or samples were clipped on
+writing a WAV (one warning line on stderr); the experiment subcommand's
+SNR lines are its output, not diagnostics. The environment variable
 WAVEDENOISE_SEED overrides --seed everywhere.
 """
 
@@ -109,13 +110,23 @@ def _resolve_seed(args) -> int | None:
     return getattr(args, "seed", None)
 
 
+def _write_audio(path, signal) -> None:
+    """write_wav, with one warning line on stderr if it clipped samples."""
+    clipped = write_wav(path, signal)
+    if clipped:
+        print(
+            f"warning: {clipped} of {len(signal)} samples clipped on write to {path}",
+            file=sys.stderr,
+        )
+
+
 def _cmd_denoise(args) -> int:
     seed = _resolve_seed(args)
     config = _config_from_args(args, seed)
     noisy = read_wav(args.infile)
     reference = read_wav(args.ref) if args.ref else None
     enhanced, report = enhance(noisy, config, reference=reference)
-    write_wav(args.out, enhanced)
+    _write_audio(args.out, enhanced)
     if args.report:
         report.write(args.report)
     if args.verbose:
@@ -189,7 +200,7 @@ def _cmd_synth(args) -> int:
         clean = sine_wave(args.freq, args.amplitude, args.duration, args.rate)
         noise = white_noise(args.std, args.duration, args.rate, seed)
         signal = mix_at_snr(clean, noise, args.snr_db)
-    write_wav(args.out, signal)
+    _write_audio(args.out, signal)
     if args.verbose:
         print(f"wrote {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -204,7 +215,7 @@ def _cmd_experiment(args) -> int:
     print(f"input_snr_db {report.input_snr_db:.6f}")
     print(f"output_snr_db {report.output_snr_db:.6f}")
     if args.out:
-        write_wav(args.out, enhanced)
+        _write_audio(args.out, enhanced)
     if args.report:
         report.write(args.report)
     if args.verbose and args.report:

@@ -63,8 +63,8 @@ class FrameSet:
         self.frames = np.asarray(self.frames, dtype=np.float64)
         if self.frames.ndim != 2 or self.frames.shape[1] != self.frame_len:
             raise ValueError("frames must be (n_frames, frame_len)")
-        if not 0 < self.hop <= self.frame_len:
-            raise ValueError("hop must satisfy 0 < hop <= frame_len")
+        if not 0 < self.hop <= self.frame_len or self.frame_len % self.hop:
+            raise ValueError("hop must satisfy 0 < hop <= frame_len and divide it")
         expected = frame_count(self.original_len, self.frame_len, self.hop)
         if self.frames.shape[0] != expected:
             raise ValueError(
@@ -116,13 +116,21 @@ def overlap_add(frames: FrameSet) -> SignalBuffer:
     the original signal span. Output is truncated to original_len.
     """
     w = window_values(frames.window, frames.frame_len)
-    padded_len = (frames.n_frames - 1) * frames.hop + frames.frame_len
-    # bincount sums each sample's terms in frame order, as a loop would
-    idx = _frame_index(frames.n_frames, frames.frame_len, frames.hop).ravel()
-    numerator = np.bincount(idx, (w * frames.frames).ravel(), padded_len)
-    w2 = np.broadcast_to(w * w, frames.frames.shape)
-    denominator = np.bincount(idx, w2.ravel(), padded_len)
-
+    hop, n_frames = frames.hop, frames.n_frames
+    n_slabs = frames.frame_len // hop
+    numerator = np.zeros((n_frames + n_slabs - 1) * hop)
+    denominator = np.zeros_like(numerator)
+    # Slab r (columns r*hop .. r*hop + hop) of frame k lands in block k + r.
+    # Adding slabs in descending r sums each sample's terms in ascending
+    # frame order, as a frame-by-frame loop does. Windowing one slab at a
+    # time keeps the temporaries at (frames, hop).
+    slabs = frames.frames.reshape(n_frames, n_slabs, hop)
+    w_slabs = w.reshape(n_slabs, hop)
+    w2 = (w * w).reshape(n_slabs, hop)
+    num_blocks, den_blocks = numerator.reshape(-1, hop), denominator.reshape(-1, hop)
+    for r in reversed(range(n_slabs)):
+        num_blocks[r : r + n_frames] += slabs[:, r] * w_slabs[r]
+        den_blocks[r : r + n_frames] += w2[r]
     span = frames.original_len
     if span > 0:
         floor = float(np.min(denominator[:span]))

@@ -3,8 +3,10 @@
 A Report is plain data: the per-frame, per-subband thresholding detail
 as the arrays the pipeline computed, plus global divergence statistics.
 The schema-v1 layout (a record per frame holding a record per subband,
-and {"edges", "counts"} histograms) is built here, only when a report is
-serialised. Serialisation is deterministic (sorted keys, no NaN/Inf) so
+and {"edges", "counts"} histograms) is written here, only when a report
+is serialised: the frame records straight from the arrays through fixed
+text templates, the rest through json.dumps. The bytes are those of
+json.dumps(v1 dict, indent=2, sort_keys=True, allow_nan=False), so
 repeated runs with the same seed produce byte-identical files.
 """
 
@@ -26,6 +28,42 @@ def _empty() -> np.ndarray:
 
 def _histogram_json(h) -> dict:
     return {"edges": h.bin_edges.tolist(), "counts": h.counts.tolist()}
+
+
+# A v1 frame record and subband record at the depth they sit in a report.
+_FRAME = (
+    "    {\n"
+    '      "frame": %d,\n'
+    '      "subbands": [\n%s\n      ],\n'
+    '      "vuv": %s\n'
+    "    }"
+)
+_SUBBAND = (
+    "        {\n"
+    '          "band": %s,\n'
+    '          "n_zero_post": %r,\n'
+    '          "n_zero_pre": %r,\n'
+    '          "sigma": %s,\n'
+    '          "subband": %d,\n'
+    '          "threshold": %s\n'
+    "        }"
+)
+_BAND = "[\n            %s,\n            %s\n          ]"
+
+
+def _float_text(name: str, values) -> list:
+    """repr() of each float of `values` in C order, as json.dumps writes it.
+
+    Each distinct value (by bit pattern, so -0.0 stays "-0.0") is
+    formatted once: thresholds repeat per subband and band bounds are
+    bin edges. Non-finite values raise ValueError, as allow_nan=False.
+    """
+    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(flat)):
+        raise ValueError(f"Out of range float values are not JSON compliant: {name}")
+    bits, where = np.unique(flat.view(np.int64), return_inverse=True)
+    text = [repr(x) for x in bits.view(np.float64).tolist()]
+    return [text[i] for i in where.tolist()]
 
 
 @dataclass
@@ -62,44 +100,57 @@ class Report:
     output_snr_db: float | None = None
     histograms: list | None = None
 
-    def _frames_json(self) -> list:
-        sigma = np.asarray(self.sigma).tolist()
-        pre = np.asarray(self.n_zero_pre).tolist()
-        post = np.asarray(self.n_zero_post).tolist()
-        unset = [[None] * len(sigma)] * len(pre)
-        threshold, band = (
-            unset if a is None else np.asarray(a).tolist()
-            for a in (self.threshold, self.band)
+    def _frames_text(self) -> str:
+        """The v1 "frames" list as json.dumps(indent=2) writes it in a report.
+
+        Numbers are repr() of the Python floats and ints that .tolist()
+        gives, which is what the json encoder writes for them.
+        """
+        n_frames, n_sub = len(self.vuv), len(self.sigma)
+        if not n_frames:
+            return "[]"
+        unset = ["null"] * (n_frames * n_sub)
+        sigma = _float_text("sigma", self.sigma)
+        threshold = unset if self.threshold is None else _float_text(
+            "threshold", self.threshold
         )
-        return [
-            {
-                "frame": f,
-                "vuv": vuv,
-                "subbands": [
-                    {
-                        "subband": s,
-                        "sigma": sigma[s],
-                        "threshold": thr[s],
-                        "band": bnd[s],
-                        "n_zero_pre": n_pre[s],
-                        "n_zero_post": n_post[s],
-                    }
-                    for s in range(len(sigma))
-                ],
-            }
-            for f, (vuv, thr, bnd, n_pre, n_post) in enumerate(
-                zip(self.vuv, threshold, band, pre, post)
+        if self.band is None:
+            band = unset
+        else:
+            bounds = _float_text("band", self.band)
+            band = [_BAND % pair for pair in zip(bounds[0::2], bounds[1::2])]
+        subbands = [
+            _SUBBAND % cells
+            for cells in zip(
+                band,
+                np.asarray(self.n_zero_post).ravel().tolist(),
+                np.asarray(self.n_zero_pre).ravel().tolist(),
+                sigma * n_frames,
+                list(range(n_sub)) * n_frames,
+                threshold,
             )
         ]
+        labels = {vuv: json.dumps(vuv) for vuv in set(self.vuv)}
+        frames = [
+            _FRAME % (f, ",\n".join(subbands[f * n_sub : (f + 1) * n_sub]), labels[vuv])
+            for f, vuv in enumerate(self.vuv)
+        ]
+        return "[\n%s\n  ]" % ",\n".join(frames)
 
-    def to_json_dict(self) -> dict:
+    def to_json(self) -> str:
+        """Schema v1: json.dumps(indent=2, sort_keys=True) of the v1 dict.
+
+        The small fields go through json.dumps (allow_nan=False keeps the
+        finite-numbers invariant); the frames, nearly all of the bytes,
+        are written from the arrays by _frames_text and spliced in.
+        """
         d = {
             "schema_version": SCHEMA_VERSION,
             "tool_version": self.tool_version,
             "mode": self.mode,
             "config": self.config,
             "seed": self.seed,
-            "frames": self._frames_json(),
+            "frames": [],
             "subband_divergence": list(self.subband_divergence),
             "near_zero_ratios": [
                 {"center": c, "ratio": r} for c, r in self.near_zero_ratios
@@ -119,15 +170,10 @@ class Report:
                 }
                 for s, (div, noisy, noise) in enumerate(self.histograms)
             ]
-        return d
-
-    def to_json(self) -> str:
-        # allow_nan=False enforces the finite-numbers invariant at the
-        # serialisation boundary.
-        return (
-            json.dumps(self.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
-            + "\n"
-        )
+        text = json.dumps(d, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        # JSON escapes newlines inside strings, so this is the top-level key.
+        key = '\n  "frames": '
+        return text.replace(key + "[]", key + self._frames_text(), 1)
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -1,7 +1,8 @@
 """Mono PCM audio I/O, synthetic test signals, and SNR metrics.
 
 WAV support is deliberately narrow: RIFF/WAVE, PCM 16-bit, mono,
-little-endian. Anything else is rejected rather than coerced so the
+little-endian (a plain PCM fmt chunk, or WAVE_FORMAT_EXTENSIBLE with the
+PCM sub-format). Anything else is rejected rather than coerced so the
 round-trip behaviour stays exact.
 """
 
@@ -15,6 +16,11 @@ import numpy as np
 
 # 16-bit quantisation scale; amplitudes are sample/_PCM_SCALE.
 _PCM_SCALE = 32768.0
+
+# fmt tag of WAVE_FORMAT_EXTENSIBLE, whose sub-format GUID names the
+# encoding, and KSDATAFORMAT_SUBTYPE_PCM as it is stored (little-endian).
+_FORMAT_EXTENSIBLE = 0xFFFE
+_PCM_SUB_FORMAT = bytes.fromhex("0100000000001000800000aa00389b71")
 
 # Returned (and never exceeded) when the residual power is zero.
 SNR_CAP_DB = 300.0
@@ -58,7 +64,7 @@ class SignalBuffer:
 
 
 def read_wav(path) -> SignalBuffer:
-    """Read a PCM 16-bit mono WAV file.
+    """Read a PCM 16-bit mono WAV file (plain or WAVE_FORMAT_EXTENSIBLE PCM).
 
     Samples are normalised by 1/32768 into [-1, 1). Raises
     FileNotFoundError for a missing file, WavFormatError for anything
@@ -78,10 +84,9 @@ def read_wav(path) -> SignalBuffer:
                 break
             chunk_id, size = struct.unpack("<4sI", header)
             if chunk_id == b"fmt ":
-                body = fh.read(size)
-                if len(body) < 16:
+                fmt = fh.read(size)
+                if len(fmt) < 16:
                     raise WavFormatError(f"{path}: fmt chunk too short")
-                fmt = struct.unpack("<HHIIHH", body[:16])
             elif chunk_id == b"data":
                 data = fh.read(size)
                 if len(data) < size:
@@ -96,8 +101,21 @@ def read_wav(path) -> SignalBuffer:
 
     if fmt is None:
         raise WavFormatError(f"{path}: missing fmt chunk")
-    audio_format, channels, sample_rate, _, _, bits = fmt
-    if audio_format != 1:
+    audio_format, channels, sample_rate, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
+    if audio_format == _FORMAT_EXTENSIBLE:
+        # cbSize >= 22: valid bits, channel mask, then the sub-format GUID
+        if len(fmt) < 40 or struct.unpack("<H", fmt[16:18])[0] < 22:
+            raise WavFormatError(
+                f"{path}: WAVE_FORMAT_EXTENSIBLE fmt chunk lacks its extension"
+            )
+        guid = fmt[24:40]
+        if guid != _PCM_SUB_FORMAT:
+            a, b, c = struct.unpack("<IHH", guid[:8])
+            raise WavFormatError(
+                f"{path}: not PCM (WAVE_FORMAT_EXTENSIBLE sub-format "
+                f"{a:08x}-{b:04x}-{c:04x}-{guid[8:10].hex()}-{guid[10:].hex()})"
+            )
+    elif audio_format != 1:
         raise WavFormatError(f"{path}: not PCM (format tag {audio_format})")
     if channels != 1:
         raise WavFormatError(f"{path}: expected mono, found {channels} channels")
@@ -112,14 +130,16 @@ def read_wav(path) -> SignalBuffer:
     return SignalBuffer(samples, sample_rate)
 
 
-def write_wav(path, signal: SignalBuffer) -> None:
+def write_wav(path, signal: SignalBuffer) -> int:
     """Write a SignalBuffer as PCM 16-bit mono little-endian WAV.
 
     Amplitudes are clamped to [-1, 1 - 1/32768] and quantised by
     rounding, so a write/read round trip is within 1/32768 per sample.
-    An empty signal produces a header-only file.
+    An empty signal produces a header-only file. Returns the number of
+    samples the clamp changed.
     """
     clamped = np.clip(signal.samples, -1.0, 1.0 - 1.0 / _PCM_SCALE)
+    n_clipped = int(np.count_nonzero(clamped != signal.samples))
     pcm = np.rint(clamped * _PCM_SCALE).astype("<i2")
     payload = pcm.tobytes()
 
@@ -142,6 +162,7 @@ def write_wav(path, signal: SignalBuffer) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
+    return n_clipped
 
 
 def _num_samples(duration_s: float, sample_rate_hz: int) -> int:

@@ -3,13 +3,15 @@
 This is the per-frame implementation the library used before its core
 became one (frames, subbands, coeffs) array: a dict-of-nodes packet tree
 per frame, per-frame, per-subband loops for VUV classification,
-band selection, thresholding and the report records, and overlap-add
-one frame at a time. The tests compare
-the batched library against it; it is not part of the package.
+band selection, thresholding and the report records, overlap-add
+one frame at a time, and the report writer that builds the whole
+schema-v1 dict and hands it to json.dumps. The tests compare the
+library against it; it is not part of the package.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -228,3 +230,62 @@ def enhance(noisy: SignalBuffer, config):
                  frames.original_len, frames.sample_rate_hz)
     )
     return enhanced, records
+
+
+def v1_json(report) -> str:
+    """The report text: the whole schema-v1 dict through json.dumps."""
+    sigma = np.asarray(report.sigma).tolist()
+    pre = np.asarray(report.n_zero_pre).tolist()
+    post = np.asarray(report.n_zero_post).tolist()
+    unset = [[None] * len(sigma)] * len(pre)
+    threshold, band = (
+        unset if a is None else np.asarray(a).tolist()
+        for a in (report.threshold, report.band)
+    )
+    frames = [
+        {
+            "frame": f,
+            "vuv": vuv,
+            "subbands": [
+                {
+                    "subband": s,
+                    "sigma": sigma[s],
+                    "threshold": thr[s],
+                    "band": bnd[s],
+                    "n_zero_pre": n_pre[s],
+                    "n_zero_post": n_post[s],
+                }
+                for s in range(len(sigma))
+            ],
+        }
+        for f, (vuv, thr, bnd, n_pre, n_post) in enumerate(
+            zip(report.vuv, threshold, band, pre, post)
+        )
+    ]
+    d = {
+        "schema_version": 1,
+        "tool_version": report.tool_version,
+        "mode": report.mode,
+        "config": report.config,
+        "seed": report.seed,
+        "frames": frames,
+        "subband_divergence": list(report.subband_divergence),
+        "near_zero_ratios": [
+            {"center": c, "ratio": r} for c, r in report.near_zero_ratios
+        ],
+    }
+    if report.input_snr_db is not None:
+        d["input_snr_db"] = report.input_snr_db
+    if report.output_snr_db is not None:
+        d["output_snr_db"] = report.output_snr_db
+    if report.histograms is not None:
+        d["histograms"] = [
+            {
+                "subband": s,
+                "divergence": div,
+                "noisy": {"edges": ns.bin_edges.tolist(), "counts": ns.counts.tolist()},
+                "noise": {"edges": n.bin_edges.tolist(), "counts": n.counts.tolist()},
+            }
+            for s, (div, ns, n) in enumerate(report.histograms)
+        ]
+    return json.dumps(d, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -8,8 +8,18 @@ import sys
 import pytest
 
 from wpdenoise.cli import run
+from wpdenoise.pipeline import EnhanceConfig, enhance
 from wpdenoise.report import validate_report_dict
-from wpdenoise.signal_io import read_wav
+from wpdenoise.signal_io import read_wav, white_noise
+
+
+def _clipped(samples) -> int:
+    """Samples outside the 16-bit range [-1, 1 - 1/32768]."""
+    return int(((samples < -1.0) | (samples > 1.0 - 1.0 / 32768)).sum())
+
+
+def _warning(clipped, total, path) -> str:
+    return f"warning: {clipped} of {total} samples clipped on write to {path}\n"
 
 
 def _synth(tmp_path, name="in.wav", kind="mix", seed=3, extra=()):
@@ -55,7 +65,8 @@ class TestSynth:
         assert not (tmp_path / "x.wav").exists()
 
     def test_quiet_on_success(self, tmp_path, capsys):
-        _synth(tmp_path, "q.wav", kind="noise")
+        # std 0.2: no sample reaches full scale, so nothing is clipped
+        _synth(tmp_path, "q.wav", kind="noise", extra=("--std", "0.2"))
         out = capsys.readouterr()
         assert out.out == "" and out.err == ""
 
@@ -81,7 +92,14 @@ class TestDenoise:
         ])
         assert status == 0
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == ""
+        # the 0 dB mixture's output overshoots full scale: one warning line
+        expected, _ = enhance(
+            read_wav(noisy), EnhanceConfig(method="universal-hard", seed=2),
+        )
+        clipped = _clipped(expected.samples)
+        assert clipped > 0
+        assert captured.out == ""
+        assert captured.err == _warning(clipped, len(expected), out)
 
         enhanced = read_wav(out)
         assert len(enhanced) == len(mixed)
@@ -122,6 +140,7 @@ class TestDenoise:
 
     def test_bad_geometry_is_processing_error(self, tmp_path, capsys):
         noisy = _synth(tmp_path)
+        capsys.readouterr()  # the 0 dB mixture clips on write: a warning
         status = run([
             "denoise", "--in", str(noisy), "--out", str(tmp_path / "o.wav"),
             "--hop", "100",
@@ -131,6 +150,7 @@ class TestDenoise:
 
     def test_unknown_method_is_usage_error(self, tmp_path, capsys):
         noisy = _synth(tmp_path)
+        capsys.readouterr()  # the 0 dB mixture clips on write: a warning
         status = run([
             "denoise", "--in", str(noisy), "--out", str(tmp_path / "o.wav"),
             "--method", "sure",
@@ -141,6 +161,33 @@ class TestDenoise:
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert run([]) == 1
         capsys.readouterr()
+
+
+class TestClippingWarning:
+    def test_synth_reports_clipped_count(self, tmp_path, capsys):
+        path = tmp_path / "loud.wav"
+        assert run(["synth", "--kind", "noise", "--out", str(path), "--seed", "3",
+                    "--duration", "1.0", "--std", "1.0"]) == 0
+        clipped = _clipped(white_noise(1.0, 1.0, 16000, 3).samples)
+        assert clipped > 1000
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == _warning(clipped, 16000, path)
+
+    def test_experiment_warns_once_per_clipping_write(self, tmp_path, capsys):
+        out = tmp_path / "e.wav"
+        assert run(["experiment", "--preset", "sine-0db", "--seed", "1",
+                    "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("warning: ")
+        assert err.endswith(f" of 80000 samples clipped on write to {out}\n")
+
+    def test_denoise_without_clipping_is_quiet(self, tmp_path, capsys):
+        tone = _synth(tmp_path, "tone.wav", kind="sine")  # amplitude 0.5
+        out = tmp_path / "o.wav"
+        assert run(["denoise", "--in", str(tone), "--out", str(out)]) == 0
+        assert _clipped(enhance(read_wav(tone), EnhanceConfig())[0].samples) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == ""
 
 
 class TestAnalyze:

@@ -107,6 +107,13 @@ class TestFrameSetValidation:
                 original_len=100, sample_rate_hz=8000,
             )
 
+    def test_rejects_hop_not_dividing_frame_len(self):
+        with pytest.raises(ValueError, match="divide"):
+            FrameSet(
+                frames=np.zeros((1, 8)), frame_len=8, hop=3, window="hann",
+                original_len=8, sample_rate_hz=8000,
+            )
+
     def test_rejects_bad_hop(self):
         with pytest.raises(ValueError):
             FrameSet(

@@ -1,5 +1,6 @@
 """Tests for noise profiling, VUV classification and the full pipeline."""
 
+import json
 import math
 
 import numpy as np
@@ -251,7 +252,7 @@ class TestEnhance:
         assert len(report.vuv) == shape[0] and report.sigma.shape == shape[1:]
         assert report.threshold.shape == report.n_zero_pre.shape == shape
         assert report.n_zero_post.shape == shape
-        frames = report.to_json_dict()["frames"]
+        frames = json.loads(report.to_json())["frames"]
         assert [f["frame"] for f in frames] == list(range(shape[0]))
         for frame in frames:
             assert [s["subband"] for s in frame["subbands"]] == list(range(shape[1]))

@@ -80,6 +80,10 @@ class TestWavRoundtrip:
         assert len(back) == 0
 
 
+# KSDATAFORMAT_SUBTYPE_PCM after its two-byte format tag.
+_GUID_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
 class TestWavErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -99,6 +103,45 @@ class TestWavErrors:
             b"data", len(payload),
         )
         return header + payload
+
+    def _extensible_bytes(self, sub_tag=1, channels=1, bits=16, cb_size=22,
+                          guid_tail=_GUID_TAIL, payload=b"\x01\x00\xff\xff"):
+        """WAVE_FORMAT_EXTENSIBLE: a 40-byte fmt chunk with a sub-format GUID."""
+        fmt = struct.pack(
+            "<HHIIHHHHI", 0xFFFE, channels, 8000, 8000 * 2 * channels,
+            2 * channels, bits, cb_size, bits, 0x4,
+        ) + struct.pack("<H", sub_tag) + guid_tail
+        return (
+            struct.pack("<4sI4s", b"RIFF", 4 + 8 + len(fmt) + 8 + len(payload), b"WAVE")
+            + struct.pack("<4sI", b"fmt ", len(fmt)) + fmt
+            + struct.pack("<4sI", b"data", len(payload)) + payload
+        )
+
+    def test_extensible_pcm_read(self, tmp_path):
+        path = tmp_path / "x.wav"
+        path.write_bytes(self._extensible_bytes())
+        back = read_wav(path)
+        assert back.sample_rate_hz == 8000
+        np.testing.assert_array_equal(back.samples, [1 / 32768, -1 / 32768])
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"sub_tag": 3}, "sub-format 00000003-0000-0010-8000-00aa00389b71"),
+            # ambisonic B-format PCM: tag 1, but not the PCM GUID
+            ({"guid_tail": b"\x00\x00\x21\x07\xd3\x11\x86\x44\xc8\xc1\xca"
+                           b"\x00\x00\x00"}, "sub-format 00000001-0721-11d3"),
+            ({"cb_size": 0}, "extension"),
+            ({"channels": 2}, "mono"),
+            ({"bits": 24}, "16-bit"),
+        ],
+        ids=["float", "ambisonic", "no-extension", "stereo", "24-bit"],
+    )
+    def test_extensible_other_than_pcm16_mono_rejected(self, tmp_path, kwargs, match):
+        path = tmp_path / "x.wav"
+        path.write_bytes(self._extensible_bytes(**kwargs))
+        with pytest.raises(WavFormatError, match=match):
+            read_wav(path)
 
     def test_non_pcm_rejected(self, tmp_path):
         path = tmp_path / "f.wav"
