@@ -11,7 +11,7 @@ use"); everything else is imported from its submodule
 """
 
 from ._version import __version__
-from .pipeline import EnhanceConfig, enhance, leaf_coefficients
+from .pipeline import EnhanceConfig, analyze, enhance, leaf_coefficients
 from .report import Report, validate_report_dict
 from .signal_io import SignalBuffer, read_wav, snr_db, write_wav
 from .wavelet import filter_bank, wp_analysis, wp_synthesis
@@ -20,6 +20,7 @@ __all__ = [
     "__version__",
     "EnhanceConfig",
     "enhance",
+    "analyze",
     "leaf_coefficients",
     "Report",
     "validate_report_dict",

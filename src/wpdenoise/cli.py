@@ -13,20 +13,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 from ._version import __version__
 from .experiments import PRESETS, run_preset
-from .framing import WINDOWS, ColaError, frame_count
-from .pipeline import (
-    METHODS,
-    NOISE_MODES,
-    EnhanceConfig,
-    check_epsilon,
-    enhance,
-    leaf_coefficients,
-)
-from .report import Report
+from .framing import WINDOWS, ColaError
+from .pipeline import METHODS, NOISE_MODES, EnhanceConfig, analyze, enhance
 from .signal_io import (
     WavFormatError,
     mix_at_snr,
@@ -34,14 +26,6 @@ from .signal_io import (
     sine_wave,
     white_noise,
     write_wav,
-)
-from .stats import (
-    bin_count,
-    build_histogram,
-    ratio_profile,
-    shared_edges,
-    symmetric_divergence,
-    to_probability,
 )
 from .wavelet import FILTERS
 
@@ -137,52 +121,10 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    seed = _resolve_seed(args)
-    config = _config_from_args(args, seed)
+    config = _config_from_args(args, _resolve_seed(args))
     noisy = read_wav(args.infile)
     noise = read_wav(args.noise)
-    if noisy.sample_rate_hz != noise.sample_rate_hz:
-        raise ValueError("noisy and noise files must share a sample rate")
-
-    # The pooled histograms are the largest: the smaller file's frames
-    # times the frame length, binned by the square-root rule.
-    fewer_frames = min(
-        frame_count(len(s), config.frame_len, config.hop) for s in (noisy, noise)
-    )
-    check_epsilon(config.epsilon, bin_count(fewer_frames * config.frame_len))
-    noisy_leaves = leaf_coefficients(noisy, config)
-    noise_leaves = leaf_coefficients(noise, config)
-
-    histograms = []  # (divergence, noisy, noise) per subband
-    for i in range(config.n_subbands):
-        sub_ns = noisy_leaves[:, i].ravel()
-        sub_n = noise_leaves[:, i].ravel()
-        edges = shared_edges(sub_ns, sub_n)
-        h_ns = build_histogram(sub_ns, edges=edges)
-        h_n = build_histogram(sub_n, edges=edges)
-        div = symmetric_divergence(
-            to_probability(h_ns, config.epsilon), to_probability(h_n, config.epsilon)
-        )
-        histograms.append((div, h_ns, h_n))
-
-    pooled_ns = noisy_leaves.ravel()
-    pooled_n = noise_leaves.ravel()
-    edges = shared_edges(pooled_ns, pooled_n)
-    ratios = ratio_profile(
-        to_probability(build_histogram(pooled_ns, edges=edges), config.epsilon),
-        to_probability(build_histogram(pooled_n, edges=edges), config.epsilon),
-    )
-
-    report = Report(
-        tool_version=__version__,
-        mode="analyze",
-        config=asdict(config),
-        seed=seed,
-        subband_divergence=[div for div, _, _ in histograms],
-        near_zero_ratios=ratios,
-        histograms=histograms,
-    )
-    report.write(args.report)
+    analyze(noisy, noise, config).write(args.report)
     if args.verbose:
         print(f"wrote {args.report}", file=sys.stderr)
     return EXIT_OK
@@ -253,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--freq", type=float, default=440.0)
     p.add_argument("--amplitude", type=float, default=0.5)
-    p.add_argument("--std", type=float, default=1.0)
+    p.add_argument("--std", type=float, default=0.1)
     p.add_argument("--snr-db", type=float, default=0.0, help="mix target SNR")
     p.add_argument("--duration", type=float, default=5.0)
     p.add_argument("--rate", type=int, default=16000)

@@ -31,11 +31,13 @@ from ._version import __version__
 from .framing import FrameSet, WINDOWS, frame_count, make_frames, overlap_add
 from .signal_io import SignalBuffer, snr_db
 from .stats import (
+    Histogram,
     ProbabilityVector,
     bin_count,
     entropy,
     ratio_profile,
     row_histograms,
+    shared_edges,
     symmetric_divergence,
     to_probability,
 )
@@ -291,16 +293,18 @@ def enhance(
 
     # Global distribution statistics against the noise profile.
     per_subband = leaves.swapaxes(0, 1).reshape(n_sub, -1)
-    p_sub = to_probability(
-        row_histograms(per_subband, edges=noise.distribution.bin_edges), config.epsilon
-    )
+    h_sub = row_histograms(per_subband, edges=noise.distribution.bin_edges)
     del per_subband
-    divergences = symmetric_divergence(p_sub, noise.distribution)
-    p_all = to_probability(
-        row_histograms(leaves.ravel(), edges=profile.pooled.distribution.bin_edges),
-        config.epsilon,
+    divergences = symmetric_divergence(
+        to_probability(h_sub, config.epsilon), noise.distribution
     )
-    ratios = ratio_profile(p_all, profile.pooled.distribution)
+    pooled = profile.pooled.distribution
+    if profile.pooled is profile.subbands:
+        # mad mode: every subband was binned on the pooled edges already
+        h_all = Histogram(pooled.bin_edges, np.sum(h_sub.counts, axis=0))
+    else:
+        h_all = row_histograms(leaves.ravel(), edges=pooled.bin_edges)
+    ratios = ratio_profile(to_probability(h_all, config.epsilon), pooled)
 
     # One threshold or band per (frame, subband), broadcast over the coeffs.
     n_zero_pre = np.count_nonzero(leaves == 0.0, axis=-1)
@@ -349,3 +353,52 @@ def enhance(
         report.input_snr_db = snr_db(reference, noisy)
         report.output_snr_db = snr_db(reference, enhanced)
     return enhanced, report
+
+
+def analyze(noisy: SignalBuffer, noise: SignalBuffer, config: EnhanceConfig) -> Report:
+    """Compare the leaf coefficients of noisy speech with those of noise.
+
+    Per subband, both signals are binned on common uniform edges over
+    their joint range (square-root rule on the smaller sample) and
+    compared by symmetric divergence. All leaves pooled, binned the same
+    way, give the near-zero ratio profile. The report has no frames; its
+    histograms hold (divergence, noisy Histogram, noise Histogram) per
+    subband.
+    """
+    config.validate()
+    if noisy.sample_rate_hz != noise.sample_rate_hz:
+        raise ValueError("noisy and noise files must share a sample rate")
+    # The pooled histograms are the largest: the smaller signal's frames
+    # times the frame length, binned by the square-root rule.
+    fewer_frames = min(
+        frame_count(len(s), config.frame_len, config.hop) for s in (noisy, noise)
+    )
+    check_epsilon(config.epsilon, bin_count(fewer_frames * config.frame_len))
+    leaves = [leaf_coefficients(s, config) for s in (noisy, noise)]
+
+    rows = [side.swapaxes(0, 1).reshape(config.n_subbands, -1) for side in leaves]
+    edges = shared_edges(*rows)
+    h_ns, h_n = (row_histograms(side, edges=edges) for side in rows)
+    del rows
+    divergences = symmetric_divergence(
+        to_probability(h_ns, config.epsilon), to_probability(h_n, config.epsilon)
+    ).tolist()
+
+    pooled = [side.ravel() for side in leaves]
+    edges = shared_edges(*pooled)
+    p_ns, p_n = (
+        to_probability(row_histograms(side, edges=edges), config.epsilon)
+        for side in pooled
+    )
+    return Report(
+        tool_version=__version__,
+        mode="analyze",
+        config=asdict(config),
+        seed=config.seed,
+        subband_divergence=divergences,
+        near_zero_ratios=ratio_profile(p_ns, p_n),
+        histograms=[
+            (div, Histogram(e, a), Histogram(e, b))
+            for div, e, a, b in zip(divergences, h_ns.bin_edges, h_ns.counts, h_n.counts)
+        ],
+    )

@@ -13,6 +13,13 @@ of shape (..., B) over edges of shape (B + 1,) shared by every row or
 (..., B + 1) per row. `row_histograms` bins every row of an array in
 one call; `to_probability`, `entropy` and the divergences then reduce
 over the last axis, row by row.
+
+Every histogram finds each value's bin in O(1) (`_bin_index`): a guess
+from the first and last edge, moved one bin at a time until the edges
+on either side hold it. That is exact for any strictly increasing
+edges, and one corrected pass on the uniform edges built here. NaN
+has no bin and is rejected; so are infinite values where the edges
+are chosen from the values.
 """
 
 from __future__ import annotations
@@ -50,8 +57,10 @@ class Histogram:
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.bin_edges.shape[-1:] != (self.counts.shape[-1] + 1,):
             raise ValueError("need exactly len(counts) + 1 edges")
-        if np.any(np.diff(self.bin_edges) <= 0):
-            raise ValueError("bin_edges must be strictly increasing")
+        if not (
+            np.all(np.isfinite(self.bin_edges)) and np.all(np.diff(self.bin_edges) > 0)
+        ):
+            raise ValueError("bin_edges must be finite and strictly increasing")
         if np.any(self.counts < 0):
             raise ValueError("counts must be non-negative")
 
@@ -74,27 +83,90 @@ def build_histogram(values, edges=None) -> Histogram:
     """Histogram a sample, choosing bins by the square-root rule.
 
     Without `edges`, B = max(1, floor(sqrt(N)/2)) uniform bins span
-    [min, max] (a degenerate span is widened by +-1e-9). With `edges`,
-    the given support is reused and out-of-range values are clamped into
-    the end bins, so two samples can share one support.
+    [min, max] (a degenerate span is widened, see `_uniform_edges`).
+    With `edges`, the given support is reused and out-of-range values
+    are clamped into the end bins, so two samples can share one support.
     """
     return row_histograms(np.asarray(values, dtype=np.float64).ravel(), edges)
 
 
-def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Bin of every value: the number of inner edges at or below it.
+def _uniform_edges(lo, hi, n_bins: int) -> np.ndarray:
+    """np.linspace edges over [lo, hi], one (n_bins + 1) row per (lo, hi).
 
-    That is np.histogram's rule (right-open bins, last bin closed), with
-    values below the first edge or above the last clamped into the end
-    bins. Shared edges use one binary search; per-row edges count their
-    inner edges one at a time.
+    A range too narrow to hold n_bins + 1 strictly increasing floats is
+    widened on both sides: a single value by +-1e-9, and wherever the
+    edges still collapse (at large magnitudes, or a span of a few ulps)
+    by 4 * n_bins ulps of the range's magnitude, so every bin is several
+    ulps wide.
     """
-    inner = edges[..., 1:-1]
-    if inner.ndim == 1:
-        return np.searchsorted(inner, x, side="right")
-    idx = np.zeros(x.shape, dtype=np.intp)
-    for j in range(inner.shape[-1]):
-        idx += x >= inner[..., j, None]
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError(
+            "cannot choose bin edges for NaN or infinite values; explicit edges "
+            "clamp infinities into the end bins"
+        )
+    half = np.where(lo == hi, _DEGENERATE_HALF_SPAN, 0.0)
+    edges = np.linspace(lo - half, hi + half, n_bins + 1, axis=-1)
+    tight = np.any(np.diff(edges, axis=-1) <= 0, axis=-1)
+    if np.any(tight):
+        ulps = 4 * n_bins * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+        half = np.where(tight, np.maximum(half, ulps), half)
+        edges = np.linspace(lo - half, hi + half, n_bins + 1, axis=-1)
+    return edges
+
+
+def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Bin of every value of `x` against `edges`, in O(1) per value.
+
+    The rule is np.histogram's (right-open bins, last bin closed), with
+    values below the first edge or above the last clamped into the end
+    bins. Edges are (B + 1,) shared by every row of `x`, or (..., B + 1)
+    per row, broadcast over the leading axes of `x`.
+
+    The guess floor((x - e0) * B / (eB - e0)), clipped to [0, B - 1], is
+    the bin itself for exactly uniform edges. Each value then steps one
+    bin down where x < edges[i] (i > 0) or one bin up where
+    x >= edges[i + 1] (i < B - 1), and the values that moved are checked
+    again until none moves. A value stops only inside its own bin, so
+    the result is exact for any strictly increasing edges; for the
+    np.linspace edges the library builds, the guess is off by at most
+    one bin and the loop ends after one corrected pass.
+    """
+    n_bins = edges.shape[-1] - 1
+    lo = edges[..., :1]
+    # Edges spanning more than the float range give a scale of 0, and
+    # inf * 0 = NaN, which fmax/fmin map into range like any off guess.
+    with np.errstate(over="ignore", invalid="ignore"):
+        guess = x - lo
+        guess *= n_bins / (edges[..., -1:] - lo)
+    np.fmin(np.fmax(guess, 0, out=guess), n_bins - 1, out=guess)
+    idx = guess.astype(np.intp)
+    # The edges below and above each bin, one row of B per edge row; NaN
+    # (never compared true) where the end bins reach out to infinity.
+    rows = edges.reshape(-1, n_bins + 1)
+    below = rows[:, :-1].copy()
+    below[:, 0] = np.nan
+    above = rows[:, 1:].copy()
+    above[:, -1] = np.nan
+    base = n_bins * np.arange(len(rows)).reshape(edges.shape[:-1] + (1,))
+    idx += base
+    # the guess's memory holds the edges looked up: indices are in range
+    flat_x, flat_idx, edge = x.reshape(-1), idx.reshape(-1), guess.reshape(-1)
+    at = slice(None)  # every value, then only the ones that moved
+    while True:
+        xs, sub = flat_x[at], flat_idx[at]
+        lookup = edge[: sub.size]
+        down = xs < below.take(sub, out=lookup, mode="clip")
+        up = xs >= above.take(sub, out=lookup, mode="clip")
+        sub += up
+        sub -= down
+        flat_idx[at] = sub
+        moved = np.flatnonzero(up | down)
+        if not moved.size:
+            break
+        at = moved if isinstance(at, slice) else at[moved]
+    idx -= base
     return idx
 
 
@@ -102,26 +174,38 @@ def row_histograms(values, edges=None) -> Histogram:
     """One histogram per row (last axis) of `values`, in one pass.
 
     Without `edges`, each row gets the square-root-rule bins over its
-    own [min, max] (np.linspace, widened by +-1e-9 when degenerate).
-    With `edges`, either one (B + 1,) support shared by every row or one
-    (..., B + 1) support per row; out-of-range values are clamped into
-    the end bins. Row r's counts equal np.histogram's for that row
-    clamped into [edges[0], edges[-1]], exactly.
+    own [min, max] (np.linspace, widened when degenerate, see
+    `_uniform_edges`). With `edges`, either one (B + 1,) support shared
+    by every row or one (..., B + 1) support per row, broadcast over the
+    leading axes of `values`; out-of-range values, infinities included,
+    are clamped into the end bins. Row r's counts equal np.histogram's
+    for that row clamped into [edges[0], edges[-1]], exactly.
+
+    NaN has no bin and raises ValueError, as do infinite values when the
+    edges are chosen from the values.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.ndim == 0 or x.shape[-1] == 0:
         raise ValueError("cannot histogram an empty sample")
+    if np.isnan(np.min(x)):  # np.min propagates NaN
+        raise ValueError("cannot histogram NaN values")
     if edges is None:
-        lo = np.min(x, axis=-1)
-        hi = np.max(x, axis=-1)
-        flat = lo == hi
-        lo = np.where(flat, lo - _DEGENERATE_HALF_SPAN, lo)
-        hi = np.where(flat, hi + _DEGENERATE_HALF_SPAN, hi)
-        edges = np.linspace(lo, hi, bin_count(x.shape[-1]) + 1, axis=-1)
+        edges = _uniform_edges(
+            np.min(x, axis=-1), np.max(x, axis=-1), bin_count(x.shape[-1])
+        )
     else:
         edges = np.asarray(edges, dtype=np.float64)
-        if edges.shape[-1] < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("edges must be strictly increasing, length >= 2")
+        if (
+            edges.shape[-1] < 2
+            or not np.all(np.isfinite(edges))
+            or not np.all(np.diff(edges) > 0)
+        ):
+            raise ValueError("edges must be finite and strictly increasing, length >= 2")
+        if np.broadcast_shapes(edges.shape[:-1], x.shape[:-1]) != x.shape[:-1]:
+            raise ValueError(
+                f"edge rows {edges.shape[:-1]} do not broadcast over value rows "
+                f"{x.shape[:-1]}"
+            )
     n_bins = edges.shape[-1] - 1
     idx = _bin_index(x, edges)
     rows = idx.reshape(-1, x.shape[-1])
@@ -243,15 +327,16 @@ def shared_edges(values_a, values_b) -> np.ndarray:
     """Common uniform edges spanning the pooled range of two samples.
 
     The bin count follows the square-root rule applied to the smaller
-    sample, so both histograms populate the shared bins.
+    sample, so both histograms populate the shared bins. Rows (last
+    axis) pair up: samples (..., n_a) and (..., n_b) give one (B + 1)
+    support per row pair, with B = bin_count(min(n_a, n_b)).
     """
-    a = np.asarray(values_a, dtype=np.float64).ravel()
-    b = np.asarray(values_b, dtype=np.float64).ravel()
-    if len(a) == 0 or len(b) == 0:
+    a = np.atleast_1d(np.asarray(values_a, dtype=np.float64))
+    b = np.atleast_1d(np.asarray(values_b, dtype=np.float64))
+    if a.size == 0 or b.size == 0:
         raise ValueError("cannot derive edges from an empty sample")
-    lo = min(float(np.min(a)), float(np.min(b)))
-    hi = max(float(np.max(a)), float(np.max(b)))
-    if lo == hi:
-        lo -= _DEGENERATE_HALF_SPAN
-        hi += _DEGENERATE_HALF_SPAN
-    return np.linspace(lo, hi, bin_count(min(len(a), len(b))) + 1)
+    return _uniform_edges(
+        np.minimum(np.min(a, axis=-1), np.min(b, axis=-1)),
+        np.maximum(np.max(a, axis=-1), np.max(b, axis=-1)),
+        bin_count(min(a.shape[-1], b.shape[-1])),
+    )

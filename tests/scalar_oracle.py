@@ -4,9 +4,10 @@ This is the per-frame implementation the library used before its core
 became one (frames, subbands, coeffs) array: a dict-of-nodes packet tree
 per frame, per-frame, per-subband loops for VUV classification,
 band selection, thresholding and the report records, overlap-add
-one frame at a time, and the report writer that builds the whole
-schema-v1 dict and hands it to json.dumps. The tests compare the
-library against it; it is not part of the package.
+one frame at a time, the report writer that builds the whole
+schema-v1 dict and hands it to json.dumps, and the histogram bin
+index by binary search. The tests compare the library against it; it
+is not part of the package.
 """
 
 from __future__ import annotations
@@ -67,6 +68,23 @@ def synthesis_step(approx, detail, fb: FilterBank) -> np.ndarray:
     for k in range(len(fb)):
         out[idx[k]] += fb.lowpass[k] * a + fb.highpass[k] * d
     return out
+
+
+def bin_index(x, edges) -> np.ndarray:
+    """Bin of every value: the number of inner edges at or below it.
+
+    That is np.histogram's rule (right-open bins, last bin closed), with
+    values below the first edge or above the last clamped into the end
+    bins. Shared edges use one binary search; per-row edges count their
+    inner edges one at a time.
+    """
+    inner = edges[..., 1:-1]
+    if inner.ndim == 1:
+        return np.searchsorted(inner, x, side="right")
+    idx = np.zeros(np.shape(x), dtype=np.intp)
+    for j in range(inner.shape[-1]):
+        idx += x >= inner[..., j, None]
+    return idx
 
 
 @dataclass

@@ -7,12 +7,12 @@ on a speech-like input in mad mode.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle as oracle
 from wpdenoise.experiments import sine_0db_material
-from wpdenoise import pipeline
+from wpdenoise import pipeline, stats
 from wpdenoise.framing import WINDOWS, make_frames, overlap_add
 from wpdenoise.pipeline import EnhanceConfig, enhance
 from wpdenoise.signal_io import SignalBuffer, mix_at_snr, white_noise
@@ -102,17 +102,32 @@ def test_overlap_add_identity_and_frame_loop(case):
 
 @st.composite
 def binning_cases(draw):
-    """Edges, and rows of values on, between and outside those edges."""
+    """Edges, and rows of values on, next to, between and outside them.
+
+    Edges are either arbitrary increasing ones or np.linspace ones (the
+    shape the library builds) at offsets up to 1e12, spanning from
+    several units down to a few ulps per bin.
+    """
     n_bins = draw(st.integers(min_value=1, max_value=12))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
-    edges = np.cumsum(rng.uniform(0.1, 2.0, n_bins + 1)) - draw(
-        st.floats(min_value=-5.0, max_value=30.0)
-    )
+    if draw(st.booleans()):
+        edges = np.cumsum(rng.uniform(0.1, 2.0, n_bins + 1)) - draw(
+            st.floats(min_value=-5.0, max_value=30.0)
+        )
+    else:
+        offset = draw(st.sampled_from([0.0, -2.5, 1.0, 1e6, -3e7, 1e12]))
+        ulp = np.spacing(max(abs(offset), 1.0))
+        span = draw(st.sampled_from([1e-3, 1.0, 50.0, 2 * ulp, 3 * ulp, 7 * ulp]))
+        edges = np.linspace(offset, offset + span * n_bins, n_bins + 1)
+        assume(np.all(np.diff(edges) > 0))
     mids = 0.5 * (edges[:-1] + edges[1:])
     outside = np.array([edges[0] - 1.0, edges[-1] + 1.0, edges[0] - 1e-12,
-                        np.nextafter(edges[-1], np.inf)])
-    pool = np.concatenate([edges, mids, outside, rng.uniform(edges[0], edges[-1], 8)])
+                        -np.inf, np.inf])
+    pool = np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), mids,
+        outside, rng.uniform(edges[0], edges[-1], 8),
+    ])
     n_rows = draw(st.integers(min_value=1, max_value=4))
     n_values = draw(st.integers(min_value=1, max_value=40))
     values = rng.choice(pool, size=(n_rows, n_values))
@@ -124,24 +139,52 @@ def _np_counts(row, edges):
     return np.histogram(np.clip(row, edges[0], edges[-1]), bins=edges)[0]
 
 
+def _own_edges(row):
+    """Square-root-rule np.linspace edges over [min, max] of the row.
+
+    A single value is widened by +-1e-9, and a range whose edges would
+    still not strictly increase by 4 * B ulps of its magnitude.
+    """
+    lo, hi = float(np.min(row)), float(np.max(row))
+    n_bins = bin_count(len(row))
+    half = 1e-9 if lo == hi else 0.0
+    edges = np.linspace(lo - half, hi + half, n_bins + 1)
+    if np.any(np.diff(edges) <= 0):
+        half = max(half, 4 * n_bins * float(np.spacing(max(abs(lo), abs(hi)))))
+        edges = np.linspace(lo - half, hi + half, n_bins + 1)
+    return edges
+
+
 @PROPERTY
 @given(binning_cases())
 def test_row_histograms_equal_np_histogram(case):
     edges, values = case
+    np.testing.assert_array_equal(
+        stats._bin_index(values, edges), oracle.bin_index(values, edges)
+    )
     shared = row_histograms(values, edges=edges)
-    per_row_edges = np.stack([edges + i for i in range(len(values))])
-    per_row = row_histograms(values + np.arange(len(values))[:, None],
-                             edges=per_row_edges)
-    own = row_histograms(values)
     for i, row in enumerate(values):
         want = _np_counts(row, edges)
         np.testing.assert_array_equal(shared.counts[i], want)
         np.testing.assert_array_equal(build_histogram(row, edges=edges).counts, want)
-        np.testing.assert_array_equal(per_row.counts[i], _np_counts(row + i, edges + i))
-        lo, hi = float(np.min(row)), float(np.max(row))
-        if lo == hi:
-            lo, hi = lo - 1e-9, hi + 1e-9
-        own_edges = np.linspace(lo, hi, bin_count(len(row)) + 1)
+    # per-row (S, B + 1) edges broadcast against (F, S, n) values
+    per_row_edges = np.stack([edges if s % 2 == 0 else -edges[::-1]
+                              for s in range(len(values))])
+    blocks = np.stack([values, -values, values[::-1]])
+    per_row = row_histograms(blocks, edges=per_row_edges)
+    assert per_row.counts.shape == blocks.shape[:-1] + (len(edges) - 1,)
+    np.testing.assert_array_equal(
+        stats._bin_index(blocks, per_row_edges), oracle.bin_index(blocks, per_row_edges)
+    )
+    for f, s in np.ndindex(blocks.shape[:-1]):
+        np.testing.assert_array_equal(
+            per_row.counts[f, s], _np_counts(blocks[f, s], per_row_edges[s])
+        )
+    # each row's own edges, which need finite values
+    finite = np.nan_to_num(values, posinf=edges[-1] + 1.0, neginf=edges[0] - 1.0)
+    own = row_histograms(finite)
+    for i, row in enumerate(finite):
+        own_edges = _own_edges(row)
         np.testing.assert_array_equal(own.bin_edges[i], own_edges)
         np.testing.assert_array_equal(own.counts[i], _np_counts(row, own_edges))
         np.testing.assert_array_equal(build_histogram(row).counts, own.counts[i])

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -172,6 +174,22 @@ class TestClippingWarning:
         assert clipped > 1000
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == _warning(clipped, 16000, path)
+
+    @pytest.mark.parametrize("seed", ["0", "7"])
+    def test_synth_noise_defaults_do_not_clip(self, tmp_path, capsys, seed):
+        path = tmp_path / "noise.wav"
+        assert run(["synth", "--kind", "noise", "--out", str(path), "--seed", seed,
+                    "--duration", "2"]) == 0
+        assert _clipped(read_wav(path).samples) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_readme_mix_example_does_not_clip(self, tmp_path, capsys):
+        readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+        text = open(readme, encoding="utf-8").read()
+        argv = shlex.split(re.search(r"wpdenoise (synth --kind mix .*)", text).group(1))
+        argv[argv.index("--out") + 1] = str(tmp_path / "noisy.wav")
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
 
     def test_experiment_warns_once_per_clipping_write(self, tmp_path, capsys):
         out = tmp_path / "e.wav"

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from wpdenoise import stats
 from wpdenoise.pipeline import (
     EnhanceConfig,
+    analyze,
     classify_vuv,
     enhance,
     estimate_noise_profile,
@@ -15,7 +17,13 @@ from wpdenoise.pipeline import (
 )
 from wpdenoise.framing import frame_count
 from wpdenoise.signal_io import SignalBuffer, sine_wave, white_noise
-from wpdenoise.stats import build_histogram, symmetric_divergence, to_probability
+from wpdenoise.stats import (
+    build_histogram,
+    ratio_profile,
+    shared_edges,
+    symmetric_divergence,
+    to_probability,
+)
 from wpdenoise.thresholding import universal_threshold
 from wpdenoise.wavelet import filter_bank, wp_analysis
 from wpdenoise.experiments import sine_0db_material
@@ -268,3 +276,59 @@ class TestEnhance:
         _, noisy = sine_0db_material(seed=8)
         with pytest.raises(ValueError):
             enhance(noisy, EnhanceConfig(hop=100))
+
+    def test_mad_mode_bins_each_leaf_once(self, monkeypatch):
+        # the noise profile bins the level-1 detail (F x N/2 values); VUV
+        # and the per-subband statistics bin every leaf (F x N) once each,
+        # and the pooled statistics reuse the per-subband counts
+        binned = []
+        bin_index = stats._bin_index
+
+        def counting(x, edges):
+            binned.append(x.size)
+            return bin_index(x, edges)
+
+        monkeypatch.setattr(stats, "_bin_index", counting)
+        _, noisy = sine_0db_material(seed=2)
+        config = EnhanceConfig(noise_estimation="mad", vuv_enabled=True)
+        enhance(noisy, config)
+        n = config.frame_len
+        frames = frame_count(len(noisy), n, config.hop)
+        assert sum(binned) == frames * n // 2 + 2 * frames * n
+
+
+class TestAnalyze:
+    def test_equals_per_subband_histograms_on_shared_edges(self):
+        _, noisy = sine_0db_material(seed=4)
+        noise = white_noise(0.3, 1.5, 16000, seed=5)
+        config = EnhanceConfig(seed=4)
+        report = analyze(noisy, noise, config)
+        assert report.mode == "analyze" and report.seed == 4 and report.vuv == []
+        noisy_leaves = leaf_coefficients(noisy, config)
+        noise_leaves = leaf_coefficients(noise, config)
+        assert len(report.histograms) == config.n_subbands
+        for i, (div, h_ns, h_n) in enumerate(report.histograms):
+            sub_ns, sub_n = noisy_leaves[:, i].ravel(), noise_leaves[:, i].ravel()
+            edges = shared_edges(sub_ns, sub_n)
+            want_ns = build_histogram(sub_ns, edges=edges)
+            want_n = build_histogram(sub_n, edges=edges)
+            np.testing.assert_array_equal(h_ns.bin_edges, edges)
+            np.testing.assert_array_equal(h_ns.counts, want_ns.counts)
+            np.testing.assert_array_equal(h_n.counts, want_n.counts)
+            assert div == report.subband_divergence[i] == symmetric_divergence(
+                to_probability(want_ns, config.epsilon),
+                to_probability(want_n, config.epsilon),
+            )
+        edges = shared_edges(noisy_leaves.ravel(), noise_leaves.ravel())
+        assert report.near_zero_ratios == ratio_profile(
+            to_probability(build_histogram(noisy_leaves, edges=edges), config.epsilon),
+            to_probability(build_histogram(noise_leaves, edges=edges), config.epsilon),
+        )
+
+    def test_sample_rate_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="sample rate"):
+            analyze(
+                white_noise(0.1, 0.5, 16000, seed=1),
+                white_noise(0.1, 0.5, 8000, seed=1),
+                EnhanceConfig(),
+            )

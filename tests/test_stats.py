@@ -13,6 +13,7 @@ from wpdenoise.stats import (
     entropy,
     kl_divergence,
     ratio_profile,
+    row_histograms,
     shared_edges,
     symmetric_divergence,
     to_probability,
@@ -63,6 +64,69 @@ class TestBuildHistogram:
     def test_bad_edges_rejected(self):
         with pytest.raises(ValueError):
             build_histogram(np.ones(4), edges=np.array([0.0, 0.0, 1.0]))
+
+
+class TestNonFiniteValues:
+    EDGES = np.array([0.0, 0.5, 1.0])
+
+    def test_nan_rejected_with_edges(self):
+        with pytest.raises(ValueError, match="NaN"):
+            build_histogram([0.1, math.nan, 0.5], edges=self.EDGES)
+        with pytest.raises(ValueError, match="NaN"):
+            row_histograms(np.array([[0.1, 0.2], [0.3, math.nan]]), edges=self.EDGES)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_without_edges(self, bad):
+        with pytest.raises(ValueError, match="NaN|infinite"):
+            build_histogram([0.1, bad, 0.5])
+        with pytest.raises(ValueError, match="NaN|infinite"):
+            row_histograms(np.array([[0.1, 0.2], [bad, 0.3]]))
+        with pytest.raises(ValueError, match="infinite"):
+            shared_edges([0.1, bad], [0.2, 0.3])
+
+    def test_infinities_clamped_with_edges(self):
+        h = build_histogram([-math.inf, 0.2, 0.7, math.inf], edges=self.EDGES)
+        np.testing.assert_array_equal(h.counts, [2, 2])
+        # edges whose span overflows to inf: the guess scale is 0
+        wide = build_histogram([-math.inf, -1.0, 0.0, 1e308, math.inf],
+                               edges=np.array([-1e308, 0.0, 1e308]))
+        np.testing.assert_array_equal(wide.counts, [2, 3])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_edges_rejected(self, bad):
+        edges = np.array([0.0, 0.5, bad])
+        with pytest.raises(ValueError, match="finite"):
+            build_histogram([0.1, 0.5], edges=edges)
+        with pytest.raises(ValueError, match="finite"):
+            Histogram(np.array([0.0, bad, 1.0]), np.array([3, 1]))
+
+
+class TestDegenerateSpan:
+    @pytest.mark.parametrize("value", [1e6, -3e7])
+    def test_constant_sample_at_large_magnitude(self, value):
+        # +-1e-9 is below the float spacing there; the edges still rise
+        values = np.full(10000, value)
+        h = build_histogram(values)
+        assert h.total == 10000 and h.n_bins == bin_count(10000)
+        assert np.all(np.diff(h.bin_edges) > 0)
+        assert h.bin_edges[0] < value < h.bin_edges[-1]
+        rows = row_histograms(np.stack([values, values]))
+        np.testing.assert_array_equal(rows.bin_edges, [h.bin_edges] * 2)
+        np.testing.assert_array_equal(rows.counts, [h.counts] * 2)
+        np.testing.assert_array_equal(shared_edges(values, values), h.bin_edges)
+
+    def test_span_of_one_ulp_is_widened(self):
+        values = np.tile([1.0, math.nextafter(1.0, 2.0)], 5000)
+        h = build_histogram(values)
+        assert h.total == 10000 and np.all(np.diff(h.bin_edges) > 0)
+        assert h.bin_edges[0] < 1.0 and h.bin_edges[-1] > values[1]
+
+    @pytest.mark.parametrize("value", [0.0, 0.5, -7.25, 1000.0])
+    def test_widened_by_1e9_where_that_suffices(self, value):
+        values = np.full(10000, value)
+        want = np.linspace(value - 1e-9, value + 1e-9, bin_count(10000) + 1)
+        np.testing.assert_array_equal(build_histogram(values).bin_edges, want)
+        np.testing.assert_array_equal(shared_edges(values, values), want)
 
 
 class TestToProbability:
