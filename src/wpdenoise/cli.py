@@ -17,7 +17,7 @@ from dataclasses import fields
 
 from ._version import __version__
 from .experiments import PRESETS, run_preset
-from .framing import WINDOWS, ColaError
+from .framing import WINDOWS
 from .pipeline import METHODS, NOISE_MODES, EnhanceConfig, analyze, enhance
 from .signal_io import (
     WavFormatError,
@@ -228,13 +228,10 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except (WavFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ColaError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROCESSING
 

@@ -34,6 +34,7 @@ from .stats import (
     Histogram,
     ProbabilityVector,
     bin_count,
+    check_epsilon,
     entropy,
     ratio_profile,
     row_histograms,
@@ -63,19 +64,6 @@ UNVOICED = "unvoiced"
 # at most this many values (2 MB per float array): a 15 s band/mad call
 # peaks 28 MB lower than with 8 MB blocks, at the same speed.
 _BAND_BLOCK_VALUES = 1 << 18
-
-
-def check_epsilon(epsilon: float, n_bins: int) -> None:
-    """Reject an epsilon floor that an n_bins histogram cannot take.
-
-    to_probability needs 0 < epsilon < 1/B; checking the largest B a run
-    will build up front fails the run before any transform.
-    """
-    if not 0 < epsilon < 1.0 / n_bins:
-        raise ValueError(
-            f"epsilon={epsilon:g} must be in (0, 1/{n_bins}) = "
-            f"(0, {1.0 / n_bins:.6g}): this run builds {n_bins}-bin histograms"
-        )
 
 
 @dataclass
@@ -139,25 +127,18 @@ class EnhanceConfig:
 
 
 @dataclass
-class SubbandNoise:
-    """Noise level and distribution estimate.
+class NoiseProfile:
+    """Noise level and coefficient distribution of each leaf subband.
 
-    As NoiseProfile.subbands, sigma holds one level per leaf subband and
-    distribution one row per subband; when all subbands share one
-    estimate (mad mode) they are a single level and distribution that
-    broadcast over the subbands.
+    sigma holds one level per subband and distribution one row per
+    subband; in mad mode every subband shares one estimate, a single
+    level and distribution that broadcast over the subbands. pooled is
+    the distribution of all subbands' coefficients together.
     """
 
     sigma: float | np.ndarray
     distribution: ProbabilityVector
-
-
-@dataclass
-class NoiseProfile:
-    """Per-subband noise estimates plus a pooled (all-subband) estimate."""
-
-    subbands: SubbandNoise
-    pooled: SubbandNoise
+    pooled: ProbabilityVector
 
 
 def leaf_coefficients(signal: SignalBuffer, config: EnhanceConfig) -> np.ndarray:
@@ -183,13 +164,6 @@ def _noise_distribution(coeffs: np.ndarray, epsilon: float) -> ProbabilityVector
     span = np.where(span == 0.0, 1e-9, span)
     edges = np.linspace(-span, span, _noise_bins(coeffs.shape[-1]) + 1, axis=-1)
     return to_probability(row_histograms(coeffs, edges=edges), epsilon)
-
-
-def _estimate(coeffs: np.ndarray, epsilon: float) -> SubbandNoise:
-    """Sigma and distribution of each row of `coeffs`."""
-    return SubbandNoise(
-        estimate_sigma(coeffs, axis=-1), _noise_distribution(coeffs, epsilon)
-    )
 
 
 def estimate_noise_profile(signal: SignalBuffer, config: EnhanceConfig) -> NoiseProfile:
@@ -221,8 +195,9 @@ def estimate_noise_profile(signal: SignalBuffer, config: EnhanceConfig) -> Noise
         leaves = leaf_coefficients(SignalBuffer(lead, signal.sample_rate_hz), config)
         per_subband = leaves.swapaxes(0, 1).reshape(config.n_subbands, -1)
         return NoiseProfile(
-            subbands=_estimate(per_subband, config.epsilon),
-            pooled=_estimate(leaves.ravel(), config.epsilon),
+            sigma=estimate_sigma(per_subband),
+            distribution=_noise_distribution(per_subband, config.epsilon),
+            pooled=_noise_distribution(leaves.ravel(), config.epsilon),
         )
 
     # mad mode: one estimate from the level-1 detail of every frame.
@@ -230,8 +205,9 @@ def estimate_noise_profile(signal: SignalBuffer, config: EnhanceConfig) -> Noise
     check_epsilon(config.epsilon, _noise_bins(n_frames * config.frame_len // 2))
     frames = make_frames(signal, config.frame_len, config.hop, config.window)
     _, detail = analysis_step(frames.frames, filter_bank(config.wavelet))
-    entry = _estimate(detail.ravel(), config.epsilon)
-    return NoiseProfile(subbands=entry, pooled=entry)
+    detail = detail.ravel()
+    distribution = _noise_distribution(detail, config.epsilon)
+    return NoiseProfile(estimate_sigma(detail), distribution, pooled=distribution)
 
 
 def classify_vuv(leaves, entropy_threshold: float, epsilon: float) -> list:
@@ -247,9 +223,8 @@ def classify_vuv(leaves, entropy_threshold: float, epsilon: float) -> list:
     return np.where(h < entropy_threshold, UNVOICED, VOICED).tolist()
 
 
-def _select_bands(leaves: np.ndarray, noise: SubbandNoise, config: EnhanceConfig):
+def _select_bands(leaves: np.ndarray, dist: ProbabilityVector, config: EnhanceConfig):
     """(t1, t2) arrays: the band of every (frame, subband) of `leaves`."""
-    dist = noise.distribution
     step = max(1, _BAND_BLOCK_VALUES // (leaves.shape[1] * dist.n_bins))
     blocks = [
         select_band(
@@ -283,7 +258,6 @@ def enhance(
         raise ValueError("cannot enhance an empty signal")
 
     profile = estimate_noise_profile(noisy, config)
-    noise = profile.subbands
     leaves = leaf_coefficients(noisy, config)
     n_frames, n_sub, n_coeff = leaves.shape
     if config.vuv_enabled:
@@ -293,13 +267,13 @@ def enhance(
 
     # Global distribution statistics against the noise profile.
     per_subband = leaves.swapaxes(0, 1).reshape(n_sub, -1)
-    h_sub = row_histograms(per_subband, edges=noise.distribution.bin_edges)
+    h_sub = row_histograms(per_subband, edges=profile.distribution.bin_edges)
     del per_subband
     divergences = symmetric_divergence(
-        to_probability(h_sub, config.epsilon), noise.distribution
+        to_probability(h_sub, config.epsilon), profile.distribution
     )
-    pooled = profile.pooled.distribution
-    if profile.pooled is profile.subbands:
+    pooled = profile.pooled
+    if pooled is profile.distribution:
         # mad mode: every subband was binned on the pooled edges already
         h_all = Histogram(pooled.bin_edges, np.sum(h_sub.counts, axis=0))
     else:
@@ -310,12 +284,12 @@ def enhance(
     n_zero_pre = np.count_nonzero(leaves == 0.0, axis=-1)
     threshold = band = None
     if config.method == "band":
-        t1, t2 = _select_bands(leaves, noise, config)
+        t1, t2 = _select_bands(leaves, profile.distribution, config)
         out = band_hard_threshold(leaves, t1[..., None], t2[..., None])
         band = np.stack((t1, t2), axis=-1)
     else:
         scale = np.where(np.asarray(vuv) == UNVOICED, config.unvoiced_scale, 1.0)
-        threshold = universal_threshold(noise.sigma, n_coeff) * scale[:, None]
+        threshold = universal_threshold(profile.sigma, n_coeff) * scale[:, None]
         threshold = np.broadcast_to(threshold, (n_frames, n_sub))
         rule = hard_threshold if config.method == "universal-hard" else soft_threshold
         out = rule(leaves, threshold[..., None])
@@ -341,7 +315,7 @@ def enhance(
         config=asdict(config),
         seed=config.seed,
         vuv=vuv,
-        sigma=np.broadcast_to(noise.sigma, (n_sub,)),
+        sigma=np.broadcast_to(profile.sigma, (n_sub,)),
         threshold=threshold,
         band=band,
         n_zero_pre=n_zero_pre,

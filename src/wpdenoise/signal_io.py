@@ -68,8 +68,9 @@ def read_wav(path) -> SignalBuffer:
 
     Samples are normalised by 1/32768 into [-1, 1). Raises
     FileNotFoundError for a missing file, WavFormatError for anything
-    that is not PCM 16-bit mono, and WavTruncatedError when the data
-    chunk is shorter than its declared size.
+    that is not PCM 16-bit mono or declares a sample rate of 0, and
+    WavTruncatedError when the data chunk is shorter than its declared
+    size.
     """
     with open(path, "rb") as fh:
         riff = fh.read(12)
@@ -121,6 +122,8 @@ def read_wav(path) -> SignalBuffer:
         raise WavFormatError(f"{path}: expected mono, found {channels} channels")
     if bits != 16:
         raise WavFormatError(f"{path}: expected 16-bit samples, found {bits}")
+    if sample_rate == 0:
+        raise WavFormatError(f"{path}: sample rate must be positive, found 0")
     if data is None:
         raise WavFormatError(f"{path}: missing data chunk")
     if len(data) % 2:
@@ -136,8 +139,15 @@ def write_wav(path, signal: SignalBuffer) -> int:
     Amplitudes are clamped to [-1, 1 - 1/32768] and quantised by
     rounding, so a write/read round trip is within 1/32768 per sample.
     An empty signal produces a header-only file. Returns the number of
-    samples the clamp changed.
+    samples the clamp changed. Raises WavFormatError, before opening
+    the file, when the byte rate (2 x sample rate) does not fit the
+    header's 32-bit field.
     """
+    if 2 * signal.sample_rate_hz > 0xFFFFFFFF:
+        raise WavFormatError(
+            f"{path}: sample rate {signal.sample_rate_hz} Hz gives a byte rate "
+            "beyond the WAV header's 32-bit field"
+        )
     clamped = np.clip(signal.samples, -1.0, 1.0 - 1.0 / _PCM_SCALE)
     n_clipped = int(np.count_nonzero(clamped != signal.samples))
     pcm = np.rint(clamped * _PCM_SCALE).astype("<i2")

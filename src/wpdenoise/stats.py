@@ -8,11 +8,12 @@ shared bin edges; build histograms with an explicit `edges` argument
 (out-of-range values are clamped into the end bins) to put two samples
 on common support.
 
-Histograms and probability vectors may hold a batch: counts and probs
-of shape (..., B) over edges of shape (B + 1,) shared by every row or
+Histograms and probability vectors hold a batch: counts and probs of
+shape (..., B) over edges of shape (B + 1,) shared by every row or
 (..., B + 1) per row. `row_histograms` bins every row of an array in
-one call; `to_probability`, `entropy` and the divergences then reduce
-over the last axis, row by row.
+one call; `to_probability`, `entropy`, the divergences and
+`zero_bin_index` then reduce over the last axis, row by row. A single
+row is a batch of one, and its reductions are numpy scalars.
 
 Every histogram finds each value's bin in O(1) (`_bin_index`): a guess
 from the first and last edge, moved one bin at a time until the edges
@@ -66,28 +67,12 @@ class Histogram:
 
     @property
     def total(self):
-        """Values binned (an int, or one per row of a batch)."""
-        total = np.sum(self.counts, axis=-1)
-        return int(total) if total.ndim == 0 else total
+        """Values binned, one per row."""
+        return np.sum(self.counts, axis=-1)
 
     @property
     def n_bins(self) -> int:
         return self.counts.shape[-1]
-
-    @property
-    def bin_centers(self) -> np.ndarray:
-        return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-
-
-def build_histogram(values, edges=None) -> Histogram:
-    """Histogram a sample, choosing bins by the square-root rule.
-
-    Without `edges`, B = max(1, floor(sqrt(N)/2)) uniform bins span
-    [min, max] (a degenerate span is widened, see `_uniform_edges`).
-    With `edges`, the given support is reused and out-of-range values
-    are clamped into the end bins, so two samples can share one support.
-    """
-    return row_histograms(np.asarray(values, dtype=np.float64).ravel(), edges)
 
 
 def _uniform_edges(lo, hi, n_bins: int) -> np.ndarray:
@@ -246,7 +231,20 @@ class ProbabilityVector:
 
     @property
     def bin_centers(self) -> np.ndarray:
-        return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
+        return 0.5 * (self.bin_edges[..., :-1] + self.bin_edges[..., 1:])
+
+
+def check_epsilon(epsilon: float, n_bins: int) -> None:
+    """Reject an epsilon floor that an n_bins histogram cannot take.
+
+    to_probability needs 0 < epsilon < 1/B; a run checks the largest B
+    it will build up front, so it fails before any transform.
+    """
+    if not 0 < epsilon < 1.0 / n_bins:
+        raise ValueError(
+            f"epsilon={epsilon:g} must be in (0, 1/{n_bins}) = "
+            f"(0, {1.0 / n_bins:.6g}): this run builds {n_bins}-bin histograms"
+        )
 
 
 def to_probability(h: Histogram, epsilon: float) -> ProbabilityVector:
@@ -257,8 +255,7 @@ def to_probability(h: Histogram, epsilon: float) -> ProbabilityVector:
     0 < epsilon < 1/B. A batch of histograms gives a batch of vectors.
     """
     b = h.n_bins
-    if not 0.0 < epsilon < 1.0 / b:
-        raise ValueError(f"epsilon must be in (0, {1.0 / b}) for {b} bins")
+    check_epsilon(epsilon, b)
     total = np.sum(h.counts, axis=-1, keepdims=True)
     if np.any(total == 0):
         raise ValueError("histogram has zero total count")
@@ -270,20 +267,16 @@ def to_probability(h: Histogram, epsilon: float) -> ProbabilityVector:
     return ProbabilityVector(probs=probs, bin_edges=h.bin_edges, epsilon=epsilon)
 
 
-def _check_compatible(p: ProbabilityVector, q: ProbabilityVector) -> None:
+def check_shared_edges(p: ProbabilityVector, q: ProbabilityVector) -> None:
+    """Reject two distributions that are not binned on identical edges."""
     if p.n_bins != q.n_bins or not np.array_equal(p.bin_edges, q.bin_edges):
         raise ValueError("distributions must share identical bin edges")
 
 
-def _per_row(values: np.ndarray):
-    """A float for a single distribution, an array for a batch."""
-    return float(values) if values.ndim == 0 else values
-
-
 def kl_divergence(p: ProbabilityVector, q: ProbabilityVector):
     """sum_i p_i * ln(p_i / q_i) in nats; >= 0, 0 iff p == q."""
-    _check_compatible(p, q)
-    return _per_row(np.sum(p.probs * np.log(p.probs / q.probs), axis=-1))
+    check_shared_edges(p, q)
+    return np.sum(p.probs * np.log(p.probs / q.probs), axis=-1)
 
 
 def symmetric_divergence(p_ns: ProbabilityVector, p_n: ProbabilityVector):
@@ -293,19 +286,15 @@ def symmetric_divergence(p_ns: ProbabilityVector, p_n: ProbabilityVector):
 
 def entropy(p: ProbabilityVector):
     """-sum_i p_i * ln(p_i), in [0, ln B]."""
-    return _per_row(-np.sum(p.probs * np.log(p.probs), axis=-1))
+    return -np.sum(p.probs * np.log(p.probs), axis=-1)
 
 
 def zero_bin_index(edges: np.ndarray):
-    """Index of the bin containing 0; raises if the support misses 0.
-
-    For a batch of edge rows (..., B + 1) the result is an index array.
-    """
+    """Index of the bin containing 0 in each edge row; raises if a row misses 0."""
     edges = np.asarray(edges, dtype=np.float64)
     if np.any(edges[..., 0] > 0) or np.any(edges[..., -1] < 0):
         raise ValueError("bin support does not cover 0")
-    index = np.minimum(np.sum(edges <= 0.0, axis=-1) - 1, edges.shape[-1] - 2)
-    return int(index) if index.ndim == 0 else index
+    return np.minimum(np.sum(edges <= 0.0, axis=-1) - 1, edges.shape[-1] - 2)
 
 
 def ratio_profile(p_ns: ProbabilityVector, p_n: ProbabilityVector) -> list:
@@ -315,7 +304,7 @@ def ratio_profile(p_ns: ProbabilityVector, p_n: ProbabilityVector) -> list:
     ascending, so the first entries show how the two distributions agree
     around zero. The edges must straddle 0.
     """
-    _check_compatible(p_ns, p_n)
+    check_shared_edges(p_ns, p_n)
     zero_bin_index(p_ns.bin_edges)  # validates the support
     centers = p_ns.bin_centers
     ratios = p_ns.probs / p_n.probs

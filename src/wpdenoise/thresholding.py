@@ -16,8 +16,9 @@ divergence stays within a tolerance.
 
 Thresholds may be arrays that broadcast against the coefficients, e.g.
 one threshold per (frame, subband) of a (frames, subbands, coeffs)
-array with a trailing axis of length 1; select_band likewise picks one
-band per row of a batch of distributions.
+array with a trailing axis of length 1. The estimates reduce the last
+axis: estimate_sigma gives one level per row of coefficients, and
+select_band one band per row of a batch of distributions.
 """
 
 from __future__ import annotations
@@ -26,23 +27,18 @@ import math
 
 import numpy as np
 
-from .stats import ProbabilityVector, zero_bin_index
+from .stats import ProbabilityVector, check_shared_edges, zero_bin_index
 
 # MAD-to-sigma factor for Gaussian data: median(|X|) = 0.6745 sigma.
 _MAD_SCALE = 0.6745
 
 
-def estimate_sigma(detail_coeffs, axis=None):
-    """Robust noise level: median(|coeffs|) / 0.6745.
-
-    With `axis`, one level per slice along the other axes (an array).
-    """
+def estimate_sigma(detail_coeffs):
+    """Robust noise level of each row: median(|coeffs|) / 0.6745."""
     x = np.asarray(detail_coeffs, dtype=np.float64)
     if x.size == 0:
         raise ValueError("cannot estimate sigma from an empty vector")
-    if axis is None:
-        return float(np.median(np.abs(x))) / _MAD_SCALE
-    return np.median(np.abs(x), axis=axis) / _MAD_SCALE
+    return np.median(np.abs(x), axis=-1) / _MAD_SCALE
 
 
 def universal_threshold(sigma, n: int):
@@ -113,20 +109,17 @@ def select_band(
     their symmetric-divergence contribution
     |(p_ns_i - p_n_i) * ln(p_ns_i / p_n_i)| stays <= tolerance. The zero
     bin is always accepted. Returns the outer coefficient-value edges of
-    the accepted run: two floats, or two arrays with one band per row
-    when p_ns and p_n hold batches (their rows broadcast).
+    the accepted run, (t1, t2), each with one value per row of p_ns and
+    p_n (their rows broadcast).
     """
-    if p_ns.n_bins != p_n.n_bins or not np.array_equal(
-        p_ns.bin_edges, p_n.bin_edges
-    ):
-        raise ValueError("distributions must share identical bin edges")
+    check_shared_edges(p_ns, p_n)
     if tolerance < 0:
         raise ValueError("tolerance must be non-negative")
     edges = p_ns.bin_edges
     contribution = np.abs(
         (p_ns.probs - p_n.probs) * np.log(p_ns.probs / p_n.probs)
     )
-    center = np.asarray(zero_bin_index(edges))[..., None]
+    center = zero_bin_index(edges)[..., None]
     bins = np.arange(contribution.shape[-1])
     rejected = ~(contribution <= tolerance)
     # The run stops just inside the nearest rejected bin on either side.
@@ -135,6 +128,4 @@ def select_band(
     edges = np.broadcast_to(edges, contribution.shape[:-1] + edges.shape[-1:])
     t1 = np.take_along_axis(edges, left[..., None], axis=-1)[..., 0]
     t2 = np.take_along_axis(edges, right[..., None], axis=-1)[..., 0]
-    if t1.ndim == 0:
-        return float(t1), float(t2)
     return t1, t2

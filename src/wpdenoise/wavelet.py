@@ -87,37 +87,19 @@ def _filter_pairs(x: np.ndarray, matrix: np.ndarray, lead: int) -> np.ndarray:
     return windows[..., ::2, :] @ matrix
 
 
-def _analysis_pairs(x: np.ndarray, fb: FilterBank) -> np.ndarray:
-    """(..., n) -> (..., n/2, 2): (approx, detail) pairs of analysis_step."""
-    n = x.shape[-1]
-    if n % 2:
-        raise ValueError(f"input length {n} must be even")
-    if n < len(fb):
-        raise ValueError(f"input length {n} shorter than filter length {len(fb)}")
-    return _filter_pairs(x, np.stack((fb.lowpass, fb.highpass), axis=1), 0)
-
-
-def _synthesis_pairs(z: np.ndarray, fb: FilterBank) -> np.ndarray:
-    """Inverse of _analysis_pairs on interleaved (a0, d0, a1, d1, ...)."""
-    taps = len(fb)
-    if z.shape[-1] < taps:
-        raise ValueError(
-            f"output length {z.shape[-1]} shorter than filter length {taps}"
-        )
-    # out[2j + p] = sum_q lowpass[2q + p] a[j - q] + highpass[2q + p] d[j - q]:
-    # window entry 2r + c is (a, d)[c][j - q] with q = taps/2 - 1 - r.
-    bank = np.stack((fb.lowpass, fb.highpass)).reshape(2, taps // 2, 2)
-    matrix = bank[:, ::-1, :].transpose(1, 0, 2).reshape(taps, 2)
-    return _filter_pairs(z, matrix, taps - 2).reshape(z.shape)
-
-
 def analysis_step(input_vec, fb: FilterBank):
     """One circular filter-and-decimate split along the last axis.
 
     approx[..., m] = sum_k lowpass[k] * x[..., (2m+k) mod n], likewise
     for detail with the highpass. Each output has half the input length.
     """
-    pairs = _analysis_pairs(np.asarray(input_vec, dtype=np.float64), fb)
+    x = np.asarray(input_vec, dtype=np.float64)
+    n = x.shape[-1]
+    if n % 2:
+        raise ValueError(f"input length {n} must be even")
+    if n < len(fb):
+        raise ValueError(f"input length {n} shorter than filter length {len(fb)}")
+    pairs = _filter_pairs(x, np.stack((fb.lowpass, fb.highpass), axis=1), 0)
     return pairs[..., 0], pairs[..., 1]
 
 
@@ -127,8 +109,17 @@ def synthesis_step(approx, detail, fb: FilterBank) -> np.ndarray:
     d = np.asarray(detail, dtype=np.float64)
     if a.shape != d.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {d.shape}")
+    taps = len(fb)
     z = np.stack((a, d), axis=-1).reshape(a.shape[:-1] + (2 * a.shape[-1],))
-    return _synthesis_pairs(z, fb)
+    if z.shape[-1] < taps:
+        raise ValueError(
+            f"output length {z.shape[-1]} shorter than filter length {taps}"
+        )
+    # out[2j + p] = sum_q lowpass[2q + p] a[j - q] + highpass[2q + p] d[j - q]:
+    # window entry 2r + c is (a, d)[c][j - q] with q = taps/2 - 1 - r.
+    bank = np.stack((fb.lowpass, fb.highpass)).reshape(2, taps // 2, 2)
+    matrix = bank[:, ::-1, :].transpose(1, 0, 2).reshape(taps, 2)
+    return _filter_pairs(z, matrix, taps - 2).reshape(z.shape)
 
 
 def wp_analysis(frames, fb: FilterBank, depth: int) -> np.ndarray:
@@ -153,8 +144,8 @@ def wp_analysis(frames, fb: FilterBank, depth: int) -> np.ndarray:
         )
     nodes = x[:, None, :]
     for level in range(depth):
-        pairs = _analysis_pairs(nodes, fb)  # (F, 2**level, width/2, 2)
-        nodes = pairs.swapaxes(-1, -2).reshape(len(x), 2 << level, n >> level + 1)
+        nodes = np.stack(analysis_step(nodes, fb), axis=-2)
+        nodes = nodes.reshape(len(x), 2 << level, n >> level + 1)
     return nodes
 
 
@@ -165,12 +156,9 @@ def wp_synthesis(leaves, fb: FilterBank) -> np.ndarray:
         raise ValueError(
             f"leaves must be (n_frames, n_subbands, coeffs), got shape {nodes.shape}"
         )
-    n_frames, n_sub, width = nodes.shape
+    n_sub = nodes.shape[1]
     if n_sub < 2 or n_sub & (n_sub - 1):
         raise ValueError(f"subband count {n_sub} must be a power of two >= 2")
-    while n_sub > 1:
-        n_sub //= 2
-        pairs = nodes.reshape(n_frames, n_sub, 2, width).swapaxes(-1, -2)
-        width *= 2
-        nodes = _synthesis_pairs(pairs.reshape(n_frames, n_sub, width), fb)
+    while nodes.shape[1] > 1:
+        nodes = synthesis_step(nodes[:, 0::2], nodes[:, 1::2], fb)
     return nodes[:, 0]

@@ -23,8 +23,8 @@ from wpdenoise.signal_io import SignalBuffer
 from wpdenoise.stats import (
     ProbabilityVector,
     bin_count,
-    build_histogram,
     entropy,
+    row_histograms,
     to_probability,
     zero_bin_index,
 )
@@ -143,7 +143,7 @@ def select_band(p_ns: ProbabilityVector, p_n: ProbabilityVector, tolerance: floa
 
 def classify_vuv(leaves, entropy_threshold: float, epsilon: float) -> str:
     """Entropy of one frame's pooled leaves; below the threshold is unvoiced."""
-    p = to_probability(build_histogram(np.concatenate(leaves)), epsilon)
+    p = to_probability(row_histograms(np.concatenate(leaves)), epsilon)
     return "unvoiced" if entropy(p) < entropy_threshold else "voiced"
 
 
@@ -155,7 +155,7 @@ def _noise_distribution(coeffs, epsilon):
     if span == 0.0:
         span = 1e-9
     edges = np.linspace(-span, span, b + 1)
-    return to_probability(build_histogram(coeffs, edges=edges), epsilon)
+    return to_probability(row_histograms(coeffs, edges=edges), epsilon)
 
 
 def noise_profile(signal: SignalBuffer, config) -> list:
@@ -224,7 +224,7 @@ def enhance(noisy: SignalBuffer, config):
             sigma, dist = profile[s_idx]
             if config.method == "band":
                 p_ns = to_probability(
-                    build_histogram(leaf, edges=dist.bin_edges), config.epsilon
+                    row_histograms(leaf, edges=dist.bin_edges), config.epsilon
                 )
                 t1, t2 = select_band(p_ns, dist, config.band_tolerance)
                 out = band_hard_threshold(leaf, t1, t2)

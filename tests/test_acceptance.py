@@ -19,9 +19,9 @@ from wpdenoise.signal_io import SignalBuffer
 from wpdenoise.stats import (
     Histogram,
     bin_count,
-    build_histogram,
     kl_divergence,
     ratio_profile,
+    row_histograms,
     shared_edges,
     symmetric_divergence,
     to_probability,
@@ -111,8 +111,8 @@ def test_criterion_4_near_zero_ratio():
         a = rng.normal(size=10**5)
         b = rng.normal(size=10**5)
         edges = shared_edges(a, b)
-        p = to_probability(build_histogram(a, edges=edges), 1e-12)
-        q = to_probability(build_histogram(b, edges=edges), 1e-12)
+        p = to_probability(row_histograms(a, edges=edges), 1e-12)
+        q = to_probability(row_histograms(b, edges=edges), 1e-12)
         _, zero_ratio = ratio_profile(p, q)[0]
         assert abs(zero_ratio - 1.0) <= 0.1
         assert symmetric_divergence(p, q) <= 0.05
@@ -124,7 +124,7 @@ def test_criterion_5_bin_rule():
         rng = np.random.default_rng(105)
         for n, b in expected.items():
             assert bin_count(n) == b
-            assert build_histogram(rng.normal(size=n)).n_bins == b
+            assert row_histograms(rng.normal(size=n)).n_bins == b
         for n in (1, 2, 3, 17, 255, 4096, 10**6):
             assert bin_count(n) == max(1, math.floor(math.sqrt(n) / 2))
 

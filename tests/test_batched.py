@@ -1,7 +1,8 @@
 """The batched packet core against the per-frame scalar oracle.
 
-Property tests cover the transform, overlap-add, the row-wise histograms
-and band selection; whole `enhance` runs are compared on the sine-0db preset and
+Property tests cover the transform, overlap-add, the row-wise histograms,
+band selection and the rule that every statistic reduces the last axis
+row by row; whole `enhance` runs are compared on the sine-0db preset and
 on a speech-like input in mad mode.
 """
 
@@ -20,13 +21,14 @@ from wpdenoise.stats import (
     Histogram,
     ProbabilityVector,
     bin_count,
-    build_histogram,
     entropy,
+    kl_divergence,
     row_histograms,
+    symmetric_divergence,
     to_probability,
     zero_bin_index,
 )
-from wpdenoise.thresholding import select_band
+from wpdenoise.thresholding import estimate_sigma, select_band
 from wpdenoise.wavelet import filter_bank, wp_analysis, wp_synthesis
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -166,7 +168,7 @@ def test_row_histograms_equal_np_histogram(case):
     for i, row in enumerate(values):
         want = _np_counts(row, edges)
         np.testing.assert_array_equal(shared.counts[i], want)
-        np.testing.assert_array_equal(build_histogram(row, edges=edges).counts, want)
+        np.testing.assert_array_equal(row_histograms(row, edges=edges).counts, want)
     # per-row (S, B + 1) edges broadcast against (F, S, n) values
     per_row_edges = np.stack([edges if s % 2 == 0 else -edges[::-1]
                               for s in range(len(values))])
@@ -187,11 +189,11 @@ def test_row_histograms_equal_np_histogram(case):
         own_edges = _own_edges(row)
         np.testing.assert_array_equal(own.bin_edges[i], own_edges)
         np.testing.assert_array_equal(own.counts[i], _np_counts(row, own_edges))
-        np.testing.assert_array_equal(build_histogram(row).counts, own.counts[i])
+        np.testing.assert_array_equal(row_histograms(row).counts, own.counts[i])
     # to_probability and entropy reduce row by row
     p = to_probability(shared, 1e-12)
     for i, row in enumerate(values):
-        q = to_probability(build_histogram(row, edges=edges), 1e-12)
+        q = to_probability(row_histograms(row, edges=edges), 1e-12)
         np.testing.assert_allclose(p.probs[i], q.probs, rtol=0, atol=1e-15)
         assert abs(entropy(p)[i] - entropy(q)) <= 1e-12
 
@@ -232,6 +234,58 @@ def test_vectorised_select_band_equals_scalar(case):
         assert select_band(row, p_n, tolerance) == want
         # the band always contains the zero bin
         assert t1[i] <= edges[zero] and t2[i] >= edges[zero + 1]
+
+
+@PROPERTY
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=300),
+)
+def test_every_reduction_is_the_call_on_each_row(seed, n_frames, n_sub, n):
+    """Row i of a batch call equals the call on row i alone, exactly."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n_frames, n_sub, n))
+    noise = rng.normal(size=(n_sub, n))
+    n_bins = bin_count(n) | 1
+    edges = np.linspace(-3.0, 3.0, n_bins + 1)
+    row_edges = edges * rng.uniform(0.5, 2.0, size=(n_frames, n_sub, 1))
+    own = row_histograms(values)
+    h = row_histograms(values, edges=row_edges)
+    p = to_probability(h, 1e-12)
+    p_ns = to_probability(row_histograms(values, edges=edges), 1e-12)
+    p_n = to_probability(row_histograms(noise, edges=edges), 1e-12)
+    tolerance = rng.choice([0.0, 1e-3, 1e-1])
+    t1, t2 = select_band(p_ns, p_n, tolerance)
+    batch = {
+        "kl": kl_divergence(p_ns, p_n),
+        "sym": symmetric_divergence(p_ns, p_n),
+        "entropy": entropy(p),
+        "zero": zero_bin_index(row_edges),
+        "sigma": estimate_sigma(values),
+    }
+    for f, s in np.ndindex(n_frames, n_sub):
+        one = row_histograms(values[f, s])
+        np.testing.assert_array_equal(one.bin_edges, own.bin_edges[f, s])
+        np.testing.assert_array_equal(one.counts, own.counts[f, s])
+        assert one.total == own.total[f, s] == n
+        one = row_histograms(values[f, s], edges=row_edges[f, s])
+        np.testing.assert_array_equal(one.counts, h.counts[f, s])
+        q = to_probability(one, 1e-12)
+        np.testing.assert_array_equal(q.probs, p.probs[f, s])
+        q_ns = ProbabilityVector(p_ns.probs[f, s], edges, 1e-12)
+        q_n = ProbabilityVector(p_n.probs[s], edges, 1e-12)
+        row = {
+            "kl": kl_divergence(q_ns, q_n),
+            "sym": symmetric_divergence(q_ns, q_n),
+            "entropy": entropy(q),
+            "zero": zero_bin_index(row_edges[f, s]),
+            "sigma": estimate_sigma(values[f, s]),
+        }
+        for name, got in row.items():
+            assert np.ndim(got) == 0 and got == batch[name][f, s], name
+        assert select_band(q_ns, q_n, tolerance) == (t1[f, s], t2[f, s])
 
 
 def _speech_like(seconds: float, seed: int) -> tuple:

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shlex
+import struct
 import subprocess
 import sys
 
@@ -140,6 +141,16 @@ class TestDenoise:
         assert status == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_zero_sample_rate_is_io_error(self, tmp_path, capsys):
+        bad = tmp_path / "rate0.wav"
+        header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 40, b"WAVE", b"fmt ",
+                             16, 1, 1, 0, 0, 2, 16, b"data", 4)
+        bad.write_bytes(header + bytes(4))
+        status = run(["denoise", "--in", str(bad), "--out", str(tmp_path / "o.wav")])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
     def test_bad_geometry_is_processing_error(self, tmp_path, capsys):
         noisy = _synth(tmp_path)
         capsys.readouterr()  # the 0 dB mixture clips on write: a warning
@@ -165,6 +176,17 @@ class TestDenoise:
         capsys.readouterr()
 
 
+class TestSynthRate:
+    def test_rate_beyond_wav_header_is_io_error(self, tmp_path, capsys):
+        out = tmp_path / "x.wav"
+        status = run(["synth", "--kind", "sine", "--rate", "3000000000",
+                      "--duration", "0.000001", "--out", str(out)])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestClippingWarning:
     def test_synth_reports_clipped_count(self, tmp_path, capsys):
         path = tmp_path / "loud.wav"
@@ -185,7 +207,8 @@ class TestClippingWarning:
 
     def test_readme_mix_example_does_not_clip(self, tmp_path, capsys):
         readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
-        text = open(readme, encoding="utf-8").read()
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
         argv = shlex.split(re.search(r"wpdenoise (synth --kind mix .*)", text).group(1))
         argv[argv.index("--out") + 1] = str(tmp_path / "noisy.wav")
         assert run(argv) == 0

@@ -18,8 +18,8 @@ from wpdenoise.pipeline import (
 from wpdenoise.framing import frame_count
 from wpdenoise.signal_io import SignalBuffer, sine_wave, white_noise
 from wpdenoise.stats import (
-    build_histogram,
     ratio_profile,
+    row_histograms,
     shared_edges,
     symmetric_divergence,
     to_probability,
@@ -118,28 +118,27 @@ class TestEstimateNoiseProfile:
         for i in range(config.n_subbands):
             edges = shared_edges(lead_pools[i], full_pools[i])
             p = to_probability(
-                build_histogram(lead_pools[i], edges=edges), config.epsilon
+                row_histograms(lead_pools[i], edges=edges), config.epsilon
             )
             q = to_probability(
-                build_histogram(full_pools[i], edges=edges), config.epsilon
+                row_histograms(full_pools[i], edges=edges), config.epsilon
             )
             assert symmetric_divergence(p, q) <= 0.05
             # the stored profile sigma tracks the full-signal level
-            full_sigma = profile.subbands.sigma[i]
+            full_sigma = profile.sigma[i]
             assert abs(full_sigma - np.median(np.abs(full_pools[i])) / 0.6745) < 0.05
 
     def test_zero_signal_gives_zero_sigma(self):
         silent = SignalBuffer(np.zeros(16000), 16000)
         profile = estimate_noise_profile(silent, EnhanceConfig())
-        assert np.all(profile.subbands.sigma == 0.0)
-        assert profile.pooled.sigma == 0.0
+        assert np.all(profile.sigma == 0.0)
 
     def test_mad_mode_recovers_unit_sigma(self):
         # rectangular window so leaf coefficients keep the raw noise scale
         noise = white_noise(1.0, 2.0, 16000, seed=22)
         config = EnhanceConfig(noise_estimation="mad", window="rectangular")
         profile = estimate_noise_profile(noise, config)
-        sigma = np.broadcast_to(profile.subbands.sigma, (config.n_subbands,))
+        sigma = np.broadcast_to(profile.sigma, (config.n_subbands,))
         assert np.all(np.abs(sigma - 1.0) < 0.05)
 
     def test_short_silence_span_rejected(self):
@@ -173,7 +172,7 @@ class TestClassifyVuv:
 
         rng = np.random.default_rng(26)
         leaves = _frame_leaves(rng.normal(size=512))
-        e = entropy(to_probability(build_histogram(leaves), 1e-12))
+        e = entropy(to_probability(row_histograms(leaves.ravel()), 1e-12))
         assert classify_vuv(leaves, e, 1e-12) == ["voiced"]
         assert classify_vuv(leaves, math.nextafter(e, math.inf), 1e-12) == ["unvoiced"]
 
@@ -310,8 +309,8 @@ class TestAnalyze:
         for i, (div, h_ns, h_n) in enumerate(report.histograms):
             sub_ns, sub_n = noisy_leaves[:, i].ravel(), noise_leaves[:, i].ravel()
             edges = shared_edges(sub_ns, sub_n)
-            want_ns = build_histogram(sub_ns, edges=edges)
-            want_n = build_histogram(sub_n, edges=edges)
+            want_ns = row_histograms(sub_ns, edges=edges)
+            want_n = row_histograms(sub_n, edges=edges)
             np.testing.assert_array_equal(h_ns.bin_edges, edges)
             np.testing.assert_array_equal(h_ns.counts, want_ns.counts)
             np.testing.assert_array_equal(h_n.counts, want_n.counts)
@@ -321,8 +320,12 @@ class TestAnalyze:
             )
         edges = shared_edges(noisy_leaves.ravel(), noise_leaves.ravel())
         assert report.near_zero_ratios == ratio_profile(
-            to_probability(build_histogram(noisy_leaves, edges=edges), config.epsilon),
-            to_probability(build_histogram(noise_leaves, edges=edges), config.epsilon),
+            to_probability(
+                row_histograms(noisy_leaves.ravel(), edges=edges), config.epsilon
+            ),
+            to_probability(
+                row_histograms(noise_leaves.ravel(), edges=edges), config.epsilon
+            ),
         )
 
     def test_sample_rate_mismatch_rejected(self):

@@ -16,7 +16,7 @@ from wpdenoise.framing import WINDOWS, frame_count
 from wpdenoise.pipeline import METHODS, NOISE_MODES, EnhanceConfig, enhance
 from wpdenoise.report import Report, validate_report_dict
 from wpdenoise.signal_io import SignalBuffer, mix_at_snr, sine_wave, white_noise
-from wpdenoise.stats import build_histogram, shared_edges
+from wpdenoise.stats import row_histograms, shared_edges
 from wpdenoise.wavelet import FILTERS
 
 RATE = 16000
@@ -73,7 +73,7 @@ def test_analyze_report_with_histograms_and_no_frames():
     for s in range(4):
         noisy, noise = rng.normal(size=200), rng.normal(scale=0.5, size=150)
         edges = shared_edges(noisy, noise)
-        pair = build_histogram(noisy, edges=edges), build_histogram(noise, edges=edges)
+        pair = row_histograms(noisy, edges=edges), row_histograms(noise, edges=edges)
         histograms.append((0.1 * s, *pair))
     report = Report(
         tool_version="0", mode="analyze", config={"depth": 2}, seed=5,

@@ -1,6 +1,7 @@
 """Tests for WAV I/O, synthetic signals and SNR metrics."""
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -95,11 +96,12 @@ class TestWavErrors:
         with pytest.raises(WavFormatError):
             read_wav(path)
 
-    def _wav_bytes(self, fmt_tag=1, channels=1, bits=16, payload=b"\x00\x00" * 4):
+    def _wav_bytes(self, fmt_tag=1, channels=1, bits=16, payload=b"\x00\x00" * 4,
+                   rate=8000):
         header = struct.pack(
             "<4sI4s4sIHHIIHH4sI",
             b"RIFF", 36 + len(payload), b"WAVE",
-            b"fmt ", 16, fmt_tag, channels, 8000, 8000 * 2, 2, bits,
+            b"fmt ", 16, fmt_tag, channels, rate, rate * 2, 2, bits,
             b"data", len(payload),
         )
         return header + payload
@@ -154,6 +156,21 @@ class TestWavErrors:
         path.write_bytes(self._wav_bytes(channels=2))
         with pytest.raises(WavFormatError, match="mono"):
             read_wav(path)
+
+    def test_zero_sample_rate_rejected(self, tmp_path):
+        path = tmp_path / "r.wav"
+        path.write_bytes(self._wav_bytes(rate=0))
+        with pytest.raises(WavFormatError, match=f"^{re.escape(str(path))}: .*rate"):
+            read_wav(path)
+
+    def test_rate_beyond_header_byte_rate_rejected_before_open(self, tmp_path):
+        path = tmp_path / "w.wav"
+        write_wav(path, SignalBuffer(np.zeros(4), 2**31 - 1))  # byte rate 2**32 - 2
+        assert read_wav(path).sample_rate_hz == 2**31 - 1
+        path.unlink()
+        with pytest.raises(WavFormatError, match="32-bit"):
+            write_wav(path, SignalBuffer(np.zeros(4), 2**31))
+        assert not path.exists()
 
     def test_truncated_data_chunk(self, tmp_path):
         path = tmp_path / "t.wav"

@@ -9,7 +9,6 @@ from wpdenoise.stats import (
     Histogram,
     ProbabilityVector,
     bin_count,
-    build_histogram,
     entropy,
     kl_divergence,
     ratio_profile,
@@ -43,27 +42,27 @@ class TestBuildHistogram:
     def test_counts_partition_the_sample(self):
         rng = np.random.default_rng(0)
         for n in (1, 4, 100, 1000):
-            h = build_histogram(rng.normal(size=n))
+            h = row_histograms(rng.normal(size=n))
             assert h.total == n
             assert h.n_bins == bin_count(n)
 
     def test_degenerate_span_is_widened(self):
-        h = build_histogram(np.zeros(100))
+        h = row_histograms(np.zeros(100))
         assert h.total == 100
         assert h.bin_edges[0] < 0 < h.bin_edges[-1]
 
     def test_supplied_edges_clamp_outliers(self):
         edges = np.array([-1.0, 0.0, 1.0])
-        h = build_histogram(np.array([-5.0, -0.5, 0.5, 7.0]), edges=edges)
+        h = row_histograms(np.array([-5.0, -0.5, 0.5, 7.0]), edges=edges)
         np.testing.assert_array_equal(h.counts, [2, 2])
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            build_histogram(np.zeros(0))
+            row_histograms(np.zeros(0))
 
     def test_bad_edges_rejected(self):
         with pytest.raises(ValueError):
-            build_histogram(np.ones(4), edges=np.array([0.0, 0.0, 1.0]))
+            row_histograms(np.ones(4), edges=np.array([0.0, 0.0, 1.0]))
 
 
 class TestNonFiniteValues:
@@ -71,24 +70,24 @@ class TestNonFiniteValues:
 
     def test_nan_rejected_with_edges(self):
         with pytest.raises(ValueError, match="NaN"):
-            build_histogram([0.1, math.nan, 0.5], edges=self.EDGES)
+            row_histograms([0.1, math.nan, 0.5], edges=self.EDGES)
         with pytest.raises(ValueError, match="NaN"):
             row_histograms(np.array([[0.1, 0.2], [0.3, math.nan]]), edges=self.EDGES)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected_without_edges(self, bad):
         with pytest.raises(ValueError, match="NaN|infinite"):
-            build_histogram([0.1, bad, 0.5])
+            row_histograms([0.1, bad, 0.5])
         with pytest.raises(ValueError, match="NaN|infinite"):
             row_histograms(np.array([[0.1, 0.2], [bad, 0.3]]))
         with pytest.raises(ValueError, match="infinite"):
             shared_edges([0.1, bad], [0.2, 0.3])
 
     def test_infinities_clamped_with_edges(self):
-        h = build_histogram([-math.inf, 0.2, 0.7, math.inf], edges=self.EDGES)
+        h = row_histograms([-math.inf, 0.2, 0.7, math.inf], edges=self.EDGES)
         np.testing.assert_array_equal(h.counts, [2, 2])
         # edges whose span overflows to inf: the guess scale is 0
-        wide = build_histogram([-math.inf, -1.0, 0.0, 1e308, math.inf],
+        wide = row_histograms([-math.inf, -1.0, 0.0, 1e308, math.inf],
                                edges=np.array([-1e308, 0.0, 1e308]))
         np.testing.assert_array_equal(wide.counts, [2, 3])
 
@@ -96,7 +95,7 @@ class TestNonFiniteValues:
     def test_non_finite_edges_rejected(self, bad):
         edges = np.array([0.0, 0.5, bad])
         with pytest.raises(ValueError, match="finite"):
-            build_histogram([0.1, 0.5], edges=edges)
+            row_histograms([0.1, 0.5], edges=edges)
         with pytest.raises(ValueError, match="finite"):
             Histogram(np.array([0.0, bad, 1.0]), np.array([3, 1]))
 
@@ -106,7 +105,7 @@ class TestDegenerateSpan:
     def test_constant_sample_at_large_magnitude(self, value):
         # +-1e-9 is below the float spacing there; the edges still rise
         values = np.full(10000, value)
-        h = build_histogram(values)
+        h = row_histograms(values)
         assert h.total == 10000 and h.n_bins == bin_count(10000)
         assert np.all(np.diff(h.bin_edges) > 0)
         assert h.bin_edges[0] < value < h.bin_edges[-1]
@@ -117,7 +116,7 @@ class TestDegenerateSpan:
 
     def test_span_of_one_ulp_is_widened(self):
         values = np.tile([1.0, math.nextafter(1.0, 2.0)], 5000)
-        h = build_histogram(values)
+        h = row_histograms(values)
         assert h.total == 10000 and np.all(np.diff(h.bin_edges) > 0)
         assert h.bin_edges[0] < 1.0 and h.bin_edges[-1] > values[1]
 
@@ -125,7 +124,7 @@ class TestDegenerateSpan:
     def test_widened_by_1e9_where_that_suffices(self, value):
         values = np.full(10000, value)
         want = np.linspace(value - 1e-9, value + 1e-9, bin_count(10000) + 1)
-        np.testing.assert_array_equal(build_histogram(values).bin_edges, want)
+        np.testing.assert_array_equal(row_histograms(values).bin_edges, want)
         np.testing.assert_array_equal(shared_edges(values, values), want)
 
 
@@ -145,8 +144,8 @@ class TestToProbability:
     def test_feeds_divergence_without_blowup(self):
         rng = np.random.default_rng(1)
         edges = np.linspace(-4, 4, 12)
-        p = to_probability(build_histogram(rng.normal(size=50), edges=edges), 1e-12)
-        q = to_probability(build_histogram(rng.uniform(-4, 4, 50), edges=edges), 1e-12)
+        p = to_probability(row_histograms(rng.normal(size=50), edges=edges), 1e-12)
+        q = to_probability(row_histograms(rng.uniform(-4, 4, 50), edges=edges), 1e-12)
         assert math.isfinite(kl_divergence(p, q))
 
     def test_epsilon_range_enforced(self):
@@ -155,6 +154,11 @@ class TestToProbability:
             to_probability(h, 0.0)
         with pytest.raises(ValueError):
             to_probability(h, 0.6)  # >= 1/B for B = 2
+
+    def test_epsilon_error_names_the_bin_count(self):
+        h = Histogram(np.array([0.0, 1.0, 2.0]), np.array([1, 1]))
+        with pytest.raises(ValueError, match=r"epsilon=0\.6 must be in \(0, 1/2\)"):
+            to_probability(h, 0.6)
 
 
 class TestKlDivergence:
@@ -270,8 +274,8 @@ class TestRatioProfile:
         a = rng.normal(size=10**5)
         b = rng.normal(size=10**5)
         edges = shared_edges(a, b)
-        p = to_probability(build_histogram(a, edges=edges), 1e-12)
-        q = to_probability(build_histogram(b, edges=edges), 1e-12)
+        p = to_probability(row_histograms(a, edges=edges), 1e-12)
+        q = to_probability(row_histograms(b, edges=edges), 1e-12)
         _, ratio = ratio_profile(p, q)[0]
         assert abs(ratio - 1.0) < 0.1
         assert symmetric_divergence(p, q) <= 0.05
@@ -288,6 +292,15 @@ class TestSharedEdges:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             shared_edges(np.zeros(0), np.ones(3))
+
+
+class TestBinCenters:
+    def test_per_row_edges_give_one_center_per_bin_and_row(self):
+        edges = np.array([[0.0, 1.0, 2.0, 4.0], [-3.0, -1.0, 0.0, 1.0]])
+        p = to_probability(Histogram(edges, [[1, 2, 3], [3, 2, 1]]), 1e-12)
+        np.testing.assert_array_equal(
+            p.bin_centers, [[0.5, 1.5, 3.0], [-2.0, -0.5, 0.5]]
+        )
 
 
 class TestProbabilityVectorValidation:

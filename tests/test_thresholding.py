@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wpdenoise.stats import build_histogram, shared_edges, to_probability, zero_bin_index
+from wpdenoise.stats import row_histograms, shared_edges, to_probability, zero_bin_index
 from wpdenoise.thresholding import (
     band_hard_threshold,
     estimate_sigma,
@@ -179,24 +179,24 @@ class TestBandHardThreshold:
 class TestSelectBand:
     def _dists(self, a, b):
         edges = shared_edges(a, b)
-        p = to_probability(build_histogram(a, edges=edges), 1e-12)
-        q = to_probability(build_histogram(b, edges=edges), 1e-12)
+        p = to_probability(row_histograms(a, edges=edges), 1e-12)
+        q = to_probability(row_histograms(b, edges=edges), 1e-12)
         return p, q
 
     def test_identical_distributions_span_everything(self):
         rng = np.random.default_rng(7)
         draws = rng.normal(size=10**4)
         edges = shared_edges(draws, draws)
-        p = to_probability(build_histogram(draws, edges=edges), 1e-12)
+        p = to_probability(row_histograms(draws, edges=edges), 1e-12)
         t1, t2 = select_band(p, p, 1e-3)
         assert t1 == p.bin_edges[0] and t2 == p.bin_edges[-1]
 
     def test_zero_tolerance_keeps_only_zero_bin(self):
         edges = np.linspace(-2, 2, 5)
-        p = to_probability(build_histogram(
+        p = to_probability(row_histograms(
             np.array([-1.8] * 10 + [-0.5] * 20 + [0.5] * 30 + [1.8] * 40),
             edges=edges), 1e-12)
-        q = to_probability(build_histogram(
+        q = to_probability(row_histograms(
             np.array([-1.8] * 40 + [-0.5] * 30 + [0.5] * 20 + [1.8] * 10),
             edges=edges), 1e-12)
         t1, t2 = select_band(p, q, 0.0)
@@ -224,8 +224,8 @@ class TestSelectBand:
                                 rng.normal(-4.0, 0.5, 25000)])
         noisy = np.concatenate([rng.normal(size=50000), tails])
         edges = shared_edges(noisy, noise)
-        p = to_probability(build_histogram(noisy, edges=edges), 1e-12)
-        q = to_probability(build_histogram(noise, edges=edges), 1e-12)
+        p = to_probability(row_histograms(noisy, edges=edges), 1e-12)
+        q = to_probability(row_histograms(noise, edges=edges), 1e-12)
 
         tol = 1e-3
         contributions = np.abs((p.probs - q.probs) * np.log(p.probs / q.probs))
@@ -244,7 +244,7 @@ class TestSelectBand:
 
     def test_support_must_cover_zero(self):
         edges = np.array([1.0, 2.0, 3.0])
-        p = to_probability(build_histogram(np.array([1.5] * 10), edges=edges), 1e-12)
+        p = to_probability(row_histograms(np.array([1.5] * 10), edges=edges), 1e-12)
         with pytest.raises(ValueError):
             select_band(p, p, 1e-3)
 
