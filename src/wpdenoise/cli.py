@@ -74,12 +74,10 @@ def _add_config_flags(parser) -> None:
 
 
 def _config_from_args(args, seed) -> EnhanceConfig:
-    """The validated config of the parsed flags, checked before any read."""
+    """The config of the parsed flags, checked as it is built, before any read."""
     names = [f.name for f in fields(EnhanceConfig)]
     given = {name: getattr(args, name) for name in names if hasattr(args, name)}
-    config = EnhanceConfig(**{**given, "seed": seed})
-    config.validate()
-    return config
+    return EnhanceConfig(**{**given, "seed": seed})
 
 
 def _resolve_seed(args) -> int | None:

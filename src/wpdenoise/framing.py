@@ -11,21 +11,22 @@ first and last samples of the signal, where only one frame contributes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .signal_io import SignalBuffer
 
 WINDOWS = ("rectangular", "hann")
 
-# Below this, the squared-window overlap sum is treated as zero and
-# reconstruction refuses to divide.
+# A squared-window overlap sum below this counts as zero.
 _NORMALIZATION_FLOOR = 1e-12
 
 
 class ColaError(ValueError):
-    """Window/hop combination whose overlap-add normaliser vanishes."""
+    """Frame geometry whose overlap-add normaliser vanishes."""
 
 
 def window_values(window: str, frame_len: int) -> np.ndarray:
@@ -43,14 +44,37 @@ def frame_count(original_len: int, frame_len: int, hop: int) -> int:
     return -(-max(original_len - frame_len, 0) // hop) + 1
 
 
-def _frame_index(n_frames: int, frame_len: int, hop: int) -> np.ndarray:
-    """(n_frames, frame_len) array: frame k, sample n lies at hop*k + n."""
-    return hop * np.arange(n_frames)[:, None] + np.arange(frame_len)[None, :]
+def check_geometry(frame_len, hop, window: str) -> tuple:
+    """Check that frames of this geometry rebuild; return (frame_len, hop).
+
+    frame_len and hop are integers (anything operator.index takes): a
+    power of two and a divisor of it. The window
+    must be known, and its squared values at least 1e-12: a sample that
+    one frame alone covers, such as the first, has w[n]^2 as its
+    overlap-add normaliser. So hann frames hold at most 1024 samples.
+    """
+    try:
+        frame_len, hop = operator.index(frame_len), operator.index(hop)
+    except TypeError:
+        raise ValueError(
+            f"frame_len and hop must be integers, got {frame_len!r} and {hop!r}"
+        ) from None
+    if frame_len <= 0 or frame_len & (frame_len - 1):
+        raise ValueError(f"frame_len must be a power of two, got {frame_len}")
+    if hop <= 0 or frame_len % hop:
+        raise ValueError(f"hop {hop} must divide frame_len {frame_len}")
+    floor = float(np.min(window_values(window, frame_len) ** 2))
+    if floor < _NORMALIZATION_FLOOR:
+        raise ColaError(
+            f"window {window!r} of {frame_len} samples leaves the overlap-add "
+            f"normaliser at {floor:.3e} (< 1e-12): reconstruction is ill-conditioned"
+        )
+    return frame_len, hop
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrameSet:
-    """Windowed frames plus the parameters needed to reassemble them."""
+    """Windowed frames and the geometry that rebuilds them, checked when built."""
 
     frames: np.ndarray  # shape (n_frames, frame_len)
     frame_len: int
@@ -60,19 +84,12 @@ class FrameSet:
     sample_rate_hz: int
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
-        if self.frames.ndim != 2 or self.frames.shape[1] != self.frame_len:
-            raise ValueError("frames must be (n_frames, frame_len)")
-        if not 0 < self.hop <= self.frame_len or self.frame_len % self.hop:
-            raise ValueError("hop must satisfy 0 < hop <= frame_len and divide it")
-        expected = frame_count(self.original_len, self.frame_len, self.hop)
-        if self.frames.shape[0] != expected:
-            raise ValueError(
-                f"frame count {self.frames.shape[0]} does not match "
-                f"expected {expected} for original_len={self.original_len}"
-            )
-        if self.window not in WINDOWS:
-            raise ValueError(f"unknown window {self.window!r}")
+        check_geometry(self.frame_len, self.hop, self.window)
+        object.__setattr__(self, "frames", np.asarray(self.frames, dtype=np.float64))
+        n_frames = frame_count(self.original_len, self.frame_len, self.hop)
+        if self.frames.shape != (n_frames, self.frame_len):
+            raise ValueError(f"frames must have shape ({n_frames}, {self.frame_len}), "
+                             f"got {self.frames.shape}")
 
     @property
     def n_frames(self) -> int:
@@ -85,35 +102,25 @@ def make_frames(
     """Split a signal into overlapping windowed frames.
 
     Frame k holds window[n] * signal[k*hop + n], zero-padded past the
-    signal end. frame_len must be a power of two (downstream transform
-    requirement) and hop must divide frame_len.
+    signal end. The geometry must pass check_geometry.
     """
-    if frame_len <= 0 or frame_len & (frame_len - 1):
-        raise ValueError(f"frame_len must be a power of two, got {frame_len}")
-    if hop <= 0 or frame_len % hop:
-        raise ValueError(f"hop {hop} must divide frame_len {frame_len}")
-
-    w = window_values(window, frame_len)
+    frame_len, hop = check_geometry(frame_len, hop, window)
     original_len = len(signal)
     n_frames = frame_count(original_len, frame_len, hop)
     padded = np.zeros((n_frames - 1) * hop + frame_len, dtype=np.float64)
     padded[:original_len] = signal.samples
-
+    frames = sliding_window_view(padded, frame_len)[::hop]
     return FrameSet(
-        frames=padded[_frame_index(n_frames, frame_len, hop)] * w[None, :],
-        frame_len=frame_len,
-        hop=hop,
-        window=window,
-        original_len=original_len,
-        sample_rate_hz=signal.sample_rate_hz,
+        frames * window_values(window, frame_len), frame_len, hop, window,
+        original_len, signal.sample_rate_hz,
     )
 
 
 def overlap_add(frames: FrameSet) -> SignalBuffer:
     """Weighted overlap-add with per-sample window-power normalisation.
 
-    Raises ColaError if the normaliser drops below 1e-12 anywhere inside
-    the original signal span. Output is truncated to original_len.
+    The FrameSet's geometry keeps the normaliser above 1e-12 everywhere.
+    Output is truncated to original_len.
     """
     w = window_values(frames.window, frames.frame_len)
     hop, n_frames = frames.hop, frames.n_frames
@@ -132,13 +139,4 @@ def overlap_add(frames: FrameSet) -> SignalBuffer:
         num_blocks[r : r + n_frames] += slabs[:, r] * w_slabs[r]
         den_blocks[r : r + n_frames] += w2[r]
     span = frames.original_len
-    if span > 0:
-        floor = float(np.min(denominator[:span]))
-        if floor < _NORMALIZATION_FLOOR:
-            raise ColaError(
-                f"window {frames.window!r} with hop {frames.hop} leaves the "
-                f"overlap-add normaliser at {floor:.3e} (< 1e-12); "
-                "reconstruction would be ill-conditioned"
-            )
-    samples = numerator[:span] / denominator[:span] if span else np.zeros(0)
-    return SignalBuffer(samples, frames.sample_rate_hz)
+    return SignalBuffer(numerator[:span] / denominator[:span], frames.sample_rate_hz)

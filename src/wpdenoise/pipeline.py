@@ -23,16 +23,18 @@ input or from a MAD estimate over the finest detail coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+import numbers
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ._version import __version__
-from .framing import FrameSet, WINDOWS, frame_count, make_frames, overlap_add
-from .signal_io import SignalBuffer, snr_db
+from .framing import FrameSet, check_geometry, frame_count, make_frames, overlap_add
+from .signal_io import SignalBuffer, _check_aligned, snr_db
 from .stats import (
     Histogram,
     ProbabilityVector,
+    _uniform_edges,
     bin_count,
     check_epsilon,
     entropy,
@@ -50,11 +52,15 @@ from .thresholding import (
     soft_threshold,
     universal_threshold,
 )
-from .wavelet import FILTERS, analysis_step, filter_bank, wp_analysis, wp_synthesis
+from .wavelet import analysis_step, check_packet, filter_bank, wp_analysis, wp_synthesis
 from .report import Report
 
 METHODS = ("universal-hard", "universal-soft", "band")
 NOISE_MODES = ("leading_silence", "mad")
+
+_REAL_FIELDS = (
+    "entropy_threshold", "unvoiced_scale", "silence_ms", "band_tolerance", "epsilon"
+)
 
 VOICED = "voiced"
 UNVOICED = "unvoiced"
@@ -66,9 +72,14 @@ UNVOICED = "unvoiced"
 _BAND_BLOCK_VALUES = 1 << 18
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnhanceConfig:
-    """Every knob of the pipeline, with the documented defaults."""
+    """Every knob of the pipeline, with the documented defaults.
+
+    Checked when built and immutable: dataclasses.replace derives a new,
+    checked config. A bad value raises ValueError naming its field.
+    frame_len, hop and depth are stored as ints.
+    """
 
     frame_len: int = 512
     hop: int = 256
@@ -85,26 +96,17 @@ class EnhanceConfig:
     epsilon: float = 1e-12
     seed: int | None = None
 
-    def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.frame_len <= 0 or self.frame_len & (self.frame_len - 1):
-            raise ValueError("frame_len must be a power of two")
-        if self.hop <= 0 or self.frame_len % self.hop:
-            raise ValueError("hop must divide frame_len")
-        if self.window not in WINDOWS:
-            raise ValueError(f"window must be one of {WINDOWS}")
-        if self.wavelet not in FILTERS:
-            raise ValueError(f"wavelet must be one of {FILTERS}")
-        if self.depth < 1 or self.frame_len >> self.depth < len(
-            filter_bank(self.wavelet)
-        ):
-            raise ValueError(
-                f"depth {self.depth} too deep for frame_len {self.frame_len} "
-                f"and wavelet {self.wavelet!r}"
-            )
+    def __post_init__(self):
+        frame_len, hop = check_geometry(self.frame_len, self.hop, self.window)
+        depth = check_packet(frame_len, self.depth, filter_bank(self.wavelet))
+        for name, value in (("frame_len", frame_len), ("hop", hop), ("depth", depth)):
+            object.__setattr__(self, name, value)
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "entropy_threshold":
+                continue
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
         if not 0 < self.unvoiced_scale <= 1:
@@ -120,10 +122,6 @@ class EnhanceConfig:
     @property
     def n_subbands(self) -> int:
         return 1 << self.depth
-
-    @property
-    def coeffs_per_subband(self) -> int:
-        return self.frame_len >> self.depth
 
 
 @dataclass
@@ -161,8 +159,7 @@ def _noise_distribution(coeffs: np.ndarray, epsilon: float) -> ProbabilityVector
     sample extremes would give, which would bias tonal subbands.
     """
     span = np.max(np.abs(coeffs), axis=-1)
-    span = np.where(span == 0.0, 1e-9, span)
-    edges = np.linspace(-span, span, _noise_bins(coeffs.shape[-1]) + 1, axis=-1)
+    edges = _uniform_edges(-span, span, _noise_bins(coeffs.shape[-1]))
     return to_probability(row_histograms(coeffs, edges=edges), epsilon)
 
 
@@ -177,8 +174,6 @@ def estimate_noise_profile(signal: SignalBuffer, config: EnhanceConfig) -> Noise
     The largest histogram of the run is sized from the frame count, and
     epsilon is checked against it before any transform.
     """
-    config.validate()
-
     if config.noise_estimation == "leading_silence":
         span = int(round(config.silence_ms / 1000.0 * signal.sample_rate_hz))
         if span < config.frame_len:
@@ -201,9 +196,8 @@ def estimate_noise_profile(signal: SignalBuffer, config: EnhanceConfig) -> Noise
         )
 
     # mad mode: one estimate from the level-1 detail of every frame.
-    n_frames = frame_count(len(signal), config.frame_len, config.hop)
-    check_epsilon(config.epsilon, _noise_bins(n_frames * config.frame_len // 2))
     frames = make_frames(signal, config.frame_len, config.hop, config.window)
+    check_epsilon(config.epsilon, _noise_bins(frames.frames.size // 2))
     _, detail = analysis_step(frames.frames, filter_bank(config.wavelet))
     detail = detail.ravel()
     distribution = _noise_distribution(detail, config.epsilon)
@@ -250,10 +244,11 @@ def enhance(
 ) -> tuple:
     """Run the five-step pipeline; returns (enhanced, Report).
 
-    When `reference` is given, the report carries the SNR of the input
-    and the output against it.
+    When `reference` is given (checked first: the length and sample rate
+    of `noisy`), the report carries the input and output SNR against it.
     """
-    config.validate()
+    if reference is not None:
+        _check_aligned(reference, noisy)
     if len(noisy) == 0:
         raise ValueError("cannot enhance an empty signal")
 
@@ -273,8 +268,8 @@ def enhance(
         to_probability(h_sub, config.epsilon), profile.distribution
     )
     pooled = profile.pooled
-    if pooled is profile.distribution:
-        # mad mode: every subband was binned on the pooled edges already
+    if config.noise_estimation == "mad":
+        # every subband was binned on the pooled edges already
         h_all = Histogram(pooled.bin_edges, np.sum(h_sub.counts, axis=0))
     else:
         h_all = row_histograms(leaves.ravel(), edges=pooled.bin_edges)
@@ -299,14 +294,8 @@ def enhance(
     del out
 
     enhanced = overlap_add(
-        FrameSet(
-            frames=enhanced_frames,
-            frame_len=config.frame_len,
-            hop=config.hop,
-            window=config.window,
-            original_len=len(noisy),
-            sample_rate_hz=noisy.sample_rate_hz,
-        )
+        FrameSet(enhanced_frames, config.frame_len, config.hop, config.window,
+                 len(noisy), noisy.sample_rate_hz)
     )
 
     report = Report(
@@ -339,7 +328,6 @@ def analyze(noisy: SignalBuffer, noise: SignalBuffer, config: EnhanceConfig) -> 
     histograms hold (divergence, noisy Histogram, noise Histogram) per
     subband.
     """
-    config.validate()
     if noisy.sample_rate_hz != noise.sample_rate_hz:
         raise ValueError("noisy and noise files must share a sample rate")
     # The pooled histograms are the largest: the smaller signal's frames

@@ -245,10 +245,9 @@ def mix_at_snr(
 def snr_db(reference: SignalBuffer, test: SignalBuffer) -> float:
     """10*log10(sum(ref^2) / sum((ref - test)^2)), capped at +300 dB.
 
-    A zero residual (test identical to reference) returns the cap.
+    A zero residual returns the cap; length and sample rate must match.
     """
-    if len(reference) != len(test):
-        raise ValueError(f"length mismatch: {len(reference)} vs {len(test)}")
+    _check_aligned(reference, test)
     p_ref = float(np.sum(reference.samples**2))
     if p_ref == 0.0:
         raise ValueError("reference signal has zero power")

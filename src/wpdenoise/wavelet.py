@@ -12,6 +12,7 @@ last axis, so a (frames, samples) array becomes one
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +123,26 @@ def synthesis_step(approx, detail, fb: FilterBank) -> np.ndarray:
     return _filter_pairs(z, matrix, taps - 2).reshape(z.shape)
 
 
+def check_packet(frame_len: int, depth, fb: FilterBank) -> int:
+    """Check that frames of frame_len samples split to depth; return depth.
+
+    frame_len must be a power of two, and depth an integer (anything
+    operator.index takes) >= 1 whose leaves are at least len(fb) long.
+    """
+    try:
+        depth = operator.index(depth)
+    except TypeError:
+        raise ValueError(f"depth must be an integer, got {depth!r}") from None
+    if frame_len <= 0 or frame_len & (frame_len - 1):
+        raise ValueError(f"frame length {frame_len} must be a power of two")
+    if depth < 1 or frame_len >> depth < len(fb):
+        raise ValueError(
+            f"depth {depth} must be >= 1 and leave leaves of frame length {frame_len} "
+            f"at least as long as the {len(fb)}-tap {fb.name!r} filter"
+        )
+    return depth
+
+
 def wp_analysis(frames, fb: FilterBank, depth: int) -> np.ndarray:
     """Full packet expansion of every frame down to `depth` levels.
 
@@ -133,15 +154,7 @@ def wp_analysis(frames, fb: FilterBank, depth: int) -> np.ndarray:
     if x.ndim != 2:
         raise ValueError(f"frames must be (n_frames, frame_len), got shape {x.shape}")
     n = x.shape[1]
-    if n <= 0 or n & (n - 1):
-        raise ValueError(f"frame length {n} must be a power of two")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if n >> depth == 0 or n >> depth < len(fb):
-        raise ValueError(
-            f"frame length {n} too short for depth {depth} with "
-            f"{len(fb)}-tap filter"
-        )
+    depth = check_packet(n, depth, fb)
     nodes = x[:, None, :]
     for level in range(depth):
         nodes = np.stack(analysis_step(nodes, fb), axis=-2)

@@ -6,6 +6,8 @@ row by row; whole `enhance` runs are compared on the sine-0db preset and
 on a speech-like input in mad mode.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 import scalar_oracle as oracle
 from wpdenoise.experiments import sine_0db_material
 from wpdenoise import pipeline, stats
-from wpdenoise.framing import WINDOWS, make_frames, overlap_add
+from wpdenoise.framing import WINDOWS, make_frames, overlap_add, window_values
 from wpdenoise.pipeline import EnhanceConfig, enhance
 from wpdenoise.signal_io import SignalBuffer, mix_at_snr, white_noise
 from wpdenoise.stats import (
@@ -92,11 +94,18 @@ def ola_cases(draw):
 def test_overlap_add_identity_and_frame_loop(case):
     signal, frame_len, hop, window, rng = case
     frames = make_frames(signal, frame_len, hop, window)
+    # frame k is w * signal[k*hop : k*hop + N], zero-padded
+    w = window_values(window, frame_len)
+    for k, frame in enumerate(frames.frames):
+        chunk = signal.samples[k * hop : k * hop + frame_len]
+        np.testing.assert_array_equal(
+            frame, w * np.concatenate((chunk, np.zeros(frame_len - len(chunk))))
+        )
     np.testing.assert_allclose(
         overlap_add(frames).samples, signal.samples, rtol=0, atol=1e-12
     )
     # frames that no signal framed: the same sums as the frame-by-frame loop
-    frames.frames = frames.frames * rng.normal(size=frames.frames.shape)
+    frames = replace(frames, frames=frames.frames * rng.normal(size=frames.frames.shape))
     np.testing.assert_array_equal(
         overlap_add(frames).samples, oracle.overlap_add(frames)
     )

@@ -161,6 +161,34 @@ class TestDenoise:
         assert status == 3
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_unrebuildable_window_rejected_before_any_read(self, tmp_path, capsys):
+        # a 2048-sample hann frame leaves the overlap-add normaliser at 3.5e-13
+        out = tmp_path / "o.wav"
+        status = run([
+            "denoise", "--in", str(tmp_path / "missing.wav"), "--out", str(out),
+            "--frame-len", "2048",
+        ])
+        assert status == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: window 'hann'") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_reference_at_another_rate_is_processing_error(self, tmp_path, capsys):
+        # 16000 samples each, at 16 kHz and at 8 kHz
+        noisy = _synth(tmp_path, "n.wav", kind="noise")
+        ref = tmp_path / "ref.wav"
+        assert run([
+            "synth", "--kind", "noise", "--out", str(ref), "--seed", "3",
+            "--duration", "2.0", "--rate", "8000",
+        ]) == 0
+        out = tmp_path / "o.wav"
+        status = run([
+            "denoise", "--in", str(noisy), "--out", str(out), "--ref", str(ref),
+        ])
+        assert status == 3
+        assert capsys.readouterr().err == "error: sample rate mismatch: 8000 vs 16000\n"
+        assert not out.exists()
+
     def test_unknown_method_is_usage_error(self, tmp_path, capsys):
         noisy = _synth(tmp_path)
         capsys.readouterr()  # the 0 dB mixture clips on write: a warning

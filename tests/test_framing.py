@@ -47,6 +47,15 @@ class TestMakeFrames:
         assert np.all(fs.frames[-1][:6] == 1.0)
         assert np.all(fs.frames[-1][6:] == 0.0)
 
+    def test_integers_of_any_index_type(self):
+        sig = _signal(32)
+        want = make_frames(sig, 8, 4, "hann")
+        got = make_frames(sig, np.int64(8), np.int32(4), "hann")
+        np.testing.assert_array_equal(got.frames, want.frames)
+        assert (type(got.frame_len), type(got.hop)) == (int, int)
+        with pytest.raises(ValueError, match="hop must be integers"):
+            make_frames(sig, 8, 4.0, "hann")
+
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
             make_frames(_signal(32), 12, 4, "rectangular")  # not a power of two
@@ -90,9 +99,8 @@ class TestOverlapAdd:
         # At 4096 samples the shifted-hann endpoint is so small that a
         # single non-overlapping frame drives the normaliser below 1e-12.
         sig = _signal(4096, seed=5)
-        fs = make_frames(sig, 4096, 4096, "hann")
         with pytest.raises(ColaError):
-            overlap_add(fs)
+            make_frames(sig, 4096, 4096, "hann")
 
     def test_empty_signal(self):
         out = overlap_add(make_frames(_signal(0), 16, 8, "hann"))

@@ -1,13 +1,18 @@
 """Tests for noise profiling, VUV classification and the full pipeline."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wpdenoise import stats
+from wpdenoise import pipeline
 from wpdenoise.pipeline import (
+    METHODS,
     EnhanceConfig,
     analyze,
     classify_vuv,
@@ -15,7 +20,7 @@ from wpdenoise.pipeline import (
     estimate_noise_profile,
     leaf_coefficients,
 )
-from wpdenoise.framing import frame_count
+from wpdenoise.framing import WINDOWS, ColaError, frame_count
 from wpdenoise.signal_io import SignalBuffer, sine_wave, white_noise
 from wpdenoise.stats import (
     ratio_profile,
@@ -25,7 +30,7 @@ from wpdenoise.stats import (
     to_probability,
 )
 from wpdenoise.thresholding import universal_threshold
-from wpdenoise.wavelet import filter_bank, wp_analysis
+from wpdenoise.wavelet import FILTERS, filter_bank, wp_analysis
 from wpdenoise.experiments import sine_0db_material
 
 
@@ -38,26 +43,26 @@ def _silence_lead_sine(duration_s=2.0, rate=16000, lead_s=0.25):
 
 class TestEnhanceConfig:
     def test_defaults_are_valid(self):
-        EnhanceConfig().validate()
+        EnhanceConfig()
 
     def test_rejects_inconsistencies(self):
         bad = [
-            EnhanceConfig(frame_len=500),
-            EnhanceConfig(hop=100),
-            EnhanceConfig(window="hamming"),
-            EnhanceConfig(wavelet="coif1"),
-            EnhanceConfig(depth=9),  # leaf would be 1 sample
-            EnhanceConfig(method="sure"),
-            EnhanceConfig(unvoiced_scale=0.0),
-            EnhanceConfig(unvoiced_scale=1.5),
-            EnhanceConfig(noise_estimation="vad"),
-            EnhanceConfig(silence_ms=0.0),
-            EnhanceConfig(band_tolerance=-1.0),
-            EnhanceConfig(epsilon=0.5),
+            dict(frame_len=500),
+            dict(hop=100),
+            dict(window="hamming"),
+            dict(wavelet="coif1"),
+            dict(depth=9),  # leaf would be 1 sample
+            dict(method="sure"),
+            dict(unvoiced_scale=0.0),
+            dict(unvoiced_scale=1.5),
+            dict(noise_estimation="vad"),
+            dict(silence_ms=0.0),
+            dict(band_tolerance=-1.0),
+            dict(epsilon=0.5),
         ]
-        for cfg in bad:
+        for kwargs in bad:
             with pytest.raises(ValueError):
-                cfg.validate()
+                EnhanceConfig(**kwargs)
 
     @pytest.mark.parametrize(
         "field",
@@ -67,10 +72,63 @@ class TestEnhanceConfig:
         ],
     )
     def test_rejects_non_finite_floats(self, field):
-        # NaN slips through every range check written as a comparison
-        for value in (math.nan, math.inf, -math.inf):
+        # NaN slips through every range check written as a comparison, and
+        # a value that is not a real number would fail deep in the stats
+        for value in (math.nan, math.inf, -math.inf, "x", 1j, [0.5]):
             with pytest.raises(ValueError, match=rf"^{field} "):
-                EnhanceConfig(**{field: value}).validate()
+                EnhanceConfig(**{field: value})
+
+    def test_is_immutable_and_replace_checks(self):
+        config = EnhanceConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.hop = 100
+        assert dataclasses.replace(config, hop=128).hop == 128
+        with pytest.raises(ValueError, match="hop 100 must divide"):
+            dataclasses.replace(config, hop=100)
+
+    def test_integers_are_anything_operator_index_takes(self):
+        config = EnhanceConfig(
+            frame_len=np.int64(256), hop=np.int32(128), depth=np.uint8(3)
+        )
+        assert (config.frame_len, config.hop, config.depth) == (256, 128, 3)
+        assert all(type(v) is int for v in (config.frame_len, config.hop, config.depth))
+        for field in ("frame_len", "hop", "depth"):
+            with pytest.raises(ValueError, match=rf"{field}\b.* must be .*integer"):
+                EnhanceConfig(**{field: 4.0})
+
+    def test_hann_frames_past_1024_cannot_be_rebuilt(self):
+        # the first sample's overlap-add normaliser is w[0]^2: 5.5e-12 at
+        # 1024 samples, 3.5e-13 at 2048
+        EnhanceConfig(frame_len=1024, hop=512)
+        with pytest.raises(ColaError, match="normaliser at 3.46"):
+            EnhanceConfig(frame_len=2048, hop=1024)
+        EnhanceConfig(frame_len=2048, hop=1024, window="rectangular")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_frame=st.integers(min_value=3, max_value=13),
+        shift=st.integers(min_value=0, max_value=4),
+        window=st.sampled_from(WINDOWS),
+        wavelet=st.sampled_from(FILTERS),
+        depth=st.integers(min_value=1, max_value=6),
+        method=st.sampled_from(METHODS),
+    )
+    def test_a_config_that_constructs_can_run(
+        self, log_frame, shift, window, wavelet, depth, method
+    ):
+        # hop = frame_len >> shift, at most 16 frames per sample
+        frame_len = 1 << log_frame
+        try:
+            config = EnhanceConfig(
+                frame_len=frame_len, hop=frame_len >> min(shift, log_frame),
+                window=window, wavelet=wavelet, depth=depth, method=method,
+                noise_estimation="mad",
+            )
+        except ValueError:
+            return
+        noisy = white_noise(0.1, 0.5, 16000, seed=log_frame + depth)
+        out, _ = enhance(noisy, config)
+        assert len(out) == len(noisy) and np.all(np.isfinite(out.samples))
 
     @pytest.mark.parametrize("noise_estimation", ["leading_silence", "mad"])
     def test_epsilon_checked_against_largest_histogram_first(
@@ -88,7 +146,6 @@ class TestEnhanceConfig:
         monkeypatch.setattr(pipeline, "analysis_step", no_transform)
         _, noisy = sine_0db_material(seed=1)
         config = EnhanceConfig(epsilon=0.05, noise_estimation=noise_estimation)
-        config.validate()
         bins = 25 if noise_estimation == "leading_silence" else 141
         with pytest.raises(ValueError, match=rf"epsilon=0\.05 .*\(0, 1/{bins}\)"):
             enhance(noisy, config)
@@ -219,7 +276,7 @@ class TestEnhance:
         clean, noisy = sine_0db_material(seed=3)
         config = EnhanceConfig(method="universal-hard", seed=3)
         _, report = enhance(noisy, config, reference=clean)
-        n = config.coeffs_per_subband
+        n = config.frame_len >> config.depth
         unvoiced = np.array([v == "unvoiced" for v in report.vuv])
         scale = np.where(unvoiced, config.unvoiced_scale, 1.0)
         expected = scale[:, None] * universal_threshold(report.sigma, n)[None, :]
@@ -270,6 +327,31 @@ class TestEnhance:
     def test_empty_signal_rejected(self):
         with pytest.raises(ValueError):
             enhance(SignalBuffer(np.zeros(0), 16000), EnhanceConfig())
+
+    @pytest.mark.parametrize(
+        "reference, message",
+        [
+            (SignalBuffer(np.ones(80000), 8000), "sample rate mismatch"),
+            (SignalBuffer(np.ones(79999), 16000), "length mismatch"),
+        ],
+    )
+    def test_reference_checked_before_any_work(self, reference, message, monkeypatch):
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transform ran before the reference check")
+
+        monkeypatch.setattr(pipeline, "wp_analysis", no_transform)
+        monkeypatch.setattr(pipeline, "analysis_step", no_transform)
+        _, noisy = sine_0db_material(seed=1)
+        with pytest.raises(ValueError, match=message):
+            enhance(noisy, EnhanceConfig(), reference=reference)
+
+    @pytest.mark.parametrize("method", ["universal-hard", "band"])
+    def test_denormal_leading_silence(self, method):
+        # a noise span of 1e-321: its histogram edges are widened like any
+        # other too-narrow range instead of collapsing
+        tiny = SignalBuffer(np.full(16000, 1e-321), 16000)
+        out, _ = enhance(tiny, EnhanceConfig(method=method))
+        assert len(out) == len(tiny) and np.all(np.abs(out.samples) < 1e-300)
 
     def test_invalid_config_rejected_before_processing(self):
         _, noisy = sine_0db_material(seed=8)
