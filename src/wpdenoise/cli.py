@@ -2,10 +2,11 @@
 
 Exit statuses: 0 success, 1 usage error, 2 I/O error, 3 processing
 error; every failure prints a one-line diagnostic on stderr. Successful
-runs stay quiet unless --verbose is given or samples were clipped on
-writing a WAV (one warning line on stderr); the experiment subcommand's
-SNR lines are its output, not diagnostics. The environment variable
-WAVEDENOISE_SEED overrides --seed everywhere.
+runs stay quiet unless --verbose is given (a "wrote PATH" line for every
+file written) or samples were clipped on writing a WAV (one warning
+line on stderr); the experiment subcommand's SNR lines are its output,
+not diagnostics. The environment variable WAVEDENOISE_SEED overrides
+--seed everywhere.
 """
 
 from __future__ import annotations
@@ -49,10 +50,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_config_flags(parser) -> None:
-    """The EnhanceConfig flags; each dest is the field it sets."""
+def _parents() -> tuple:
+    """The shared flags: (--seed and --verbose, the EnhanceConfig flag group).
+
+    Each config flag's dest is the field it sets.
+    """
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--verbose", action="store_true")
     d = EnhanceConfig
-    group = parser.add_argument_group("pipeline configuration")
+    config = argparse.ArgumentParser(add_help=False)
+    group = config.add_argument_group("pipeline configuration")
     group.add_argument("--frame-len", type=int, default=d.frame_len)
     group.add_argument("--hop", type=int, default=d.hop)
     group.add_argument("--window", choices=WINDOWS, default=d.window)
@@ -71,16 +79,11 @@ def _add_config_flags(parser) -> None:
     )
     group.add_argument("--entropy-threshold", type=float, default=d.entropy_threshold)
     group.add_argument("--unvoiced-scale", type=float, default=d.unvoiced_scale)
+    return common, config
 
 
-def _config_from_args(args, seed) -> EnhanceConfig:
-    """The config of the parsed flags, checked as it is built, before any read."""
-    names = [f.name for f in fields(EnhanceConfig)]
-    given = {name: getattr(args, name) for name in names if hasattr(args, name)}
-    return EnhanceConfig(**{**given, "seed": seed})
-
-
-def _resolve_seed(args) -> int | None:
+def _resolve_seed(args, default=None) -> int | None:
+    """WAVEDENOISE_SEED, else --seed, else `default`."""
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
@@ -89,106 +92,94 @@ def _resolve_seed(args) -> int | None:
             raise UsageError(
                 f"{SEED_ENV_VAR} must be an integer, got {env!r}"
             ) from None
-    return getattr(args, "seed", None)
+    return default if args.seed is None else args.seed
 
 
-def _write_audio(path, signal) -> None:
-    """write_wav, with one warning line on stderr if it clipped samples."""
-    clipped = write_wav(path, signal)
-    if clipped:
-        print(
-            f"warning: {clipped} of {len(signal)} samples clipped on write to {path}",
-            file=sys.stderr,
-        )
+def _config_from_args(args, default_seed=None) -> EnhanceConfig:
+    """The config of the parsed flags, checked as it is built, before any read."""
+    names = [f.name for f in fields(EnhanceConfig)]
+    given = {name: getattr(args, name) for name in names if hasattr(args, name)}
+    return EnhanceConfig(**{**given, "seed": _resolve_seed(args, default_seed)})
+
+
+def _write(args, audio=None, report=None) -> int:
+    """Write `audio` to --out and `report` to --report, each if given.
+
+    Warns on stderr if the WAV write clipped samples, and with --verbose
+    names every file written.
+    """
+    written = []
+    if audio is not None and args.out:
+        clipped = write_wav(args.out, audio)
+        if clipped:
+            print(f"warning: {clipped} of {len(audio)} samples clipped on write to "
+                  f"{args.out}", file=sys.stderr)
+        written.append(args.out)
+    if report is not None and args.report:
+        report.write(args.report)
+        written.append(args.report)
+    if args.verbose:
+        for path in written:
+            print(f"wrote {path}", file=sys.stderr)
+    return EXIT_OK
 
 
 def _cmd_denoise(args) -> int:
-    seed = _resolve_seed(args)
-    config = _config_from_args(args, seed)
+    config = _config_from_args(args)
     noisy = read_wav(args.infile)
     reference = read_wav(args.ref) if args.ref else None
     enhanced, report = enhance(noisy, config, reference=reference)
-    _write_audio(args.out, enhanced)
-    if args.report:
-        report.write(args.report)
-    if args.verbose:
-        print(f"wrote {args.out}", file=sys.stderr)
-        if args.report:
-            print(f"wrote {args.report}", file=sys.stderr)
-    return EXIT_OK
+    return _write(args, enhanced, report)
 
 
 def _cmd_analyze(args) -> int:
-    config = _config_from_args(args, _resolve_seed(args))
-    noisy = read_wav(args.infile)
-    noise = read_wav(args.noise)
-    analyze(noisy, noise, config).write(args.report)
-    if args.verbose:
-        print(f"wrote {args.report}", file=sys.stderr)
-    return EXIT_OK
+    config = _config_from_args(args)
+    report = analyze(read_wav(args.infile), read_wav(args.noise), config)
+    return _write(args, report=report)
 
 
 def _cmd_synth(args) -> int:
-    seed = _resolve_seed(args)
-    if seed is None:
-        seed = 0
-    if args.kind == "sine":
-        signal = sine_wave(args.freq, args.amplitude, args.duration, args.rate)
-    elif args.kind == "noise":
+    seed = _resolve_seed(args, default=0)
+    if args.kind != "noise":  # sine, or the clean part of a mix
+        signal = clean = sine_wave(args.freq, args.amplitude, args.duration, args.rate)
+    if args.kind != "sine":
         signal = white_noise(args.std, args.duration, args.rate, seed)
-    else:  # mix
-        clean = sine_wave(args.freq, args.amplitude, args.duration, args.rate)
-        noise = white_noise(args.std, args.duration, args.rate, seed)
-        signal = mix_at_snr(clean, noise, args.snr_db)
-    _write_audio(args.out, signal)
-    if args.verbose:
-        print(f"wrote {args.out}", file=sys.stderr)
-    return EXIT_OK
+    if args.kind == "mix":
+        signal = mix_at_snr(clean, signal, args.snr_db)
+    return _write(args, signal)
 
 
 def _cmd_experiment(args) -> int:
-    seed = _resolve_seed(args)
-    if seed is None:
-        seed = 0
-    config = _config_from_args(args, seed)
-    clean, noisy, enhanced, report = run_preset(args.preset, seed=seed, config=config)
+    config = _config_from_args(args, default_seed=0)
+    _, _, enhanced, report = run_preset(args.preset, seed=config.seed, config=config)
     print(f"input_snr_db {report.input_snr_db:.6f}")
     print(f"output_snr_db {report.output_snr_db:.6f}")
-    if args.out:
-        _write_audio(args.out, enhanced)
-    if args.report:
-        report.write(args.report)
-    if args.verbose and args.report:
-        print(f"wrote {args.report}", file=sys.stderr)
-    return EXIT_OK
+    return _write(args, enhanced, report)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wpdenoise", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common, config = _parents()
 
-    p = sub.add_parser("denoise", help="denoise a WAV file")
+    p = sub.add_parser("denoise", parents=[common, config], help="denoise a WAV file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--ref", default=None, help="clean reference for SNR reporting")
     p.add_argument("--method", choices=METHODS, default=EnhanceConfig.method)
     p.add_argument("--report", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--verbose", action="store_true")
-    _add_config_flags(p)
     p.set_defaults(func=_cmd_denoise)
 
-    p = sub.add_parser("analyze", help="histogram/divergence analysis, no audio out")
+    p = sub.add_parser("analyze", parents=[common, config],
+                       help="histogram/divergence analysis, no audio out")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--noise", required=True, help="estimated-noise WAV")
     p.add_argument("--report", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--verbose", action="store_true")
-    _add_config_flags(p)
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("synth", help="generate deterministic test material")
+    p = sub.add_parser("synth", parents=[common],
+                       help="generate deterministic test material")
     p.add_argument("--kind", choices=("sine", "noise", "mix"), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--freq", type=float, default=440.0)
@@ -197,18 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-db", type=float, default=0.0, help="mix target SNR")
     p.add_argument("--duration", type=float, default=5.0)
     p.add_argument("--rate", type=int, default=16000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("experiment", help="run a reproducible preset end to end")
+    p = sub.add_parser("experiment", parents=[common, config],
+                       help="run a reproducible preset end to end")
     p.add_argument("--preset", choices=PRESETS, required=True)
     p.add_argument("--method", choices=METHODS, default=EnhanceConfig.method)
     p.add_argument("--out", default=None)
     p.add_argument("--report", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--verbose", action="store_true")
-    _add_config_flags(p)
     p.set_defaults(func=_cmd_experiment)
 
     return parser
@@ -223,15 +210,11 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (WavFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROCESSING
+        if isinstance(exc, UsageError):
+            return EXIT_USAGE
+        return EXIT_IO if isinstance(exc, (WavFormatError, OSError)) else EXIT_PROCESSING
 
 
 def main() -> None:

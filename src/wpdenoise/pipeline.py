@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -78,7 +79,8 @@ class EnhanceConfig:
 
     Checked when built and immutable: dataclasses.replace derives a new,
     checked config. A bad value raises ValueError naming its field.
-    frame_len, hop and depth are stored as ints.
+    frame_len, hop, depth and seed (None allowed) are integers, anything
+    operator.index takes, and are stored as ints.
     """
 
     frame_len: int = 512
@@ -99,7 +101,12 @@ class EnhanceConfig:
     def __post_init__(self):
         frame_len, hop = check_geometry(self.frame_len, self.hop, self.window)
         depth = check_packet(frame_len, self.depth, filter_bank(self.wavelet))
-        for name, value in (("frame_len", frame_len), ("hop", hop), ("depth", depth)):
+        try:
+            seed = None if self.seed is None else int(operator.index(self.seed))
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
+        ints = {"frame_len": frame_len, "hop": hop, "depth": depth, "seed": seed}
+        for name, value in ints.items():
             object.__setattr__(self, name, value)
         for name in _REAL_FIELDS:
             value = getattr(self, name)

@@ -3,13 +3,16 @@
 WAV support is deliberately narrow: RIFF/WAVE, PCM 16-bit, mono,
 little-endian (a plain PCM fmt chunk, or WAVE_FORMAT_EXTENSIBLE with the
 PCM sub-format). Anything else is rejected rather than coerced so the
-round-trip behaviour stays exact.
+round-trip behaviour stays exact. Files are written by the stdlib wave
+writer and read by the parser here, which also takes the EXTENSIBLE
+form that wave rejects on Python 3.10 and 3.11.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import wave
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,9 +99,8 @@ def read_wav(path) -> SignalBuffer:
                         f"found {len(data)}"
                     )
             else:
-                fh.seek(size + (size % 2), 1)
-            if size % 2 and chunk_id in (b"fmt ", b"data"):
-                fh.seek(1, 1)
+                fh.seek(size, 1)
+            fh.seek(size % 2, 1)  # chunks are padded to an even size
 
     if fmt is None:
         raise WavFormatError(f"{path}: missing fmt chunk")
@@ -134,7 +136,7 @@ def read_wav(path) -> SignalBuffer:
 
 
 def write_wav(path, signal: SignalBuffer) -> int:
-    """Write a SignalBuffer as PCM 16-bit mono little-endian WAV.
+    """Write a SignalBuffer as a canonical 44-byte-header PCM 16-bit mono WAV.
 
     Amplitudes are clamped to [-1, 1 - 1/32768] and quantised by
     rounding, so a write/read round trip is within 1/32768 per sample.
@@ -150,28 +152,13 @@ def write_wav(path, signal: SignalBuffer) -> int:
         )
     clamped = np.clip(signal.samples, -1.0, 1.0 - 1.0 / _PCM_SCALE)
     n_clipped = int(np.count_nonzero(clamped != signal.samples))
-    pcm = np.rint(clamped * _PCM_SCALE).astype("<i2")
-    payload = pcm.tobytes()
-
-    header = struct.pack(
-        "<4sI4s4sIHHIIHH4sI",
-        b"RIFF",
-        36 + len(payload),
-        b"WAVE",
-        b"fmt ",
-        16,
-        1,  # PCM
-        1,  # mono
-        signal.sample_rate_hz,
-        signal.sample_rate_hz * 2,
-        2,
-        16,
-        b"data",
-        len(payload),
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    # native int16: wave byte-swaps to little-endian where it must. One
+    # writeframes call writes the header once, with the final sizes, so
+    # the output need not be seekable.
+    pcm = np.rint(clamped * _PCM_SCALE).astype(np.int16)
+    with open(path, "wb") as fh, wave.open(fh, "wb") as out:
+        out.setparams((1, 2, signal.sample_rate_hz, len(pcm), "NONE", "not compressed"))
+        out.writeframes(pcm.tobytes())
     return n_clipped
 
 

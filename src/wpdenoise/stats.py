@@ -82,7 +82,10 @@ def _uniform_edges(lo, hi, n_bins: int) -> np.ndarray:
     widened on both sides: a single value by +-1e-9, and wherever the
     edges still collapse (at large magnitudes, or a span of a few ulps)
     by 4 * n_bins ulps of the range's magnitude, so every bin is several
-    ulps wide.
+    ulps wide. Over a span of a few subnormals np.linspace rounds its
+    step to a whole number of subnormals and, rounding up, overshoots
+    its pinned last edge; there every bin is made a whole number of
+    subnormals wide.
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
@@ -98,6 +101,14 @@ def _uniform_edges(lo, hi, n_bins: int) -> np.ndarray:
         ulps = 4 * n_bins * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
         half = np.where(tight, np.maximum(half, ulps), half)
         edges = np.linspace(lo - half, hi + half, n_bins + 1, axis=-1)
+        bad = np.any(np.diff(edges, axis=-1) <= 0, axis=-1)
+        if np.any(bad):
+            # rows already increasing keep their edges; their step is 0
+            # here, as their span over `tiny` may overflow
+            tiny = np.spacing(0.0)  # the smallest subnormal
+            step = np.ceil(np.where(bad, hi - lo + 2 * half, 0.0) / tiny / n_bins) * tiny
+            grid = (lo - half)[..., None] + step[..., None] * np.arange(n_bins + 1)
+            edges = np.where(bad[..., None], grid, edges)
     return edges
 
 

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from wpdenoise.cli import run
+from wpdenoise.cli import build_parser, run
 from wpdenoise.pipeline import EnhanceConfig, enhance
 from wpdenoise.report import validate_report_dict
 from wpdenoise.signal_io import read_wav, white_noise
@@ -376,6 +376,46 @@ class TestAnalyzeEpsilon:
         assert not (tmp_path / "r.json").exists()
 
 
+class TestSharedFlags:
+    @pytest.mark.parametrize("argv", [
+        ["denoise", "--in", "x.wav", "--out", "y.wav"],
+        ["analyze", "--in", "x.wav", "--noise", "n.wav", "--report", "r.json"],
+        ["synth", "--kind", "sine", "--out", "y.wav"],
+        ["experiment", "--preset", "sine-0db"],
+    ])
+    def test_every_subcommand_takes_seed_and_verbose(self, argv):
+        args = build_parser().parse_args([*argv, "--seed", "3", "--verbose"])
+        assert args.seed == 3 and args.verbose is True
+        args = build_parser().parse_args(argv)
+        assert args.seed is None and args.verbose is False
+
+    def test_verbose_names_every_file_written(self, tmp_path, capsys):
+        def wrote(argv):
+            assert run([*argv, "--verbose"]) == 0
+            err = capsys.readouterr().err.splitlines()
+            # besides the names, only clipping warnings
+            assert all(line.startswith(("wrote ", "warning: ")) for line in err)
+            return [line for line in err if line.startswith("wrote ")]
+
+        tone, noise = tmp_path / "tone.wav", tmp_path / "noise.wav"
+        assert wrote(["synth", "--kind", "sine", "--out", str(tone),
+                      "--duration", "1"]) == [f"wrote {tone}"]
+        assert wrote(["synth", "--kind", "noise", "--out", str(noise),
+                      "--duration", "1"]) == [f"wrote {noise}"]
+        out, report = tmp_path / "d.wav", tmp_path / "d.json"
+        assert wrote(["denoise", "--in", str(tone), "--out", str(out),
+                      "--report", str(report)]) == [f"wrote {out}", f"wrote {report}"]
+        assert wrote(["denoise", "--in", str(tone), "--out", str(out)]) == [
+            f"wrote {out}"
+        ]
+        assert wrote(["analyze", "--in", str(tone), "--noise", str(noise),
+                      "--report", str(report)]) == [f"wrote {report}"]
+        out, report = tmp_path / "e.wav", tmp_path / "e.json"
+        assert wrote(["experiment", "--preset", "sine-0db", "--out", str(out),
+                      "--report", str(report)]) == [f"wrote {out}", f"wrote {report}"]
+        assert wrote(["experiment", "--preset", "sine-0db"]) == []
+
+
 def test_cli_import_leaves_out_jsonschema():
     # jsonschema is only needed to validate reports; the CLI must not pay
     # for its import at start-up.
@@ -385,3 +425,9 @@ def test_cli_import_leaves_out_jsonschema():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+    # pytest's warning filter is not yet in force while the package is
+    # first imported; a fresh interpreter turns import-time warnings into
+    # errors
+    out = subprocess.run([sys.executable, "-W", "error", "-c", "import wpdenoise.cli"],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0 and out.stderr == ""

@@ -29,6 +29,7 @@ from wpdenoise.stats import (
     symmetric_divergence,
     to_probability,
 )
+from wpdenoise.report import validate_report_dict
 from wpdenoise.thresholding import universal_threshold
 from wpdenoise.wavelet import FILTERS, filter_bank, wp_analysis
 from wpdenoise.experiments import sine_0db_material
@@ -95,6 +96,19 @@ class TestEnhanceConfig:
         for field in ("frame_len", "hop", "depth"):
             with pytest.raises(ValueError, match=rf"{field}\b.* must be .*integer"):
                 EnhanceConfig(**{field: 4.0})
+
+    def test_seed_is_an_integer_or_none(self):
+        # the report echoes the seed: a numpy integer is stored as an int,
+        # so the report serialises and passes its own schema
+        config = EnhanceConfig(seed=np.int64(3))
+        assert config.seed == 3 and type(config.seed) is int
+        assert EnhanceConfig(seed=None).seed is None
+        _, noisy = sine_0db_material(seed=1)
+        _, report = enhance(noisy, config)
+        validate_report_dict(json.loads(report.to_json()))
+        for bad in (1.5, "7"):
+            with pytest.raises(ValueError, match=r"seed must be an integer"):
+                EnhanceConfig(seed=bad)
 
     def test_hann_frames_past_1024_cannot_be_rebuilt(self):
         # the first sample's overlap-add normaliser is w[0]^2: 5.5e-12 at
@@ -351,6 +365,13 @@ class TestEnhance:
         # other too-narrow range instead of collapsing
         tiny = SignalBuffer(np.full(16000, 1e-321), 16000)
         out, _ = enhance(tiny, EnhanceConfig(method=method))
+        assert len(out) == len(tiny) and np.all(np.abs(out.samples) < 1e-300)
+
+    @pytest.mark.parametrize("method", ["universal-hard", "band"])
+    def test_denormal_constant_in_mad_mode(self, method):
+        # the level-1 detail spans a few subnormals (about +-2.4e-322)
+        tiny = SignalBuffer(np.full(16000, 1e-321), 16000)
+        out, _ = enhance(tiny, EnhanceConfig(method=method, noise_estimation="mad"))
         assert len(out) == len(tiny) and np.all(np.abs(out.samples) < 1e-300)
 
     def test_invalid_config_rejected_before_processing(self):

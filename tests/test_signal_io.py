@@ -1,8 +1,10 @@
 """Tests for WAV I/O, synthetic signals and SNR metrics."""
 
 import math
+import os
 import re
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -79,6 +81,36 @@ class TestWavRoundtrip:
         write_wav(path, SignalBuffer(np.zeros(0), 8000))
         back = read_wav(path)
         assert len(back) == 0
+
+
+class TestWavBytes:
+    @pytest.mark.parametrize("n", [0, 1, 7, 16000])
+    @pytest.mark.parametrize("rate", [1, 8000, 44100, 2**31 - 1])
+    def test_canonical_44_byte_header(self, tmp_path, n, rate):
+        # 2**31 - 1 is the largest rate whose byte rate fits the header
+        path = tmp_path / "h.wav"
+        write_wav(path, white_noise(0.1, n / rate, rate, 1) if n else
+                  SignalBuffer(np.zeros(0), rate))
+        data = path.read_bytes()
+        assert len(data) == 44 + 2 * n
+        assert data[:44] == struct.pack(
+            "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + 2 * n, b"WAVE", b"fmt ", 16,
+            1, 1, rate, 2 * rate, 2, 16, b"data", 2 * n,
+        )
+
+    def test_unseekable_output_gets_the_same_bytes(self, tmp_path):
+        signal = white_noise(0.1, 0.25, 16000, 4)
+        write_wav(tmp_path / "file.wav", signal)
+        fifo = tmp_path / "pipe.wav"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        write_wav(fifo, signal)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert got == [(tmp_path / "file.wav").read_bytes()]
 
 
 # KSDATAFORMAT_SUBTYPE_PCM after its two-byte format tag.

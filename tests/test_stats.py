@@ -8,6 +8,7 @@ import pytest
 from wpdenoise.stats import (
     Histogram,
     ProbabilityVector,
+    _uniform_edges,
     bin_count,
     entropy,
     kl_divergence,
@@ -126,6 +127,34 @@ class TestDegenerateSpan:
         want = np.linspace(value - 1e-9, value + 1e-9, bin_count(10000) + 1)
         np.testing.assert_array_equal(row_histograms(values).bin_edges, want)
         np.testing.assert_array_equal(shared_edges(values, values), want)
+
+
+# Magnitudes from the smallest subnormal up: a few subnormals, the
+# subnormal/normal boundary, and normal values up to 1e300.
+_MAGNITUDES = [0.0, 5e-324, 1e-323, 2.4e-322, 1e-321, 1e-318, 1e-310,
+               2.2250738585072014e-308, 1e-300, 1e-9, 1.0, 1e6, 1e300]
+
+
+class TestUniformEdges:
+    @pytest.mark.parametrize("n_bins", [1, 2, 7, 63, 64, 255, 400])
+    def test_strictly_increasing_and_covering(self, n_bins):
+        pairs = sorted({tuple(sorted((sa * a, sb * b)))
+                        for a in _MAGNITUDES for b in _MAGNITUDES
+                        for sa, sb in ((-1, 1), (1, 1), (-1, -1))})
+        lo, hi = np.array(pairs).T
+        rows = _uniform_edges(lo, hi, n_bins)
+        for row, (a, b) in zip(rows, pairs):
+            for edges in (row, _uniform_edges(a, b, n_bins)):
+                assert np.all(np.diff(edges) > 0), (a, b)
+                assert edges[0] <= a and edges[-1] >= b, (a, b)
+
+    def test_span_of_a_few_subnormals(self):
+        # np.linspace rounds this step to 10 subnormals and overshoots its
+        # pinned last edge; the bins are whole multiples of 5e-324 instead
+        edges = _uniform_edges(-2.4e-322, 2.4e-322, 63)
+        assert np.all(np.diff(edges) > 0)
+        steps = np.diff(edges) / np.spacing(0.0)
+        np.testing.assert_array_equal(steps, np.round(steps))
 
 
 class TestToProbability:
