@@ -50,35 +50,34 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# The choices of the config fields that name one of a set.
+_CHOICES = {"window": WINDOWS, "wavelet": FILTERS, "noise_estimation": NOISE_MODES}
+
+
 def _parents() -> tuple:
     """The shared flags: (--seed and --verbose, the EnhanceConfig flag group).
 
-    Each config flag's dest is the field it sets.
+    The group has one flag per EnhanceConfig field but method and seed:
+    --frame-len sets frame_len, with the field's default, its type (float
+    where the default is None) and its choices; vuv_enabled is --vuv.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--verbose", action="store_true")
-    d = EnhanceConfig
     config = argparse.ArgumentParser(add_help=False)
     group = config.add_argument_group("pipeline configuration")
-    group.add_argument("--frame-len", type=int, default=d.frame_len)
-    group.add_argument("--hop", type=int, default=d.hop)
-    group.add_argument("--window", choices=WINDOWS, default=d.window)
-    group.add_argument("--wavelet", choices=FILTERS, default=d.wavelet)
-    group.add_argument("--depth", type=int, default=d.depth)
-    group.add_argument(
-        "--noise-estimation", choices=NOISE_MODES, default=d.noise_estimation
-    )
-    group.add_argument("--silence-ms", type=float, default=d.silence_ms)
-    group.add_argument("--band-tolerance", type=float, default=d.band_tolerance)
-    group.add_argument("--epsilon", type=float, default=d.epsilon)
-    group.add_argument(
-        "--vuv", dest="vuv_enabled", action=argparse.BooleanOptionalAction,
-        default=d.vuv_enabled,
-        help="entropy-based voiced/unvoiced threshold adaptation",
-    )
-    group.add_argument("--entropy-threshold", type=float, default=d.entropy_threshold)
-    group.add_argument("--unvoiced-scale", type=float, default=d.unvoiced_scale)
+    for f in fields(EnhanceConfig):
+        if f.name == "vuv_enabled":
+            group.add_argument(
+                "--vuv", dest=f.name, action=argparse.BooleanOptionalAction,
+                default=f.default, help="entropy-based voiced/unvoiced threshold adaptation",
+            )
+        elif f.name not in ("method", "seed"):
+            group.add_argument(
+                "--" + f.name.replace("_", "-"), default=f.default,
+                type=float if f.default is None else type(f.default),
+                choices=_CHOICES.get(f.name),
+            )
     return common, config
 
 

@@ -23,7 +23,6 @@ input or from a MAD estimate over the finest detail coefficients.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import asdict, dataclass
 
@@ -80,7 +79,10 @@ class EnhanceConfig:
     Checked when built and immutable: dataclasses.replace derives a new,
     checked config. A bad value raises ValueError naming its field.
     frame_len, hop, depth and seed (None allowed) are integers, anything
-    operator.index takes, and are stored as ints.
+    operator.index takes, and are stored as ints. The real fields take
+    Python ints and floats (not bools) and numpy scalars, stored as the
+    Python number; vuv_enabled takes a bool or numpy bool, stored as a
+    bool. So every field is one the report can write.
     """
 
     frame_len: int = 512
@@ -110,10 +112,15 @@ class EnhanceConfig:
             object.__setattr__(self, name, value)
         for name in _REAL_FIELDS:
             value = getattr(self, name)
+            value = value.item() if isinstance(value, np.generic) else value
             if value is None and name == "entropy_threshold":
                 continue
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if type(value) not in (int, float) or not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
+            object.__setattr__(self, name, value)
+        if not isinstance(self.vuv_enabled, (bool, np.bool_)):
+            raise ValueError(f"vuv_enabled must be a bool, got {self.vuv_enabled!r}")
+        object.__setattr__(self, "vuv_enabled", bool(self.vuv_enabled))
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
         if not 0 < self.unvoiced_scale <= 1:

@@ -4,8 +4,9 @@ A Report is plain data: the per-frame, per-subband thresholding detail
 as the arrays the pipeline computed, plus global divergence statistics.
 The schema-v1 layout (a record per frame holding a record per subband,
 and {"edges", "counts"} histograms) is written here, only when a report
-is serialised: the frame records straight from the arrays through fixed
-text templates, the rest through json.dumps. The bytes are those of
+is serialised: the frame records straight from the arrays through text
+templates that json.dumps writes once at import, the rest through
+json.dumps. The bytes are those of
 json.dumps(v1 dict, indent=2, sort_keys=True, allow_nan=False), so
 repeated runs with the same seed produce byte-identical files.
 """
@@ -30,25 +31,25 @@ def _histogram_json(h) -> dict:
     return {"edges": h.bin_edges.tolist(), "counts": h.counts.tolist()}
 
 
-# A v1 frame record and subband record at the depth they sit in a report.
-_FRAME = (
-    "    {\n"
-    '      "frame": %d,\n'
-    '      "subbands": [\n%s\n      ],\n'
-    '      "vuv": %s\n'
-    "    }"
-)
-_SUBBAND = (
-    "        {\n"
-    '          "band": %s,\n'
-    '          "n_zero_post": %r,\n'
-    '          "n_zero_pre": %r,\n'
-    '          "sigma": %s,\n'
-    '          "subband": %d,\n'
-    '          "threshold": %s\n'
-    "        }"
-)
-_BAND = "[\n            %s,\n            %s\n          ]"
+def _layout(record, depth: int) -> str:
+    """json.dumps(record, indent=2, sort_keys=True) as it sits `depth` levels in.
+
+    Lines after the first are indented, and every "%s" string of
+    `record` becomes a %s slot, so the text is a template of the record.
+    """
+    text = json.dumps(record, indent=2, sort_keys=True).replace('"%s"', "%s")
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+# The v1 subband record (its slots in key order), a band pair, a frame
+# record and the frame list at the depth each sits at in a report, and
+# the text between two items of a list `depth` levels in.
+_SUBBAND = _layout(dict.fromkeys(
+    ("band", "n_zero_post", "n_zero_pre", "sigma", "subband", "threshold"), "%s"), 4)
+_BAND = _layout(["%s", "%s"], 5)
+_FRAME = _layout({"frame": "%s", "subbands": ["%s"], "vuv": "%s"}, 2)
+_FRAMES = _layout(["%s"], 1)
+_SEP = {depth: _layout(["%s", "%s"], depth).split("%s")[1] for depth in (1, 3)}
 
 
 def _float_text(name: str, values) -> list:
@@ -132,10 +133,10 @@ class Report:
         ]
         labels = {vuv: json.dumps(vuv) for vuv in set(self.vuv)}
         frames = [
-            _FRAME % (f, ",\n".join(subbands[f * n_sub : (f + 1) * n_sub]), labels[vuv])
+            _FRAME % (f, _SEP[3].join(subbands[f * n_sub : (f + 1) * n_sub]), labels[vuv])
             for f, vuv in enumerate(self.vuv)
         ]
-        return "[\n%s\n  ]" % ",\n".join(frames)
+        return _FRAMES % _SEP[1].join(frames)
 
     def to_json(self) -> str:
         """Schema v1: json.dumps(indent=2, sort_keys=True) of the v1 dict.

@@ -11,6 +11,7 @@ form that wave rejects on Python 3.10 and 3.11.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 import wave
 from dataclasses import dataclass
@@ -54,16 +55,17 @@ class SignalBuffer:
             raise ValueError("samples must be one-dimensional")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must be finite (no NaN/Inf)")
-        self.sample_rate_hz = int(self.sample_rate_hz)
+        try:
+            self.sample_rate_hz = operator.index(self.sample_rate_hz)
+        except TypeError:
+            raise ValueError(
+                f"sample_rate_hz must be an integer, got {self.sample_rate_hz!r}"
+            ) from None
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
 
 
 def read_wav(path) -> SignalBuffer:
@@ -87,20 +89,20 @@ def read_wav(path) -> SignalBuffer:
             if len(header) < 8:
                 break
             chunk_id, size = struct.unpack("<4sI", header)
+            # read, never seek, so a pipe works: the body and the pad
+            # byte that keeps every chunk an even size
+            body = fh.read(size + size % 2)[:size]
             if chunk_id == b"fmt ":
-                fmt = fh.read(size)
+                fmt = body
                 if len(fmt) < 16:
                     raise WavFormatError(f"{path}: fmt chunk too short")
             elif chunk_id == b"data":
-                data = fh.read(size)
+                data = body
                 if len(data) < size:
                     raise WavTruncatedError(
                         f"{path}: data chunk declares {size} bytes, "
                         f"found {len(data)}"
                     )
-            else:
-                fh.seek(size, 1)
-            fh.seek(size % 2, 1)  # chunks are padded to an even size
 
     if fmt is None:
         raise WavFormatError(f"{path}: missing fmt chunk")

@@ -76,16 +76,14 @@ class Histogram:
 
 
 def _uniform_edges(lo, hi, n_bins: int) -> np.ndarray:
-    """np.linspace edges over [lo, hi], one (n_bins + 1) row per (lo, hi).
+    """Uniform edges over [lo, hi], one (n_bins + 1) row per (lo, hi).
 
-    A range too narrow to hold n_bins + 1 strictly increasing floats is
-    widened on both sides: a single value by +-1e-9, and wherever the
-    edges still collapse (at large magnitudes, or a span of a few ulps)
-    by 4 * n_bins ulps of the range's magnitude, so every bin is several
-    ulps wide. Over a span of a few subnormals np.linspace rounds its
-    step to a whole number of subnormals and, rounding up, overshoots
-    its pinned last edge; there every bin is made a whole number of
-    subnormals wide.
+    Each row is lo + k * step with its last edge pinned to hi, which is
+    np.linspace of that row alone wherever its step is not 0, so a row's
+    edges never depend on the other rows. A single value is widened by
+    +-1e-9 first. A row whose edges still do not strictly increase (a
+    span of a few ulps or subnormals) gets bins of max(step, 4 ulps of
+    its magnitude), centred on its range.
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
@@ -95,21 +93,14 @@ def _uniform_edges(lo, hi, n_bins: int) -> np.ndarray:
             "clamp infinities into the end bins"
         )
     half = np.where(lo == hi, _DEGENERATE_HALF_SPAN, 0.0)
-    edges = np.linspace(lo - half, hi + half, n_bins + 1, axis=-1)
-    tight = np.any(np.diff(edges, axis=-1) <= 0, axis=-1)
-    if np.any(tight):
-        ulps = 4 * n_bins * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
-        half = np.where(tight, np.maximum(half, ulps), half)
-        edges = np.linspace(lo - half, hi + half, n_bins + 1, axis=-1)
-        bad = np.any(np.diff(edges, axis=-1) <= 0, axis=-1)
-        if np.any(bad):
-            # rows already increasing keep their edges; their step is 0
-            # here, as their span over `tiny` may overflow
-            tiny = np.spacing(0.0)  # the smallest subnormal
-            step = np.ceil(np.where(bad, hi - lo + 2 * half, 0.0) / tiny / n_bins) * tiny
-            grid = (lo - half)[..., None] + step[..., None] * np.arange(n_bins + 1)
-            edges = np.where(bad[..., None], grid, edges)
-    return edges
+    lo, hi = (lo - half)[..., None], (hi + half)[..., None]
+    k = np.arange(n_bins + 1)
+    step = (hi - lo) / n_bins
+    edges = lo + k * step
+    edges[..., -1:] = hi
+    bad = np.any(np.diff(edges, axis=-1) <= 0, axis=-1, keepdims=True)
+    width = np.maximum(step, 4 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+    return np.where(bad, (lo / 2 + hi / 2 - width * (n_bins / 2)) + k * width, edges)
 
 
 def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:

@@ -12,31 +12,30 @@ last axis, so a (frames, samples) array becomes one
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-# Daubechies length-8 scaling coefficients (4 vanishing moments), sum
-# sqrt(2), unit energy. Rounded to float64 from a 60-digit spectral
-# factorization, so orthonormality holds to machine precision.
-_DB4_LOWPASS = (
-    -0.010597401785069032,
-    0.0328830116668852,
-    0.030841381835560764,
-    -0.18703481171909309,
-    -0.027983769416859854,
-    0.6308807679298589,
-    0.7148465705529157,
-    0.2303778133088965,
-)
+# The low-pass analysis taps of each named filter; the high-pass is
+# their quadrature mirror. db4: Daubechies length-8 scaling coefficients
+# (4 vanishing moments), sum sqrt(2), unit energy, rounded to float64
+# from a 60-digit spectral factorization, so orthonormality holds to
+# machine precision.
+_LOWPASS = {
+    "haar": (1 / math.sqrt(2.0),) * 2,
+    "db4": (-0.010597401785069032, 0.0328830116668852, 0.030841381835560764,
+            -0.18703481171909309, -0.027983769416859854, 0.6308807679298589,
+            0.7148465705529157, 0.2303778133088965),
+}
 
-FILTERS = ("haar", "db4")
+FILTERS = tuple(_LOWPASS)
 
 
 @dataclass
 class FilterBank:
-    """Orthonormal two-channel analysis pair.
+    """Orthonormal two-channel analysis pair, built from its lowpass.
 
     The highpass is the quadrature mirror of the lowpass:
     highpass[k] = (-1)^k * lowpass[L-1-k].
@@ -44,19 +43,14 @@ class FilterBank:
 
     name: str
     lowpass: np.ndarray
-    highpass: np.ndarray
+    highpass: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.lowpass = np.asarray(self.lowpass, dtype=np.float64)
-        self.highpass = np.asarray(self.highpass, dtype=np.float64)
-        if self.lowpass.shape != self.highpass.shape or self.lowpass.ndim != 1:
-            raise ValueError("lowpass/highpass must be equal-length vectors")
-        for taps in (self.lowpass, self.highpass):
-            if abs(float(np.sum(taps**2)) - 1.0) > 1e-12:
-                raise ValueError(f"filter {self.name!r} is not orthonormal")
-        signs = (-1.0) ** np.arange(len(self.lowpass))
-        if not np.allclose(self.highpass, signs * self.lowpass[::-1], atol=1e-15):
-            raise ValueError(f"filter {self.name!r} violates the mirror relation")
+        if self.lowpass.ndim != 1 or abs(float(np.sum(self.lowpass**2)) - 1.0) > 1e-12:
+            raise ValueError(f"filter {self.name!r} is not orthonormal: its lowpass "
+                             "must be a vector of unit energy")
+        self.highpass = (-1.0) ** np.arange(len(self.lowpass)) * self.lowpass[::-1]
 
     def __len__(self) -> int:
         return len(self.lowpass)
@@ -64,14 +58,9 @@ class FilterBank:
 
 def filter_bank(name: str) -> FilterBank:
     """Build a named filter bank ("haar" or "db4")."""
-    if name == "haar":
-        lowpass = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    elif name == "db4":
-        lowpass = np.array(_DB4_LOWPASS)
-    else:
+    if name not in _LOWPASS:
         raise ValueError(f"unknown filter {name!r} (expected one of {FILTERS})")
-    signs = (-1.0) ** np.arange(len(lowpass))
-    return FilterBank(name=name, lowpass=lowpass, highpass=signs * lowpass[::-1])
+    return FilterBank(name, _LOWPASS[name])
 
 
 def _filter_pairs(x: np.ndarray, matrix: np.ndarray, lead: int) -> np.ndarray:

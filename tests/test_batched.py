@@ -153,16 +153,18 @@ def _np_counts(row, edges):
 def _own_edges(row):
     """Square-root-rule np.linspace edges over [min, max] of the row.
 
-    A single value is widened by +-1e-9, and a range whose edges would
-    still not strictly increase by 4 * B ulps of its magnitude.
+    A single value is widened by +-1e-9 first. A range whose edges would
+    still not strictly increase gets bins of max(step, 4 ulps of its
+    magnitude), centred on the range.
     """
     lo, hi = float(np.min(row)), float(np.max(row))
     n_bins = bin_count(len(row))
     half = 1e-9 if lo == hi else 0.0
-    edges = np.linspace(lo - half, hi + half, n_bins + 1)
+    lo, hi = lo - half, hi + half
+    edges = np.linspace(lo, hi, n_bins + 1)
     if np.any(np.diff(edges) <= 0):
-        half = max(half, 4 * n_bins * float(np.spacing(max(abs(lo), abs(hi)))))
-        edges = np.linspace(lo - half, hi + half, n_bins + 1)
+        width = max((hi - lo) / n_bins, 4 * float(np.spacing(max(abs(lo), abs(hi)))))
+        edges = (lo / 2 + hi / 2 - width * (n_bins / 2)) + np.arange(n_bins + 1) * width
     return edges
 
 

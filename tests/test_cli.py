@@ -1,5 +1,6 @@
 """Tests for the command-line surface: flags, exit codes, reports."""
 
+import dataclasses
 import json
 import os
 import re
@@ -7,13 +8,16 @@ import shlex
 import struct
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from wpdenoise.cli import build_parser, run
-from wpdenoise.pipeline import EnhanceConfig, enhance
+from wpdenoise.framing import WINDOWS
+from wpdenoise.pipeline import NOISE_MODES, EnhanceConfig, enhance
 from wpdenoise.report import validate_report_dict
 from wpdenoise.signal_io import read_wav, white_noise
+from wpdenoise.wavelet import FILTERS
 
 
 def _clipped(samples) -> int:
@@ -124,6 +128,21 @@ class TestDenoise:
         report = json.loads(report_path.read_text())
         validate_report_dict(report)
         assert "input_snr_db" not in report and "output_snr_db" not in report
+
+    def test_input_may_be_a_pipe(self, tmp_path):
+        # reading used to seek past each chunk's pad byte, which a pipe
+        # cannot: exit status 2, "File or stream is not seekable."
+        wav = _synth(tmp_path)
+        fifo = tmp_path / "pipe.wav"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(wav.read_bytes()),
+                                  daemon=True)
+        writer.start()
+        assert run(["denoise", "--in", str(fifo), "--out", str(tmp_path / "p.wav")]) == 0
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert run(["denoise", "--in", str(wav), "--out", str(tmp_path / "f.wav")]) == 0
+        assert (tmp_path / "p.wav").read_bytes() == (tmp_path / "f.wav").read_bytes()
 
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         status = run([
@@ -388,6 +407,38 @@ class TestSharedFlags:
         assert args.seed == 3 and args.verbose is True
         args = build_parser().parse_args(argv)
         assert args.seed is None and args.verbose is False
+
+    @pytest.mark.parametrize("command", ["denoise", "analyze", "experiment"])
+    def test_config_group_is_the_enhance_config_fields(self, command):
+        sub = build_parser()._subparsers._group_actions[0].choices[command]
+        (group,) = [g for g in sub._action_groups if g.title == "pipeline configuration"]
+        actions = {a.dest: a for a in group._group_actions}
+        names = [f.name for f in dataclasses.fields(EnhanceConfig)]
+        assert sorted(actions) == sorted(set(names) - {"method", "seed"})
+        choices = {"window": WINDOWS, "wavelet": FILTERS, "noise_estimation": NOISE_MODES}
+        for f in dataclasses.fields(EnhanceConfig):
+            if f.name in ("method", "seed"):
+                continue
+            action = actions[f.name]
+            assert action.default == f.default and action.required is False
+            assert action.choices == choices.get(f.name)
+            flag = "--" + f.name.replace("_", "-")
+            if f.name == "vuv_enabled":
+                assert action.option_strings == ["--vuv", "--no-vuv"]
+            else:
+                assert action.option_strings == [flag]
+                assert action.type is (float if f.default is None else type(f.default))
+
+    def test_method_on_denoise_and_experiment_only(self, capsys):
+        parser = build_parser()
+        for argv in (["denoise", "--in", "x.wav", "--out", "y.wav"],
+                     ["experiment", "--preset", "sine-0db"]):
+            assert parser.parse_args(argv).method == EnhanceConfig.method
+            assert parser.parse_args([*argv, "--method", "band"]).method == "band"
+        status = run(["analyze", "--in", "x.wav", "--noise", "n.wav",
+                      "--report", "r.json", "--method", "band"])
+        assert status == 1
+        assert "unrecognized arguments: --method band" in capsys.readouterr().err
 
     def test_verbose_names_every_file_written(self, tmp_path, capsys):
         def wrote(argv):

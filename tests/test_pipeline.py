@@ -110,6 +110,37 @@ class TestEnhanceConfig:
             with pytest.raises(ValueError, match=r"seed must be an integer"):
                 EnhanceConfig(seed=bad)
 
+    def test_numpy_values_are_stored_as_the_report_writes_them(self):
+        # each of these used to run the whole enhancement and then fail in
+        # to_json; stored as Python values, the report is the one of the
+        # Python config, byte for byte
+        config = EnhanceConfig(vuv_enabled=np.True_, silence_ms=np.float32(100),
+                               entropy_threshold=np.float32(2), epsilon=np.float64(1e-12))
+        assert (config.vuv_enabled, config.silence_ms, config.entropy_threshold) == (
+            True, 100.0, 2.0
+        )
+        assert type(config.vuv_enabled) is bool
+        assert all(type(v) is float
+                   for v in (config.silence_ms, config.entropy_threshold, config.epsilon))
+        assert EnhanceConfig(vuv_enabled=np.False_).vuv_enabled is False
+        # Python ints and floats are stored as given
+        assert type(EnhanceConfig(silence_ms=100).silence_ms) is int
+        _, noisy = sine_0db_material(seed=1)
+        python = EnhanceConfig(silence_ms=100.0, entropy_threshold=2.0)
+        assert enhance(noisy, config)[1].to_json() == enhance(noisy, python)[1].to_json()
+
+    @pytest.mark.parametrize("value", ["no", 1, 0, None, np.int64(1)])
+    def test_vuv_enabled_is_a_bool(self, value):
+        # "no" used to run with VUV on, and the report said "no"
+        with pytest.raises(ValueError, match=r"^vuv_enabled must be a bool"):
+            EnhanceConfig(vuv_enabled=value)
+
+    @pytest.mark.parametrize("field", list(pipeline._REAL_FIELDS))
+    def test_real_fields_reject_bools(self, field):
+        for value in (True, np.True_, np.str_("1")):
+            with pytest.raises(ValueError, match=rf"^{field} "):
+                EnhanceConfig(**{field: value})
+
     def test_hann_frames_past_1024_cannot_be_rebuilt(self):
         # the first sample's overlap-add normaliser is w[0]^2: 5.5e-12 at
         # 1024 samples, 3.5e-13 at 2048

@@ -36,6 +36,14 @@ class TestSignalBuffer:
         with pytest.raises(ValueError):
             SignalBuffer(np.zeros(4), -8000)
 
+    def test_rate_is_an_integer(self):
+        # a fractional rate used to be truncated silently to 16000
+        for rate in (16000.7, 16000.0, "16000"):
+            with pytest.raises(ValueError, match=r"^sample_rate_hz must be an integer"):
+                SignalBuffer(np.zeros(4), rate)
+        signal = SignalBuffer(np.zeros(4), np.int64(16000))
+        assert signal.sample_rate_hz == 16000 and type(signal.sample_rate_hz) is int
+
 
 class TestWavRoundtrip:
     def test_zero_maps_to_zero(self, tmp_path):
@@ -111,6 +119,26 @@ class TestWavBytes:
         reader.join(timeout=30)
         assert not reader.is_alive()
         assert got == [(tmp_path / "file.wav").read_bytes()]
+
+    def test_unseekable_input_reads_the_same_samples(self, tmp_path):
+        # an odd-sized chunk before the data puts a pad byte on the way
+        path = tmp_path / "file.wav"
+        write_wav(path, white_noise(0.1, 0.25, 16000, 4))
+        raw = path.read_bytes()
+        extra = struct.pack("<4sI", b"LIST", 3) + b"abc\x00"
+        raw = (struct.pack("<4sI4s", b"RIFF", len(raw) - 8 + len(extra), b"WAVE")
+               + raw[12:36] + extra + raw[36:])
+        path.write_bytes(raw)
+        fifo = tmp_path / "pipe.wav"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(raw), daemon=True)
+        writer.start()
+        got = read_wav(fifo)
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        want = read_wav(path)
+        assert got.sample_rate_hz == want.sample_rate_hz
+        np.testing.assert_array_equal(got.samples, want.samples)
 
 
 # KSDATAFORMAT_SUBTYPE_PCM after its two-byte format tag.

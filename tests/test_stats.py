@@ -133,20 +133,45 @@ class TestDegenerateSpan:
 # subnormal/normal boundary, and normal values up to 1e300.
 _MAGNITUDES = [0.0, 5e-324, 1e-323, 2.4e-322, 1e-321, 1e-318, 1e-310,
                2.2250738585072014e-308, 1e-300, 1e-9, 1.0, 1e6, 1e300]
+# Every (lo, hi) pair of them, with both signs.
+_PAIRS = sorted({tuple(sorted((sa * a, sb * b)))
+                 for a in _MAGNITUDES for b in _MAGNITUDES
+                 for sa, sb in ((-1, 1), (1, 1), (-1, -1))})
 
 
 class TestUniformEdges:
     @pytest.mark.parametrize("n_bins", [1, 2, 7, 63, 64, 255, 400])
     def test_strictly_increasing_and_covering(self, n_bins):
-        pairs = sorted({tuple(sorted((sa * a, sb * b)))
-                        for a in _MAGNITUDES for b in _MAGNITUDES
-                        for sa, sb in ((-1, 1), (1, 1), (-1, -1))})
-        lo, hi = np.array(pairs).T
+        lo, hi = np.array(_PAIRS).T
         rows = _uniform_edges(lo, hi, n_bins)
-        for row, (a, b) in zip(rows, pairs):
+        for row, (a, b) in zip(rows, _PAIRS):
             for edges in (row, _uniform_edges(a, b, n_bins)):
                 assert np.all(np.diff(edges) > 0), (a, b)
                 assert edges[0] <= a and edges[-1] >= b, (a, b)
+
+    @pytest.mark.parametrize("n_bins", [1, 2, 7, 63, 64, 255, 400])
+    def test_each_row_as_if_alone(self, n_bins):
+        # a row whose step is 0 used to switch every row of the batch to
+        # another np.linspace path
+        lo, hi = np.array(_PAIRS).T
+        rows = _uniform_edges(lo, hi, n_bins)
+        for row, (a, b) in zip(rows, _PAIRS):
+            np.testing.assert_array_equal(row, _uniform_edges(a, b, n_bins))
+
+    def test_histogram_edges_of_a_row_do_not_depend_on_the_others(self):
+        ramp = np.linspace(-2.4e-322, 2.4e-322, 16384)
+        alone = row_histograms(ramp).bin_edges
+        stacked = row_histograms(np.stack([ramp, np.resize([0.0, 5e-324], 16384)]))
+        np.testing.assert_array_equal(stacked.bin_edges[0], alone)
+
+    def test_normal_ranges_are_np_linspace(self):
+        rng = np.random.default_rng(8)
+        for n_bins in (1, 2, 7, 63, 400):
+            ends = np.sort(rng.normal(0.0, 10.0 ** rng.uniform(-300, 300, (50, 1)),
+                                      (50, 2)), axis=1)
+            rows = _uniform_edges(ends[:, 0], ends[:, 1], n_bins)
+            for row, (a, b) in zip(rows, ends):
+                np.testing.assert_array_equal(row, np.linspace(a, b, n_bins + 1))
 
     def test_span_of_a_few_subnormals(self):
         # np.linspace rounds this step to 10 subnormals and overshoots its

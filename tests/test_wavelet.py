@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from wpdenoise.wavelet import (
+    FILTERS,
+    FilterBank,
     analysis_step,
     filter_bank,
     synthesis_step,
@@ -45,6 +47,13 @@ class TestFilterBank:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             filter_bank("sym8")
+
+    def test_built_from_its_lowpass(self):
+        fb = FilterBank("haar-again", filter_bank("haar").lowpass)
+        np.testing.assert_array_equal(fb.highpass, filter_bank("haar").highpass)
+        assert FILTERS == ("haar", "db4")
+        with pytest.raises(ValueError, match="not orthonormal"):
+            FilterBank("x", [1.0, 1.0])
 
 
 class TestAnalysisStep:
