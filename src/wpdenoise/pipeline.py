@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -52,7 +53,7 @@ from .thresholding import (
     soft_threshold,
     universal_threshold,
 )
-from .wavelet import analysis_step, check_packet, filter_bank, wp_analysis, wp_synthesis
+from .wavelet import check_packet, filter_bank, wp_analysis, wp_synthesis
 from .report import Report
 
 METHODS = ("universal-hard", "universal-soft", "band")
@@ -115,7 +116,8 @@ class EnhanceConfig:
             value = value.item() if isinstance(value, np.generic) else value
             if value is None and name == "entropy_threshold":
                 continue
-            if type(value) not in (int, float) or not math.isfinite(value):
+            # compared, not converted: an int beyond float range is not finite
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
             object.__setattr__(self, name, value)
         if not isinstance(self.vuv_enabled, (bool, np.bool_)):
@@ -212,8 +214,7 @@ def estimate_noise_profile(signal: SignalBuffer, config: EnhanceConfig) -> Noise
     # mad mode: one estimate from the level-1 detail of every frame.
     frames = make_frames(signal, config.frame_len, config.hop, config.window)
     check_epsilon(config.epsilon, _noise_bins(frames.frames.size // 2))
-    _, detail = analysis_step(frames.frames, filter_bank(config.wavelet))
-    detail = detail.ravel()
+    detail = wp_analysis(frames.frames, filter_bank(config.wavelet), 1)[:, 1].ravel()
     distribution = _noise_distribution(detail, config.epsilon)
     return NoiseProfile(estimate_sigma(detail), distribution, pooled=distribution)
 

@@ -83,7 +83,8 @@ def _uniform_edges(lo, hi, n_bins: int) -> np.ndarray:
     edges never depend on the other rows. A single value is widened by
     +-1e-9 first. A row whose edges still do not strictly increase (a
     span of a few ulps or subnormals) gets bins of max(step, 4 ulps of
-    its magnitude), centred on its range.
+    its magnitude), centred on its range. A range too wide for float
+    arithmetic (its span or its edges would overflow) raises ValueError.
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
@@ -95,12 +96,17 @@ def _uniform_edges(lo, hi, n_bins: int) -> np.ndarray:
     half = np.where(lo == hi, _DEGENERATE_HALF_SPAN, 0.0)
     lo, hi = (lo - half)[..., None], (hi + half)[..., None]
     k = np.arange(n_bins + 1)
-    step = (hi - lo) / n_bins
-    edges = lo + k * step
-    edges[..., -1:] = hi
-    bad = np.any(np.diff(edges, axis=-1) <= 0, axis=-1, keepdims=True)
-    width = np.maximum(step, 4 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
-    return np.where(bad, (lo / 2 + hi / 2 - width * (n_bins / 2)) + k * width, edges)
+    try:
+        with np.errstate(over="raise"):
+            step = (hi - lo) / n_bins
+            edges = lo + k * step
+            edges[..., -1:] = hi
+            bad = np.any(np.diff(edges, axis=-1) <= 0, axis=-1, keepdims=True)
+            width = np.maximum(step, 4 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+            return np.where(bad, (lo / 2 + hi / 2 - width * (n_bins / 2)) + k * width, edges)
+    except FloatingPointError:
+        raise ValueError(f"cannot choose bin edges over [{np.min(lo)}, {np.max(hi)}]: "
+                         "the range reaches beyond the largest float") from None
 
 
 def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:

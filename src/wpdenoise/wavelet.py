@@ -4,10 +4,14 @@ Filtering is periodic (circular), so for an orthonormal filter pair the
 frame transform is an orthogonal matrix: reconstruction is exact and
 coefficient energy equals sample energy. Both the approximation and the
 detail branch are split recursively down to the requested depth, giving
-2^depth uniform subbands per frame. Every function works on a whole
-batch of frames at once: the transform runs level by level over the
-last axis, so a (frames, samples) array becomes one
-(frames, subbands, coeffs) array of leaf coefficients and back.
+2^depth uniform subbands per frame.
+
+The transform is two calls on a whole batch of frames: wp_analysis
+turns a (frames, samples) array into one (frames, subbands, coeffs)
+array of leaf coefficients, and wp_synthesis takes exactly such an
+array back. Both run level by level over the last axis, applying the
+split matrices that each FilterBank derives once from its lowpass; the
+level-1 split alone is wp_analysis(frames, fb, 1).
 """
 
 from __future__ import annotations
@@ -38,19 +42,30 @@ class FilterBank:
     """Orthonormal two-channel analysis pair, built from its lowpass.
 
     The highpass is the quadrature mirror of the lowpass:
-    highpass[k] = (-1)^k * lowpass[L-1-k].
+    highpass[k] = (-1)^k * lowpass[L-1-k]. Both split matrices are
+    derived with it, in the form `_filter_pairs` applies: analysis_matrix
+    is the (L, 2) matrix of the two filters, synthesis_matrix the same
+    taps in polyphase order, which inverts the split.
     """
 
     name: str
     lowpass: np.ndarray
     highpass: np.ndarray = field(init=False)
+    analysis_matrix: np.ndarray = field(init=False, repr=False)
+    synthesis_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.lowpass = np.asarray(self.lowpass, dtype=np.float64)
-        if self.lowpass.ndim != 1 or abs(float(np.sum(self.lowpass**2)) - 1.0) > 1e-12:
+        self.lowpass = h = np.asarray(self.lowpass, dtype=np.float64)
+        if h.ndim != 1 or len(h) % 2 or abs(float(np.sum(h**2)) - 1.0) > 1e-12:
             raise ValueError(f"filter {self.name!r} is not orthonormal: its lowpass "
-                             "must be a vector of unit energy")
-        self.highpass = (-1.0) ** np.arange(len(self.lowpass)) * self.lowpass[::-1]
+                             "must be a vector of even length and unit energy")
+        taps = len(h)
+        self.highpass = (-1.0) ** np.arange(taps) * h[::-1]
+        self.analysis_matrix = np.stack((h, self.highpass), axis=1)
+        # out[2j + p] = sum_q lowpass[2q + p] a[j - q] + highpass[2q + p] d[j - q]:
+        # window entry 2r + c is (a, d)[c][j - q] with q = taps/2 - 1 - r.
+        bank = self.analysis_matrix.T.reshape(2, taps // 2, 2)
+        self.synthesis_matrix = bank[:, ::-1, :].transpose(1, 0, 2).reshape(taps, 2)
 
     def __len__(self) -> int:
         return len(self.lowpass)
@@ -75,41 +90,6 @@ def _filter_pairs(x: np.ndarray, matrix: np.ndarray, lead: int) -> np.ndarray:
     ext = np.concatenate((x[..., n - lead :], x, x[..., : taps - 2 - lead]), axis=-1)
     windows = np.lib.stride_tricks.sliding_window_view(ext, taps, axis=-1)
     return windows[..., ::2, :] @ matrix
-
-
-def analysis_step(input_vec, fb: FilterBank):
-    """One circular filter-and-decimate split along the last axis.
-
-    approx[..., m] = sum_k lowpass[k] * x[..., (2m+k) mod n], likewise
-    for detail with the highpass. Each output has half the input length.
-    """
-    x = np.asarray(input_vec, dtype=np.float64)
-    n = x.shape[-1]
-    if n % 2:
-        raise ValueError(f"input length {n} must be even")
-    if n < len(fb):
-        raise ValueError(f"input length {n} shorter than filter length {len(fb)}")
-    pairs = _filter_pairs(x, np.stack((fb.lowpass, fb.highpass), axis=1), 0)
-    return pairs[..., 0], pairs[..., 1]
-
-
-def synthesis_step(approx, detail, fb: FilterBank) -> np.ndarray:
-    """Exact inverse of analysis_step (transpose of the orthogonal split)."""
-    a = np.asarray(approx, dtype=np.float64)
-    d = np.asarray(detail, dtype=np.float64)
-    if a.shape != d.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {d.shape}")
-    taps = len(fb)
-    z = np.stack((a, d), axis=-1).reshape(a.shape[:-1] + (2 * a.shape[-1],))
-    if z.shape[-1] < taps:
-        raise ValueError(
-            f"output length {z.shape[-1]} shorter than filter length {taps}"
-        )
-    # out[2j + p] = sum_q lowpass[2q + p] a[j - q] + highpass[2q + p] d[j - q]:
-    # window entry 2r + c is (a, d)[c][j - q] with q = taps/2 - 1 - r.
-    bank = np.stack((fb.lowpass, fb.highpass)).reshape(2, taps // 2, 2)
-    matrix = bank[:, ::-1, :].transpose(1, 0, 2).reshape(taps, 2)
-    return _filter_pairs(z, matrix, taps - 2).reshape(z.shape)
 
 
 def check_packet(frame_len: int, depth, fb: FilterBank) -> int:
@@ -146,21 +126,27 @@ def wp_analysis(frames, fb: FilterBank, depth: int) -> np.ndarray:
     depth = check_packet(n, depth, fb)
     nodes = x[:, None, :]
     for level in range(depth):
-        nodes = np.stack(analysis_step(nodes, fb), axis=-2)
-        nodes = nodes.reshape(len(x), 2 << level, n >> level + 1)
+        pairs = _filter_pairs(nodes, fb.analysis_matrix, 0)
+        nodes = pairs.swapaxes(-1, -2).reshape(len(x), 2 << level, n >> level + 1)
     return nodes
 
 
 def wp_synthesis(leaves, fb: FilterBank) -> np.ndarray:
-    """Invert wp_analysis: (F, 2**depth, N >> depth) leaves -> (F, N) frames."""
+    """Invert wp_analysis: (F, 2**depth, N >> depth) leaves -> (F, N) frames.
+
+    The leaves must have a shape wp_analysis gives: check_packet holds
+    for frames of n_subbands * coeffs samples at depth log2(n_subbands).
+    """
     nodes = np.asarray(leaves, dtype=np.float64)
     if nodes.ndim != 3:
         raise ValueError(
             f"leaves must be (n_frames, n_subbands, coeffs), got shape {nodes.shape}"
         )
-    n_sub = nodes.shape[1]
-    if n_sub < 2 or n_sub & (n_sub - 1):
-        raise ValueError(f"subband count {n_sub} must be a power of two >= 2")
-    while nodes.shape[1] > 1:
-        nodes = synthesis_step(nodes[:, 0::2], nodes[:, 1::2], fb)
+    n_frames, n_sub, width = nodes.shape
+    depth = check_packet(n_sub * width, n_sub.bit_length() - 1, fb)
+    for level in range(depth):
+        # interleave each (approx, detail) pair: z[..., 2j + c] = pair[c][j]
+        pairs = nodes.reshape(n_frames, n_sub >> level + 1, 2, width << level)
+        z = pairs.swapaxes(-1, -2).reshape(n_frames, n_sub >> level + 1, width << level + 1)
+        nodes = _filter_pairs(z, fb.synthesis_matrix, len(fb) - 2).reshape(z.shape)
     return nodes[:, 0]

@@ -1,11 +1,12 @@
-"""The package's top-level names are the ones the README documents."""
+"""The package's top-level names, defaults and version are declared once."""
 
 import os
 import re
 
 import wpdenoise
 
-README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+ROOT = os.path.dirname(os.path.dirname(__file__))
+README = os.path.join(ROOT, "README.md")
 
 
 def test_all_matches_readme_library_use():
@@ -41,3 +42,16 @@ def test_readme_defaults_match_config_and_cli():
         name = "vuv_enabled" if flag == "vuv" else flag.replace("-", "_")
         want = _readme_default(cell)
         assert getattr(config, name) == getattr(cli, name) == want, flag
+
+
+def test_version_is_declared_only_in_the_package():
+    # read with a regex, not tomllib, which Python 3.10 lacks
+    with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+        text = fh.read()
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[)", text, re.S | re.M).group(1)
+    assert not re.search(r"^version\s*=", project, re.M)
+    assert re.search(r'^dynamic = \[.*"version".*\]$', project, re.M)
+    assert re.search(
+        r'^\[tool\.setuptools\.dynamic\]\nversion = \{attr = "wpdenoise\._version\.__version__"\}$',
+        text, re.M,
+    )

@@ -92,6 +92,17 @@ class TestNonFiniteValues:
                                edges=np.array([-1e308, 0.0, 1e308]))
         np.testing.assert_array_equal(wide.counts, [2, 3])
 
+    def test_range_wider_than_the_float_range_rejected(self):
+        # hi - lo overflows to inf: a ValueError naming the range, before
+        # any numpy overflow warning (an error in this suite)
+        wide = [-1e308, 0.0, 1e308]
+        batch = np.stack([np.linspace(-1.0, 1.0, 3), wide, np.arange(3.0)])
+        for call in (lambda: row_histograms(np.array(wide)),
+                     lambda: row_histograms(batch),
+                     lambda: shared_edges([-1e308], [1e308])):
+            with pytest.raises(ValueError, match=r"over \[-1e\+308, 1e\+308\]"):
+                call()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_edges_rejected(self, bad):
         edges = np.array([0.0, 0.5, bad])

@@ -1,22 +1,17 @@
 """Tests for the wavelet-packet transform: filters, splits, packet arrays.
 
-TestWpDecompose, TestWpReconstruct and TestCoefficientTree keep the
-names of the per-frame tree API they once covered; they check the same
-properties on the batched (frames, subbands, coeffs) array.
+TestAnalysisStep and TestSynthesisStep keep the names of the one-level
+split functions they once covered, and TestWpDecompose,
+TestWpReconstruct and TestCoefficientTree those of the per-frame tree
+API; they check the same properties through wp_analysis and
+wp_synthesis on the batched (frames, subbands, coeffs) array.
 """
 
 import numpy as np
 import pytest
 
-from wpdenoise.wavelet import (
-    FILTERS,
-    FilterBank,
-    analysis_step,
-    filter_bank,
-    synthesis_step,
-    wp_analysis,
-    wp_synthesis,
-)
+import scalar_oracle as oracle
+from wpdenoise.wavelet import FILTERS, FilterBank, filter_bank, wp_analysis, wp_synthesis
 
 SQRT2 = np.sqrt(2.0)
 
@@ -54,52 +49,54 @@ class TestFilterBank:
         assert FILTERS == ("haar", "db4")
         with pytest.raises(ValueError, match="not orthonormal"):
             FilterBank("x", [1.0, 1.0])
+        with pytest.raises(ValueError, match="even length"):
+            FilterBank("x", [1.0])
+
+
+def _split(x, fb):
+    """(approx, detail) of one level-1 split of a single frame."""
+    return wp_analysis(np.asarray(x, dtype=float)[None], fb, 1)[0]
+
+
+def _merge(approx, detail, fb):
+    """The single frame rebuilt from its level-1 (approx, detail) pair."""
+    return wp_synthesis(np.array([[approx, detail]], dtype=float), fb)[0]
 
 
 class TestAnalysisStep:
     def test_haar_constant_pair(self):
-        approx, detail = analysis_step(np.array([1.0, 1.0]), filter_bank("haar"))
-        np.testing.assert_allclose(approx, [SQRT2], atol=1e-15)
-        np.testing.assert_allclose(detail, [0.0], atol=1e-15)
+        approx, detail = _split([1.0, 1.0, 1.0, 1.0], filter_bank("haar"))
+        np.testing.assert_allclose(approx, [SQRT2, SQRT2], atol=1e-15)
+        np.testing.assert_allclose(detail, [0.0, 0.0], atol=1e-15)
 
     def test_haar_alternating_pair(self):
-        approx, detail = analysis_step(np.array([1.0, -1.0]), filter_bank("haar"))
-        np.testing.assert_allclose(approx, [0.0], atol=1e-15)
-        np.testing.assert_allclose(detail, [SQRT2], atol=1e-15)
+        approx, detail = _split([1.0, -1.0, 1.0, -1.0], filter_bank("haar"))
+        np.testing.assert_allclose(approx, [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(detail, [SQRT2, SQRT2], atol=1e-15)
 
     def test_zeros_in_zeros_out(self):
-        approx, detail = analysis_step(np.zeros(32), filter_bank("db4"))
+        approx, detail = _split(np.zeros(32), filter_bank("db4"))
         assert np.all(approx == 0.0) and np.all(detail == 0.0)
 
     def test_output_lengths(self):
-        approx, detail = analysis_step(np.arange(64.0), filter_bank("db4"))
+        approx, detail = _split(np.arange(64.0), filter_bank("db4"))
         assert len(approx) == len(detail) == 32
 
     def test_linear(self):
         fb = filter_bank("db4")
         rng = np.random.default_rng(8)
         x, y = rng.normal(size=64), rng.normal(size=64)
-        ax, dx = analysis_step(x, fb)
-        ay, dy = analysis_step(y, fb)
-        a, d = analysis_step(2.0 * x - 3.0 * y, fb)
+        ax, dx = _split(x, fb)
+        ay, dy = _split(y, fb)
+        a, d = _split(2.0 * x - 3.0 * y, fb)
         np.testing.assert_allclose(a, 2.0 * ax - 3.0 * ay, atol=1e-12)
         np.testing.assert_allclose(d, 2.0 * dx - 3.0 * dy, atol=1e-12)
 
     def test_rejects_odd_or_short_input(self):
-        with pytest.raises(ValueError):
-            analysis_step(np.zeros(33), filter_bank("haar"))
-        with pytest.raises(ValueError):
-            analysis_step(np.zeros(4), filter_bank("db4"))
-
-    def test_works_along_last_axis(self):
-        fb = filter_bank("db4")
-        x = np.random.default_rng(9).normal(size=(3, 2, 64))
-        approx, detail = analysis_step(x, fb)
-        assert approx.shape == detail.shape == (3, 2, 32)
-        for idx in np.ndindex(3, 2):
-            a, d = analysis_step(x[idx], fb)
-            np.testing.assert_array_equal(approx[idx], a)
-            np.testing.assert_array_equal(detail[idx], d)
+        with pytest.raises(ValueError, match="power of two"):
+            _split(np.zeros(33), filter_bank("haar"))
+        with pytest.raises(ValueError, match="8-tap 'db4' filter"):
+            _split(np.zeros(4), filter_bank("db4"))
 
 
 class TestSynthesisStep:
@@ -107,26 +104,25 @@ class TestSynthesisStep:
     def test_inverts_analysis(self, name):
         fb = filter_bank(name)
         x = np.random.default_rng(0).normal(size=64)
-        approx, detail = analysis_step(x, fb)
-        np.testing.assert_allclose(synthesis_step(approx, detail, fb), x,
-                                   atol=1e-10)
+        np.testing.assert_allclose(_merge(*_split(x, fb), fb), x, atol=1e-10)
 
     def test_haar_inverse_hand_case(self):
-        out = synthesis_step([SQRT2], [0.0], filter_bank("haar"))
-        np.testing.assert_allclose(out, [1.0, 1.0], atol=1e-15)
+        out = _merge([SQRT2, SQRT2], [0.0, 0.0], filter_bank("haar"))
+        np.testing.assert_allclose(out, [1.0, 1.0, 1.0, 1.0], atol=1e-15)
 
     def test_zeros_in_zeros_out(self):
-        out = synthesis_step(np.zeros(16), np.zeros(16), filter_bank("db4"))
+        out = _merge(np.zeros(16), np.zeros(16), filter_bank("db4"))
         assert np.all(out == 0.0)
 
     def test_rejects_length_mismatch(self):
+        # a ragged (approx, detail) pair is no (frames, subbands, coeffs) array
         with pytest.raises(ValueError):
-            synthesis_step(np.zeros(8), np.zeros(9), filter_bank("haar"))
+            wp_synthesis([[np.zeros(8), np.zeros(9)]], filter_bank("haar"))
 
     def test_inverts_analysis_along_last_axis(self):
         fb = filter_bank("db4")
-        x = np.random.default_rng(10).normal(size=(4, 3, 32))
-        np.testing.assert_allclose(synthesis_step(*analysis_step(x, fb), fb), x,
+        x = np.random.default_rng(10).normal(size=(4, 32))
+        np.testing.assert_allclose(wp_synthesis(wp_analysis(x, fb, 1), fb), x,
                                    atol=1e-12)
 
 
@@ -145,9 +141,9 @@ class TestWpDecompose:
         fb = filter_bank("db4")
         x = np.random.default_rng(1).normal(size=128)
         leaves = _leaves(x, "db4", 1)
-        approx, detail = analysis_step(x, fb)
-        np.testing.assert_array_equal(leaves[0], approx)
-        np.testing.assert_array_equal(leaves[1], detail)
+        approx, detail = oracle.analysis_step(x, fb)
+        np.testing.assert_allclose(leaves[0], approx, atol=1e-12)
+        np.testing.assert_allclose(leaves[1], detail, atol=1e-12)
 
     def test_leaf_shape(self):
         x = np.random.default_rng(2).normal(size=(5, 64))
@@ -204,9 +200,9 @@ class TestCoefficientTree:
         fb = filter_bank("db4")
         x = np.random.default_rng(7).normal(size=128)
         leaves = 0.5 * _leaves(x, "db4", 2)
-        level1 = synthesis_step(leaves[0::2], leaves[1::2], fb)
+        level1 = wp_synthesis(leaves.reshape(2, 2, -1), fb)
         np.testing.assert_allclose(level1, 0.5 * _leaves(x, "db4", 1), atol=1e-12)
-        root = synthesis_step(level1[0], level1[1], fb)
+        root = _merge(level1[0], level1[1], fb)
         np.testing.assert_allclose(root, _frame(leaves, "db4"), atol=1e-12)
         np.testing.assert_allclose(root, 0.5 * x, atol=1e-12)
 
@@ -223,3 +219,11 @@ class TestCoefficientTree:
             wp_synthesis(np.zeros((4, 16)), fb)  # frame axis missing
         with pytest.raises(ValueError):
             wp_synthesis(np.zeros((1, 4, 2)), filter_bank("db4"))  # leaves < taps
+
+    def test_takes_only_shapes_analysis_gives(self):
+        # check_packet's rule, as in wp_analysis: one split of an 8-sample
+        # frame leaves 4 < 8 db4 taps, and 2 * 12 samples is no power of two
+        with pytest.raises(ValueError, match="8-tap 'db4' filter"):
+            wp_synthesis(np.zeros((1, 2, 4)), filter_bank("db4"))
+        with pytest.raises(ValueError, match="frame length 24 must be a power of two"):
+            wp_synthesis(np.zeros((1, 2, 12)), filter_bank("haar"))
