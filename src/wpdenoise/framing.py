@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .signal_io import SignalBuffer
+from .signal_io import SignalBuffer, shown
 
 WINDOWS = ("rectangular", "hann")
 
@@ -36,7 +36,7 @@ def window_values(window: str, frame_len: int) -> np.ndarray:
     if window == "hann":
         n = np.arange(frame_len, dtype=np.float64)
         return np.sin(np.pi * (n + 0.5) / frame_len) ** 2
-    raise ValueError(f"unknown window {window!r} (expected one of {WINDOWS})")
+    raise ValueError(f"unknown window {shown(window)} (expected one of {WINDOWS})")
 
 
 def frame_count(original_len: int, frame_len: int, hop: int) -> int:
@@ -57,12 +57,13 @@ def check_geometry(frame_len, hop, window: str) -> tuple:
         frame_len, hop = operator.index(frame_len), operator.index(hop)
     except TypeError:
         raise ValueError(
-            f"frame_len and hop must be integers, got {frame_len!r} and {hop!r}"
+            "frame_len and hop must be integers, "
+            f"got {shown(frame_len)} and {shown(hop)}"
         ) from None
     if frame_len <= 0 or frame_len & (frame_len - 1):
-        raise ValueError(f"frame_len must be a power of two, got {frame_len}")
+        raise ValueError(f"frame_len must be a power of two, got {shown(frame_len)}")
     if hop <= 0 or frame_len % hop:
-        raise ValueError(f"hop {hop} must divide frame_len {frame_len}")
+        raise ValueError(f"hop {shown(hop)} must divide frame_len {frame_len}")
     floor = float(np.min(window_values(window, frame_len) ** 2))
     if floor < _NORMALIZATION_FLOOR:
         raise ColaError(

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._version import __version__
 from .framing import FrameSet, check_geometry, frame_count, make_frames, overlap_add
-from .signal_io import SignalBuffer, _check_aligned, snr_db
+from .signal_io import SignalBuffer, _check_aligned, shown, snr_db
 from .stats import (
     Histogram,
     ProbabilityVector,
@@ -80,7 +80,8 @@ class EnhanceConfig:
     Checked when built and immutable: dataclasses.replace derives a new,
     checked config. A bad value raises ValueError naming its field.
     frame_len, hop, depth and seed (None allowed) are integers, anything
-    operator.index takes, and are stored as ints. The real fields take
+    operator.index takes, and are stored as ints; seed must have few
+    enough digits for the report to write it. The real fields take
     Python ints and floats (not bools) and numpy scalars, stored as the
     Python number; vuv_enabled takes a bool or numpy bool, stored as a
     bool. So every field is one the report can write.
@@ -106,8 +107,11 @@ class EnhanceConfig:
         depth = check_packet(frame_len, self.depth, filter_bank(self.wavelet))
         try:
             seed = None if self.seed is None else int(operator.index(self.seed))
-        except TypeError:
-            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
+            str(seed)  # the report writes it in decimal
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"seed must be an integer the report can write, got {shown(self.seed)}"
+            ) from None
         ints = {"frame_len": frame_len, "hop": hop, "depth": depth, "seed": seed}
         for name, value in ints.items():
             object.__setattr__(self, name, value)
@@ -118,10 +122,14 @@ class EnhanceConfig:
                 continue
             # compared, not converted: an int beyond float range is not finite
             if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+                raise ValueError(
+                    f"{name} must be a finite real number, got {shown(value)}"
+                )
             object.__setattr__(self, name, value)
         if not isinstance(self.vuv_enabled, (bool, np.bool_)):
-            raise ValueError(f"vuv_enabled must be a bool, got {self.vuv_enabled!r}")
+            raise ValueError(
+                f"vuv_enabled must be a bool, got {shown(self.vuv_enabled)}"
+            )
         object.__setattr__(self, "vuv_enabled", bool(self.vuv_enabled))
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")

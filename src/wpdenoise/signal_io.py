@@ -38,6 +38,19 @@ class WavTruncatedError(WavFormatError):
     """Data chunk ends before its declared size."""
 
 
+def shown(value) -> str:
+    """repr(value) for an error message, bounded for huge ints.
+
+    An int with more decimal digits than Python converts to a string
+    (sys.get_int_max_str_digits) is shown by its bit length, so that
+    the message naming the bad value can still be built.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<int of {value.bit_length()} bits>"
+
+
 @dataclass
 class SignalBuffer:
     """Mono sample sequence with its sample rate.

@@ -147,6 +147,16 @@ class TestEnhanceConfig:
             with pytest.raises(ValueError, match=rf"^{field} must be a finite real"):
                 EnhanceConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(EnhanceConfig)])
+    def test_a_huge_int_is_rejected_by_name(self, field):
+        # 10**5000 has more digits than Python converts to a string, so
+        # messages that printed it failed with "Exceeds the limit (4300
+        # digits)" and named nothing; a seed that large was accepted and
+        # failed only in Report.to_json, after the whole run
+        named = "filter" if field == "wavelet" else field
+        with pytest.raises(ValueError, match=rf"\b{named}\b"):
+            EnhanceConfig(**{field: 10**5000})
+
     def test_hann_frames_past_1024_cannot_be_rebuilt(self):
         # the first sample's overlap-add normaliser is w[0]^2: 5.5e-12 at
         # 1024 samples, 3.5e-13 at 2048

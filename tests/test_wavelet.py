@@ -7,6 +7,8 @@ API; they check the same properties through wp_analysis and
 wp_synthesis on the batched (frames, subbands, coeffs) array.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,23 @@ class TestFilterBank:
             FilterBank("x", [1.0, 1.0])
         with pytest.raises(ValueError, match="even length"):
             FilterBank("x", [1.0])
+
+    def test_is_frozen_with_read_only_taps(self):
+        # a mutable bank let `fb.lowpass = db4` leave len(fb) and the
+        # derived taps out of step, and the transform then failed in numpy
+        fb = filter_bank("haar")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fb.lowpass = filter_bank("db4").lowpass
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fb.highpass = fb.lowpass
+        for taps in (fb.lowpass, fb.highpass):
+            with pytest.raises(ValueError, match="read-only"):
+                taps[0] = 0.0
+        # the bank holds a copy, so the caller's array stays writable and apart
+        lowpass = np.array(filter_bank("haar").lowpass)
+        own = FilterBank("haar-copy", lowpass)
+        lowpass[0] = 0.0
+        assert own.lowpass[0] == fb.lowpass[0]
 
 
 def _split(x, fb):
@@ -156,6 +175,18 @@ class TestWpDecompose:
         leaf_energy = float(np.sum(leaves**2))
         assert abs(leaf_energy / float(np.sum(x**2)) - 1.0) < 1e-9
 
+    def test_any_memory_layout(self):
+        # strided and Fortran-ordered frames give the leaves of their copy
+        fb = filter_bank("db4")
+        x = np.random.default_rng(9).normal(size=(6, 256))
+        expected = wp_analysis(x[::2].copy(), fb, 5)
+        np.testing.assert_array_equal(wp_analysis(x[::2], fb, 5), expected)
+        np.testing.assert_array_equal(wp_analysis(np.asfortranarray(x[::2]), fb, 5),
+                                      expected)
+        leaves = np.asfortranarray(expected)
+        np.testing.assert_array_equal(wp_synthesis(leaves, fb),
+                                      wp_synthesis(expected, fb))
+
     def test_rejects_insufficient_length(self):
         with pytest.raises(ValueError):
             _leaves(np.zeros(64), "db4", 4)  # leaf 4 < 8 taps
@@ -227,3 +258,32 @@ class TestCoefficientTree:
             wp_synthesis(np.zeros((1, 2, 4)), filter_bank("db4"))
         with pytest.raises(ValueError, match="frame length 24 must be a power of two"):
             wp_synthesis(np.zeros((1, 2, 12)), filter_bank("haar"))
+
+
+@pytest.mark.parametrize("name", ["haar", "db4"])
+@pytest.mark.parametrize("n", [64, 1024])
+def test_every_depth_matches_the_scalar_oracle(name, n):
+    # The transform runs in stages of at most four levels, so depths 4 -> 5
+    # and 8 -> 9 cross a stage boundary; haar at 1024 samples reaches both.
+    fb = filter_bank(name)
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(2, n))
+    depth = 1
+    while n >> depth >= len(fb):  # every depth check_packet allows
+        leaves = wp_analysis(x, fb, depth)
+        assert leaves.shape == (2, 1 << depth, n >> depth)
+        assert leaves.dtype == np.float64 and leaves.flags.c_contiguous
+        expected = np.stack([oracle.wp_decompose(f, fb, depth).leaves for f in x])
+        np.testing.assert_allclose(leaves, expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max())
+
+        frames = wp_synthesis(leaves, fb)
+        assert frames.shape == (2, n)
+        assert frames.dtype == np.float64 and frames.flags.c_contiguous
+        np.testing.assert_allclose(frames, x, rtol=0, atol=1e-12 * np.abs(x).max())
+        # leaves that no frame produced: the inverse is the oracle's too
+        other = rng.normal(size=leaves.shape)
+        expected = np.stack([oracle.wp_reconstruct(list(f), fb) for f in other])
+        np.testing.assert_allclose(wp_synthesis(other, fb), expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max())
+        depth += 1

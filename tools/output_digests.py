@@ -15,9 +15,12 @@ every depth they allow, and the level-1 detail), and a fixed script of
 CLI calls run in a temporary directory. Array digests cover dtype,
 shape and bytes; report digests the bytes of Report.to_json(); a CLI
 case the exit status, stdout and stderr of each call and every file
-written. Only the standard library and wpdenoise itself are used, so
-the script runs against any revision of the package that has these
-entry points.
+written. Each report case also prints a decisions/<case> line: the
+digest of the VUV labels and the zero counts before and after
+thresholding. A change that moves floats only in their last bits
+changes value digests but keeps every decisions line. Only the
+standard library and wpdenoise itself are used, so the script runs
+against any revision of the package that has these entry points.
 """
 
 from __future__ import annotations
@@ -70,14 +73,22 @@ def sha(*parts) -> str:
     return h.hexdigest()
 
 
+def report_cases(case, report, *arrays):
+    """The value line of a case and its decisions line."""
+    yield case, *(sha(a) for a in arrays), sha(report.to_json())
+    yield f"decisions/{case}", sha(
+        repr(report.vuv), np.asarray(report.n_zero_pre), np.asarray(report.n_zero_post)
+    )
+
+
 def enhance_cases():
     for seed in (1, 7):
         for method in METHODS:
             for mode in ("leading_silence", "mad"):
                 config = EnhanceConfig(method=method, noise_estimation=mode, seed=seed)
                 _, _, out, report = run_preset("sine-0db", seed=seed, config=config)
-                yield f"sine-0db/{method}/{mode}/seed={seed}", sha(out.samples), sha(
-                    report.to_json()
+                yield from report_cases(
+                    f"sine-0db/{method}/{mode}/seed={seed}", report, out.samples
                 )
 
 
@@ -99,15 +110,15 @@ def speech_cases():
             config = EnhanceConfig(method=method, noise_estimation="mad",
                                    vuv_enabled=vuv, seed=0)
             out, report = enhance(noisy, config)
-            yield f"speech-15s/{method}/mad/vuv={vuv}", sha(out.samples), sha(
-                report.to_json()
-            )
+            yield from report_cases(f"speech-15s/{method}/mad/vuv={vuv}", report,
+                                    out.samples)
 
 
 def analyze_case():
     clean, noisy = sine_0db_material(1)
     noise = SignalBuffer(noisy.samples - clean.samples, noisy.sample_rate_hz)
-    yield "analyze/sine-0db/seed=1", sha(analyze(noisy, noise, EnhanceConfig()).to_json())
+    report = analyze(noisy, noise, EnhanceConfig())
+    yield from report_cases("analyze/sine-0db/seed=1", report)
 
 
 def wavelet_cases():
