@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
+import sys
 import wave
 from dataclasses import dataclass
 
@@ -72,10 +73,12 @@ class SignalBuffer:
             self.sample_rate_hz = operator.index(self.sample_rate_hz)
         except TypeError:
             raise ValueError(
-                f"sample_rate_hz must be an integer, got {self.sample_rate_hz!r}"
+                f"sample_rate_hz must be an integer, got {shown(self.sample_rate_hz)}"
             ) from None
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        # an int compares exactly with the largest float
+        if not 0 < self.sample_rate_hz <= sys.float_info.max:
+            raise ValueError("sample_rate_hz must be positive and within float range, "
+                             f"got {shown(self.sample_rate_hz)}")
 
     def __len__(self) -> int:
         return len(self.samples)

@@ -18,9 +18,11 @@ row is a batch of one, and its reductions are numpy scalars.
 Every histogram finds each value's bin in O(1) (`_bin_index`): a guess
 from the first and last edge, moved one bin at a time until the edges
 on either side hold it. That is exact for any strictly increasing
-edges, and one corrected pass on the uniform edges built here. NaN
-has no bin and is rejected; so are infinite values where the edges
-are chosen from the values.
+edges, and one corrected pass on the uniform edges built here. Values
+are binned and counted in blocks of `_BLOCK_VALUES` (whole rows, or
+column slices of a longer row), so that every temporary stays the size
+of a block, not of the input. NaN has no bin and is rejected; so are
+infinite values where the edges are chosen from the values.
 """
 
 from __future__ import annotations
@@ -32,6 +34,12 @@ import numpy as np
 
 # Half-width used to un-degenerate a single-valued sample range.
 _DEGENERATE_HALF_SPAN = 1e-9
+
+# Values binned in one block (256 kB of float64): whole rows, or column
+# slices of a row longer than this. `_bin_index`'s temporaries (a float
+# guess, an index and masks per value) then stay in L2, and none grows
+# with the input.
+_BLOCK_VALUES = 1 << 15
 
 
 def bin_count(n_samples: int) -> int:
@@ -164,7 +172,7 @@ def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def row_histograms(values, edges=None) -> Histogram:
-    """One histogram per row (last axis) of `values`, in one pass.
+    """One histogram per row (last axis) of `values`, in blocks of values.
 
     Without `edges`, each row gets the square-root-rule bins over its
     own [min, max] (np.linspace, widened when degenerate, see
@@ -200,10 +208,22 @@ def row_histograms(values, edges=None) -> Histogram:
                 f"{x.shape[:-1]}"
             )
     n_bins = edges.shape[-1] - 1
-    idx = _bin_index(x, edges)
-    rows = idx.reshape(-1, x.shape[-1])
-    rows += n_bins * np.arange(len(rows))[:, None]
-    counts = np.bincount(rows.ravel(), minlength=len(rows) * n_bins)
+    width = x.shape[-1]
+    rows = x.reshape(-1, width)
+    if edges.ndim > 1:  # one edge row per value row, as large as the counts
+        edge_rows = np.broadcast_to(edges, x.shape[:-1] + (n_bins + 1,))
+        edge_rows = edge_rows.reshape(-1, n_bins + 1)
+    counts = np.zeros((len(rows), n_bins), dtype=np.int64)
+    step = max(1, _BLOCK_VALUES // width)  # rows per block
+    cols = min(width, _BLOCK_VALUES)  # values per block row
+    for r in range(0, len(rows), step):
+        block_edges = edges if edges.ndim == 1 else edge_rows[r : r + step]
+        for c in range(0, width, cols):
+            idx = _bin_index(rows[r : r + step, c : c + cols], block_edges)
+            idx += n_bins * np.arange(len(idx))[:, None]
+            counts[r : r + step] += np.bincount(
+                idx.ravel(), minlength=len(idx) * n_bins
+            ).reshape(-1, n_bins)
     return Histogram(bin_edges=edges, counts=counts.reshape(x.shape[:-1] + (n_bins,)))
 
 

@@ -38,7 +38,8 @@ def estimate_sigma(detail_coeffs):
     x = np.asarray(detail_coeffs, dtype=np.float64)
     if x.size == 0:
         raise ValueError("cannot estimate sigma from an empty vector")
-    return np.median(np.abs(x), axis=-1) / _MAD_SCALE
+    # the median may reorder its own temporary in place of copying it
+    return np.median(np.abs(x), axis=-1, overwrite_input=True) / _MAD_SCALE
 
 
 def universal_threshold(sigma, n: int):

@@ -66,6 +66,8 @@ class FilterBank:
     The highpass is the quadrature mirror of the lowpass:
     highpass[k] = (-1)^k * lowpass[L-1-k]. The bank is immutable: both
     tap arrays are read-only copies, so the highpass can never go stale.
+    Two banks are equal, and hash alike, when their names and lowpass
+    taps are.
     """
 
     name: str
@@ -74,13 +76,22 @@ class FilterBank:
 
     def __post_init__(self):
         h = np.array(self.lowpass, dtype=np.float64)
-        if h.ndim != 1 or len(h) % 2 or abs(float(np.sum(h**2)) - 1.0) > 1e-12:
+        # written so that NaN taps, whose energy compares false, fail too
+        if h.ndim != 1 or len(h) % 2 or not abs(float(np.sum(h**2)) - 1.0) <= 1e-12:
             raise ValueError(f"filter {shown(self.name)} is not orthonormal: its "
                              "lowpass must be a vector of even length and unit energy")
         g = (-1.0) ** np.arange(len(h)) * h[::-1]
         for name, taps in (("lowpass", h), ("highpass", g)):
             taps.flags.writeable = False
             object.__setattr__(self, name, taps)
+
+    def __eq__(self, other):
+        if not isinstance(other, FilterBank):
+            return NotImplemented
+        return self.name == other.name and np.array_equal(self.lowpass, other.lowpass)
+
+    def __hash__(self) -> int:
+        return hash((self.name, tuple(self.lowpass.tolist())))
 
     def __len__(self) -> int:
         return len(self.lowpass)

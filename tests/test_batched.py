@@ -209,6 +209,45 @@ def test_row_histograms_equal_np_histogram(case):
         assert abs(entropy(p)[i] - entropy(q)) <= 1e-12
 
 
+@pytest.mark.parametrize("block", [stats._BLOCK_VALUES, 48])
+def test_blocked_row_histograms_equal_np_histogram(block, monkeypatch):
+    # rows are binned in blocks of `block` values: whole rows, or column
+    # slices of a longer row; infinities sit in each input's last block
+    monkeypatch.setattr(stats, "_BLOCK_VALUES", block)
+    rng = np.random.default_rng(13)
+    edges = np.linspace(-3.0, 3.0, 24)
+    # one row longer than a block and not a multiple of it
+    long_row = rng.standard_normal(2 * block + block // 3)
+    long_row[-2:] = -np.inf, np.inf
+    np.testing.assert_array_equal(
+        stats._bin_index(long_row, edges), oracle.bin_index(long_row, edges)
+    )
+    np.testing.assert_array_equal(
+        row_histograms(long_row, edges=edges).counts, _np_counts(long_row, edges)
+    )
+    finite = long_row[:-2]
+    own = row_histograms(finite)
+    np.testing.assert_array_equal(own.bin_edges, _own_edges(finite))
+    np.testing.assert_array_equal(own.counts, _np_counts(finite, _own_edges(finite)))
+    # 16 rows, 6 to a block, and per-row (S, B + 1) edges over (F, S, n)
+    width = block // 7 + 1
+    values = rng.standard_normal((4, 4, width))
+    values[-1, -1, :2] = np.inf, -np.inf
+    per_row_edges = np.stack([edges * (s + 1) - s for s in range(4)])
+    per_row = row_histograms(values, edges=per_row_edges)
+    shared = row_histograms(values, edges=edges)
+    for f, s in np.ndindex(values.shape[:-1]):
+        np.testing.assert_array_equal(
+            per_row.counts[f, s], _np_counts(values[f, s], per_row_edges[s])
+        )
+        np.testing.assert_array_equal(shared.counts[f, s], _np_counts(values[f, s], edges))
+    rows = values[:, :, 2:].reshape(-1, width - 2)
+    own = row_histograms(rows)
+    for i, row in enumerate(rows):
+        np.testing.assert_array_equal(own.bin_edges[i], _own_edges(row))
+        np.testing.assert_array_equal(own.counts[i], _np_counts(row, _own_edges(row)))
+
+
 @st.composite
 def band_cases(draw):
     """Noise and noisy distributions on edges that straddle zero.

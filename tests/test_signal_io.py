@@ -44,6 +44,16 @@ class TestSignalBuffer:
         signal = SignalBuffer(np.zeros(4), np.int64(16000))
         assert signal.sample_rate_hz == 16000 and type(signal.sample_rate_hz) is int
 
+    def test_rate_beyond_float_range_rejected(self):
+        # such a rate used to fail later, with OverflowError, in the
+        # leading-silence span arithmetic of enhance
+        for rate in (10**309, 10**5000):
+            with pytest.raises(ValueError, match=r"^sample_rate_hz .*float range, got"):
+                SignalBuffer(np.zeros(4096), rate)
+        with pytest.raises(ValueError, match=r"<int of 16610 bits>"):
+            SignalBuffer(np.zeros(4), -(10**5000))
+        assert SignalBuffer(np.zeros(4), 10**308).sample_rate_hz == 10**308
+
 
 class TestWavRoundtrip:
     def test_zero_maps_to_zero(self, tmp_path):

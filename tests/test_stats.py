@@ -1,10 +1,12 @@
 """Tests for histograms, probability estimates, entropy and divergences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from wpdenoise import stats
 from wpdenoise.stats import (
     Histogram,
     ProbabilityVector,
@@ -66,6 +68,26 @@ class TestBuildHistogram:
             row_histograms(np.ones(4), edges=np.array([0.0, 0.0, 1.0]))
 
 
+class TestBlockedBinning:
+    def test_temporaries_stay_bounded(self):
+        # binning all 2^20 values at once peaked at 2.4x the input; blocks
+        # of stats._BLOCK_VALUES values keep every temporary small
+        x = np.random.default_rng(0).standard_normal(1 << 20)
+        cases = {
+            "many rows on shared edges": (x.reshape(1024, 1024), np.linspace(-4, 4, 33)),
+            "one long row": (x, None),
+            "each row's own edges": (x.reshape(2048, 512), None),
+        }
+        for name, (values, edges) in cases.items():
+            tracemalloc.start()
+            try:
+                row_histograms(values, edges=edges)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.25 * x.nbytes, name
+
+
 class TestNonFiniteValues:
     EDGES = np.array([0.0, 0.5, 1.0])
 
@@ -74,6 +96,18 @@ class TestNonFiniteValues:
             row_histograms([0.1, math.nan, 0.5], edges=self.EDGES)
         with pytest.raises(ValueError, match="NaN"):
             row_histograms(np.array([[0.1, 0.2], [0.3, math.nan]]), edges=self.EDGES)
+
+    def test_nan_in_the_last_block_rejected_before_any_counting(self, monkeypatch):
+        binned = []
+        monkeypatch.setattr(stats, "_bin_index", lambda x, edges: binned.append(x))
+        long_row = np.zeros(3 * stats._BLOCK_VALUES + 5)
+        short_rows = np.zeros((2 * stats._BLOCK_VALUES // 100 + 3, 100))
+        for values in (long_row, short_rows):
+            values.reshape(-1)[-1] = math.nan
+            for edges in (None, self.EDGES):
+                with pytest.raises(ValueError, match="NaN"):
+                    row_histograms(values, edges=edges)
+        assert binned == []
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected_without_edges(self, bad):

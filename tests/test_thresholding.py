@@ -28,6 +28,13 @@ class TestEstimateSigma:
         draws = np.random.default_rng(9).normal(size=10**5)
         assert abs(estimate_sigma(draws) - 1.0) < 0.02
 
+    def test_one_level_per_row_and_input_untouched(self):
+        x = np.random.default_rng(3).normal(size=(3, 101))
+        before = x.copy()
+        want = [np.median(np.abs(row)) / 0.6745 for row in x]
+        np.testing.assert_array_equal(estimate_sigma(x), want)
+        np.testing.assert_array_equal(x, before)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             estimate_sigma(np.zeros(0))

@@ -53,6 +53,9 @@ class TestFilterBank:
             FilterBank("x", [1.0, 1.0])
         with pytest.raises(ValueError, match="even length"):
             FilterBank("x", [1.0])
+        # NaN taps passed the energy check, and the bank was not equal to itself
+        with pytest.raises(ValueError, match="not orthonormal"):
+            FilterBank("x", [np.nan, np.nan])
 
     def test_is_frozen_with_read_only_taps(self):
         # a mutable bank let `fb.lowpass = db4` leave len(fb) and the
@@ -70,6 +73,16 @@ class TestFilterBank:
         own = FilterBank("haar-copy", lowpass)
         lowpass[0] = 0.0
         assert own.lowpass[0] == fb.lowpass[0]
+
+    def test_equal_and_hashed_by_name_and_lowpass(self):
+        # the generated __eq__ compared the tap arrays inside a tuple and
+        # raised numpy's "truth value is ambiguous"; hash() raised too
+        db4 = filter_bank("db4")
+        assert db4 == filter_bank("db4") and hash(db4) == hash(filter_bank("db4"))
+        assert db4 == FilterBank("db4", list(db4.lowpass))
+        assert db4 != FilterBank("db4-again", db4.lowpass)
+        assert db4 != filter_bank("haar") and db4 != "db4"
+        assert len({db4, filter_bank("db4"), filter_bank("haar")}) == 2
 
 
 def _split(x, fb):
