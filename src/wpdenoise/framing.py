@@ -11,6 +11,7 @@ first and last samples of the signal, where only one frame contributes.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -24,6 +25,10 @@ WINDOWS = ("rectangular", "hann")
 # A squared-window overlap sum below this counts as zero.
 _NORMALIZATION_FLOOR = 1e-12
 
+# The longest frame: 2^16 samples (512 kB of float64 per frame), so a
+# config fails when built instead of when its frames are allocated.
+MAX_FRAME_LEN = 1 << 16
+
 
 class ColaError(ValueError):
     """Frame geometry whose overlap-add normaliser vanishes."""
@@ -31,12 +36,16 @@ class ColaError(ValueError):
 
 def window_values(window: str, frame_len: int) -> np.ndarray:
     """Return the named analysis window as a float64 vector."""
+    _check_window(window)
     if window == "rectangular":
         return np.ones(frame_len, dtype=np.float64)
-    if window == "hann":
-        n = np.arange(frame_len, dtype=np.float64)
-        return np.sin(np.pi * (n + 0.5) / frame_len) ** 2
-    raise ValueError(f"unknown window {shown(window)} (expected one of {WINDOWS})")
+    n = np.arange(frame_len, dtype=np.float64)
+    return np.sin(np.pi * (n + 0.5) / frame_len) ** 2
+
+
+def _check_window(window: str) -> None:
+    if window not in WINDOWS:
+        raise ValueError(f"unknown window {shown(window)} (expected one of {WINDOWS})")
 
 
 def frame_count(original_len: int, frame_len: int, hop: int) -> int:
@@ -48,10 +57,12 @@ def check_geometry(frame_len, hop, window: str) -> tuple:
     """Check that frames of this geometry rebuild; return (frame_len, hop).
 
     frame_len and hop are integers (anything operator.index takes): a
-    power of two and a divisor of it. The window
-    must be known, and its squared values at least 1e-12: a sample that
-    one frame alone covers, such as the first, has w[n]^2 as its
-    overlap-add normaliser. So hann frames hold at most 1024 samples.
+    power of two of at most MAX_FRAME_LEN = 2^16 and a divisor of it.
+    The window must be known, and its squared values at least 1e-12: a
+    sample that one frame alone covers, such as the first, has w[n]^2 as
+    its overlap-add normaliser. Their minimum has a closed form, 1 for
+    rectangular and sin^4(pi / 2N) at the shifted hann's ends, so no
+    window is built. So hann frames hold at most 1024 samples.
     """
     try:
         frame_len, hop = operator.index(frame_len), operator.index(hop)
@@ -62,9 +73,14 @@ def check_geometry(frame_len, hop, window: str) -> tuple:
         ) from None
     if frame_len <= 0 or frame_len & (frame_len - 1):
         raise ValueError(f"frame_len must be a power of two, got {shown(frame_len)}")
+    if frame_len > MAX_FRAME_LEN:
+        raise ValueError(
+            f"frame_len must be at most {MAX_FRAME_LEN}, got {shown(frame_len)}"
+        )
     if hop <= 0 or frame_len % hop:
         raise ValueError(f"hop {shown(hop)} must divide frame_len {frame_len}")
-    floor = float(np.min(window_values(window, frame_len) ** 2))
+    _check_window(window)
+    floor = 1.0 if window == "rectangular" else math.sin(math.pi / (2 * frame_len)) ** 4
     if floor < _NORMALIZATION_FLOOR:
         raise ColaError(
             f"window {window!r} of {frame_len} samples leaves the overlap-add "

@@ -17,7 +17,10 @@ Three thresholding strategies are supported:
   interval around zero, and every coefficient inside it is removed.
 
 The noise profile comes either from a leading noise-only span of the
-input or from a MAD estimate over the finest detail coefficients.
+input or from a MAD estimate over the finest detail coefficients. In
+mad mode `enhance` frames the input and splits it to level 1 once: the
+level-1 detail gives the noise profile, and splitting the level-1 rows
+further gives the leaves.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .thresholding import (
     soft_threshold,
     universal_threshold,
 )
-from .wavelet import check_packet, filter_bank, wp_analysis, wp_synthesis
+from .wavelet import FilterBank, check_packet, filter_bank, wp_analysis, wp_synthesis
 from .report import Report
 
 METHODS = ("universal-hard", "universal-soft", "band")
@@ -79,6 +82,7 @@ class EnhanceConfig:
 
     Checked when built and immutable: dataclasses.replace derives a new,
     checked config. A bad value raises ValueError naming its field.
+    frame_len is a power of two of at most 2^16 (1024 with hann).
     frame_len, hop, depth and seed (None allowed) are integers, anything
     operator.index takes, and are stored as ints; seed must have few
     enough digits for the report to write it. The real fields take
@@ -187,27 +191,44 @@ def _noise_distribution(coeffs: np.ndarray, epsilon: float) -> ProbabilityVector
     return to_probability(row_histograms(coeffs, edges=edges), epsilon)
 
 
-def estimate_noise_profile(signal: SignalBuffer, config: EnhanceConfig) -> NoiseProfile:
+def _mad_level1(signal: SignalBuffer, config: EnhanceConfig) -> np.ndarray:
+    """Level-1 split of the frames of `signal`: (frames, 2, frame_len / 2).
+
+    epsilon is checked first, against the histogram of the level-1
+    detail, the largest a mad-mode run builds.
+    """
+    n_frames = frame_count(len(signal), config.frame_len, config.hop)
+    check_epsilon(config.epsilon, _noise_bins(n_frames * config.frame_len // 2))
+    frames = make_frames(signal, config.frame_len, config.hop, config.window)
+    return wp_analysis(frames.frames, filter_bank(config.wavelet), 1)
+
+
+def estimate_noise_profile(
+    signal: SignalBuffer, config: EnhanceConfig, level1: np.ndarray | None = None
+) -> NoiseProfile:
     """Estimate per-subband noise sigma and coefficient distribution.
 
     leading_silence: decompose the frames of the first silence_ms of the
     input (assumed noise-only) and pool their leaf coefficients.
     mad: estimate a single sigma from the finest detail coefficients of
-    the whole signal and reuse its histogram for every subband.
+    the whole signal and reuse its histogram for every subband. They are
+    the detail half of `level1`, the level-1 split of the signal's
+    frames (`_mad_level1`), computed here when not given.
 
     The largest histogram of the run is sized from the frame count, and
     epsilon is checked against it before any transform.
     """
     if config.noise_estimation == "leading_silence":
-        span = int(round(config.silence_ms / 1000.0 * signal.sample_rate_hz))
+        # rounded as a float first: a span beyond the float range is inf
+        span = round(config.silence_ms / 1000.0 * signal.sample_rate_hz, 0)
         if span < config.frame_len:
             raise ValueError(
-                f"silence span of {span} samples is shorter than one frame "
+                f"silence span of {int(span)} samples is shorter than one frame "
                 f"({config.frame_len})"
             )
         if len(signal) < span:
             raise ValueError("signal shorter than the leading-silence span")
-        n_full = (span - config.frame_len) // config.hop + 1
+        n_full = (int(span) - config.frame_len) // config.hop + 1
         check_epsilon(config.epsilon, _noise_bins(n_full * config.frame_len))
         # the frames that lie entirely inside the span
         lead = signal.samples[: (n_full - 1) * config.hop + config.frame_len]
@@ -220,11 +241,25 @@ def estimate_noise_profile(signal: SignalBuffer, config: EnhanceConfig) -> Noise
         )
 
     # mad mode: one estimate from the level-1 detail of every frame.
-    frames = make_frames(signal, config.frame_len, config.hop, config.window)
-    check_epsilon(config.epsilon, _noise_bins(frames.frames.size // 2))
-    detail = wp_analysis(frames.frames, filter_bank(config.wavelet), 1)[:, 1].ravel()
+    if level1 is None:
+        level1 = _mad_level1(signal, config)
+    detail = level1[:, 1].ravel()
     distribution = _noise_distribution(detail, config.epsilon)
     return NoiseProfile(estimate_sigma(detail), distribution, pooled=distribution)
+
+
+def _split_level1(level1: np.ndarray, fb: FilterBank, depth: int) -> np.ndarray:
+    """Leaves of frames already split once: (F, 2, N/2) -> (F, 2**depth, N >> depth).
+
+    Each of the 2F level-1 rows splits depth - 1 more levels. In natural
+    order the approximation's 2^(depth-1) leaves come first, then the
+    detail's, so a frame's two rows of leaves are its leaves in order.
+    """
+    if depth == 1:
+        return level1
+    n_frames, _, half = level1.shape
+    leaves = wp_analysis(level1.reshape(2 * n_frames, half), fb, depth - 1)
+    return leaves.reshape(n_frames, 1 << depth, half >> (depth - 1))
 
 
 def classify_vuv(leaves, entropy_threshold: float, epsilon: float) -> list:
@@ -275,8 +310,14 @@ def enhance(
     if len(noisy) == 0:
         raise ValueError("cannot enhance an empty signal")
 
-    profile = estimate_noise_profile(noisy, config)
-    leaves = leaf_coefficients(noisy, config)
+    if config.noise_estimation == "mad":  # frame and split to level 1 once
+        level1 = _mad_level1(noisy, config)
+        profile = estimate_noise_profile(noisy, config, level1)
+        leaves = _split_level1(level1, filter_bank(config.wavelet), config.depth)
+        del level1
+    else:
+        profile = estimate_noise_profile(noisy, config)
+        leaves = leaf_coefficients(noisy, config)
     n_frames, n_sub, n_coeff = leaves.shape
     if config.vuv_enabled:
         vuv = classify_vuv(leaves, _frame_entropy_threshold(config), config.epsilon)

@@ -15,10 +15,14 @@ one call; `to_probability`, `entropy`, the divergences and
 `zero_bin_index` then reduce over the last axis, row by row. A single
 row is a batch of one, and its reductions are numpy scalars.
 
-Every histogram finds each value's bin in O(1) (`_bin_index`): a guess
-from the first and last edge, moved one bin at a time until the edges
-on either side hold it. That is exact for any strictly increasing
-edges, and one corrected pass on the uniform edges built here. Values
+Every histogram finds each value's bin in O(1) (`_bin_index`) from the
+first and last edge alone: the guess f(x) = (x - e0) * B / (eB - e0)
+never decreases as x grows, so a guess farther from every whole number
+than the edge row's largest |f(e_k) - k| lies strictly inside bin
+floor(f(x)). Only the values within that slack of an edge line, few on
+the uniform edges built here, look up the edges on either side and move
+one bin at a time until those hold them; so the rule is exact for any
+strictly increasing edges. Values
 are binned and counted in blocks of `_BLOCK_VALUES` (whole rows, or
 column slices of a longer row), so that every temporary stays the size
 of a block, not of the input. NaN has no bin and is rejected; so are
@@ -37,7 +41,7 @@ _DEGENERATE_HALF_SPAN = 1e-9
 
 # Values binned in one block (256 kB of float64): whole rows, or column
 # slices of a row longer than this. `_bin_index`'s temporaries (a float
-# guess, an index and masks per value) then stay in L2, and none grows
+# guess, an index and a mask per value) then stay in L2, and none grows
 # with the input.
 _BLOCK_VALUES = 1 << 15
 
@@ -125,24 +129,40 @@ def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     bins. Edges are (B + 1,) shared by every row of `x`, or (..., B + 1)
     per row, broadcast over the leading axes of `x`.
 
-    The guess floor((x - e0) * B / (eB - e0)), clipped to [0, B - 1], is
-    the bin itself for exactly uniform edges. Each value then steps one
-    bin down where x < edges[i] (i > 0) or one bin up where
-    x >= edges[i + 1] (i < B - 1), and the values that moved are checked
-    again until none moves. A value stops only inside its own bin, so
-    the result is exact for any strictly increasing edges; for the
-    np.linspace edges the library builds, the guess is off by at most
-    one bin and the loop ends after one corrected pass.
+    The guess is f(x) = (x - e0) * (B / (eB - e0)), clipped to
+    [0.5, B - 0.5]. Under IEEE rounding f never decreases as x grows, so
+    f(x) < f(e_k) means x < e_k and f(x) > f(e_k) means x > e_k. With
+    slack = max_k |f(e_k) - k| for the edge row, a guess more than
+    slack from every whole number lies strictly inside bin floor(f(x)),
+    and that is its bin. Only the other values are looked up: each steps
+    one bin down where x < edges[i] (i > 0) or one bin up where
+    x >= edges[i + 1] (i < B - 1), until none moves. They are the values
+    within slack of an edge line, and every value of a row whose scale
+    is 0, inf or NaN (its slack is NaN). A value stops only inside its
+    own bin, so the result is exact for any strictly increasing edges;
+    non-uniform edges have a large slack and take the steps throughout.
     """
     n_bins = edges.shape[-1] - 1
     lo = edges[..., :1]
-    # Edges spanning more than the float range give a scale of 0, and
-    # inf * 0 = NaN, which fmax/fmin map into range like any off guess.
+    # Edges spanning more than the float range give a scale of 0 (a
+    # subnormal span one of inf), so f is NaN at an edge and so is slack.
     with np.errstate(over="ignore", invalid="ignore"):
+        scale = n_bins / (edges[..., -1:] - lo)
+        slack = np.max(
+            np.abs((edges - lo) * scale - np.arange(n_bins + 1)), axis=-1, keepdims=True
+        )
         guess = x - lo
-        guess *= n_bins / (edges[..., -1:] - lo)
-    np.fmin(np.fmax(guess, 0, out=guess), n_bins - 1, out=guess)
+        guess *= scale
+    slack[~(slack < 0.5)] = np.inf  # no guess is proven: every value steps
+    # fmax/fmin map a NaN guess into range like any other
+    np.fmin(np.fmax(guess, 0.5, out=guess), n_bins - 0.5, out=guess)
     idx = guess.astype(np.intp)
+    # |f - round(f)| is exact for f in [0.5, B - 0.5]
+    off = np.rint(guess)
+    np.subtract(guess, off, out=off)
+    unsure = np.flatnonzero(np.abs(off, out=off) <= slack)
+    if not unsure.size:
+        return idx
     # The edges below and above each bin, one row of B per edge row; NaN
     # (never compared true) where the end bins reach out to infinity.
     rows = edges.reshape(-1, n_bins + 1)
@@ -150,24 +170,23 @@ def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     below[:, 0] = np.nan
     above = rows[:, 1:].copy()
     above[:, -1] = np.nan
-    base = n_bins * np.arange(len(rows)).reshape(edges.shape[:-1] + (1,))
-    idx += base
-    # the guess's memory holds the edges looked up: indices are in range
-    flat_x, flat_idx, edge = x.reshape(-1), idx.reshape(-1), guess.reshape(-1)
-    at = slice(None)  # every value, then only the ones that moved
+    at = np.unravel_index(unsure, x.shape)
+    row_of = np.arange(len(rows)).reshape(edges.shape[:-1] + (1,))
+    base = n_bins * np.broadcast_to(row_of, x.shape)[at]
+    xs, sub = x[at], idx[at] + base
+    moving = slice(None)  # every unsure value, then only the ones that moved
     while True:
-        xs, sub = flat_x[at], flat_idx[at]
-        lookup = edge[: sub.size]
-        down = xs < below.take(sub, out=lookup, mode="clip")
-        up = xs >= above.take(sub, out=lookup, mode="clip")
-        sub += up
-        sub -= down
-        flat_idx[at] = sub
+        xm, sm = xs[moving], sub[moving]
+        down = xm < below.take(sm, mode="clip")
+        up = xm >= above.take(sm, mode="clip")
+        sm += up
+        sm -= down
+        sub[moving] = sm
         moved = np.flatnonzero(up | down)
         if not moved.size:
             break
-        at = moved if isinstance(at, slice) else at[moved]
-    idx -= base
+        moving = moved if isinstance(moving, slice) else moving[moved]
+    idx[at] = sub - base
     return idx
 
 

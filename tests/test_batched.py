@@ -77,6 +77,28 @@ def test_batched_round_trip(case):
     np.testing.assert_allclose(rebuilt, frames, rtol=0, atol=1e-10 * scale)
 
 
+@pytest.mark.parametrize("name", ["haar", "db4"])
+@pytest.mark.parametrize("n", [64, 1024])
+def test_level_1_split_further_equals_the_full_split(name, n):
+    # mad-mode enhance splits its frames to level 1 once, for the noise
+    # profile, and splits that level's 2F rows on for the leaves
+    fb = filter_bank(name)
+    frames = 30.0 * np.random.default_rng(n).normal(size=(3, n))
+    level1 = wp_analysis(frames, fb, 1)
+    depth = 1
+    while n >> depth >= len(fb):  # every depth check_packet allows
+        leaves = pipeline._split_level1(level1, fb, depth)
+        want = wp_analysis(frames, fb, depth)
+        assert leaves.shape == want.shape
+        if depth == 1:
+            np.testing.assert_array_equal(leaves, want)
+        else:
+            np.testing.assert_allclose(leaves, want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
+        depth += 1
+    assert depth > 2
+
+
 @st.composite
 def ola_cases(draw):
     """A signal, a valid (frame length, hop, window) and a seeded generator."""

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,21 @@ class TestEnhanceConfig:
             EnhanceConfig(frame_len=2048, hop=1024)
         EnhanceConfig(frame_len=2048, hop=1024, window="rectangular")
 
+    def test_frame_len_beyond_the_bound_fails_before_any_allocation(self):
+        # the window's floor has a closed form, so a frame too long to
+        # allocate (2**40 raised MemoryError) fails by its bound, unbuilt
+        EnhanceConfig(frame_len=2**16, hop=2**15, window="rectangular")
+        tracemalloc.start()
+        try:
+            for frame_len in (2**17, 2**40):
+                with pytest.raises(ValueError, match=r"frame_len must be at most 65536"):
+                    EnhanceConfig(frame_len=frame_len, hop=frame_len // 2,
+                                  window="rectangular")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**17  # an 8-byte value per sample of 2**17 is 1 MB
+
     @settings(max_examples=40, deadline=None)
     @given(
         log_frame=st.integers(min_value=3, max_value=13),
@@ -267,6 +283,13 @@ class TestEstimateNoiseProfile:
         sig = white_noise(1.0, 0.05, 16000, seed=24)
         with pytest.raises(ValueError):
             estimate_noise_profile(sig, EnhanceConfig(silence_ms=100.0))
+
+    def test_a_span_beyond_the_float_range_is_longer_than_the_signal(self):
+        # silence_ms / 1000 * rate overflows to inf, which is compared
+        # with the signal as a float (converting it raised OverflowError)
+        sig = SignalBuffer(np.zeros(4096), 10**308)
+        with pytest.raises(ValueError, match="signal shorter than the leading-silence span"):
+            enhance(sig, EnhanceConfig(silence_ms=1e6))
 
 
 def _frame_leaves(frames):
@@ -442,6 +465,30 @@ class TestEnhance:
         n = config.frame_len
         frames = frame_count(len(noisy), n, config.hop)
         assert sum(binned) == frames * n // 2 + 2 * frames * n
+
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_mad_mode_frames_and_splits_to_level_1_once(self, depth, monkeypatch):
+        # the noise profile and the leaves share one framing and one
+        # level-1 split: the leaves split its 2F rows depth - 1 levels on
+        framed, split = [], []
+        make_frames, analysis = pipeline.make_frames, pipeline.wp_analysis
+
+        def counting_frames(*args, **kwargs):
+            framed.append(args)
+            return make_frames(*args, **kwargs)
+
+        def counting_analysis(frames, fb, levels):
+            split.append((len(frames), levels))
+            return analysis(frames, fb, levels)
+
+        monkeypatch.setattr(pipeline, "make_frames", counting_frames)
+        monkeypatch.setattr(pipeline, "wp_analysis", counting_analysis)
+        _, noisy = sine_0db_material(seed=3)
+        config = EnhanceConfig(noise_estimation="mad", depth=depth)
+        enhance(noisy, config)
+        n_frames = frame_count(len(noisy), config.frame_len, config.hop)
+        assert len(framed) == 1
+        assert split == [(n_frames, 1)] + [(2 * n_frames, depth - 1)] * (depth > 1)
 
 
 class TestAnalyze:

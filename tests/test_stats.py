@@ -5,7 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import scalar_oracle as oracle
+from test_batched import _np_counts
 from wpdenoise import stats
 from wpdenoise.stats import (
     Histogram,
@@ -86,6 +90,91 @@ class TestBlockedBinning:
             finally:
                 tracemalloc.stop()
             assert peak < 0.25 * x.nbytes, name
+
+
+def _on_and_around(edges):
+    """Every edge, one ulp to either side of it, the bin middles and +-inf."""
+    infinities = np.broadcast_to([-np.inf, np.inf], edges.shape[:-1] + (2,))
+    return np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        0.5 * edges[..., :-1] + 0.5 * edges[..., 1:], infinities,
+    ], axis=-1)
+
+
+class TestBinIndex:
+    """The proven guess and its stepping fallback against binary search."""
+
+    @pytest.mark.parametrize("edges", [
+        np.linspace(-3.0, 3.0, 246),  # the noise edges' shape
+        np.linspace(1e12, 1e12 + 7 * np.spacing(1e12) * 5, 6),  # a few ulps a bin
+        np.geomspace(1e-3, 1e3, 20),  # non-uniform: every value steps
+        np.array([-1e308, 0.0, 1e308]),  # the span overflows: the scale is 0
+        _uniform_edges(-2.4e-322, 2.4e-322, 63),  # a subnormal span
+        _uniform_edges(5e-324, 5e-324, 4),  # widened: bins of 4 ulps
+        np.array([2.0, 3.0]),  # B = 1
+        np.array([-1.0, 0.0, 1.0]),
+    ])
+    def test_values_on_and_next_to_every_edge(self, edges):
+        u = np.random.default_rng(0).uniform(size=200)
+        x = np.concatenate([_on_and_around(edges), edges[0] * (1 - u) + edges[-1] * u])
+        np.testing.assert_array_equal(stats._bin_index(x, edges), oracle.bin_index(x, edges))
+        np.testing.assert_array_equal(
+            row_histograms(x, edges=edges).counts, _np_counts(x, edges)
+        )
+
+    def test_per_row_edges_broadcast_over_the_leading_axes(self):
+        # (S, B + 1) edges over (F, S, n) values: a geometric row and a row
+        # whose span overflows among them
+        edges = np.stack([np.linspace(-3.0, 3.0, 9), np.linspace(1e6, 1e6 + 8e-9, 9),
+                          np.geomspace(1.0, 1e4, 9), 1e308 * np.linspace(-1.0, 1.0, 9)])
+        values = np.stack([_on_and_around(row) for row in edges])
+        values = np.stack([values, values[:, ::-1], -values])
+        np.testing.assert_array_equal(
+            stats._bin_index(values, edges), oracle.bin_index(values, edges)
+        )
+
+    def test_column_slices_of_a_longer_row(self):
+        # row_histograms passes a block of columns: a strided view
+        edges = np.linspace(-1.0, 1.0, 12)
+        x = np.tile(_on_and_around(edges), (3, 2))[:, 5:40]
+        assert not x.flags.c_contiguous
+        np.testing.assert_array_equal(stats._bin_index(x, edges), oracle.bin_index(x, edges))
+
+
+@st.composite
+def _edges_and_values(draw):
+    """Library-built uniform edges per row, and values on, next to and
+    between their edge lines, far outside them and infinite."""
+    n_bins = draw(st.integers(min_value=1, max_value=300))
+    n_rows = draw(st.integers(min_value=1, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    offset = draw(st.sampled_from([0.0, -2.5, 1e6, -3e7, 1e12, 1e-300, 5e-324]))
+    span = draw(st.sampled_from([1e-320, 1e-12, 1e-3, 1.0, 50.0, 1e290]))
+    lo = offset + span * rng.uniform(-1.0, 0.0, n_rows)
+    hi = lo + span * rng.uniform(0.0, 2.0, n_rows)
+    edges = _uniform_edges(lo, hi, n_bins)
+    step = (edges[:, -1:] - edges[:, :1]) / n_bins
+    lines = edges[:, :1] + step * (np.arange(n_bins + 1) + rng.uniform(-1e-9, 1e-9, 1))
+    pool = np.concatenate([_on_and_around(edges), lines, np.nextafter(lines, np.inf),
+                           edges[:, :1] - span, edges[:, -1:] + span,
+                           rng.uniform(edges[:, :1], edges[:, -1:], (n_rows, 20))],
+                          axis=-1)
+    n_values = draw(st.integers(min_value=1, max_value=60))
+    values = np.stack([rng.choice(row, n_values) for row in pool])
+    return edges, values
+
+
+@settings(max_examples=80, deadline=None)
+@given(_edges_and_values())
+def test_bin_index_equals_np_histogram(case):
+    # under the suite's warnings-as-errors: no overflow or invalid cast
+    edges, values = case
+    np.testing.assert_array_equal(
+        stats._bin_index(values, edges), oracle.bin_index(values, edges)
+    )
+    counts = row_histograms(values, edges=edges).counts
+    for row, row_edges, row_counts in zip(values, edges, counts):
+        np.testing.assert_array_equal(row_counts, _np_counts(row, row_edges))
 
 
 class TestNonFiniteValues:
