@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,46 @@ def window_values(window: str, frame_len: int) -> np.ndarray:
 
 
 def _check_window(window: str) -> None:
-    if window not in WINDOWS:
+    if not isinstance(window, str) or window not in WINDOWS:
         raise ValueError(f"unknown window {shown(window)} (expected one of {WINDOWS})")
+
+
+def edge_gain(window: str, frame_len: int) -> float:
+    """1 / the window's smallest value: the overlap-add gain of a sample
+    that one frame alone covers, such as the first.
+
+    Closed form, so no window is built: 1 for rectangular, and
+    1 / sin^2(pi / 2N) at the shifted hann's ends (1.06e5 for N = 512).
+    """
+    _check_window(window)
+    return 1.0 if window == "rectangular" else math.sin(math.pi / (2 * frame_len)) ** -2
+
+
+def max_peak(frame_len: int, window: str) -> float:
+    """The largest |sample| enhance and analyze take: float max / (8 N^2 g).
+
+    For frames of N samples and the window's edge gain g, that is about
+    8.1e296 for the default 512-sample hann. A packet coefficient is at
+    most the frame's norm, sqrt(N) times the peak, and a sum inside the
+    transform N times it; an overlap-add sum is at most N^1.5 times it,
+    and its quotient N g times it (g alone at the first sample);
+    thresholds and histogram spans stay within 8 sqrt(N) times it. So
+    no value of a run under the bound overflows.
+    """
+    return sys.float_info.max / (8 * frame_len**2 * edge_gain(window, frame_len))
+
+
+def check_peak(frame_len: int, window: str, *signals: SignalBuffer) -> None:
+    """Raise ValueError naming the peak of a signal above max_peak."""
+    bound = max_peak(frame_len, window)
+    for signal in signals:
+        x = signal.samples  # the peak without an |x| temporary
+        peak = max(float(np.max(x, initial=0.0)), -float(np.min(x, initial=0.0)))
+        if peak > bound:
+            raise ValueError(
+                f"samples peak at {peak:.4g}, above the {bound:.4g} that frames of "
+                f"{frame_len} samples and the {window} window can process"
+            )
 
 
 def frame_count(original_len: int, frame_len: int, hop: int) -> int:
@@ -60,9 +99,9 @@ def check_geometry(frame_len, hop, window: str) -> tuple:
     power of two of at most MAX_FRAME_LEN = 2^16 and a divisor of it.
     The window must be known, and its squared values at least 1e-12: a
     sample that one frame alone covers, such as the first, has w[n]^2 as
-    its overlap-add normaliser. Their minimum has a closed form, 1 for
-    rectangular and sin^4(pi / 2N) at the shifted hann's ends, so no
-    window is built. So hann frames hold at most 1024 samples.
+    its overlap-add normaliser. Their minimum is 1 / edge_gain^2, a
+    closed form, so no window is built. So hann frames hold at most 1024
+    samples.
     """
     try:
         frame_len, hop = operator.index(frame_len), operator.index(hop)
@@ -79,8 +118,7 @@ def check_geometry(frame_len, hop, window: str) -> tuple:
         )
     if hop <= 0 or frame_len % hop:
         raise ValueError(f"hop {shown(hop)} must divide frame_len {frame_len}")
-    _check_window(window)
-    floor = 1.0 if window == "rectangular" else math.sin(math.pi / (2 * frame_len)) ** 4
+    floor = edge_gain(window, frame_len) ** -2
     if floor < _NORMALIZATION_FLOOR:
         raise ColaError(
             f"window {window!r} of {frame_len} samples leaves the overlap-add "

@@ -17,10 +17,11 @@ Three thresholding strategies are supported:
   interval around zero, and every coefficient inside it is removed.
 
 The noise profile comes either from a leading noise-only span of the
-input or from a MAD estimate over the finest detail coefficients. In
-mad mode `enhance` frames the input and splits it to level 1 once: the
-level-1 detail gives the noise profile, and splitting the level-1 rows
-further gives the leaves.
+input or from a MAD estimate over the finest detail coefficients.
+Either way `enhance` frames the input and transforms it once, and the
+profile is computed from coefficients the run already has: the leaves
+of the frames that lie inside the leading span, or the detail of the
+level-1 split, whose rows then split further into the leaves.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._version import __version__
-from .framing import FrameSet, check_geometry, frame_count, make_frames, overlap_add
+from .framing import (
+    FrameSet, check_geometry, check_peak, frame_count, make_frames, overlap_add,
+)
 from .signal_io import SignalBuffer, _check_aligned, shown, snr_db
 from .stats import (
     Histogram,
@@ -135,12 +138,12 @@ class EnhanceConfig:
                 f"vuv_enabled must be a bool, got {shown(self.vuv_enabled)}"
             )
         object.__setattr__(self, "vuv_enabled", bool(self.vuv_enabled))
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
+        for name, choices in (("method", METHODS), ("noise_estimation", NOISE_MODES)):
+            value = getattr(self, name)
+            if not isinstance(value, str) or value not in choices:
+                raise ValueError(f"{name} must be one of {choices}")
         if not 0 < self.unvoiced_scale <= 1:
             raise ValueError("unvoiced_scale must be in (0, 1]")
-        if self.noise_estimation not in NOISE_MODES:
-            raise ValueError(f"noise_estimation must be one of {NOISE_MODES}")
         if self.silence_ms <= 0:
             raise ValueError("silence_ms must be positive")
         if self.band_tolerance < 0:
@@ -191,61 +194,65 @@ def _noise_distribution(coeffs: np.ndarray, epsilon: float) -> ProbabilityVector
     return to_probability(row_histograms(coeffs, edges=edges), epsilon)
 
 
-def _mad_level1(signal: SignalBuffer, config: EnhanceConfig) -> np.ndarray:
-    """Level-1 split of the frames of `signal`: (frames, 2, frame_len / 2).
-
-    epsilon is checked first, against the histogram of the level-1
-    detail, the largest a mad-mode run builds.
-    """
-    n_frames = frame_count(len(signal), config.frame_len, config.hop)
-    check_epsilon(config.epsilon, _noise_bins(n_frames * config.frame_len // 2))
-    frames = make_frames(signal, config.frame_len, config.hop, config.window)
-    return wp_analysis(frames.frames, filter_bank(config.wavelet), 1)
+def _per_subband(leaves: np.ndarray) -> np.ndarray:
+    """Each subband's coefficients of every frame: (subbands, frames * coeffs)."""
+    return leaves.swapaxes(0, 1).reshape(leaves.shape[1], -1)
 
 
-def estimate_noise_profile(
-    signal: SignalBuffer, config: EnhanceConfig, level1: np.ndarray | None = None
-) -> NoiseProfile:
+def estimate_noise_profile(noise: np.ndarray, config: EnhanceConfig) -> NoiseProfile:
     """Estimate per-subband noise sigma and coefficient distribution.
 
-    leading_silence: decompose the frames of the first silence_ms of the
-    input (assumed noise-only) and pool their leaf coefficients.
-    mad: estimate a single sigma from the finest detail coefficients of
-    the whole signal and reuse its histogram for every subband. They are
-    the detail half of `level1`, the level-1 split of the signal's
-    frames (`_mad_level1`), computed here when not given.
-
-    The largest histogram of the run is sized from the frame count, and
-    epsilon is checked against it before any transform.
+    `noise` holds noise-only coefficients. leading_silence: the leaves
+    (frames, subbands, coeffs) of the frames that lie entirely inside
+    the first silence_ms of the input; each subband's are pooled.
+    mad: the level-1 detail of every frame of the input, (frames,
+    frame_len / 2); its single sigma and histogram serve every subband.
     """
-    if config.noise_estimation == "leading_silence":
+    if config.noise_estimation == "mad":
+        detail = noise.ravel()
+        distribution = _noise_distribution(detail, config.epsilon)
+        return NoiseProfile(estimate_sigma(detail), distribution, pooled=distribution)
+    per_subband = _per_subband(noise)
+    return NoiseProfile(
+        sigma=estimate_sigma(per_subband),
+        distribution=_noise_distribution(per_subband, config.epsilon),
+        pooled=_noise_distribution(noise.ravel(), config.epsilon),
+    )
+
+
+def _analyse(signal: SignalBuffer, config: EnhanceConfig) -> tuple:
+    """(leaves, NoiseProfile) of `signal`, from one framing and one transform.
+
+    The peak, the leading-silence span and epsilon are checked first,
+    epsilon against the noise histogram, the largest the run builds.
+    leading_silence: the profile pools the leaves of the frames that lie
+    entirely inside the span. mad: the frames split to level 1; the
+    detail gives the profile, and its rows split further give the leaves.
+    """
+    check_peak(config.frame_len, config.window, signal)
+    mad = config.noise_estimation == "mad"
+    if mad:  # the level-1 detail of every frame
+        n_frames = frame_count(len(signal), config.frame_len, config.hop)
+        noise_values = n_frames * config.frame_len // 2
+    else:
         # rounded as a float first: a span beyond the float range is inf
         span = round(config.silence_ms / 1000.0 * signal.sample_rate_hz, 0)
         if span < config.frame_len:
-            raise ValueError(
-                f"silence span of {int(span)} samples is shorter than one frame "
-                f"({config.frame_len})"
-            )
+            raise ValueError(f"silence span of {int(span)} samples is shorter than "
+                             f"one frame ({config.frame_len})")
         if len(signal) < span:
             raise ValueError("signal shorter than the leading-silence span")
-        n_full = (int(span) - config.frame_len) // config.hop + 1
-        check_epsilon(config.epsilon, _noise_bins(n_full * config.frame_len))
-        # the frames that lie entirely inside the span
-        lead = signal.samples[: (n_full - 1) * config.hop + config.frame_len]
-        leaves = leaf_coefficients(SignalBuffer(lead, signal.sample_rate_hz), config)
-        per_subband = leaves.swapaxes(0, 1).reshape(config.n_subbands, -1)
-        return NoiseProfile(
-            sigma=estimate_sigma(per_subband),
-            distribution=_noise_distribution(per_subband, config.epsilon),
-            pooled=_noise_distribution(leaves.ravel(), config.epsilon),
-        )
-
-    # mad mode: one estimate from the level-1 detail of every frame.
-    if level1 is None:
-        level1 = _mad_level1(signal, config)
-    detail = level1[:, 1].ravel()
-    distribution = _noise_distribution(detail, config.epsilon)
-    return NoiseProfile(estimate_sigma(detail), distribution, pooled=distribution)
+        n_lead = (int(span) - config.frame_len) // config.hop + 1  # inside the span
+        noise_values = n_lead * config.frame_len
+    check_epsilon(config.epsilon, _noise_bins(noise_values))
+    fb = filter_bank(config.wavelet)
+    frames = make_frames(signal, config.frame_len, config.hop, config.window)
+    coeffs = wp_analysis(frames.frames, fb, 1 if mad else config.depth)
+    del frames
+    if not mad:
+        return coeffs, estimate_noise_profile(coeffs[:n_lead], config)
+    profile = estimate_noise_profile(coeffs[:, 1], config)
+    return _split_level1(coeffs, fb, config.depth), profile
 
 
 def _split_level1(level1: np.ndarray, fb: FilterBank, depth: int) -> np.ndarray:
@@ -310,14 +317,7 @@ def enhance(
     if len(noisy) == 0:
         raise ValueError("cannot enhance an empty signal")
 
-    if config.noise_estimation == "mad":  # frame and split to level 1 once
-        level1 = _mad_level1(noisy, config)
-        profile = estimate_noise_profile(noisy, config, level1)
-        leaves = _split_level1(level1, filter_bank(config.wavelet), config.depth)
-        del level1
-    else:
-        profile = estimate_noise_profile(noisy, config)
-        leaves = leaf_coefficients(noisy, config)
+    leaves, profile = _analyse(noisy, config)
     n_frames, n_sub, n_coeff = leaves.shape
     if config.vuv_enabled:
         vuv = classify_vuv(leaves, _frame_entropy_threshold(config), config.epsilon)
@@ -325,9 +325,7 @@ def enhance(
         vuv = [None] * n_frames
 
     # Global distribution statistics against the noise profile.
-    per_subband = leaves.swapaxes(0, 1).reshape(n_sub, -1)
-    h_sub = row_histograms(per_subband, edges=profile.distribution.bin_edges)
-    del per_subband
+    h_sub = row_histograms(_per_subband(leaves), edges=profile.distribution.bin_edges)
     divergences = symmetric_divergence(
         to_probability(h_sub, config.epsilon), profile.distribution
     )
@@ -400,9 +398,10 @@ def analyze(noisy: SignalBuffer, noise: SignalBuffer, config: EnhanceConfig) -> 
         frame_count(len(s), config.frame_len, config.hop) for s in (noisy, noise)
     )
     check_epsilon(config.epsilon, bin_count(fewer_frames * config.frame_len))
+    check_peak(config.frame_len, config.window, noisy, noise)
     leaves = [leaf_coefficients(s, config) for s in (noisy, noise)]
 
-    rows = [side.swapaxes(0, 1).reshape(config.n_subbands, -1) for side in leaves]
+    rows = [_per_subband(side) for side in leaves]
     edges = shared_edges(*rows)
     h_ns, h_n = (row_histograms(side, edges=edges) for side in rows)
     del rows

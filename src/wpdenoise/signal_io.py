@@ -43,13 +43,16 @@ def shown(value) -> str:
     """repr(value) for an error message, bounded for huge ints.
 
     An int with more decimal digits than Python converts to a string
-    (sys.get_int_max_str_digits) is shown by its bit length, so that
-    the message naming the bad value can still be built.
+    (sys.get_int_max_str_digits) is shown by its bit length, and any
+    other value holding one by its type, so that the message naming the
+    bad value can still be built.
     """
     try:
         return repr(value)
     except ValueError:
-        return f"<int of {value.bit_length()} bits>"
+        if isinstance(value, int):
+            return f"<int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} holding an int too long to print>"
 
 
 @dataclass
@@ -64,7 +67,12 @@ class SignalBuffer:
     sample_rate_hz: int
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.asarray(self.samples)
+        # object arrays (huge ints, dicts), strings and complex values
+        # would fail or warn in the conversion
+        if samples.dtype.kind not in "biuf":
+            raise ValueError(f"samples must be real numbers, got dtype {samples.dtype}")
+        self.samples = samples.astype(np.float64, copy=False)
         if self.samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         if not np.all(np.isfinite(self.samples)):
@@ -247,16 +255,42 @@ def mix_at_snr(
     return SignalBuffer(clean.samples + alpha * noise.samples, clean.sample_rate_hz)
 
 
+def _power(x: np.ndarray) -> tuple:
+    """(sum((x * 2**-e)**2), e) for e the binary exponent of max|x|.
+
+    Scaling by a power of two is exact in the normal float range, and it
+    brings the peak into [0.5, 1), so the sum neither overflows nor
+    rounds to zero.
+    """
+    e = math.frexp(float(np.max(np.abs(x), initial=0.0)))[1]
+    return float(np.sum(np.ldexp(x, -e) ** 2)), e
+
+
 def snr_db(reference: SignalBuffer, test: SignalBuffer) -> float:
     """10*log10(sum(ref^2) / sum((ref - test)^2)), capped at +300 dB.
 
     A zero residual returns the cap; length and sample rate must match.
+    A power beyond [2^-500, 2^500], where a square may have overflowed
+    or lost bits below the normal range, is summed again scaled by a
+    power of two, which is exact: any finite pair gives a finite value,
+    and a pair scaled by a power of two gives the same bits.
     """
     _check_aligned(reference, test)
-    p_ref = float(np.sum(reference.samples**2))
+    r, t = reference.samples, test.samples
+    with np.errstate(over="ignore"):  # an overflow is summed again below
+        p_ref, p_residual = float(np.sum(r**2)), float(np.sum((r - t) ** 2))
+    shift = 0
+    if not (2.0**-500 <= p_ref <= 2.0**500 and 2.0**-500 <= p_residual <= 2.0**500):
+        # the residual halved, so that the difference of finite signals is finite
+        (p_ref, e_ref), (p_residual, e_residual) = _power(r), _power(r / 2 - t / 2)
+        shift = 2 * (e_ref - e_residual) - 2
     if p_ref == 0.0:
         raise ValueError("reference signal has zero power")
-    p_residual = float(np.sum((reference.samples - test.samples) ** 2))
     if p_residual == 0.0:
         return SNR_CAP_DB
-    return min(10.0 * math.log10(p_ref / p_residual), SNR_CAP_DB)
+    try:
+        return min(10.0 * math.log10(math.ldexp(p_ref / p_residual, shift)), SNR_CAP_DB)
+    except OverflowError:  # the ratio is beyond the float range, and the cap
+        return SNR_CAP_DB
+    except ValueError:  # the ratio is below the float range: under -3000 dB
+        return 10.0 * (math.log10(p_ref / p_residual) + shift * math.log10(2.0))

@@ -99,8 +99,8 @@ class FilterBank:
 
 def filter_bank(name: str) -> FilterBank:
     """Build a named filter bank ("haar" or "db4")."""
-    if name not in _LOWPASS:
-        raise ValueError(f"unknown filter {shown(name)} (expected one of {FILTERS})")
+    if not isinstance(name, str) or name not in _LOWPASS:
+        raise ValueError(f"unknown wavelet filter {shown(name)} (expected one of {FILTERS})")
     return FilterBank(name, _LOWPASS[name])
 
 

@@ -1,0 +1,184 @@
+"""One error contract for library callers, as property tests.
+
+Each entry point is fed adversarial values: huge ints, +-1e308,
+subnormals, NaN and inf, bools, numpy scalars, 0-d and empty arrays,
+lists and strings. A bad argument raises ValueError, never another
+exception type, and a good one runs; no numpy warning is emitted either
+way. Drawn sizes stay small: at most 2000 samples, and frames of at
+most 128 samples wherever a run is drawn.
+"""
+
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from wpdenoise.pipeline import METHODS, NOISE_MODES, EnhanceConfig, analyze, enhance
+from wpdenoise.framing import WINDOWS
+from wpdenoise.signal_io import SignalBuffer
+from wpdenoise.wavelet import FILTERS
+
+PROPERTY = settings(max_examples=200, deadline=None)
+
+_EDGE_FLOATS = (1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324, 2.2e-308,
+                1e-310, 0.0, -0.0, float("inf"), float("-inf"), float("nan"))
+_EDGE_INTS = (0, 1, -1, 2**63, -(2**63), 10**400, -(10**400), 10**5000)
+
+floats = st.floats() | st.sampled_from(_EDGE_FLOATS)
+ints = st.integers(-(2**70), 2**70) | st.sampled_from(_EDGE_INTS)
+numpy_scalars = (
+    floats.map(np.float64) | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_) | floats.map(np.complex128)
+)
+small_arrays = hnp.arrays(
+    st.sampled_from([np.float64, np.int64, np.bool_, np.complex128]),
+    hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3),
+)
+adversarial = st.one_of(
+    floats, ints, st.booleans(), st.none(), numpy_scalars, small_arrays,
+    st.lists(floats | ints, max_size=3), st.text(max_size=6),
+    st.sampled_from(WINDOWS + FILTERS + METHODS + NOISE_MODES),
+    st.sampled_from(WINDOWS + FILTERS + METHODS + NOISE_MODES).map(np.array),
+)
+
+
+@st.composite
+def sample_arrays(draw):
+    """200, 700 or 2000 seeded normal samples at a drawn scale, from zero and
+    subnormal to near the peak bound, with up to three finite edge
+    values (+-1e308, subnormals, 0)."""
+    n = draw(st.sampled_from([200, 700, 2000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    scale = draw(st.sampled_from([1.0, 0.0, 1e-3, 1e-160, 1e-300, 1e-310, 5e-324,
+                                  1e150, 1e296, 1e300]))
+    x = rng.normal(size=n) * scale
+    for _ in range(draw(st.sampled_from([0, 0, 1, 3])) if n else 0):
+        x[draw(st.integers(0, n - 1))] = draw(st.floats(allow_nan=False, allow_infinity=False)
+                                              | st.sampled_from(_EDGE_FLOATS[:7]))
+    return x
+
+
+def mostly(common, rare):
+    """common three times in four, else rare."""
+    return st.integers(0, 3).flatmap(lambda k: common if k else rare)
+
+
+samples = mostly(sample_arrays(), st.lists(floats | ints, max_size=40) | adversarial)
+run_samples = mostly(sample_arrays(), samples)  # nine times in sixteen a finite array
+rates = mostly(st.sampled_from([16000, 8000]), adversarial)
+
+
+def _only_value_errors(call):
+    """Run call() with every warning raised; return its result or None."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return call()
+        except ValueError:
+            return None
+
+
+_VALID = {
+    "frame_len": st.sampled_from([32, 64, 128]),
+    "hop": st.sampled_from([1, 4, 8, 16]),
+    "window": st.sampled_from(WINDOWS),
+    "wavelet": st.sampled_from(FILTERS),
+    "depth": st.integers(1, 2),
+    "method": st.sampled_from(METHODS),
+    "vuv_enabled": st.booleans(),
+    "entropy_threshold": st.floats(0.0, 3.0),
+    "unvoiced_scale": st.floats(0.1, 1.0),
+    "noise_estimation": st.sampled_from(NOISE_MODES),
+    "silence_ms": st.sampled_from([4.0, 8.0, 16.0]),
+    "band_tolerance": st.floats(0.0, 0.1),
+    "epsilon": st.sampled_from([1e-12, 1e-3]),
+    "seed": st.none() | st.integers(0, 99),
+}
+
+
+@st.composite
+def config_kwargs(draw, n_bad):
+    """EnhanceConfig arguments with frames of at most 128 samples, split
+    at most twice, so that a config drawn runs in milliseconds; up to
+    n_bad fields other than frame_len, hop and depth are adversarial,
+    and each other one is valid three times in four, else left out."""
+    kwargs = {name: draw(_VALID[name]) for name in ("frame_len", "hop", "depth")}
+    others = [name for name in _VALID if name not in kwargs]
+    bad = draw(st.lists(st.sampled_from(others), max_size=n_bad, unique=True))
+    for name in others:
+        if name in bad:
+            kwargs[name] = draw(adversarial)
+        elif draw(mostly(st.just(True), st.just(False))):
+            kwargs[name] = draw(_VALID[name])
+    return kwargs
+
+
+@st.composite
+def any_config_kwargs(draw):
+    """EnhanceConfig arguments, each left out, valid or adversarial."""
+    kwargs = {}
+    for name, good in _VALID.items():
+        choice = draw(st.sampled_from(["default", "valid", "adversarial"]))
+        if choice != "default":
+            kwargs[name] = draw(good if choice == "valid" else adversarial)
+    return kwargs
+
+
+def _signal(draw_samples, rate):
+    return _only_value_errors(lambda: SignalBuffer(draw_samples, rate))
+
+
+@PROPERTY
+@given(kwargs=any_config_kwargs())
+def test_enhance_config_raises_only_value_error(kwargs):
+    config = _only_value_errors(lambda: EnhanceConfig(**kwargs))
+    if config is not None:  # what was accepted is what the report can write
+        assert type(config.frame_len) is int and type(config.vuv_enabled) is bool
+        assert all(isinstance(getattr(config, name), str)
+                   for name in ("window", "wavelet", "method", "noise_estimation"))
+
+
+@PROPERTY
+@given(values=samples, rate=rates)
+def test_signal_buffer_raises_only_value_error(values, rate):
+    signal = _signal(values, rate)
+    if signal is not None:
+        assert signal.samples.dtype == np.float64 and signal.samples.ndim == 1
+        assert np.all(np.isfinite(signal.samples)) and type(signal.sample_rate_hz) is int
+
+
+@PROPERTY
+@given(kwargs=config_kwargs(n_bad=1), values=run_samples, rate=rates,
+       reference=st.sampled_from([None, 0.5, 1e-300, 1e300]))
+def test_enhance_raises_only_value_error(kwargs, values, rate, reference):
+    # the reference, when given, is the input times a drawn factor
+    config = _only_value_errors(lambda: EnhanceConfig(**kwargs))
+    noisy = _signal(values, rate)
+    if config is None or noisy is None:
+        return
+    ref = None
+    if reference is not None:
+        with np.errstate(over="ignore"):
+            ref = _signal(noisy.samples * reference, rate)
+        if ref is None:
+            return
+    result = _only_value_errors(lambda: enhance(noisy, config, reference=ref))
+    if result is not None:
+        out, report = result
+        assert len(out) == len(noisy) and np.all(np.isfinite(out.samples))
+        _only_value_errors(report.to_json)
+
+
+@PROPERTY
+@given(kwargs=config_kwargs(n_bad=1), noisy=run_samples, noise=run_samples,
+       rate=rates)
+def test_analyze_raises_only_value_error(kwargs, noisy, noise, rate):
+    config = _only_value_errors(lambda: EnhanceConfig(**kwargs))
+    signals = [_signal(values, rate) for values in (noisy, noise)]
+    if config is None or None in signals:
+        return
+    report = _only_value_errors(lambda: analyze(*signals, config))
+    if report is not None:
+        _only_value_errors(report.to_json)

@@ -21,7 +21,9 @@ from wpdenoise.pipeline import (
     estimate_noise_profile,
     leaf_coefficients,
 )
-from wpdenoise.framing import WINDOWS, ColaError, frame_count
+from wpdenoise.framing import (
+    WINDOWS, ColaError, edge_gain, frame_count, make_frames, max_peak,
+)
 from wpdenoise.signal_io import SignalBuffer, sine_wave, white_noise
 from wpdenoise.stats import (
     ratio_profile,
@@ -158,6 +160,26 @@ class TestEnhanceConfig:
         with pytest.raises(ValueError, match=rf"\b{named}\b"):
             EnhanceConfig(**{field: 10**5000})
 
+    def test_a_list_wavelet_is_rejected_by_name(self):
+        # the filter lookup hashed the name: TypeError "unhashable type"
+        with pytest.raises(ValueError, match=r"^unknown wavelet filter \[1\]"):
+            EnhanceConfig(wavelet=[1])
+
+    def test_an_array_wavelet_is_rejected_by_name(self):
+        with pytest.raises(ValueError, match=r"^unknown wavelet filter array\(2\.\)"):
+            EnhanceConfig(wavelet=np.array(2.0))
+
+    @pytest.mark.parametrize("field, name", [
+        ("window", "hann"), ("wavelet", "db4"), ("method", "band"),
+        ("noise_estimation", "mad"),
+    ])
+    def test_a_name_in_an_array_is_not_a_name(self, field, name):
+        # `np.array(name) in choices` compares elementwise and was true,
+        # so the config held an array the report could not write
+        for value in (np.array(name), np.array([name])):
+            with pytest.raises(ValueError, match=field.split("_")[0]):
+                EnhanceConfig(**{field: value})
+
     def test_hann_frames_past_1024_cannot_be_rebuilt(self):
         # the first sample's overlap-add normaliser is w[0]^2: 5.5e-12 at
         # 1024 samples, 3.5e-13 at 2048
@@ -227,6 +249,19 @@ class TestEnhanceConfig:
             enhance(noisy, config)
 
 
+def _lead_frames(config, rate):
+    """Frames that lie entirely inside the leading-silence span."""
+    span = int(round(config.silence_ms / 1000 * rate))
+    return (span - config.frame_len) // config.hop + 1
+
+
+def _same_profile(a, b):
+    for got, want in ((a.distribution, b.distribution), (a.pooled, b.pooled)):
+        np.testing.assert_array_equal(got.probs, want.probs)
+        np.testing.assert_array_equal(got.bin_edges, want.bin_edges)
+    np.testing.assert_array_equal(a.sigma, b.sigma)
+
+
 class TestEstimateNoiseProfile:
     def test_leading_silence_matches_full_signal_distribution(self):
         # pure noise: a 100 ms profile estimated from 1e5 samples should
@@ -235,7 +270,9 @@ class TestEstimateNoiseProfile:
         rate = 10**6
         noise = white_noise(1.0, 0.4, rate, seed=21)
         config = EnhanceConfig()
-        profile = estimate_noise_profile(noise, config)
+        leaves = leaf_coefficients(noise, config)
+        profile = estimate_noise_profile(leaves[: _lead_frames(config, rate)], config)
+        _same_profile(pipeline._analyse(noise, config)[1], profile)
 
         from wpdenoise.stats import shared_edges
 
@@ -263,26 +300,33 @@ class TestEstimateNoiseProfile:
 
     def test_zero_signal_gives_zero_sigma(self):
         silent = SignalBuffer(np.zeros(16000), 16000)
-        profile = estimate_noise_profile(silent, EnhanceConfig())
+        config = EnhanceConfig()
+        leaves = leaf_coefficients(silent, config)[: _lead_frames(config, 16000)]
+        profile = estimate_noise_profile(leaves, config)
         assert np.all(profile.sigma == 0.0)
+        _same_profile(pipeline._analyse(silent, config)[1], profile)
 
     def test_mad_mode_recovers_unit_sigma(self):
         # rectangular window so leaf coefficients keep the raw noise scale
         noise = white_noise(1.0, 2.0, 16000, seed=22)
         config = EnhanceConfig(noise_estimation="mad", window="rectangular")
-        profile = estimate_noise_profile(noise, config)
+        frames = make_frames(noise, config.frame_len, config.hop, config.window)
+        level1 = wp_analysis(frames.frames, filter_bank(config.wavelet), 1)
+        profile = estimate_noise_profile(level1[:, 1], config)
         sigma = np.broadcast_to(profile.sigma, (config.n_subbands,))
         assert np.all(np.abs(sigma - 1.0) < 0.05)
+        _same_profile(pipeline._analyse(noise, config)[1], profile)
 
     def test_short_silence_span_rejected(self):
+        # the front end checks the span before any transform
         sig = white_noise(1.0, 1.0, 16000, seed=23)
         with pytest.raises(ValueError, match="shorter than one frame"):
-            estimate_noise_profile(sig, EnhanceConfig(silence_ms=10.0))
+            enhance(sig, EnhanceConfig(silence_ms=10.0))
 
     def test_signal_shorter_than_span_rejected(self):
         sig = white_noise(1.0, 0.05, 16000, seed=24)
-        with pytest.raises(ValueError):
-            estimate_noise_profile(sig, EnhanceConfig(silence_ms=100.0))
+        with pytest.raises(ValueError, match="signal shorter than the leading-silence span"):
+            enhance(sig, EnhanceConfig(silence_ms=100.0))
 
     def test_a_span_beyond_the_float_range_is_longer_than_the_signal(self):
         # silence_ms / 1000 * rate overflows to inf, which is compared
@@ -290,6 +334,22 @@ class TestEstimateNoiseProfile:
         sig = SignalBuffer(np.zeros(4096), 10**308)
         with pytest.raises(ValueError, match="signal shorter than the leading-silence span"):
             enhance(sig, EnhanceConfig(silence_ms=1e6))
+
+    @pytest.mark.parametrize("silence_ms, window", [(100.0, "hann"), (250.0, "rectangular")])
+    def test_profile_from_the_run_leaves_equals_the_lead_in_framed_alone(
+        self, silence_ms, window
+    ):
+        # the profile pools the first frames of the signal's own leaves;
+        # framing and transforming the lead-in alone gives the same bits
+        _, noisy = sine_0db_material(seed=1)
+        config = EnhanceConfig(silence_ms=silence_ms, window=window)
+        n_lead = _lead_frames(config, noisy.sample_rate_hz)
+        assert n_lead == (5 if silence_ms == 100.0 else 14)
+        lead = noisy.samples[: (n_lead - 1) * config.hop + config.frame_len]
+        lead_leaves = leaf_coefficients(SignalBuffer(lead, noisy.sample_rate_hz), config)
+        assert len(lead_leaves) == n_lead
+        _, profile = pipeline._analyse(noisy, config)
+        _same_profile(profile, estimate_noise_profile(lead_leaves, config))
 
 
 def _frame_leaves(frames):
@@ -466,10 +526,15 @@ class TestEnhance:
         frames = frame_count(len(noisy), n, config.hop)
         assert sum(binned) == frames * n // 2 + 2 * frames * n
 
+    @pytest.mark.parametrize("noise_estimation", ["mad", "leading_silence"])
     @pytest.mark.parametrize("depth", [1, 4])
-    def test_mad_mode_frames_and_splits_to_level_1_once(self, depth, monkeypatch):
+    def test_each_input_is_framed_and_transformed_once(
+        self, depth, noise_estimation, monkeypatch
+    ):
         # the noise profile and the leaves share one framing and one
-        # level-1 split: the leaves split its 2F rows depth - 1 levels on
+        # transform: with leading silence the profile takes the first
+        # frames' leaves; in mad mode the level-1 split, whose 2F rows the
+        # leaves split depth - 1 levels on
         framed, split = [], []
         make_frames, analysis = pipeline.make_frames, pipeline.wp_analysis
 
@@ -484,11 +549,75 @@ class TestEnhance:
         monkeypatch.setattr(pipeline, "make_frames", counting_frames)
         monkeypatch.setattr(pipeline, "wp_analysis", counting_analysis)
         _, noisy = sine_0db_material(seed=3)
-        config = EnhanceConfig(noise_estimation="mad", depth=depth)
+        config = EnhanceConfig(noise_estimation=noise_estimation, depth=depth)
         enhance(noisy, config)
         n_frames = frame_count(len(noisy), config.frame_len, config.hop)
         assert len(framed) == 1
-        assert split == [(n_frames, 1)] + [(2 * n_frames, depth - 1)] * (depth > 1)
+        if noise_estimation == "leading_silence":
+            assert split == [(n_frames, depth)]
+        else:
+            assert split == [(n_frames, 1)] + [(2 * n_frames, depth - 1)] * (depth > 1)
+
+
+def _edge_case(scale=1.0):
+    """A 1 s, 440 Hz sine of amplitude 0.5 plus N(0, 0.05^2) noise (seed
+    3), times `scale`: at scale 1, mad-mode universal-hard makes its first
+    output sample 492.4, 729 times the input's peak (the overlap-add
+    edge gain)."""
+    clean = sine_wave(440, 0.5, 1.0, 16000)
+    noise = np.random.default_rng(3).normal(0.0, 0.05, len(clean))
+    return (SignalBuffer(scale * clean.samples, 16000),
+            SignalBuffer(scale * (clean.samples + noise), 16000))
+
+
+class TestPeakBound:
+    def test_the_bound_of_the_default_geometry(self):
+        # float max / (8 N^2 g), with g = 1 / w[0] = 1.06e5 for the hann
+        assert edge_gain("hann", 512) == pytest.approx(1.0624e5, rel=1e-4)
+        assert edge_gain("rectangular", 512) == 1.0
+        assert max_peak(512, "hann") == pytest.approx(8.068e296, rel=1e-3)
+
+    def test_a_signal_too_loud_for_overlap_add_is_rejected_first(self, monkeypatch):
+        # at 1e306 the edge sample overflowed in overlap_add's division
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transform ran before the peak check")
+
+        monkeypatch.setattr(pipeline, "wp_analysis", no_transform)
+        _, noisy = _edge_case(1e306)
+        config = EnhanceConfig(noise_estimation="mad")
+        with pytest.raises(ValueError, match=r"samples peak at 6\.753e\+305, above the 8\.068e\+296"):
+            enhance(noisy, config)
+
+    @pytest.mark.parametrize("noise_estimation", ["leading_silence", "mad", "analyze"])
+    def test_noise_at_the_float_limit_is_rejected(self, noise_estimation):
+        # the transform overflowed in matmul, and stats then failed on
+        # the infinite values
+        rng = np.random.default_rng(5)
+        loud = SignalBuffer(np.clip(rng.normal(0, 1e308, 16000), -1.7e308, 1.7e308), 16000)
+        with pytest.raises(ValueError, match="samples peak at 1.7e\\+308"):
+            if noise_estimation == "analyze":
+                analyze(white_noise(0.1, 1.0, 16000, seed=6), loud, EnhanceConfig())
+            else:
+                enhance(loud, EnhanceConfig(noise_estimation=noise_estimation))
+
+    @pytest.mark.parametrize("geometry", [
+        dict(), dict(frame_len=1024, hop=64), dict(window="rectangular", hop=32),
+        dict(frame_len=16, hop=1, depth=1),
+    ])
+    @pytest.mark.parametrize("noise_estimation", ["leading_silence", "mad"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_signal_at_the_bound_runs_finite(self, geometry, noise_estimation, method):
+        # under the suite's warnings-as-errors: no value of the run overflows
+        config = EnhanceConfig(method=method, noise_estimation=noise_estimation, **geometry)
+        clean, noisy = _edge_case()
+        scale = max_peak(config.frame_len, config.window) / np.max(np.abs(noisy.samples))
+        clean, noisy = _edge_case(scale)
+        assert np.max(np.abs(noisy.samples)) <= max_peak(config.frame_len, config.window)
+        out, report = enhance(noisy, config, reference=clean)
+        assert np.all(np.isfinite(out.samples))
+        assert math.isfinite(report.input_snr_db) and math.isfinite(report.output_snr_db)
+        report.to_json()
+        analyze(noisy, clean, config).to_json()
 
 
 class TestAnalyze:

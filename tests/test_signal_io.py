@@ -54,6 +54,27 @@ class TestSignalBuffer:
             SignalBuffer(np.zeros(4), -(10**5000))
         assert SignalBuffer(np.zeros(4), 10**308).sample_rate_hz == 10**308
 
+    def test_a_list_holding_a_huge_int_is_shown_by_its_type(self):
+        # repr of the list fails ("Exceeds the limit (4300 digits)"), and
+        # the message fell back on int.bit_length: AttributeError
+        with pytest.raises(ValueError, match=r"got <list holding an int too long to print>"):
+            SignalBuffer(np.zeros(4), [10**5000])
+
+    def test_huge_int_sample_rejected_by_name(self):
+        # np.asarray(10**400, dtype=float64) raised OverflowError
+        with pytest.raises(ValueError, match=r"^samples must be real numbers"):
+            SignalBuffer(10**400, 16000)
+
+    def test_dict_samples_rejected_by_name(self):
+        # the float conversion raised TypeError
+        with pytest.raises(ValueError, match=r"^samples must be real numbers"):
+            SignalBuffer({}, 16000)
+
+    def test_complex_sample_rejected_by_name(self):
+        # the float conversion dropped the imaginary part with ComplexWarning
+        with pytest.raises(ValueError, match=r"^samples must be real numbers"):
+            SignalBuffer(np.complex128(1), 16000)
+
 
 class TestWavRoundtrip:
     def test_zero_maps_to_zero(self, tmp_path):
@@ -369,3 +390,34 @@ class TestSnrDb:
         silent = SignalBuffer(np.zeros(len(sig)), 8000)
         with pytest.raises(ValueError):
             snr_db(silent, sig)
+
+    def test_scale_invariant_over_the_float_range(self):
+        # 0.9 x against x is 20 log10(9) dB at any scale; the squares of
+        # 1e200 x overflowed to NaN, and those of 1e-170 x rounded to 0
+        x = np.random.default_rng(0).normal(size=8000)
+        unit = snr_db(SignalBuffer(0.9 * x, 8000), SignalBuffer(x, 8000))
+        assert unit == pytest.approx(20 * math.log10(9), abs=1e-12)
+        for c in (1e-170, 2.0**-600, 1e200, 2.0**900):
+            got = snr_db(SignalBuffer(c * 0.9 * x, 8000), SignalBuffer(c * x, 8000))
+            assert got == pytest.approx(unit, abs=1e-12)
+            if math.frexp(c)[0] == 0.5:  # a power of two scales exactly
+                assert got == unit
+
+    def test_bit_equal_to_the_direct_ratio_at_unit_scale(self):
+        rng = np.random.default_rng(11)
+        for scale in (1.0, 0.3, 5e-3):
+            ref = rng.normal(size=1000) * scale
+            test = ref + rng.normal(size=1000) * 0.1
+            direct = 10.0 * math.log10(np.sum(ref**2) / np.sum((ref - test) ** 2))
+            assert snr_db(SignalBuffer(ref, 8000), SignalBuffer(test, 8000)) == direct
+
+    def test_finite_at_the_ends_of_the_float_range(self):
+        big = np.full(16, 1.7e308)
+        # the residual is 2x the reference: -6.02 dB, not an overflow
+        assert snr_db(SignalBuffer(big, 8000), SignalBuffer(-big, 8000)) == pytest.approx(
+            -20 * math.log10(2), abs=1e-12
+        )
+        tiny = SignalBuffer(np.full(16, 1e-300), 8000)
+        loud = SignalBuffer(np.full(16, 1e300), 8000)
+        assert snr_db(tiny, loud) == pytest.approx(-12000.0, abs=1e-6)
+        assert snr_db(loud, SignalBuffer(np.full(16, 1e300 * (1 + 2**-52)), 8000)) == 300.0

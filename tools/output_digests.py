@@ -8,7 +8,8 @@ parent. Put the source tree to check on the path and compare:
     diff before.txt after.txt
 
 The cases are the sine-0db preset (every method, both noise modes,
-seeds 1 and 7), a 15 s speech-like input from bench/workloads.py in mad
+seeds 1 and 7; and with leading silence from 250 ms, which holds 14
+frames of 512 and 6 of 1024), a 15 s speech-like input from bench/workloads.py in mad
 mode (universal-hard and band, VUV on and off), one analyze report, the
 packet transform of random frames (haar and db4, 16 to 4096 samples,
 every depth they allow, and the level-1 detail), and a fixed script of
@@ -92,6 +93,18 @@ def enhance_cases():
                 )
 
 
+def long_silence_cases():
+    """Leading-silence profiles from more than the default 5 noise frames."""
+    for name, geometry in (("silence_ms=250", {}),
+                           ("frame_len=1024", {"frame_len": 1024, "hop": 512})):
+        for method in METHODS:
+            config = EnhanceConfig(method=method, silence_ms=250.0, seed=1, **geometry)
+            _, _, out, report = run_preset("sine-0db", seed=1, config=config)
+            yield from report_cases(
+                f"sine-0db/{method}/leading_silence/{name}/seed=1", report, out.samples
+            )
+
+
 def _speech_like():
     """The first 15 s input of bench/workloads.py's long-hard-mad workload."""
     sys.dont_write_bytecode = True  # read the benchmark, leave no file in it
@@ -160,7 +173,8 @@ def cli_cases():
 
 def main() -> None:
     lines = []
-    for cases in (enhance_cases, speech_cases, analyze_case, wavelet_cases, cli_cases):
+    for cases in (enhance_cases, long_silence_cases, speech_cases, analyze_case,
+                  wavelet_cases, cli_cases):
         lines.extend(" ".join(case) for case in cases())
     print("\n".join(sorted(lines)))
 
