@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .signal_io import SignalBuffer, shown
+from .signal_io import SignalBuffer, peak_magnitude, shown
 
 WINDOWS = ("rectangular", "hann")
 
@@ -78,8 +78,7 @@ def check_peak(frame_len: int, window: str, *signals: SignalBuffer) -> None:
     """Raise ValueError naming the peak of a signal above max_peak."""
     bound = max_peak(frame_len, window)
     for signal in signals:
-        x = signal.samples  # the peak without an |x| temporary
-        peak = max(float(np.max(x, initial=0.0)), -float(np.min(x, initial=0.0)))
+        peak = peak_magnitude(signal.samples)
         if peak > bound:
             raise ValueError(
                 f"samples peak at {peak:.4g}, above the {bound:.4g} that frames of "

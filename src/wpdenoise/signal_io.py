@@ -14,6 +14,7 @@ import math
 import operator
 import struct
 import sys
+import warnings
 import wave
 from dataclasses import dataclass
 
@@ -55,6 +56,21 @@ def shown(value) -> str:
         return f"<{type(value).__name__} holding an int too long to print>"
 
 
+def _objects_as_floats(samples: np.ndarray) -> np.ndarray:
+    """Convert an object array (ints beyond int64, say) one element at a
+    time; an int beyond float range, a dict or a complex raises ValueError.
+
+    A numpy complex element warns (ComplexWarning, a RuntimeWarning)
+    rather than failing, so that warning is raised and caught here.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return samples.astype(np.float64)
+        except (TypeError, ValueError, OverflowError, RuntimeWarning):
+            raise ValueError("samples must be real numbers within float range") from None
+
+
 @dataclass
 class SignalBuffer:
     """Mono sample sequence with its sample rate.
@@ -68,10 +84,12 @@ class SignalBuffer:
 
     def __post_init__(self):
         samples = np.asarray(self.samples)
-        # object arrays (huge ints, dicts), strings and complex values
-        # would fail or warn in the conversion
-        if samples.dtype.kind not in "biuf":
+        # complex values would warn in the conversion, and strings are
+        # not numbers
+        if samples.dtype.kind not in "biufO":
             raise ValueError(f"samples must be real numbers, got dtype {samples.dtype}")
+        if samples.dtype.kind == "O":
+            samples = _objects_as_floats(samples)
         self.samples = samples.astype(np.float64, copy=False)
         if self.samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
@@ -255,42 +273,46 @@ def mix_at_snr(
     return SignalBuffer(clean.samples + alpha * noise.samples, clean.sample_rate_hz)
 
 
-def _power(x: np.ndarray) -> tuple:
-    """(sum((x * 2**-e)**2), e) for e the binary exponent of max|x|.
+def peak_magnitude(x: np.ndarray) -> float:
+    """max |x| (0 when empty), without an |x| temporary."""
+    return max(float(np.max(x, initial=0.0)), -float(np.min(x, initial=0.0)))
 
-    Scaling by a power of two is exact in the normal float range, and it
-    brings the peak into [0.5, 1), so the sum neither overflows nor
-    rounds to zero.
-    """
-    e = math.frexp(float(np.max(np.abs(x), initial=0.0)))[1]
-    return float(np.sum(np.ldexp(x, -e) ** 2)), e
+
+def _exponent(peak: float) -> int:
+    """The binary exponent e of peak, at least -1021: x * 2**-e is then
+    below 1 in magnitude and, in the normal float range, exact; 2**1021
+    is the largest such scale a float holds."""
+    return max(math.frexp(peak)[1], -1021)
 
 
 def snr_db(reference: SignalBuffer, test: SignalBuffer) -> float:
     """10*log10(sum(ref^2) / sum((ref - test)^2)), capped at +300 dB.
 
     A zero residual returns the cap; length and sample rate must match.
-    A power beyond [2^-500, 2^500], where a square may have overflowed
-    or lost bits below the normal range, is summed again scaled by a
-    power of two, which is exact: any finite pair gives a finite value,
-    and a pair scaled by a power of two gives the same bits.
+    The reference is summed scaled by a power of two from its own peak,
+    the residual by one from the peak of both signals, so that neither
+    sum overflows or rounds to zero. The scaling is exact: the value is
+    that of the unscaled sums wherever they neither overflow nor lose
+    bits, and any finite pair gives a finite value.
     """
     _check_aligned(reference, test)
     r, t = reference.samples, test.samples
-    with np.errstate(over="ignore"):  # an overflow is summed again below
-        p_ref, p_residual = float(np.sum(r**2)), float(np.sum((r - t) ** 2))
-    shift = 0
-    if not (2.0**-500 <= p_ref <= 2.0**500 and 2.0**-500 <= p_residual <= 2.0**500):
-        # the residual halved, so that the difference of finite signals is finite
-        (p_ref, e_ref), (p_residual, e_residual) = _power(r), _power(r / 2 - t / 2)
-        shift = 2 * (e_ref - e_residual) - 2
+    peak_ref = peak_magnitude(r)
+    e_ref, e = _exponent(peak_ref), _exponent(max(peak_ref, peak_magnitude(t)))
+    buf = r * 2.0**-e_ref  # both powers are summed in this one buffer
+    p_ref = float(np.sum(np.square(buf, out=buf)))
     if p_ref == 0.0:
         raise ValueError("reference signal has zero power")
+    scale = 2.0**-e
+    np.multiply(r, scale, out=buf)
+    buf -= t * scale
+    p_residual = float(np.sum(np.square(buf, out=buf)))
     if p_residual == 0.0:
         return SNR_CAP_DB
-    try:
+    # the ratio is p_ref / p_residual * 2**shift, shift <= 0; ldexp is
+    # exact while the ratio is a normal float, and where it might not be
+    # one (SNRs far below -2000 dB) the logs add instead
+    shift = 2 * (e_ref - e)
+    if shift > -800:
         return min(10.0 * math.log10(math.ldexp(p_ref / p_residual, shift)), SNR_CAP_DB)
-    except OverflowError:  # the ratio is beyond the float range, and the cap
-        return SNR_CAP_DB
-    except ValueError:  # the ratio is below the float range: under -3000 dB
-        return 10.0 * (math.log10(p_ref / p_residual) + shift * math.log10(2.0))
+    return 10.0 * (math.log10(p_ref / p_residual) + shift * math.log10(2.0))

@@ -32,6 +32,7 @@ infinite values where the edges are chosen from the values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,13 +285,16 @@ class ProbabilityVector:
 def check_epsilon(epsilon: float, n_bins: int) -> None:
     """Reject an epsilon floor that an n_bins histogram cannot take.
 
-    to_probability needs 0 < epsilon < 1/B; a run checks the largest B
-    it will build up front, so it fails before any transform.
+    to_probability needs epsilon < 1/B, and the divergences divide by
+    probabilities of at least epsilon, so epsilon must also be at least
+    the smallest normal float (2.2e-308), where 1/epsilon is finite. A
+    run checks the largest B it will build up front, so it fails before
+    any transform.
     """
-    if not 0 < epsilon < 1.0 / n_bins:
+    if not sys.float_info.min <= epsilon < 1.0 / n_bins:
         raise ValueError(
-            f"epsilon={epsilon:g} must be in (0, 1/{n_bins}) = "
-            f"(0, {1.0 / n_bins:.6g}): this run builds {n_bins}-bin histograms"
+            f"epsilon={epsilon:g} must be in (0, 1/{n_bins}) = (0, {1.0 / n_bins:.6g}) "
+            f"and at least 2.2e-308: this run builds {n_bins}-bin histograms"
         )
 
 

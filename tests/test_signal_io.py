@@ -65,6 +65,13 @@ class TestSignalBuffer:
         with pytest.raises(ValueError, match=r"^samples must be real numbers"):
             SignalBuffer(10**400, 16000)
 
+    def test_ints_beyond_int64_within_float_range_accepted(self):
+        # an object array, converted one element at a time
+        assert SignalBuffer([10**20, 0], 8000).samples.tolist() == [1e20, 0.0]
+        assert SignalBuffer([2**64, 0], 8000).samples.tolist() == [2.0**64, 0.0]
+        with pytest.raises(ValueError, match=r"^samples must be real numbers"):
+            SignalBuffer([10**400, 0], 8000)
+
     def test_dict_samples_rejected_by_name(self):
         # the float conversion raised TypeError
         with pytest.raises(ValueError, match=r"^samples must be real numbers"):
@@ -74,6 +81,9 @@ class TestSignalBuffer:
         # the float conversion dropped the imaginary part with ComplexWarning
         with pytest.raises(ValueError, match=r"^samples must be real numbers"):
             SignalBuffer(np.complex128(1), 16000)
+        # beside an int beyond int64 it is an element of an object array
+        with pytest.raises(ValueError, match=r"^samples must be real numbers"):
+            SignalBuffer([10**20, np.complex128(1)], 16000)
 
 
 class TestWavRoundtrip:
@@ -421,3 +431,6 @@ class TestSnrDb:
         loud = SignalBuffer(np.full(16, 1e300), 8000)
         assert snr_db(tiny, loud) == pytest.approx(-12000.0, abs=1e-6)
         assert snr_db(loud, SignalBuffer(np.full(16, 1e300 * (1 + 2**-52)), 8000)) == 300.0
+        # subnormal: the residual is the reference itself, 0 dB
+        least = SignalBuffer(np.full(16, 5e-324), 8000)
+        assert snr_db(least, SignalBuffer(np.zeros(16), 8000)) == 0.0

@@ -1,6 +1,7 @@
 """Tests for histograms, probability estimates, entropy and divergences."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -342,6 +343,16 @@ class TestToProbability:
             to_probability(h, 0.0)
         with pytest.raises(ValueError):
             to_probability(h, 0.6)  # >= 1/B for B = 2
+
+    def test_subnormal_epsilon_rejected(self):
+        # a divergence divides by probabilities of epsilon: 1/5e-324
+        # overflowed in kl_divergence ("overflow encountered in divide")
+        h = Histogram(np.array([0.0, 1.0, 2.0]), np.array([2, 0]))
+        with pytest.raises(ValueError, match=r"epsilon=4\.94066e-324 .* at least 2\.2e-308"):
+            to_probability(h, 5e-324)
+        p = to_probability(h, sys.float_info.min)
+        q = to_probability(Histogram(h.bin_edges, np.array([0, 2])), sys.float_info.min)
+        assert math.isfinite(symmetric_divergence(p, q))
 
     def test_epsilon_error_names_the_bin_count(self):
         h = Histogram(np.array([0.0, 1.0, 2.0]), np.array([1, 1]))
