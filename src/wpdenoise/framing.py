@@ -156,18 +156,26 @@ def make_frames(
     """Split a signal into overlapping windowed frames.
 
     Frame k holds window[n] * signal[k*hop + n], zero-padded past the
-    signal end. The geometry must pass check_geometry.
+    signal end. The geometry must pass check_geometry. Frames that lie
+    inside the signal are windowed straight from it; only the tail
+    frames, at most frame_len / hop of them, are copied into a padded
+    buffer.
     """
     frame_len, hop = check_geometry(frame_len, hop, window)
-    original_len = len(signal)
+    x, original_len = signal.samples, len(signal)
     n_frames = frame_count(original_len, frame_len, hop)
-    padded = np.zeros((n_frames - 1) * hop + frame_len, dtype=np.float64)
-    padded[:original_len] = signal.samples
-    frames = sliding_window_view(padded, frame_len)[::hop]
-    return FrameSet(
-        frames * window_values(window, frame_len), frame_len, hop, window,
-        original_len, signal.sample_rate_hz,
-    )
+    n_whole = max(original_len - frame_len, -hop) // hop + 1
+    w = window_values(window, frame_len)
+    frames = np.empty((n_frames, frame_len))
+    if n_whole:
+        np.multiply(sliding_window_view(x, frame_len)[::hop][:n_whole], w,
+                    out=frames[:n_whole])
+    if n_whole < n_frames:
+        tail = np.zeros((n_frames - n_whole - 1) * hop + frame_len)
+        rest = x[n_whole * hop :]
+        tail[: len(rest)] = rest
+        np.multiply(sliding_window_view(tail, frame_len)[::hop], w, out=frames[n_whole:])
+    return FrameSet(frames, frame_len, hop, window, original_len, signal.sample_rate_hz)
 
 
 def overlap_add(frames: FrameSet) -> SignalBuffer:

@@ -52,19 +52,37 @@ _FRAMES = _layout(["%s"], 1)
 _SEP = {depth: _layout(["%s", "%s"], depth).split("%s")[1] for depth in (1, 3)}
 
 
-def _float_text(name: str, values) -> list:
+def _text_table(keys, where, write) -> np.ndarray:
+    """write() of each distinct key, once, spread back by np.unique's inverse."""
+    text = np.empty(len(keys), dtype=object)
+    text[:] = [write(key) for key in keys.tolist()]
+    return text[where]
+
+
+def _float_text(name: str, values) -> np.ndarray:
     """repr() of each float of `values` in C order, as json.dumps writes it.
 
-    Each distinct value (by bit pattern, so -0.0 stays "-0.0") is
-    formatted once: thresholds repeat per subband and band bounds are
-    bin edges. Non-finite values raise ValueError, as allow_nan=False.
+    An object array of texts. Each distinct value (by bit pattern, so
+    -0.0 stays "-0.0") is formatted once: thresholds repeat per subband
+    and band bounds are bin edges. Non-finite values raise ValueError,
+    as allow_nan=False.
     """
     flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
     if not np.all(np.isfinite(flat)):
         raise ValueError(f"Out of range float values are not JSON compliant: {name}")
     bits, where = np.unique(flat.view(np.int64), return_inverse=True)
-    text = [repr(x) for x in bits.view(np.float64).tolist()]
-    return [text[i] for i in where.tolist()]
+    return _text_table(bits.view(np.float64), where, repr)
+
+
+def _count_text(values) -> np.ndarray:
+    """str() of each count of `values` in C order, as an object array.
+
+    Each distinct count is written once. The table holds only the
+    distinct values, never one entry per count up to the largest, so a
+    hand-built report may hold Python ints of any size.
+    """
+    keys, where = np.unique(np.asarray(values).ravel(), return_inverse=True)
+    return _text_table(keys, where, str)
 
 
 @dataclass
@@ -104,39 +122,44 @@ class Report:
     def _frames_text(self) -> str:
         """The v1 "frames" list as json.dumps(indent=2) writes it in a report.
 
-        Numbers are repr() of the Python floats and ints that .tolist()
-        gives, which is what the json encoder writes for them.
+        Every frame has one layout: the subband records with each
+        sigma and index baked in, and null for an unset band or
+        threshold. Split on its %s slots it gives W + 1 literal pieces
+        around W cells. One (frames, 2W + 1) array holds the pieces in
+        its even columns and the cells in its odd ones, and is joined
+        once. Numbers are written as the json encoder writes the Python
+        floats and ints that .tolist() gives.
         """
         n_frames, n_sub = len(self.vuv), len(self.sigma)
         if not n_frames:
             return "[]"
-        unset = ["null"] * (n_frames * n_sub)
         sigma = _float_text("sigma", self.sigma)
-        threshold = unset if self.threshold is None else _float_text(
-            "threshold", self.threshold
-        )
-        if self.band is None:
-            band = unset
-        else:
-            bounds = _float_text("band", self.band)
-            band = [_BAND % pair for pair in zip(bounds[0::2], bounds[1::2])]
-        subbands = [
-            _SUBBAND % cells
-            for cells in zip(
-                band,
-                np.asarray(self.n_zero_post).ravel().tolist(),
-                np.asarray(self.n_zero_pre).ravel().tolist(),
-                sigma * n_frames,
-                list(range(n_sub)) * n_frames,
-                threshold,
-            )
-        ]
+        fields = []  # the (F, S) cells of each subband record, in key order
+        if self.band is not None:
+            bounds = _float_text("band", self.band).reshape(n_frames, n_sub, 2)
+            fields += [bounds[..., 0], bounds[..., 1]]
+        fields += [_count_text(self.n_zero_post), _count_text(self.n_zero_pre)]
+        if self.threshold is not None:
+            fields.append(_float_text("threshold", self.threshold))
+        band = "null" if self.band is None else _BAND
+        threshold = "null" if self.threshold is None else "%s"
+        layout = _FRAME % ("%s", _SEP[3].join(
+            _SUBBAND % (band, "%s", "%s", sigma[s], s, threshold) for s in range(n_sub)
+        ), "%s")
+        pieces = layout.split("%s")
+        head, tail = _FRAMES.split("%s")
+
+        text = np.empty((n_frames, 2 * len(pieces) - 1), dtype=object)
+        text[:, 0::2] = np.array(pieces, dtype=object)
+        text[1:, 0] = _SEP[1] + pieces[0]
+        text[0, 0] = head + pieces[0]
+        text[-1, -1] = pieces[-1] + tail
+        text[:, 1] = [str(f) for f in range(n_frames)]
+        cells = np.stack([np.reshape(cell, (n_frames, n_sub)) for cell in fields], -1)
+        text[:, 3:-2:2] = cells.reshape(n_frames, -1)
         labels = {vuv: json.dumps(vuv) for vuv in set(self.vuv)}
-        frames = [
-            _FRAME % (f, _SEP[3].join(subbands[f * n_sub : (f + 1) * n_sub]), labels[vuv])
-            for f, vuv in enumerate(self.vuv)
-        ]
-        return _FRAMES % _SEP[1].join(frames)
+        text[:, -2] = [labels[vuv] for vuv in self.vuv]
+        return "".join(text.ravel().tolist())
 
     def to_json(self) -> str:
         """Schema v1: json.dumps(indent=2, sort_keys=True) of the v1 dict.

@@ -253,21 +253,32 @@ def mix_at_snr(
     equals the target. target_snr_db = +inf is the alpha = 0 limit and
     returns a copy of the clean signal; a target so low (or NaN) that
     alpha is not finite raises ValueError.
+
+    Each power is summed scaled by 4**-e, e the binary exponent of the
+    signal's peak, so that neither sum overflows or rounds to zero, and
+    alpha takes back 2**(e_clean - e_noise). The scaling is exact: in
+    the normal float range alpha, and so the mix, is bit-equal to that
+    of the unscaled sums.
     """
     _check_aligned(clean, noise)
-    p_clean = float(np.sum(clean.samples**2))
+    e_clean = _exponent(peak_magnitude(clean.samples))
+    p_clean = _scaled_power(clean.samples, e_clean)
     if p_clean == 0.0:
         raise ValueError("clean signal has zero power")
     if math.isinf(target_snr_db) and target_snr_db > 0:
         return SignalBuffer(clean.samples.copy(), clean.sample_rate_hz)
-    p_noise = float(np.sum(noise.samples**2))
+    e_noise = _exponent(peak_magnitude(noise.samples))
+    p_noise = _scaled_power(noise.samples, e_noise)
     if p_noise == 0.0:
         raise ValueError("noise signal has zero power")
     try:
         scaled_noise = p_noise * 10.0 ** (target_snr_db / 10.0)
     except OverflowError:  # a target beyond float range: the noise gain is 0
         scaled_noise = math.inf
-    alpha = math.sqrt(p_clean / scaled_noise) if scaled_noise > 0 else math.inf
+    try:
+        alpha = math.ldexp(math.sqrt(p_clean / scaled_noise), e_clean - e_noise)
+    except (ZeroDivisionError, OverflowError):  # no noise gain within float range
+        alpha = math.inf
     if not math.isfinite(alpha):
         raise ValueError(f"target_snr_db={target_snr_db} leaves no finite noise gain")
     return SignalBuffer(clean.samples + alpha * noise.samples, clean.sample_rate_hz)
@@ -283,6 +294,12 @@ def _exponent(peak: float) -> int:
     below 1 in magnitude and, in the normal float range, exact; 2**1021
     is the largest such scale a float holds."""
     return max(math.frexp(peak)[1], -1021)
+
+
+def _scaled_power(x: np.ndarray, e: int) -> float:
+    """sum((x * 2**-e)**2): the power of x scaled by 4**-e."""
+    buf = x * 2.0**-e
+    return float(np.sum(np.square(buf, out=buf)))
 
 
 def snr_db(reference: SignalBuffer, test: SignalBuffer) -> float:

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle as oracle
+from conftest import examples
 from wpdenoise.experiments import sine_0db_material
 from wpdenoise import pipeline, stats
 from wpdenoise.framing import WINDOWS, make_frames, overlap_add, window_values
@@ -33,7 +34,7 @@ from wpdenoise.stats import (
 from wpdenoise.thresholding import estimate_sigma, select_band
 from wpdenoise.wavelet import filter_bank, wp_analysis, wp_synthesis
 
-PROPERTY = settings(max_examples=60, deadline=None)
+PROPERTY = settings(max_examples=examples(60), deadline=None)
 
 
 @st.composite

@@ -15,12 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import examples
+
 from wpdenoise.pipeline import METHODS, NOISE_MODES, EnhanceConfig, analyze, enhance
 from wpdenoise.framing import WINDOWS
 from wpdenoise.signal_io import SignalBuffer
 from wpdenoise.wavelet import FILTERS
 
-PROPERTY = settings(max_examples=200, deadline=None)
+PROPERTY = settings(max_examples=examples(200), deadline=None)
 
 _EDGE_FLOATS = (1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324, 2.2e-308,
                 1e-310, 0.0, -0.0, float("inf"), float("-inf"), float("nan"))

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+
+from test_batched import _speech_like
 
 from wpdenoise.framing import (
     ColaError,
@@ -46,6 +49,28 @@ class TestMakeFrames:
         # last frame starts at sample 4; samples 10..11 are padding
         assert np.all(fs.frames[-1][:6] == 1.0)
         assert np.all(fs.frames[-1][6:] == 0.0)
+
+    @staticmethod
+    def _padded_frames(x, frame_len, hop, window):
+        """The reference: the whole signal copied into a zero-padded buffer."""
+        padded = np.zeros((frame_count(len(x), frame_len, hop) - 1) * hop + frame_len)
+        padded[: len(x)] = x
+        frames = sliding_window_view(padded, frame_len)[::hop]
+        return frames * window_values(window, frame_len)
+
+    @pytest.mark.parametrize("window", ["hann", "rectangular"])
+    @pytest.mark.parametrize("frame_len, hop", [(512, 256), (512, 512), (512, 128)])
+    def test_frames_equal_the_padded_reference(self, frame_len, hop, window):
+        for n in (1, frame_len - 1, frame_len, frame_len + 1,
+                  frame_len + hop - 1, frame_len + hop, frame_len + hop + 1):
+            x = _signal(n, seed=n).samples
+            got = make_frames(SignalBuffer(x, 16000), frame_len, hop, window).frames
+            assert np.array_equal(got, self._padded_frames(x, frame_len, hop, window)), n
+
+    def test_frames_of_15_s_speech_like_input_equal_the_padded_reference(self):
+        _, noisy = _speech_like(15.0, seed=5)
+        got = make_frames(noisy, 512, 256, "hann").frames
+        assert np.array_equal(got, self._padded_frames(noisy.samples, 512, 256, "hann"))
 
     def test_integers_of_any_index_type(self):
         sig = _signal(32)

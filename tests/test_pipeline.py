@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
+
 from wpdenoise import stats
 from wpdenoise import pipeline
 from wpdenoise.pipeline import (
@@ -203,7 +205,7 @@ class TestEnhanceConfig:
             tracemalloc.stop()
         assert peak < 2**17  # an 8-byte value per sample of 2**17 is 1 MB
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(
         log_frame=st.integers(min_value=3, max_value=13),
         shift=st.integers(min_value=0, max_value=4),

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle as oracle
+from conftest import examples
 from wpdenoise.framing import WINDOWS, frame_count
 from wpdenoise.pipeline import METHODS, NOISE_MODES, EnhanceConfig, enhance
 from wpdenoise.report import Report, validate_report_dict
@@ -48,7 +49,7 @@ def _reject_constant(name):
     raise AssertionError(f"{name} in a report")
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @given(configs())
 def test_every_valid_config_gives_a_valid_stable_report(config):
     noisy = _noisy(config.seed)
@@ -123,3 +124,77 @@ def test_non_finite_detail_refused(method, field, value):
         oracle.v1_json(report)  # the reference refuses it too
     with pytest.raises(ValueError, match="not JSON compliant"):
         report.to_json()
+
+
+# Floats whose text the writer must keep: signed zeros, the smallest
+# subnormals and the largest finite values.
+_EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324,
+                1.7976931348623157e308, -1.7976931348623157e308)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+
+
+@st.composite
+def hand_built_reports(draw):
+    """A Report of 1-40 frames and 1, 2 or 16 subbands, built by hand.
+
+    Each array is drawn from a small pool of values, so values repeat;
+    zero counts run up to 10**12. The band and the threshold are each
+    set or None, both None included; the VUV labels are mixed or all None.
+    """
+    n_frames = draw(st.integers(1, 40))
+    n_sub = draw(st.sampled_from((1, 2, 16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def pooled(values, shape):
+        pool = draw(st.lists(values, min_size=1, max_size=8))
+        return np.array(pool)[rng.integers(0, len(pool), size=shape)]
+
+    counts = st.integers(0, 10**12)
+    has_band, has_threshold = draw(st.sampled_from(
+        ((True, False), (False, True), (False, False), (True, True))
+    ))
+    all_none = draw(st.booleans())
+    labels = st.none() if all_none else st.sampled_from(("voiced", "unvoiced", None))
+    return Report(
+        tool_version="0", mode="denoise", config={"depth": 4}, seed=None,
+        vuv=draw(st.lists(labels, min_size=n_frames, max_size=n_frames)),
+        sigma=pooled(_FINITE, n_sub),
+        threshold=pooled(_FINITE, (n_frames, n_sub)) if has_threshold else None,
+        band=pooled(_FINITE, (n_frames, n_sub, 2)) if has_band else None,
+        n_zero_pre=pooled(counts, (n_frames, n_sub)),
+        n_zero_post=pooled(counts, (n_frames, n_sub)),
+    )
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(hand_built_reports())
+def test_hand_built_report_is_written_as_the_v1_reference(report):
+    assert report.to_json() == oracle.v1_json(report)
+
+
+@settings(max_examples=examples(30), deadline=None)
+@given(hand_built_reports(), st.sampled_from(("sigma", "threshold", "band")),
+       st.sampled_from((np.nan, np.inf, -np.inf)), st.integers(0, 2**16))
+def test_hand_built_non_finite_value_names_its_field(report, name, value, where):
+    values = getattr(report, name)
+    if values is None:  # an unset field gets values to spoil
+        shape = (len(report.vuv), len(report.sigma)) + ((2,) if name == "band" else ())
+        values = np.zeros(shape)
+        setattr(report, name, values)
+    values.flat[where % values.size] = value
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        oracle.v1_json(report)
+    with pytest.raises(ValueError,
+                       match=f"^Out of range float values are not JSON compliant: {name}$"):
+        report.to_json()
+
+
+def test_counts_beyond_int64_are_written_exactly():
+    report = Report(
+        tool_version="0", mode="denoise", config={}, seed=None,
+        vuv=["voiced", None], sigma=np.array([0.5]), threshold=np.array([[1.0], [2.0]]),
+        n_zero_pre=np.array([[10**30], [3]], dtype=object), n_zero_post=[[2**70], [0]],
+    )
+    text = report.to_json()
+    assert text == oracle.v1_json(report)
+    assert json.loads(text)["frames"][0]["subbands"][0]["n_zero_pre"] == 10**30

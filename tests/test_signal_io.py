@@ -5,10 +5,12 @@ import os
 import re
 import struct
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from wpdenoise.experiments import sine_0db_material
 from wpdenoise.signal_io import (
     SNR_CAP_DB,
     SignalBuffer,
@@ -363,6 +365,29 @@ class TestMixAtSnr:
             mix_at_snr(clean, silent, 0.0)
         with pytest.raises(ValueError):
             mix_at_snr(silent, clean, 0.0)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170])
+    def test_scale_of_inputs_neither_overflows_nor_vanishes(self, scale):
+        x = np.random.default_rng(0).normal(size=8000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mixed = mix_at_snr(SignalBuffer(scale * x, 8000), SignalBuffer(x, 8000), 0.0)
+        # equal powers after the noise gain: the mix is (1 + 1) * scale * x
+        np.testing.assert_allclose(mixed.samples, 2 * scale * x, rtol=1e-12)
+
+    def test_noise_gain_beyond_float_range_rejected(self):
+        x = np.random.default_rng(0).normal(size=800)
+        with pytest.raises(ValueError, match="target_snr_db"):
+            mix_at_snr(SignalBuffer(1e200 * x, 8000), SignalBuffer(1e-170 * x, 8000), 0.0)
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_preset_mix_is_bit_equal_to_the_unscaled_formula(self, seed):
+        clean, noisy = sine_0db_material(seed)
+        noise = white_noise(1.0, 5.0, 16000, seed)
+        p_clean = float(np.sum(clean.samples**2))
+        p_noise = float(np.sum(noise.samples**2))
+        alpha = math.sqrt(p_clean / (p_noise * 10.0 ** (0.0 / 10.0)))
+        assert np.array_equal(noisy.samples, clean.samples + alpha * noise.samples)
 
     def test_mismatched_inputs_rejected(self):
         a = SignalBuffer(np.ones(4), 8000)

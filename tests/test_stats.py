@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
+
 import scalar_oracle as oracle
 from test_batched import _np_counts
 from wpdenoise import stats
@@ -165,7 +167,7 @@ def _edges_and_values(draw):
     return edges, values
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(_edges_and_values())
 def test_bin_index_equals_np_histogram(case):
     # under the suite's warnings-as-errors: no overflow or invalid cast

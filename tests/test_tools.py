@@ -1,5 +1,7 @@
-"""tools/output_digests.py: the digests every output-preserving change compares."""
+"""tools/: the output digests every output-preserving change compares, and
+the BENCH_<label>.json speed record."""
 
+import json
 import os
 import re
 import subprocess
@@ -28,3 +30,29 @@ def test_output_digests_are_sorted_unique_and_repeatable():
     assert keys == sorted(set(keys))
     # same seeds, same outputs (acceptance criterion 8)
     assert _digests() == first
+
+
+def test_bench_stages_writes_its_record_at_a_tiny_size(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "bench_stages.py"), "--label", "tiny",
+         "--repeats", "1", "--long-seconds", "1", "--out-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    with open(tmp_path / "BENCH_tiny.json", encoding="utf-8") as fh:
+        record = json.load(fh)
+    assert record["label"] == "tiny"
+    assert record["machine"]["nproc"] >= 1 and record["machine"]["numpy"]
+    methods = ("universal-hard", "universal-soft", "band")
+    sine = record["sine_0db"]
+    assert sorted(sine["methods"]) == sorted(methods)
+    for figures in sine["methods"].values():
+        assert 0 < figures["enhance_rtf"]["best"] <= figures["enhance_rtf"]["median"]
+        assert figures["to_json_ms"]["best"] > 0 and figures["to_json_bytes"] > 10**6
+    assert sine["frames_text_universal_hard"]["frames"] == 312
+    assert record["report_15s_mad"]["frames_text_universal_hard"]["frames"] == 937
+    long = record["speech_like_mad"]
+    assert long["audio_s"] == 1.0 and sorted(long["methods"]) == sorted(methods)
+    assert long["tracemalloc_peak_mb_universal_hard"] > 0
+    assert record["cli_import_s"]["best"] > 0
