@@ -188,17 +188,27 @@ def overlap_add(frames: FrameSet) -> SignalBuffer:
     hop, n_frames = frames.hop, frames.n_frames
     n_slabs = frames.frame_len // hop
     numerator = np.zeros((n_frames + n_slabs - 1) * hop)
-    denominator = np.zeros_like(numerator)
+    num_blocks = numerator.reshape(-1, hop)
     # Slab r (columns r*hop .. r*hop + hop) of frame k lands in block k + r.
     # Adding slabs in descending r sums each sample's terms in ascending
-    # frame order, as a frame-by-frame loop does. Windowing one slab at a
-    # time keeps the temporaries at (frames, hop).
+    # frame order, as a frame-by-frame loop does. One (frames, hop) buffer
+    # holds each slab's windowed values in turn.
     slabs = frames.frames.reshape(n_frames, n_slabs, hop)
     w_slabs = w.reshape(n_slabs, hop)
     w2 = (w * w).reshape(n_slabs, hop)
-    num_blocks, den_blocks = numerator.reshape(-1, hop), denominator.reshape(-1, hop)
+    product = np.empty((n_frames, hop))
+    # Block b of the normaliser sums w^2 over the slabs that land in it.
+    # A run of m = min(frames, slabs) frames has the same first m - 1
+    # blocks, the same full block m - 1 (every slab's w^2) and the same
+    # last slabs - 1 blocks as the whole signal, whose blocks m - 1 ..
+    # frames - 1 are all full; so the run's normaliser, summed in the
+    # same order, stands in for the whole signal's.
+    run = min(n_frames, n_slabs)
+    norm = np.zeros((run + n_slabs - 1, hop))
     for r in reversed(range(n_slabs)):
-        num_blocks[r : r + n_frames] += slabs[:, r] * w_slabs[r]
-        den_blocks[r : r + n_frames] += w2[r]
-    span = frames.original_len
-    return SignalBuffer(numerator[:span] / denominator[:span], frames.sample_rate_hz)
+        num_blocks[r : r + n_frames] += np.multiply(slabs[:, r], w_slabs[r], out=product)
+        norm[r : r + run] += w2[r]
+    num_blocks[: run - 1] /= norm[: run - 1]
+    num_blocks[run - 1 : n_frames] /= norm[run - 1]
+    num_blocks[n_frames:] /= norm[run:]
+    return SignalBuffer(numerator[: frames.original_len], frames.sample_rate_hz)

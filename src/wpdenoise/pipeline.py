@@ -52,6 +52,7 @@ from .stats import (
     to_probability,
 )
 from .thresholding import (
+    _mad_sigma,
     band_hard_threshold,
     estimate_sigma,
     hard_threshold,
@@ -189,7 +190,7 @@ def _noise_distribution(coeffs: np.ndarray, epsilon: float) -> ProbabilityVector
     coefficients symmetrically instead of inheriting whatever offset the
     sample extremes would give, which would bias tonal subbands.
     """
-    span = np.max(np.abs(coeffs), axis=-1)
+    span = np.maximum(np.max(coeffs, axis=-1), -np.min(coeffs, axis=-1))
     edges = _uniform_edges(-span, span, _noise_bins(coeffs.shape[-1]))
     return to_probability(row_histograms(coeffs, edges=edges), epsilon)
 
@@ -209,9 +210,10 @@ def estimate_noise_profile(noise: np.ndarray, config: EnhanceConfig) -> NoisePro
     frame_len / 2); its single sigma and histogram serve every subband.
     """
     if config.noise_estimation == "mad":
-        detail = noise.ravel()
+        detail = noise.flatten()  # a private copy, histogrammed, then made |detail|
         distribution = _noise_distribution(detail, config.epsilon)
-        return NoiseProfile(estimate_sigma(detail), distribution, pooled=distribution)
+        sigma = _mad_sigma(np.abs(detail, out=detail))
+        return NoiseProfile(sigma, distribution, pooled=distribution)
     per_subband = _per_subband(noise)
     return NoiseProfile(
         sigma=estimate_sigma(per_subband),

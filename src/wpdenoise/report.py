@@ -42,12 +42,14 @@ def _layout(record, depth: int) -> str:
 
 
 # The v1 subband record (its slots in key order), a band pair, a frame
-# record and the frame list at the depth each sits at in a report, and
-# the text between two items of a list `depth` levels in.
+# record (and one with no subbands, whose list json.dumps writes as [])
+# and the frame list at the depth each sits at in a report, and the text
+# between two items of a list `depth` levels in.
 _SUBBAND = _layout(dict.fromkeys(
     ("band", "n_zero_post", "n_zero_pre", "sigma", "subband", "threshold"), "%s"), 4)
 _BAND = _layout(["%s", "%s"], 5)
 _FRAME = _layout({"frame": "%s", "subbands": ["%s"], "vuv": "%s"}, 2)
+_BARE_FRAME = _layout({"frame": "%s", "subbands": [], "vuv": "%s"}, 2)
 _FRAMES = _layout(["%s"], 1)
 _SEP = {depth: _layout(["%s", "%s"], depth).split("%s")[1] for depth in (1, 3)}
 
@@ -145,7 +147,7 @@ class Report:
         threshold = "null" if self.threshold is None else "%s"
         layout = _FRAME % ("%s", _SEP[3].join(
             _SUBBAND % (band, "%s", "%s", sigma[s], s, threshold) for s in range(n_sub)
-        ), "%s")
+        ), "%s") if n_sub else _BARE_FRAME
         pieces = layout.split("%s")
         head, tail = _FRAMES.split("%s")
 

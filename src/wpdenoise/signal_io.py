@@ -252,7 +252,8 @@ def mix_at_snr(
     alpha scales the noise power so 10*log10(P_clean / P_scaled_noise)
     equals the target. target_snr_db = +inf is the alpha = 0 limit and
     returns a copy of the clean signal; a target so low (or NaN) that
-    alpha is not finite raises ValueError.
+    alpha is not finite, or a mix beyond the float range, raises
+    ValueError.
 
     Each power is summed scaled by 4**-e, e the binary exponent of the
     signal's peak, so that neither sum overflows or rounds to zero, and
@@ -281,7 +282,11 @@ def mix_at_snr(
         alpha = math.inf
     if not math.isfinite(alpha):
         raise ValueError(f"target_snr_db={target_snr_db} leaves no finite noise gain")
-    return SignalBuffer(clean.samples + alpha * noise.samples, clean.sample_rate_hz)
+    with np.errstate(over="ignore"):  # an overflow is reported below, by the target
+        mixed = clean.samples + alpha * noise.samples
+    if not np.all(np.isfinite(mixed)):
+        raise ValueError(f"target_snr_db={target_snr_db} gives a mix beyond the float range")
+    return SignalBuffer(mixed, clean.sample_rate_hz)
 
 
 def peak_magnitude(x: np.ndarray) -> float:

@@ -3,8 +3,9 @@
 This is the per-frame implementation the library used before its core
 became one (frames, subbands, coeffs) array: a dict-of-nodes packet tree
 per frame, per-frame, per-subband loops for VUV classification,
-band selection, thresholding and the report records, overlap-add
-one frame at a time, the report writer that builds the whole
+band selection, thresholding and the report records, the MAD noise
+level by np.median, overlap-add one frame at a time over the whole
+signal's normaliser, the report writer that builds the whole
 schema-v1 dict and hands it to json.dumps, and the histogram bin
 index by binary search. The tests compare the library against it; it
 is not part of the package.
@@ -30,7 +31,6 @@ from wpdenoise.stats import (
 )
 from wpdenoise.thresholding import (
     band_hard_threshold,
-    estimate_sigma,
     hard_threshold,
     soft_threshold,
     universal_threshold,
@@ -147,6 +147,11 @@ def classify_vuv(leaves, entropy_threshold: float, epsilon: float) -> str:
     return "unvoiced" if entropy(p) < entropy_threshold else "voiced"
 
 
+def mad_sigma(coeffs) -> float:
+    """median(|coeffs|) / 0.6745, by np.median itself."""
+    return np.median(np.abs(coeffs)) / 0.6745
+
+
 def _noise_distribution(coeffs, epsilon):
     b = bin_count(len(coeffs))
     if b % 2 == 0:
@@ -173,17 +178,18 @@ def noise_profile(signal: SignalBuffer, config) -> list:
                 per_leaf[i].append(leaf)
         pools = [np.concatenate(chunks) for chunks in per_leaf]
         return [
-            (estimate_sigma(c), _noise_distribution(c, config.epsilon)) for c in pools
+            (mad_sigma(c), _noise_distribution(c, config.epsilon)) for c in pools
         ]
     frames = make_frames(signal, config.frame_len, config.hop, config.window)
     details = [wp_decompose(f, fb, config.depth).node(1, 1) for f in frames.frames]
     pooled = np.concatenate(details)
-    entry = (estimate_sigma(pooled), _noise_distribution(pooled, config.epsilon))
+    entry = (mad_sigma(pooled), _noise_distribution(pooled, config.epsilon))
     return [entry] * n_sub
 
 
 def overlap_add(frames: FrameSet) -> np.ndarray:
-    """Weighted overlap-add samples, accumulated one frame at a time."""
+    """Weighted overlap-add samples, accumulated one frame at a time and
+    divided by the whole signal's window-power sum."""
     w = window_values(frames.window, frames.frame_len)
     padded_len = (frames.n_frames - 1) * frames.hop + frames.frame_len
     numerator = np.zeros(padded_len)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+import scalar_oracle as oracle
 from test_batched import _speech_like
 
 from wpdenoise.framing import (
@@ -130,6 +131,25 @@ class TestOverlapAdd:
     def test_empty_signal(self):
         out = overlap_add(make_frames(_signal(0), 16, 8, "hann"))
         assert len(out) == 0
+
+    # (frame_len, hop, signal length, frames), the frames fewer than,
+    # equal to and many more than the frame_len / hop slabs of a frame
+    @pytest.mark.parametrize("frame_len, hop, n, n_frames", [
+        (16, 8, 13, 1), (16, 8, 21, 2), (16, 8, 341, 42),
+        (16, 4, 18, 2), (16, 4, 23, 3), (16, 4, 27, 4), (16, 4, 257, 62),
+        (512, 256, 16077, 62), (512, 128, 16077, 123),
+    ])
+    @pytest.mark.parametrize("window", ["rectangular", "hann"])
+    def test_equals_the_whole_signal_normaliser(self, frame_len, hop, n, n_frames, window):
+        # random frames, not a signal's, so the sums do not collapse to the input
+        fs = make_frames(_signal(n, seed=n), frame_len, hop, window)
+        assert fs.n_frames == n_frames and n % hop
+        rng = np.random.default_rng(n_frames)
+        fs = FrameSet(fs.frames * rng.normal(size=fs.frames.shape), frame_len, hop,
+                      window, n, 16000)
+        out = overlap_add(fs).samples
+        assert len(out) == n
+        assert np.array_equal(out, oracle.overlap_add(fs))
 
 
 class TestFrameSetValidation:

@@ -319,6 +319,14 @@ class TestEstimateNoiseProfile:
         assert np.all(np.abs(sigma - 1.0) < 0.05)
         _same_profile(pipeline._analyse(noise, config)[1], profile)
 
+    def test_mad_profile_leaves_a_contiguous_detail_unchanged(self):
+        # the profile takes magnitudes in place, on a copy of its input
+        detail = np.random.default_rng(25).normal(size=(7, 256))
+        before = detail.copy()
+        profile = estimate_noise_profile(detail, EnhanceConfig(noise_estimation="mad"))
+        np.testing.assert_array_equal(detail, before)
+        assert profile.sigma == np.median(np.abs(detail)) / 0.6745
+
     def test_short_silence_span_rejected(self):
         # the front end checks the span before any transform
         sig = white_noise(1.0, 1.0, 16000, seed=23)

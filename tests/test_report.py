@@ -189,6 +189,22 @@ def test_hand_built_non_finite_value_names_its_field(report, name, value, where)
         report.to_json()
 
 
+@pytest.mark.parametrize("has_threshold, has_band",
+                         [(False, False), (True, False), (False, True), (True, True)])
+def test_frames_without_subbands_are_written_as_the_v1_reference(has_threshold, has_band):
+    # json.dumps writes an empty subband list as []
+    report = Report(
+        tool_version="0", mode="denoise", config={}, seed=None,
+        vuv=["voiced", None, "unvoiced"], sigma=np.zeros(0),
+        threshold=np.zeros((3, 0)) if has_threshold else None,
+        band=np.zeros((3, 0, 2)) if has_band else None,
+        n_zero_pre=np.zeros((3, 0), dtype=int), n_zero_post=np.zeros((3, 0), dtype=int),
+    )
+    text = report.to_json()
+    assert text == oracle.v1_json(report)
+    assert text.count('"subbands": [],') == 3
+
+
 def test_counts_beyond_int64_are_written_exactly():
     report = Report(
         tool_version="0", mode="denoise", config={}, seed=None,

@@ -380,6 +380,15 @@ class TestMixAtSnr:
         with pytest.raises(ValueError, match="target_snr_db"):
             mix_at_snr(SignalBuffer(1e200 * x, 8000), SignalBuffer(1e-170 * x, 8000), 0.0)
 
+    def test_mix_beyond_float_range_rejected(self):
+        # the powers and the gain are finite; only clean + alpha * noise overflows
+        x = np.random.default_rng(0).normal(size=8000)
+        clean = SignalBuffer(1.7e308 * (x / np.max(np.abs(x))), 8000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"target_snr_db=0\.0 .*float range"):
+                mix_at_snr(clean, SignalBuffer(x, 8000), 0.0)
+
     @pytest.mark.parametrize("seed", range(1, 21))
     def test_preset_mix_is_bit_equal_to_the_unscaled_formula(self, seed):
         clean, noisy = sine_0db_material(seed)

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import examples
 from wpdenoise.stats import row_histograms, shared_edges, to_probability, zero_bin_index
 from wpdenoise.thresholding import (
     band_hard_threshold,
@@ -38,6 +41,46 @@ class TestEstimateSigma:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             estimate_sigma(np.zeros(0))
+
+    @pytest.mark.parametrize("value", [3.0, np.float64(3.0), np.array(3.0)],
+                             ids=["float", "numpy-scalar", "0-d-array"])
+    def test_0d_rejected_naming_the_shape(self, value):
+        with pytest.raises(ValueError, match=r"shape \(\)"):
+            estimate_sigma(value)
+
+
+# Magnitudes the selection must order as np.median does: zeros of both
+# signs, the smallest subnormal and normal, ties, infinities and NaN.
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1.5,
+            np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def sigma_inputs(draw):
+    """A 1-D row or a batch of rows drawn from a small pool of values."""
+    n = draw(st.sampled_from((1, 2)) | st.integers(1, 40))
+    batch = draw(st.sampled_from(((), (1,), (3,), (2, 2))))
+    pool = draw(st.lists(st.floats() | st.sampled_from(_SPECIAL), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=64))
+    return np.array(pool)[np.resize(picks, batch + (n,))]
+
+
+def _bits(a):
+    """The bit pattern of each value, every NaN made the same NaN."""
+    return np.where(np.isnan(a), np.nan, a).view(np.int64)
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(sigma_inputs())
+def test_estimate_sigma_is_np_median_bit_for_bit(x):
+    before = x.copy()
+    with np.errstate(over="ignore"):  # magnitudes near the float max
+        got = estimate_sigma(x)
+        want = np.median(np.abs(x), axis=-1) / 0.6745
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want) == x.shape[:-1]
+    assert np.array_equal(_bits(got), _bits(want))
+    assert x.tobytes() == before.tobytes()
 
 
 class TestUniversalThreshold:

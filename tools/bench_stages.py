@@ -13,6 +13,9 @@ The file records:
   input (bench/workloads.py's generator, seed 37) with mad noise
   estimation;
 - the tracemalloc peak of one 60 s universal-hard mad call;
+- on that 60 s input, the time of the mad noise profile
+  (`estimate_noise_profile` of its frames' level-1 detail) and of
+  `overlap_add` of its frames, each called alone;
 - the time of Report._frames_text(), which writes the per-frame records,
   on the 312-frame sine-0db universal-hard report and on the 937-frame
   report of the first 15 s long-hard-mad input (universal-hard, mad);
@@ -45,8 +48,10 @@ import workloads  # noqa: E402  (bench/workloads.py, after the path insert)
 
 import wpdenoise  # noqa: E402
 from wpdenoise.experiments import sine_0db_material  # noqa: E402
-from wpdenoise.pipeline import EnhanceConfig, enhance  # noqa: E402
+from wpdenoise.framing import make_frames, overlap_add  # noqa: E402
+from wpdenoise.pipeline import EnhanceConfig, enhance, estimate_noise_profile  # noqa: E402
 from wpdenoise.signal_io import SignalBuffer  # noqa: E402
+from wpdenoise.wavelet import filter_bank, wp_analysis  # noqa: E402
 
 METHODS = ("universal-hard", "universal-soft", "band")
 RATE = workloads.RATE
@@ -131,7 +136,21 @@ def speech_like_mad(seconds: float, repeats: int) -> dict:
     finally:
         tracemalloc.stop()
     return {"audio_s": seconds, "methods": methods,
-            "tracemalloc_peak_mb_universal_hard": peak / 2**20}
+            "tracemalloc_peak_mb_universal_hard": peak / 2**20,
+            "stages": mad_stages(noisy, repeats)}
+
+
+def mad_stages(noisy: SignalBuffer, repeats: int) -> dict:
+    """The mad noise profile and the overlap-add of `noisy`, each timed alone."""
+    config = EnhanceConfig(noise_estimation="mad")
+    frames = make_frames(noisy, config.frame_len, config.hop, config.window)
+    detail = wp_analysis(frames.frames, filter_bank(config.wavelet), 1)[:, 1]
+    return {
+        "frames": frames.n_frames,
+        "estimate_noise_profile_ms": in_ms(
+            timed(lambda: estimate_noise_profile(detail, config), repeats)),
+        "overlap_add_ms": in_ms(timed(lambda: overlap_add(frames), repeats)),
+    }
 
 
 def report_15s_mad(repeats: int) -> dict:
