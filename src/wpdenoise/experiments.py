@@ -3,11 +3,17 @@
 The "sine-0db" preset mixes a 440 Hz tone (silent for the first quarter
 second so the default leading-silence noise estimation sees noise-only
 material) with seeded white noise at 0 dB overall SNR, 16 kHz, 5 s.
+The tone does not depend on the seed, so it is built once per process
+and every call shares its samples as one read-only array; the seeded
+noise and the mix are built on each call.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cache
+
+import numpy as np
 
 from .pipeline import EnhanceConfig, enhance
 from .signal_io import SignalBuffer, mix_at_snr, sine_wave, white_noise
@@ -22,12 +28,21 @@ _AMPLITUDE = 0.5
 _TARGET_SNR_DB = 0.0
 
 
-def sine_0db_material(seed: int) -> tuple:
-    """Build (clean, noisy) for the sine-0db preset."""
-    tone = sine_wave(_FREQ_HZ, _AMPLITUDE, _DURATION_S, _RATE)
-    samples = tone.samples.copy()
+@cache
+def _sine_0db_clean() -> np.ndarray:
+    """The sine-0db tone with its lead-in zeroed, read-only."""
+    samples = sine_wave(_FREQ_HZ, _AMPLITUDE, _DURATION_S, _RATE).samples
     samples[: int(_LEAD_SILENCE_S * _RATE)] = 0.0
-    clean = SignalBuffer(samples, _RATE)
+    samples.flags.writeable = False
+    return samples
+
+
+def sine_0db_material(seed: int) -> tuple:
+    """Build (clean, noisy) for the sine-0db preset.
+
+    The clean samples are the same read-only array on every call.
+    """
+    clean = SignalBuffer(_sine_0db_clean(), _RATE)
     noise = white_noise(1.0, _DURATION_S, _RATE, seed)
     noisy = mix_at_snr(clean, noise, _TARGET_SNR_DB)
     return clean, noisy

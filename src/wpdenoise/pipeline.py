@@ -15,6 +15,9 @@ Three thresholding strategies are supported:
 - "band": per-subband comparison of the frame's coefficient
   distribution with the noise profile's distribution selects a signed
   interval around zero, and every coefficient inside it is removed.
+  Those histograms, summed over the frames, are also each subband's
+  histogram for the global statistics: no leaf is binned twice on the
+  profile's edges.
 
 The noise profile comes either from a leading noise-only span of the
 input or from a MAD estimate over the finest detail coefficients.
@@ -285,17 +288,23 @@ def classify_vuv(leaves, entropy_threshold: float, epsilon: float) -> list:
 
 
 def _select_bands(leaves: np.ndarray, dist: ProbabilityVector, config: EnhanceConfig):
-    """(t1, t2) arrays: the band of every (frame, subband) of `leaves`."""
+    """(t1, t2, counts): the band of every (frame, subband) of `leaves`.
+
+    Every leaf is binned on the edges of `dist`; counts (subbands, bins)
+    sums those histograms over the frames, so it equals the counts of
+    each subband's pooled coefficients on the same edges.
+    """
     step = max(1, _BAND_BLOCK_VALUES // (leaves.shape[1] * dist.n_bins))
-    blocks = [
-        select_band(
-            to_probability(row_histograms(block, edges=dist.bin_edges), config.epsilon),
-            dist,
-            config.band_tolerance,
-        )
-        for block in np.split(leaves, range(step, len(leaves), step))
-    ]
-    return tuple(np.concatenate(side) for side in zip(*blocks))
+    counts = np.zeros((leaves.shape[1], dist.n_bins), dtype=np.int64)
+    t1, t2 = [], []
+    for block in np.split(leaves, range(step, len(leaves), step)):
+        h = row_histograms(block, edges=dist.bin_edges)
+        counts += np.sum(h.counts, axis=0)
+        lo, hi = select_band(to_probability(h, config.epsilon), dist,
+                             config.band_tolerance)
+        t1.append(lo)
+        t2.append(hi)
+    return np.concatenate(t1), np.concatenate(t2), counts
 
 
 def _frame_entropy_threshold(config: EnhanceConfig) -> float:
@@ -326,11 +335,16 @@ def enhance(
     else:
         vuv = [None] * n_frames
 
-    # Global distribution statistics against the noise profile.
-    h_sub = row_histograms(_per_subband(leaves), edges=profile.distribution.bin_edges)
-    divergences = symmetric_divergence(
-        to_probability(h_sub, config.epsilon), profile.distribution
-    )
+    # Global distribution statistics against the noise profile. Band
+    # selection bins every leaf on the profile's edges, and its counts
+    # summed over the frames are h_sub.
+    dist = profile.distribution
+    if config.method == "band":
+        t1, t2, counts = _select_bands(leaves, dist, config)
+        h_sub = Histogram(dist.bin_edges, counts)
+    else:
+        h_sub = row_histograms(_per_subband(leaves), edges=dist.bin_edges)
+    divergences = symmetric_divergence(to_probability(h_sub, config.epsilon), dist)
     pooled = profile.pooled
     if config.noise_estimation == "mad":
         # every subband was binned on the pooled edges already
@@ -343,7 +357,6 @@ def enhance(
     n_zero_pre = np.count_nonzero(leaves == 0.0, axis=-1)
     threshold = band = None
     if config.method == "band":
-        t1, t2 = _select_bands(leaves, profile.distribution, config)
         out = band_hard_threshold(leaves, t1[..., None], t2[..., None])
         band = np.stack((t1, t2), axis=-1)
     else:

@@ -6,7 +6,7 @@ The schema-v1 layout (a record per frame holding a record per subband,
 and {"edges", "counts"} histograms) is written here, only when a report
 is serialised: the frame records straight from the arrays through text
 templates that json.dumps writes once at import, the rest through
-json.dumps. The bytes are those of
+json.dumps, and the whole text is joined once. The bytes are those of
 json.dumps(v1 dict, indent=2, sort_keys=True, allow_nan=False), so
 repeated runs with the same seed produce byte-identical files.
 """
@@ -121,20 +121,21 @@ class Report:
     output_snr_db: float | None = None
     histograms: list | None = None
 
-    def _frames_text(self) -> str:
-        """The v1 "frames" list as json.dumps(indent=2) writes it in a report.
+    def _frames_text(self, before: str = "", after: str = "") -> str:
+        """`before`, the v1 "frames" list as a report's json.dumps writes it, `after`.
 
         Every frame has one layout: the subband records with each
         sigma and index baked in, and null for an unset band or
         threshold. Split on its %s slots it gives W + 1 literal pieces
         around W cells. One (frames, 2W + 1) array holds the pieces in
         its even columns and the cells in its odd ones, and is joined
-        once. Numbers are written as the json encoder writes the Python
-        floats and ints that .tolist() gives.
+        once, `before` and `after` with it, so the text is built in one
+        piece of memory. Numbers are written as the json encoder writes
+        the Python floats and ints that .tolist() gives.
         """
         n_frames, n_sub = len(self.vuv), len(self.sigma)
         if not n_frames:
-            return "[]"
+            return before + "[]" + after
         sigma = _float_text("sigma", self.sigma)
         fields = []  # the (F, S) cells of each subband record, in key order
         if self.band is not None:
@@ -154,8 +155,8 @@ class Report:
         text = np.empty((n_frames, 2 * len(pieces) - 1), dtype=object)
         text[:, 0::2] = np.array(pieces, dtype=object)
         text[1:, 0] = _SEP[1] + pieces[0]
-        text[0, 0] = head + pieces[0]
-        text[-1, -1] = pieces[-1] + tail
+        text[0, 0] = before + head + pieces[0]
+        text[-1, -1] = pieces[-1] + tail + after
         text[:, 1] = [str(f) for f in range(n_frames)]
         cells = np.stack([np.reshape(cell, (n_frames, n_sub)) for cell in fields], -1)
         text[:, 3:-2:2] = cells.reshape(n_frames, -1)
@@ -167,8 +168,10 @@ class Report:
         """Schema v1: json.dumps(indent=2, sort_keys=True) of the v1 dict.
 
         The small fields go through json.dumps (allow_nan=False keeps the
-        finite-numbers invariant); the frames, nearly all of the bytes,
-        are written from the arrays by _frames_text and spliced in.
+        finite-numbers invariant) with an empty frame list; the frames,
+        nearly all of the bytes, are written from the arrays by
+        _frames_text in place of that list, in the one join that builds
+        the whole document.
         """
         d = {
             "schema_version": SCHEMA_VERSION,
@@ -196,10 +199,10 @@ class Report:
                 }
                 for s, (div, noisy, noise) in enumerate(self.histograms)
             ]
-        text = json.dumps(d, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = json.dumps(d, indent=2, sort_keys=True, allow_nan=False)
         # JSON escapes newlines inside strings, so this is the top-level key.
-        key = '\n  "frames": '
-        return text.replace(key + "[]", key + self._frames_text(), 1)
+        cut = text.index('\n  "frames": []') + len('\n  "frames": ')
+        return self._frames_text(text[:cut], text[cut + 2 :] + "\n")
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -60,13 +60,26 @@ def _mad_sigma(magnitudes: np.ndarray):
     is the largest of those and the median their mean, (lo + hi) / 2,
     as np.median computes it. NaN sorts last, so a row holding one has
     it in its upper half; like np.median, such a row gives NaN.
+
+    Where np.median's sum of the middles, or the division by 0.6745,
+    would overflow (finite magnitudes near the float max), this raises
+    ValueError naming the largest magnitude instead.
     """
     n = magnitudes.shape[-1]
     magnitudes.partition(n // 2, axis=-1)
     hi = magnitudes[..., n // 2]
-    median = hi if n % 2 else (np.max(magnitudes[..., : n // 2], axis=-1) + hi) / 2.0
     top = np.max(magnitudes[..., n // 2 :], axis=-1)
-    return np.where(np.isnan(top), top, median) / _MAD_SCALE
+    try:
+        with np.errstate(over="raise"):
+            if n % 2:
+                median = hi
+            else:
+                median = (np.max(magnitudes[..., : n // 2], axis=-1) + hi) / 2.0
+            return np.where(np.isnan(top), top, median) / _MAD_SCALE
+    except FloatingPointError:
+        largest = float(np.max(magnitudes, where=np.isfinite(magnitudes), initial=0.0))
+        raise ValueError(f"cannot estimate sigma from magnitudes up to {largest!r}: "
+                         f"median(|x|) / {_MAD_SCALE} leaves the float range") from None
 
 
 def universal_threshold(sigma, n: int):

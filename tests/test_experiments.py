@@ -1,9 +1,11 @@
 """Tests for the reproducible presets."""
 
+import numpy as np
 import pytest
 
-from wpdenoise.experiments import run_preset
+from wpdenoise.experiments import run_preset, sine_0db_material
 from wpdenoise.pipeline import EnhanceConfig
+from wpdenoise.signal_io import sine_wave
 
 
 def test_run_preset_takes_method_or_config_not_both():
@@ -26,3 +28,21 @@ def test_run_preset_default_method():
     _, _, _, report = run_preset("sine-0db", seed=3)
     assert report.config["method"] == "universal-hard"
     assert report.mode == "experiment"
+
+
+def test_clean_samples_are_one_read_only_tone_with_the_lead_zeroed():
+    clean, noisy = sine_0db_material(1)
+    want = sine_wave(440.0, 0.5, 5.0, 16000).samples.copy()
+    want[:4000] = 0.0  # the first 0.25 s
+    assert clean.sample_rate_hz == 16000
+    assert clean.samples.dtype == want.dtype and clean.samples.tobytes() == want.tobytes()
+    assert not clean.samples.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        clean.samples[4000] = 0.0
+    # every call and seed shares the one array; the noisy mix is built anew
+    again, noisy_again = sine_0db_material(1)
+    other, noisy_other = sine_0db_material(2)
+    assert again.samples is clean.samples and other.samples is clean.samples
+    assert noisy_again.samples is not noisy.samples
+    assert np.array_equal(noisy_again.samples, noisy.samples)
+    assert not np.array_equal(noisy_other.samples, noisy.samples)

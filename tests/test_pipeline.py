@@ -517,9 +517,11 @@ class TestEnhance:
         with pytest.raises(ValueError):
             enhance(noisy, EnhanceConfig(hop=100))
 
-    def test_mad_mode_bins_each_leaf_once(self, monkeypatch):
+    @pytest.mark.parametrize("method", ["universal-hard", "band"])
+    def test_mad_mode_bins_each_leaf_once(self, method, monkeypatch):
         # the noise profile bins the level-1 detail (F x N/2 values); VUV
-        # and the per-subband statistics bin every leaf (F x N) once each,
+        # and the per-subband statistics bin every leaf (F x N) once each
+        # (band: the band selection's counts are the per-subband ones),
         # and the pooled statistics reuse the per-subband counts
         binned = []
         bin_index = stats._bin_index
@@ -530,11 +532,37 @@ class TestEnhance:
 
         monkeypatch.setattr(stats, "_bin_index", counting)
         _, noisy = sine_0db_material(seed=2)
-        config = EnhanceConfig(noise_estimation="mad", vuv_enabled=True)
+        config = EnhanceConfig(method=method, noise_estimation="mad", vuv_enabled=True)
         enhance(noisy, config)
         n = config.frame_len
         frames = frame_count(len(noisy), n, config.hop)
         assert sum(binned) == frames * n // 2 + 2 * frames * n
+
+    @pytest.mark.parametrize("noise_estimation", ["leading_silence", "mad"])
+    def test_band_subband_counts_are_the_band_selection_counts(
+        self, noise_estimation, monkeypatch
+    ):
+        # band selection bins every leaf on the profile's edges, block by
+        # block; summed over the frames its counts are each subband's
+        # histogram on those edges, the h_sub of the divergences
+        _, noisy = sine_0db_material(seed=5)
+        config = EnhanceConfig(method="band", noise_estimation=noise_estimation)
+        leaves, profile = pipeline._analyse(noisy, config)
+        dist = profile.distribution
+        one_block = pipeline._select_bands(leaves, dist, config)
+        # 7 frames a block: 45 blocks of the 312 frames, the last shorter
+        monkeypatch.setattr(pipeline, "_BAND_BLOCK_VALUES",
+                            7 * leaves.shape[1] * dist.n_bins)
+        t1, t2, counts = pipeline._select_bands(leaves, dist, config)
+        h_sub = row_histograms(pipeline._per_subband(leaves), edges=dist.bin_edges)
+        assert counts.dtype == h_sub.counts.dtype
+        assert np.array_equal(counts, h_sub.counts)
+        for got, want in zip((t1, t2, counts), one_block):
+            assert np.array_equal(got, want)
+        _, report = enhance(noisy, config)
+        divergences = symmetric_divergence(to_probability(h_sub, config.epsilon), dist)
+        assert report.subband_divergence == divergences.tolist()
+        np.testing.assert_array_equal(report.band, np.stack((t1, t2), axis=-1))
 
     @pytest.mark.parametrize("noise_estimation", ["mad", "leading_silence"])
     @pytest.mark.parametrize("depth", [1, 4])

@@ -214,3 +214,21 @@ def test_counts_beyond_int64_are_written_exactly():
     text = report.to_json()
     assert text == oracle.v1_json(report)
     assert json.loads(text)["frames"][0]["subbands"][0]["n_zero_pre"] == 10**30
+
+
+@pytest.mark.parametrize("n_frames", [0, 2])
+def test_frames_go_in_at_the_top_level_key_only(n_frames):
+    # the key's text inside a string, or one level deeper, is not the key
+    report = Report(
+        tool_version='"frames": []', mode="denoise",
+        config={"frames": [], "note": '\n  "frames": []'}, seed=None,
+        vuv=["voiced"] * n_frames, sigma=np.array([0.5]),
+        threshold=np.ones((n_frames, 1)),
+        n_zero_pre=np.zeros((n_frames, 1), dtype=int),
+        n_zero_post=np.ones((n_frames, 1), dtype=int),
+    )
+    text = report.to_json()
+    assert text == oracle.v1_json(report)
+    d = json.loads(text)
+    assert d["tool_version"] == '"frames": []' and d["config"]["frames"] == []
+    assert len(d["frames"]) == n_frames

@@ -1,6 +1,7 @@
 """Tests for threshold estimation, shrinkage rules and band selection."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,11 +49,26 @@ class TestEstimateSigma:
         with pytest.raises(ValueError, match=r"shape \(\)"):
             estimate_sigma(value)
 
+    @pytest.mark.parametrize("x, largest", [
+        ([1.7e308, 1.7e308], "1.7e+308"),  # the sum of the two middles overflows
+        ([1.5e308], "1.5e+308"),  # the median / 0.6745 overflows
+        ([[1.0, 2.0], [-1.5e308, 1.0e308]], "1.5e+308"),  # one row of a batch
+    ])
+    def test_level_beyond_float_range_rejected_naming_the_magnitudes(self, x, largest):
+        # a numpy warning here would fail the suite (warnings are errors)
+        with pytest.raises(ValueError, match=f"magnitudes up to {re.escape(largest)}:"):
+            estimate_sigma(x)
+
+    def test_largest_finite_level_still_computed(self):
+        assert estimate_sigma([1.2e308]) == 1.2e308 / 0.6745
+        assert estimate_sigma([np.inf, np.inf]) == np.inf
+
 
 # Magnitudes the selection must order as np.median does: zeros of both
-# signs, the smallest subnormal and normal, ties, infinities and NaN.
+# signs, the smallest subnormal and normal, ties, the largest finite
+# value (whose median / 0.6745 overflows), infinities and NaN.
 _SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1.5,
-            np.inf, -np.inf, np.nan)
+            1.7976931348623157e308, np.inf, -np.inf, np.nan)
 
 
 @st.composite
@@ -73,13 +89,19 @@ def _bits(a):
 @settings(max_examples=examples(300), deadline=None)
 @given(sigma_inputs())
 def test_estimate_sigma_is_np_median_bit_for_bit(x):
+    """Bit-equal to np.median / 0.6745, or a ValueError where that overflows."""
     before = x.copy()
-    with np.errstate(over="ignore"):  # magnitudes near the float max
+    try:
+        with np.errstate(over="raise"):
+            want = np.median(np.abs(x), axis=-1) / 0.6745
+    except FloatingPointError:  # finite magnitudes near the float max
+        with pytest.raises(ValueError, match="magnitudes up to"):
+            estimate_sigma(x)
+    else:
         got = estimate_sigma(x)
-        want = np.median(np.abs(x), axis=-1) / 0.6745
-    assert type(got) is type(want)
-    assert np.shape(got) == np.shape(want) == x.shape[:-1]
-    assert np.array_equal(_bits(got), _bits(want))
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want) == x.shape[:-1]
+        assert np.array_equal(_bits(got), _bits(want))
     assert x.tobytes() == before.tobytes()
 
 

@@ -1,11 +1,15 @@
-"""tools/: the output digests every output-preserving change compares, and
-the BENCH_<label>.json speed record."""
+"""tools/: the output digests every output-preserving change compares, the
+decisions among them pinned in tests/output_decisions.txt, and the
+BENCH_<label>.json speed record."""
 
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -20,30 +24,50 @@ def _digests() -> str:
     return out.stdout
 
 
-def test_output_digests_are_sorted_unique_and_repeatable():
-    first = _digests()
-    lines = first.splitlines()
+@pytest.fixture(scope="module")
+def digests() -> str:
+    return _digests()
+
+
+def test_output_digests_are_sorted_unique_and_repeatable(digests):
+    lines = digests.splitlines()
     assert lines
     for line in lines:  # a case, then the digest of each of its outputs
         assert re.fullmatch(r"\S+( [0-9a-f]{64})+", line), line
     keys = [line.split(" ")[0] for line in lines]
     assert keys == sorted(set(keys))
     # same seeds, same outputs (acceptance criterion 8)
-    assert _digests() == first
+    assert _digests() == digests
+
+
+def test_output_decisions_are_the_recorded_ones(digests):
+    # VUV labels and zero counts do not move with the last bits of a
+    # float, so every decisions line is pinned, not only compared with
+    # the parent's
+    with open(os.path.join(ROOT, "tests", "output_decisions.txt"), encoding="utf-8") as fh:
+        recorded = [line for line in fh.read().splitlines() if not line.startswith("#")]
+    decisions = [line for line in digests.splitlines() if line.startswith("decisions/")]
+    assert len(recorded) == 23
+    assert decisions == recorded
+
+
+def _bench_stages(src, out_dir, *args):
+    env = dict(os.environ, PYTHONPATH=str(src), GIT_CEILING_DIRECTORIES=str(out_dir))
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "bench_stages.py"), "--label", "tiny",
+         "--repeats", "1", "--long-seconds", "1", "--out-dir", str(out_dir), *args],
+        env=env, capture_output=True, text=True,
+    )
 
 
 def test_bench_stages_writes_its_record_at_a_tiny_size(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    out = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "tools", "bench_stages.py"), "--label", "tiny",
-         "--repeats", "1", "--long-seconds", "1", "--out-dir", str(tmp_path)],
-        env=env, capture_output=True, text=True,
-    )
+    out = _bench_stages(os.path.join(ROOT, "src"), tmp_path, "--commit", "abc123")
     assert out.returncode == 0, out.stderr
     with open(tmp_path / "BENCH_tiny.json", encoding="utf-8") as fh:
         record = json.load(fh)
     assert record["label"] == "tiny"
     assert record["machine"]["nproc"] >= 1 and record["machine"]["numpy"]
+    assert record["machine"]["commit"] == "abc123"
     methods = ("universal-hard", "universal-soft", "band")
     sine = record["sine_0db"]
     assert sorted(sine["methods"]) == sorted(methods)
@@ -51,6 +75,8 @@ def test_bench_stages_writes_its_record_at_a_tiny_size(tmp_path):
         assert 0 < figures["enhance_rtf"]["best"] <= figures["enhance_rtf"]["median"]
         assert figures["to_json_ms"]["best"] > 0 and figures["to_json_bytes"] > 10**6
     assert sine["frames_text_universal_hard"]["frames"] == 312
+    assert sine["material_ms"]["best"] > 0
+    assert sine["band_selection_and_h_sub_ms"]["best"] > 0
     assert record["report_15s_mad"]["frames_text_universal_hard"]["frames"] == 937
     long = record["speech_like_mad"]
     assert long["audio_s"] == 1.0 and sorted(long["methods"]) == sorted(methods)
@@ -60,3 +86,12 @@ def test_bench_stages_writes_its_record_at_a_tiny_size(tmp_path):
     assert stages["estimate_noise_profile_ms"]["best"] > 0
     assert stages["overlap_add_ms"]["best"] > 0
     assert record["cli_import_s"]["best"] > 0
+
+
+def test_bench_stages_outside_a_git_checkout_needs_the_commit(tmp_path):
+    # a copy of the package outside any checkout, as `git archive` gives
+    shutil.copytree(os.path.join(ROOT, "src", "wpdenoise"), tmp_path / "wpdenoise")
+    out = _bench_stages(tmp_path, tmp_path)
+    assert out.returncode == 2
+    assert "--commit" in out.stderr and "not in a git checkout" in out.stderr
+    assert not (tmp_path / "BENCH_tiny.json").exists()

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import scalar_oracle as oracle
+from wpdenoise import wavelet
 from wpdenoise.wavelet import FILTERS, FilterBank, filter_bank, wp_analysis, wp_synthesis
 
 SQRT2 = np.sqrt(2.0)
@@ -300,3 +301,15 @@ def test_every_depth_matches_the_scalar_oracle(name, n):
         np.testing.assert_allclose(wp_synthesis(other, fb), expected, rtol=0,
                                    atol=1e-12 * np.abs(expected).max())
         depth += 1
+
+
+def test_stage_kernels_are_built_once_and_shared_read_only():
+    # every transform call takes its kernels from one cache, so no call
+    # may change them: a write raises
+    kernel = wavelet._stage_kernel(filter_bank("db4"), 4)
+    assert wavelet._stage_kernel(filter_bank("db4"), 4) is kernel
+    assert kernel.shape == (112, 16)  # 15 * 7 + 1 taps in 7 blocks of 16
+    assert not kernel.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        kernel[0, 0] = 1.0
+    assert wavelet._stage_kernel(filter_bank("haar"), 4) is not kernel

@@ -9,6 +9,9 @@ The file records:
 - per method, the real-time factor (wall seconds per second of audio)
   of `enhance` on the 5 s sine-0db preset (seed 1), and the time and
   size of its Report.to_json();
+- on sine-0db, the time of `sine_0db_material` (the preset's input),
+  and of band mode's band selection together with the per-subband
+  counts h_sub, from the leaves and noise profile of the default config;
 - per method, the real-time factor of `enhance` on a 60 s speech-like
   input (bench/workloads.py's generator, seed 37) with mad noise
   estimation;
@@ -21,7 +24,8 @@ The file records:
   report of the first 15 s long-hard-mad input (universal-hard, mad);
 - the time of `import wpdenoise.cli` in a fresh interpreter;
 - the commit of the measured tree, nproc, and the Python, numpy and BLAS
-  versions.
+  versions. The commit is found with git; a tree outside a git checkout
+  (such as a `git archive` copy) needs --commit, or nothing is measured.
 
 Each timing is given as the best and the median of --repeats calls,
 after one untimed call. Runs are single-process; set
@@ -47,10 +51,12 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 import workloads  # noqa: E402  (bench/workloads.py, after the path insert)
 
 import wpdenoise  # noqa: E402
+from wpdenoise import pipeline  # noqa: E402
 from wpdenoise.experiments import sine_0db_material  # noqa: E402
 from wpdenoise.framing import make_frames, overlap_add  # noqa: E402
 from wpdenoise.pipeline import EnhanceConfig, enhance, estimate_noise_profile  # noqa: E402
 from wpdenoise.signal_io import SignalBuffer  # noqa: E402
+from wpdenoise.stats import row_histograms  # noqa: E402
 from wpdenoise.wavelet import filter_bank, wp_analysis  # noqa: E402
 
 METHODS = ("universal-hard", "universal-soft", "band")
@@ -73,23 +79,25 @@ def in_ms(timing: dict) -> dict:
     return {**timing, "best": timing["best"] * 1e3, "median": timing["median"] * 1e3}
 
 
-def source_commit() -> dict:
-    """The git commit of the tree the measured package sits in."""
-    tree = os.path.dirname(os.path.abspath(wpdenoise.__file__))
-    git = ["git", "-C", tree]
+PACKAGE_DIR = os.path.dirname(os.path.abspath(wpdenoise.__file__))
+
+
+def source_commit() -> dict | None:
+    """The git commit of the tree the measured package sits in, or None."""
+    git = ["git", "-C", PACKAGE_DIR]
     try:
         commit = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True,
                                 text=True, check=True).stdout.strip()
         dirty = subprocess.run(git + ["diff", "--quiet", "HEAD", "--"]).returncode != 0
     except (OSError, subprocess.CalledProcessError):
-        return {"commit": None, "tracked_changes": None}
+        return None
     return {"commit": commit, "tracked_changes": dirty}
 
 
-def machine() -> dict:
+def machine(commit: dict) -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
-        **source_commit(),
+        **commit,
         "nproc": os.cpu_count(),
         "python": sys.version.split()[0],
         "numpy": np.__version__,
@@ -100,6 +108,19 @@ def machine() -> dict:
 
 def frames_text(report, repeats: int) -> dict:
     return {"frames": len(report.vuv), "ms": in_ms(timed(report._frames_text, repeats))}
+
+
+def band_statistics(leaves, dist, config) -> tuple:
+    """(t1, t2, h_sub counts) of band mode, as `enhance` gets them.
+
+    Where `_select_bands` gives only (t1, t2), the tree's `enhance` bins
+    the per-subband counts apart, and so does this.
+    """
+    selected = pipeline._select_bands(leaves, dist, config)
+    if len(selected) == 3:
+        return selected
+    h_sub = row_histograms(pipeline._per_subband(leaves), edges=dist.bin_edges)
+    return (*selected, h_sub.counts)
 
 
 def sine_0db(repeats: int) -> dict:
@@ -117,7 +138,14 @@ def sine_0db(repeats: int) -> dict:
         }
         if method == "universal-hard":
             frames = frames_text(report, repeats)
-    return {"audio_s": seconds, "methods": methods, "frames_text_universal_hard": frames}
+    band = EnhanceConfig(method="band", seed=1)
+    leaves, profile = pipeline._analyse(noisy, band)
+    return {
+        "audio_s": seconds, "methods": methods, "frames_text_universal_hard": frames,
+        "material_ms": in_ms(timed(lambda: sine_0db_material(1), repeats)),
+        "band_selection_and_h_sub_ms": in_ms(timed(
+            lambda: band_statistics(leaves, profile.distribution, band), repeats)),
+    }
 
 
 def speech_like_mad(seconds: float, repeats: int) -> dict:
@@ -170,8 +198,7 @@ def cli_import_s(repeats: int) -> dict:
     """`import wpdenoise.cli` in a fresh interpreter, on this import path."""
     code = ("import time; t = time.perf_counter(); import wpdenoise.cli; "
             "print(time.perf_counter() - t)")
-    package_dir = os.path.dirname(os.path.dirname(os.path.abspath(wpdenoise.__file__)))
-    env = dict(os.environ, PYTHONPATH=package_dir)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR))
 
     def once() -> float:
         return float(subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -189,10 +216,19 @@ def main(argv=None) -> int:
     parser.add_argument("--long-seconds", type=float, default=60.0,
                         help="length of the speech-like mad input")
     parser.add_argument("--out-dir", default=ROOT, help="directory of the file")
+    parser.add_argument("--commit", help="the measured commit, for a tree outside a "
+                        "git checkout (default: found with git)")
     args = parser.parse_args(argv)
+    if args.commit is not None:
+        commit = {"commit": args.commit, "tracked_changes": None}
+    else:
+        commit = source_commit()
+        if commit is None:
+            parser.error(f"{PACKAGE_DIR} is not in a git checkout: "
+                         "name the measured commit with --commit")
     record = {
         "label": args.label,
-        "machine": machine(),
+        "machine": machine(commit),
         "sine_0db": sine_0db(args.repeats),
         "speech_like_mad": speech_like_mad(args.long_seconds, args.repeats),
         "report_15s_mad": report_15s_mad(args.repeats),
