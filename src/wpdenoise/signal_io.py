@@ -56,19 +56,26 @@ def shown(value) -> str:
         return f"<{type(value).__name__} holding an int too long to print>"
 
 
-def _objects_as_floats(samples: np.ndarray) -> np.ndarray:
-    """Convert an object array (ints beyond int64, say) one element at a
-    time; an int beyond float range, a dict or a complex raises ValueError.
+def real_floats(values, name: str) -> np.ndarray:
+    """`values` as a float64 array, not copied when it is one already.
 
-    A numpy complex element warns (ComplexWarning, a RuntimeWarning)
-    rather than failing, so that warning is raised and caught here.
+    Bools, ints and floats convert. An object array (ints beyond int64,
+    say) converts one element at a time, where a numpy complex element
+    warns (ComplexWarning, a RuntimeWarning) instead of failing, so that
+    warning is raised and caught. Complex values, strings, an int beyond
+    the float range or a dict raise ValueError naming `name`.
     """
+    x = np.asarray(values)
+    if x.dtype.kind not in "biufO":
+        raise ValueError(f"{name} must be real numbers, got dtype {x.dtype}")
+    if x.dtype.kind != "O":
+        return x.astype(np.float64, copy=False)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
-            return samples.astype(np.float64)
+            return x.astype(np.float64)
         except (TypeError, ValueError, OverflowError, RuntimeWarning):
-            raise ValueError("samples must be real numbers within float range") from None
+            raise ValueError(f"{name} must be real numbers within float range") from None
 
 
 @dataclass
@@ -83,14 +90,7 @@ class SignalBuffer:
     sample_rate_hz: int
 
     def __post_init__(self):
-        samples = np.asarray(self.samples)
-        # complex values would warn in the conversion, and strings are
-        # not numbers
-        if samples.dtype.kind not in "biufO":
-            raise ValueError(f"samples must be real numbers, got dtype {samples.dtype}")
-        if samples.dtype.kind == "O":
-            samples = _objects_as_floats(samples)
-        self.samples = samples.astype(np.float64, copy=False)
+        self.samples = real_floats(self.samples, "samples")
         if self.samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         if not np.all(np.isfinite(self.samples)):
@@ -272,15 +272,13 @@ def mix_at_snr(
     p_noise = _scaled_power(noise.samples, e_noise)
     if p_noise == 0.0:
         raise ValueError("noise signal has zero power")
-    try:
-        scaled_noise = p_noise * 10.0 ** (target_snr_db / 10.0)
-    except OverflowError:  # a target beyond float range: the noise gain is 0
-        scaled_noise = math.inf
-    try:
-        alpha = math.ldexp(math.sqrt(p_clean / scaled_noise), e_clean - e_noise)
-    except (ZeroDivisionError, OverflowError):  # no noise gain within float range
-        alpha = math.inf
-    if not math.isfinite(alpha):
+    # numpy scalars, whose overflow or division by zero gives inf instead
+    # of raising: a target too high for the float range gives alpha = 0,
+    # and one that leaves no finite noise gain an inf or NaN alpha
+    with np.errstate(all="ignore"):
+        ratio = np.float64(10.0) ** (target_snr_db / 10.0)
+        alpha = np.ldexp(np.sqrt(p_clean / (p_noise * ratio)), e_clean - e_noise)
+    if not np.isfinite(alpha):
         raise ValueError(f"target_snr_db={target_snr_db} leaves no finite noise gain")
     with np.errstate(over="ignore"):  # an overflow is reported below, by the target
         mixed = clean.samples + alpha * noise.samples

@@ -27,6 +27,14 @@ are binned and counted in blocks of `_BLOCK_VALUES` (whole rows, or
 column slices of a longer row), so that every temporary stays the size
 of a block, not of the input. NaN has no bin and is rejected; so are
 infinite values where the edges are chosen from the values.
+
+Each input has one rule, and breaking it raises ValueError naming the
+input: values, edges and probabilities are real numbers
+(`signal_io.real_floats`); edges are rows of B + 1 >= 2 finite values,
+each above the one before it (`_edge_rows`, which compares and never
+subtracts, so a span beyond the float range is no overflow); counts are
+integers in [0, 2**63), totalled as float64; epsilon passes
+`check_epsilon`.
 """
 
 from __future__ import annotations
@@ -36,6 +44,8 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .signal_io import real_floats, shown
 
 # Half-width used to un-degenerate a single-valued sample range.
 _DEGENERATE_HALF_SPAN = 1e-9
@@ -67,25 +77,41 @@ class Histogram:
     counts: np.ndarray  # (..., B), non-negative ints
 
     def __post_init__(self):
-        self.bin_edges = np.asarray(self.bin_edges, dtype=np.float64)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.bin_edges.shape[-1:] != (self.counts.shape[-1] + 1,):
-            raise ValueError("need exactly len(counts) + 1 edges")
-        if not (
-            np.all(np.isfinite(self.bin_edges)) and np.all(np.diff(self.bin_edges) > 0)
-        ):
-            raise ValueError("bin_edges must be finite and strictly increasing")
-        if np.any(self.counts < 0):
-            raise ValueError("counts must be non-negative")
+        counts = np.asarray(self.counts)
+        # an int beyond int64 makes an object array, and a float is no count
+        if counts.dtype.kind not in "biu":
+            raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+        self.counts = counts.astype(np.int64, copy=False)
+        self.bin_edges = _edge_rows(self.bin_edges, self.counts)
+        if np.any(self.counts < 0):  # uint64 beyond int64 wraps below 0
+            raise ValueError("counts must be non-negative and below 2**63")
 
     @property
     def total(self):
-        """Values binned, one per row."""
-        return np.sum(self.counts, axis=-1)
+        """Values binned, one per row, summed as float64: that sum cannot
+        wrap, and below 2**53 it is the exact integer."""
+        return np.sum(self.counts, axis=-1, dtype=np.float64)
 
     @property
     def n_bins(self) -> int:
         return self.counts.shape[-1]
+
+
+def _edge_rows(edges, per_bin=None) -> np.ndarray:
+    """`edges` as float64 rows (last axis) of B + 1 finite, strictly
+    increasing values, B >= 1; B is the last axis of `per_bin` (counts
+    or probabilities) when given. Each edge is compared with the one
+    before it, never subtracted, so no span overflows. Anything else
+    raises ValueError.
+    """
+    e = real_floats(edges, "edges")
+    rows = e.shape[-1:]  # () for a 0-d array
+    if rows < (2,) or per_bin is not None and per_bin.shape[-1:] != (rows[0] - 1,):
+        bins = "" if per_bin is None else f" for bins of shape {per_bin.shape}"
+        raise ValueError(f"edges of shape {e.shape} are not rows of B + 1 >= 2 values{bins}")
+    if not (np.all(np.isfinite(e)) and np.all(e[..., 1:] > e[..., :-1])):
+        raise ValueError("edges must be finite and strictly increasing")
+    return e
 
 
 def _uniform_edges(lo, hi, n_bins: int) -> np.ndarray:
@@ -205,8 +231,8 @@ def row_histograms(values, edges=None) -> Histogram:
     NaN has no bin and raises ValueError, as do infinite values when the
     edges are chosen from the values.
     """
-    x = np.asarray(values, dtype=np.float64)
-    if x.ndim == 0 or x.shape[-1] == 0:
+    x = real_floats(values, "values")
+    if x.ndim == 0 or x.size == 0:
         raise ValueError("cannot histogram an empty sample")
     if np.isnan(np.min(x)):  # np.min propagates NaN
         raise ValueError("cannot histogram NaN values")
@@ -215,13 +241,7 @@ def row_histograms(values, edges=None) -> Histogram:
             np.min(x, axis=-1), np.max(x, axis=-1), bin_count(x.shape[-1])
         )
     else:
-        edges = np.asarray(edges, dtype=np.float64)
-        if (
-            edges.shape[-1] < 2
-            or not np.all(np.isfinite(edges))
-            or not np.all(np.diff(edges) > 0)
-        ):
-            raise ValueError("edges must be finite and strictly increasing, length >= 2")
+        edges = _edge_rows(edges)
         if np.broadcast_shapes(edges.shape[:-1], x.shape[:-1]) != x.shape[:-1]:
             raise ValueError(
                 f"edge rows {edges.shape[:-1]} do not broadcast over value rows "
@@ -262,14 +282,12 @@ class ProbabilityVector:
     epsilon: float
 
     def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        self.bin_edges = np.asarray(self.bin_edges, dtype=np.float64)
-        if self.bin_edges.shape[-1:] != (self.probs.shape[-1] + 1,):
-            raise ValueError("need exactly len(probs) + 1 edges")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if np.any(self.probs < self.epsilon):
-            raise ValueError("all probabilities must be >= epsilon")
+        self.probs = real_floats(self.probs, "probs")
+        self.bin_edges = _edge_rows(self.bin_edges, self.probs)
+        check_epsilon(self.epsilon, self.n_bins)
+        # no entry of a row summing to 1 is above 1 + 1e-12; nor is NaN
+        if not np.all((self.probs >= self.epsilon) & (self.probs <= 1.0 + 1e-12)):
+            raise ValueError("all probabilities must be in [epsilon, 1]")
         if np.any(np.abs(np.sum(self.probs, axis=-1) - 1.0) > 1e-12):
             raise ValueError("probabilities must sum to 1")
 
@@ -287,14 +305,16 @@ def check_epsilon(epsilon: float, n_bins: int) -> None:
 
     to_probability needs epsilon < 1/B, and the divergences divide by
     probabilities of at least epsilon, so epsilon must also be at least
-    the smallest normal float (2.2e-308), where 1/epsilon is finite. A
-    run checks the largest B it will build up front, so it fails before
-    any transform.
+    the smallest normal float (2.2e-308), where 1/epsilon is finite. No
+    int, bool or array is such a float, so none is taken. A run checks
+    the largest B it will build up front, so it fails before any
+    transform.
     """
-    if not sys.float_info.min <= epsilon < 1.0 / n_bins:
+    is_float = isinstance(epsilon, (float, np.floating))
+    if not (is_float and sys.float_info.min <= epsilon < 1.0 / n_bins):
         raise ValueError(
-            f"epsilon={epsilon:g} must be in (0, 1/{n_bins}) = (0, {1.0 / n_bins:.6g}) "
-            f"and at least 2.2e-308: this run builds {n_bins}-bin histograms"
+            f"epsilon={shown(epsilon)} must be in (0, 1/{n_bins}) = (0, {1.0 / n_bins:.6g}), "
+            f"a float of at least 2.2e-308: this run builds {n_bins}-bin histograms"
         )
 
 
@@ -307,7 +327,7 @@ def to_probability(h: Histogram, epsilon: float) -> ProbabilityVector:
     """
     b = h.n_bins
     check_epsilon(epsilon, b)
-    total = np.sum(h.counts, axis=-1, keepdims=True)
+    total = h.total[..., None]
     if np.any(total == 0):
         raise ValueError("histogram has zero total count")
     raw = h.counts / total
@@ -342,7 +362,7 @@ def entropy(p: ProbabilityVector):
 
 def zero_bin_index(edges: np.ndarray):
     """Index of the bin containing 0 in each edge row; raises if a row misses 0."""
-    edges = np.asarray(edges, dtype=np.float64)
+    edges = _edge_rows(edges)
     if np.any(edges[..., 0] > 0) or np.any(edges[..., -1] < 0):
         raise ValueError("bin support does not cover 0")
     return np.minimum(np.sum(edges <= 0.0, axis=-1) - 1, edges.shape[-1] - 2)
@@ -371,8 +391,8 @@ def shared_edges(values_a, values_b) -> np.ndarray:
     axis) pair up: samples (..., n_a) and (..., n_b) give one (B + 1)
     support per row pair, with B = bin_count(min(n_a, n_b)).
     """
-    a = np.atleast_1d(np.asarray(values_a, dtype=np.float64))
-    b = np.atleast_1d(np.asarray(values_b, dtype=np.float64))
+    a = np.atleast_1d(real_floats(values_a, "values_a"))
+    b = np.atleast_1d(real_floats(values_b, "values_b"))
     if a.size == 0 or b.size == 0:
         raise ValueError("cannot derive edges from an empty sample")
     return _uniform_edges(

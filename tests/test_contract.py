@@ -20,6 +20,9 @@ from conftest import examples
 from wpdenoise.pipeline import METHODS, NOISE_MODES, EnhanceConfig, analyze, enhance
 from wpdenoise.framing import WINDOWS
 from wpdenoise.signal_io import SignalBuffer
+from wpdenoise.stats import (
+    Histogram, ProbabilityVector, row_histograms, shared_edges, to_probability,
+)
 from wpdenoise.wavelet import FILTERS
 
 PROPERTY = settings(max_examples=examples(200), deadline=None)
@@ -184,3 +187,50 @@ def test_analyze_raises_only_value_error(kwargs, noisy, noise, rate):
     report = _only_value_errors(lambda: analyze(*signals, config))
     if report is not None:
         _only_value_errors(report.to_json)
+
+
+@st.composite
+def stats_records(draw):
+    """Arguments of the stats records for B <= 4 bins: two value arrays of
+    at most 4 x 4 (NaN, inf and the edge floats among them), sorted
+    edges (the float extremes among them), counts up to 2**62, even
+    probabilities and an epsilon; each valid three times in four, else
+    adversarial."""
+    n_bins = draw(st.integers(1, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS[:7])
+    shapes = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)
+    values = hnp.arrays(np.float64, shapes, elements=floats)
+    edges = hnp.arrays(np.float64, n_bins + 1, elements=finite, unique=True)
+    valid = {
+        "values": values,
+        "other_values": values,
+        "edges": edges.map(np.sort),
+        "counts": hnp.arrays(np.int64, n_bins, elements=st.integers(0, 2**62)),
+        "probs": st.just(np.full(n_bins, 1.0 / n_bins)),
+        "epsilon": st.sampled_from([1e-12, 2.2250738585072014e-308, 0.1]),
+    }
+    return {name: draw(mostly(good, adversarial)) for name, good in valid.items()}
+
+
+@PROPERTY
+@given(args=stats_records())
+def test_stats_records_raise_only_value_error(args):
+    values, edges, epsilon = args["values"], args["edges"], args["epsilon"]
+    for given_edges in (None, edges):
+        h = _only_value_errors(lambda: row_histograms(values, edges=given_edges))
+        if h is not None:  # every value lands in a bin of its row
+            assert np.all(h.total == np.shape(values)[-1])
+            assert np.all(h.bin_edges[..., 1:] > h.bin_edges[..., :-1])
+    shared = _only_value_errors(lambda: shared_edges(values, args["other_values"]))
+    if shared is not None:
+        assert np.all(np.isfinite(shared)) and np.all(shared[..., 1:] > shared[..., :-1])
+    h = _only_value_errors(lambda: Histogram(edges, args["counts"]))
+    if h is not None:
+        assert h.counts.dtype == np.int64 and np.all(h.counts >= 0)
+        p = _only_value_errors(lambda: to_probability(h, epsilon))
+        if p is not None:
+            assert np.all(p.probs >= epsilon)
+            assert np.all(np.abs(np.sum(p.probs, axis=-1) - 1.0) <= 1e-12)
+    p = _only_value_errors(lambda: ProbabilityVector(args["probs"], edges, epsilon))
+    if p is not None:
+        assert p.probs.dtype == np.float64 and p.n_bins == p.bin_edges.shape[-1] - 1

@@ -1,5 +1,7 @@
 """Tests for the reproducible presets."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -46,3 +48,11 @@ def test_clean_samples_are_one_read_only_tone_with_the_lead_zeroed():
     assert noisy_again.samples is not noisy.samples
     assert np.array_equal(noisy_again.samples, noisy.samples)
     assert not np.array_equal(noisy_other.samples, noisy.samples)
+
+
+@pytest.mark.parametrize("name", ["sine-6db", "SINE-0DB", ""])
+def test_each_rejection_raises_its_error(name):
+    message = f"unknown preset {name!r} (expected one of ('sine-0db',))"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        run_preset(name)
+    assert info.type is ValueError

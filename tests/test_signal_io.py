@@ -283,6 +283,50 @@ class TestWavErrors:
             read_wav(path)
 
 
+def _chunk(chunk_id: bytes, body: bytes) -> bytes:
+    """A RIFF chunk: id, size, body and the pad byte of an odd size."""
+    return struct.pack("<4sI", chunk_id, len(body)) + body + b"\x00" * (len(body) % 2)
+
+
+def _riff(*chunks: bytes) -> bytes:
+    body = b"WAVE" + b"".join(chunks)
+    return struct.pack("<4sI", b"RIFF", len(body)) + body
+
+
+def _reading(data: bytes):
+    """A call that writes `data` to a file in tmp_path and reads it as WAV."""
+    def call(tmp_path):
+        path = tmp_path / "x.wav"
+        path.write_bytes(data)
+        return read_wav(path)
+    return call
+
+
+_FMT = _chunk(b"fmt ", struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16))
+_DATA = _chunk(b"data", b"\x01\x00")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (_reading(_riff(_chunk(b"fmt ", b"\x01\x00" * 7), _DATA)), WavFormatError,
+     r": fmt chunk too short$"),
+    (_reading(_riff(_DATA)), WavFormatError, r": missing fmt chunk$"),
+    (_reading(_riff(_FMT)), WavFormatError, r": missing data chunk$"),
+    (_reading(_riff(_FMT, _chunk(b"data", b"\x01\x00\x02"))), WavTruncatedError,
+     r": data chunk has a dangling byte$"),
+    (lambda tmp_path: white_noise(-0.5, 1.0, 8000, 0), ValueError,
+     r"^std_dev must be non-negative$"),
+], ids=["short-fmt", "no-fmt", "no-data", "dangling-byte", "negative-std-dev"])
+def test_each_rejection_raises_its_error(tmp_path, call, error, message):
+    with pytest.raises(error, match=message) as info:
+        call(tmp_path)
+    assert info.type is error
+
+
+def test_the_rejection_cases_are_built_from_a_readable_file(tmp_path):
+    # so each case above holds only its own defect
+    np.testing.assert_array_equal(_reading(_riff(_FMT, _DATA))(tmp_path).samples, [2**-15])
+
+
 class TestSynth:
     def test_sine_starts_at_zero(self):
         sig = sine_wave(440, 1.0, 1.0, 8000)

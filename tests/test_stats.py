@@ -1,6 +1,7 @@
 """Tests for histograms, probability estimates, entropy and divergences."""
 
 import math
+import re
 import sys
 import tracemalloc
 
@@ -26,6 +27,7 @@ from wpdenoise.stats import (
     shared_edges,
     symmetric_divergence,
     to_probability,
+    zero_bin_index,
 )
 
 
@@ -350,7 +352,7 @@ class TestToProbability:
         # a divergence divides by probabilities of epsilon: 1/5e-324
         # overflowed in kl_divergence ("overflow encountered in divide")
         h = Histogram(np.array([0.0, 1.0, 2.0]), np.array([2, 0]))
-        with pytest.raises(ValueError, match=r"epsilon=4\.94066e-324 .* at least 2\.2e-308"):
+        with pytest.raises(ValueError, match=r"epsilon=5e-324 .* at least 2\.2e-308"):
             to_probability(h, 5e-324)
         p = to_probability(h, sys.float_info.min)
         q = to_probability(Histogram(h.bin_edges, np.array([0, 2])), sys.float_info.min)
@@ -513,3 +515,104 @@ class TestProbabilityVectorValidation:
         with pytest.raises(ValueError):
             ProbabilityVector(np.array([1.0 - 1e-16, 1e-16]),
                               np.array([-1.0, 0.0, 1.0]), 1e-12)
+
+
+class TestOneRulePerInput:
+    """Every record checks its edges with one rule, its epsilon with
+    check_epsilon, its counts as integers and its values as real numbers;
+    each bad input raises ValueError naming it, with no numpy warning (an
+    error in this suite)."""
+
+    def test_edges_spanning_more_than_the_float_range(self):
+        # np.diff of the edges overflowed ("overflow encountered in subtract")
+        h = row_histograms([0.0], edges=[-1.7e308, 1.7e308])
+        np.testing.assert_array_equal(h.counts, [1])
+        assert zero_bin_index([-1.7e308, 1.7e308]) == 0
+
+    @pytest.mark.parametrize("call", [
+        lambda: row_histograms([0.0, 1.0], edges=np.array(1.0)),  # IndexError before
+        lambda: Histogram(np.array(1.0), [1]),
+        lambda: zero_bin_index(np.array(0.0)),
+    ])
+    def test_0d_edges_rejected(self, call):
+        with pytest.raises(ValueError, match=r"^edges of shape \(\) are not rows"):
+            call()
+
+    def test_probability_vector_with_decreasing_edges_rejected(self):
+        with pytest.raises(ValueError, match="^edges must be finite and strictly increasing$"):
+            _pv([0.5, 0.5], edges=(1.0, 0.0, -1.0))
+
+    def test_probability_vector_epsilon_is_check_epsilon(self):
+        # accepted before: the floor was only checked to be above 0
+        with pytest.raises(ValueError, match=r"^epsilon=1e-320 must be in \(0, 1/2\)"):
+            _pv([0.5, 0.5], eps=1e-320)
+        with pytest.raises(ValueError, match=r"^epsilon=0\.6 must be in \(0, 1/2\)"):
+            _pv([0.5, 0.5], eps=0.6)
+        for eps in (10**400, 1, True, None, "1e-12", np.array([1e-12])):
+            with pytest.raises(ValueError, match=r"^epsilon=.* must be in \(0, 1/2\) = "
+                                                 r"\(0, 0\.5\), a float of at least 2\.2e-308"):
+                _pv([0.5, 0.5], eps=eps)
+
+    @pytest.mark.parametrize("probs", [[math.nan, 1.0], [1e308, 1e308], [1.5, -0.5]])
+    def test_probabilities_outside_epsilon_to_one_rejected(self, probs):
+        # NaN passed both checks; 1e308 + 1e308 overflowed in the sum
+        with pytest.raises(ValueError, match=r"^all probabilities must be in \[epsilon, 1\]$"):
+            _pv(probs)
+
+    @pytest.mark.parametrize("counts", [[0.5, 1], [1.0, 1.0], [10**30, 1], [1 + 1j, 1], ["1", "1"]])
+    def test_counts_that_are_not_integers_rejected(self, counts):
+        # 0.5 became 0, 10**30 raised OverflowError
+        with pytest.raises(ValueError, match=r"^counts must be integers, got dtype "):
+            Histogram([0, 1, 2], counts)
+
+    def test_totals_do_not_wrap(self):
+        # the int64 total of 2**62 + 2**62 wrapped to -2**63: "divide by zero"
+        h = Histogram([0, 1, 2], [2**62, 2**62])
+        assert h.total == 2.0**63
+        np.testing.assert_array_equal(to_probability(h, 1e-12).probs, [0.5, 0.5])
+
+    @pytest.mark.parametrize("values, message", [
+        ([10**400, 1], "^values must be real numbers within float range$"),  # OverflowError
+        ([1 + 1j], r"^values must be real numbers, got dtype complex128$"),  # TypeError
+        (["a", "b"], r"^values must be real numbers, got dtype <U1$"),
+    ])
+    def test_values_that_are_not_real_numbers_rejected(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            row_histograms(values)
+        with pytest.raises(ValueError, match=message.replace("values", "values_a", 1)):
+            shared_edges(values, [0.0, 1.0])
+
+    def test_edges_that_are_not_real_numbers_rejected(self):
+        with pytest.raises(ValueError, match="^edges must be real numbers"):
+            row_histograms([0.0], edges=[-(10**400), 0, 10**400])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: to_probability(Histogram([0.0, 1.0, 2.0], [0, 0]), 1e-12),
+     "histogram has zero total count"),
+    (lambda: to_probability(Histogram([0.0, 1.0, 2.0], [[1, 2], [0, 0]]), 1e-12),
+     "histogram has zero total count"),
+    (lambda: row_histograms(np.zeros((1, 4)), edges=np.tile([0.0, 1.0, 2.0], (3, 1))),
+     "edge rows (3,) do not broadcast over value rows (1,)"),
+    (lambda: row_histograms(np.zeros(4), edges=[[0.0, 1.0], [1.0, 2.0]]),
+     "edge rows (2,) do not broadcast over value rows ()"),
+    (lambda: Histogram([0.0, 1.0, 2.0], [3, -1]),
+     "counts must be non-negative and below 2**63"),
+    (lambda: Histogram([0.0, 1.0, 2.0], np.array([2**63, 1], dtype=np.uint64)),
+     "counts must be non-negative and below 2**63"),
+    (lambda: Histogram([0.0, 1.0, 2.0, 3.0], [3, 1]),
+     "edges of shape (4,) are not rows of B + 1 >= 2 values for bins of shape (2,)"),
+    (lambda: Histogram([0.0, 1.0], [[3, 1]]),
+     "edges of shape (2,) are not rows of B + 1 >= 2 values for bins of shape (1, 2)"),
+    (lambda: ProbabilityVector([0.5, 0.5], [0.0, 1.0], 1e-12),
+     "edges of shape (2,) are not rows of B + 1 >= 2 values for bins of shape (2,)"),
+    (lambda: ProbabilityVector([1.0], [[0.0, 1.0, 2.0]], 1e-12),
+     "edges of shape (1, 3) are not rows of B + 1 >= 2 values for bins of shape (1,)"),
+], ids=["zero-total", "zero-total-row", "edge-rows-over-one-row", "edge-rows-over-1d",
+        "negative-count", "uint64-count-beyond-int64", "histogram-edges-one-too-many",
+        "histogram-edges-one-too-few", "probability-edges-one-too-few",
+        "probability-edges-one-too-many"])
+def test_each_rejection_raises_its_error(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.type is ValueError

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import examples
-from wpdenoise.stats import row_histograms, shared_edges, to_probability, zero_bin_index
+from wpdenoise.stats import (
+    ProbabilityVector, row_histograms, shared_edges, to_probability, zero_bin_index,
+)
 from wpdenoise.thresholding import (
     band_hard_threshold,
     estimate_sigma,
@@ -354,3 +356,17 @@ class TestArrayThresholds:
             args = (np.array([[0.5], [1.0]]), np.array([[1.0], [0.5]]))
         with pytest.raises(ValueError):
             fn(x, *args)
+
+
+_EVEN = ProbabilityVector([0.5, 0.5], [-1.0, 0.0, 1.0], 1e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: universal_threshold(-1e-3, 64), "sigma must be non-negative"),
+    (lambda: universal_threshold(np.array([0.5, -0.5]), 64), "sigma must be non-negative"),
+    (lambda: select_band(_EVEN, _EVEN, -1e-3), "tolerance must be non-negative"),
+], ids=["negative-sigma", "one-negative-sigma-row", "negative-tolerance"])
+def test_each_rejection_raises_its_error(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.type is ValueError

@@ -56,7 +56,6 @@ from wpdenoise.experiments import sine_0db_material  # noqa: E402
 from wpdenoise.framing import make_frames, overlap_add  # noqa: E402
 from wpdenoise.pipeline import EnhanceConfig, enhance, estimate_noise_profile  # noqa: E402
 from wpdenoise.signal_io import SignalBuffer  # noqa: E402
-from wpdenoise.stats import row_histograms  # noqa: E402
 from wpdenoise.wavelet import filter_bank, wp_analysis  # noqa: E402
 
 METHODS = ("universal-hard", "universal-soft", "band")
@@ -110,19 +109,6 @@ def frames_text(report, repeats: int) -> dict:
     return {"frames": len(report.vuv), "ms": in_ms(timed(report._frames_text, repeats))}
 
 
-def band_statistics(leaves, dist, config) -> tuple:
-    """(t1, t2, h_sub counts) of band mode, as `enhance` gets them.
-
-    Where `_select_bands` gives only (t1, t2), the tree's `enhance` bins
-    the per-subband counts apart, and so does this.
-    """
-    selected = pipeline._select_bands(leaves, dist, config)
-    if len(selected) == 3:
-        return selected
-    h_sub = row_histograms(pipeline._per_subband(leaves), edges=dist.bin_edges)
-    return (*selected, h_sub.counts)
-
-
 def sine_0db(repeats: int) -> dict:
     clean, noisy = sine_0db_material(1)
     seconds = len(noisy) / noisy.sample_rate_hz
@@ -144,7 +130,7 @@ def sine_0db(repeats: int) -> dict:
         "audio_s": seconds, "methods": methods, "frames_text_universal_hard": frames,
         "material_ms": in_ms(timed(lambda: sine_0db_material(1), repeats)),
         "band_selection_and_h_sub_ms": in_ms(timed(
-            lambda: band_statistics(leaves, profile.distribution, band), repeats)),
+            lambda: pipeline._select_bands(leaves, profile.distribution, band), repeats)),
     }
 
 
