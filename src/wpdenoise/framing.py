@@ -12,14 +12,13 @@ first and last samples of the signal, where only one frame contributes.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .signal_io import SignalBuffer, peak_magnitude, shown
+from .signal_io import SignalBuffer, integer, peak_magnitude, real_floats, shown
 
 WINDOWS = ("rectangular", "hann")
 
@@ -61,29 +60,29 @@ def edge_gain(window: str, frame_len: int) -> float:
 
 
 def max_peak(frame_len: int, window: str) -> float:
-    """The largest |sample| enhance and analyze take: float max / (8 N^2 g).
+    """The largest |sample| a run takes: float max / (8 N^2 g).
 
-    For frames of N samples and the window's edge gain g, that is about
-    8.1e296 for the default 512-sample hann. A packet coefficient is at
-    most the frame's norm, sqrt(N) times the peak, and a sum inside the
-    transform N times it; an overlap-add sum is at most N^1.5 times it,
-    and its quotient N g times it (g alone at the first sample);
-    thresholds and histogram spans stay within 8 sqrt(N) times it. So
-    no value of a run under the bound overflows.
+    enhance, analyze and leaf_coefficients check it first. For frames
+    of N samples and the window's edge gain g, that is about 8.1e296
+    for the default 512-sample hann. A packet coefficient is at most the
+    frame's norm, sqrt(N) times the peak, and a sum inside the transform
+    N times it; an overlap-add sum is at most N^1.5 times it, and its
+    quotient N g times it (g alone at the first sample); thresholds and
+    histogram spans stay within 8 sqrt(N) times it. So no value of a run
+    under the bound overflows.
     """
     return sys.float_info.max / (8 * frame_len**2 * edge_gain(window, frame_len))
 
 
-def check_peak(frame_len: int, window: str, *signals: SignalBuffer) -> None:
-    """Raise ValueError naming the peak of a signal above max_peak."""
+def check_peak(frame_len: int, window: str, signal: SignalBuffer) -> None:
+    """Raise ValueError naming the peak of `signal` if it is above max_peak."""
     bound = max_peak(frame_len, window)
-    for signal in signals:
-        peak = peak_magnitude(signal.samples)
-        if peak > bound:
-            raise ValueError(
-                f"samples peak at {peak:.4g}, above the {bound:.4g} that frames of "
-                f"{frame_len} samples and the {window} window can process"
-            )
+    peak = peak_magnitude(signal.samples)
+    if peak > bound:
+        raise ValueError(
+            f"samples peak at {peak:.4g}, above the {bound:.4g} that frames of "
+            f"{frame_len} samples and the {window} window can process"
+        )
 
 
 def frame_count(original_len: int, frame_len: int, hop: int) -> int:
@@ -94,21 +93,15 @@ def frame_count(original_len: int, frame_len: int, hop: int) -> int:
 def check_geometry(frame_len, hop, window: str) -> tuple:
     """Check that frames of this geometry rebuild; return (frame_len, hop).
 
-    frame_len and hop are integers (anything operator.index takes): a
-    power of two of at most MAX_FRAME_LEN = 2^16 and a divisor of it.
-    The window must be known, and its squared values at least 1e-12: a
-    sample that one frame alone covers, such as the first, has w[n]^2 as
-    its overlap-add normaliser. Their minimum is 1 / edge_gain^2, a
-    closed form, so no window is built. So hann frames hold at most 1024
+    frame_len and hop are integers (signal_io.integer): a power of two
+    of at most MAX_FRAME_LEN = 2^16 and a divisor of it. The window
+    must be known, and its squared values at least 1e-12: a sample that
+    one frame alone covers, such as the first, has w[n]^2 as its
+    overlap-add normaliser. Their minimum is 1 / edge_gain^2, a closed
+    form, so no window is built. So hann frames hold at most 1024
     samples.
     """
-    try:
-        frame_len, hop = operator.index(frame_len), operator.index(hop)
-    except TypeError:
-        raise ValueError(
-            "frame_len and hop must be integers, "
-            f"got {shown(frame_len)} and {shown(hop)}"
-        ) from None
+    frame_len, hop = integer(frame_len, "frame_len"), integer(hop, "hop")
     if frame_len <= 0 or frame_len & (frame_len - 1):
         raise ValueError(f"frame_len must be a power of two, got {shown(frame_len)}")
     if frame_len > MAX_FRAME_LEN:
@@ -139,7 +132,7 @@ class FrameSet:
 
     def __post_init__(self):
         check_geometry(self.frame_len, self.hop, self.window)
-        object.__setattr__(self, "frames", np.asarray(self.frames, dtype=np.float64))
+        object.__setattr__(self, "frames", real_floats(self.frames, "frames"))
         n_frames = frame_count(self.original_len, self.frame_len, self.hop)
         if self.frames.shape != (n_frames, self.frame_len):
             raise ValueError(f"frames must have shape ({n_frames}, {self.frame_len}), "

@@ -30,8 +30,6 @@ level-1 split, whose rows then split further into the leaves.
 from __future__ import annotations
 
 import math
-import operator
-import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -40,7 +38,9 @@ from ._version import __version__
 from .framing import (
     FrameSet, check_geometry, check_peak, frame_count, make_frames, overlap_add,
 )
-from .signal_io import SignalBuffer, _check_aligned, shown, snr_db
+from .signal_io import (
+    SignalBuffer, _check_aligned, finite_real, integer, level, real_floats, shown, snr_db,
+)
 from .stats import (
     Histogram,
     ProbabilityVector,
@@ -90,12 +90,13 @@ class EnhanceConfig:
     Checked when built and immutable: dataclasses.replace derives a new,
     checked config. A bad value raises ValueError naming its field.
     frame_len is a power of two of at most 2^16 (1024 with hann).
-    frame_len, hop, depth and seed (None allowed) are integers, anything
-    operator.index takes, and are stored as ints; seed must have few
-    enough digits for the report to write it. The real fields take
-    Python ints and floats (not bools) and numpy scalars, stored as the
-    Python number; vuv_enabled takes a bool or numpy bool, stored as a
-    bool. So every field is one the report can write.
+    frame_len, hop, depth and seed (None allowed) are integers
+    (signal_io.integer), and are stored as ints; seed must have few
+    enough digits for the report to write it. The real fields are
+    finite Python ints and floats (not bools) or numpy scalars, stored
+    as the Python number (signal_io.finite_real); vuv_enabled takes a
+    bool or numpy bool, stored as a bool. So every field is one the
+    report can write.
     """
 
     frame_len: int = 512
@@ -117,9 +118,9 @@ class EnhanceConfig:
         frame_len, hop = check_geometry(self.frame_len, self.hop, self.window)
         depth = check_packet(frame_len, self.depth, filter_bank(self.wavelet))
         try:
-            seed = None if self.seed is None else int(operator.index(self.seed))
+            seed = None if self.seed is None else integer(self.seed, "seed")
             str(seed)  # the report writes it in decimal
-        except (TypeError, ValueError):
+        except ValueError:
             raise ValueError(
                 f"seed must be an integer the report can write, got {shown(self.seed)}"
             ) from None
@@ -128,15 +129,8 @@ class EnhanceConfig:
             object.__setattr__(self, name, value)
         for name in _REAL_FIELDS:
             value = getattr(self, name)
-            value = value.item() if isinstance(value, np.generic) else value
-            if value is None and name == "entropy_threshold":
-                continue
-            # compared, not converted: an int beyond float range is not finite
-            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-                raise ValueError(
-                    f"{name} must be a finite real number, got {shown(value)}"
-                )
-            object.__setattr__(self, name, value)
+            if value is not None or name != "entropy_threshold":
+                object.__setattr__(self, name, finite_real(value, name))
         if not isinstance(self.vuv_enabled, (bool, np.bool_)):
             raise ValueError(
                 f"vuv_enabled must be a bool, got {shown(self.vuv_enabled)}"
@@ -150,8 +144,7 @@ class EnhanceConfig:
             raise ValueError("unvoiced_scale must be in (0, 1]")
         if self.silence_ms <= 0:
             raise ValueError("silence_ms must be positive")
-        if self.band_tolerance < 0:
-            raise ValueError("band_tolerance must be non-negative")
+        level(self.band_tolerance, "band_tolerance")
         check_epsilon(self.epsilon, bin_count(self.frame_len))
 
     @property
@@ -175,9 +168,22 @@ class NoiseProfile:
 
 
 def leaf_coefficients(signal: SignalBuffer, config: EnhanceConfig) -> np.ndarray:
-    """Packet leaves of every frame of `signal`: (frames, subbands, coeffs)."""
+    """Packet leaves of every frame of `signal`: (frames, subbands, coeffs).
+
+    Samples above framing.max_peak raise ValueError, as in enhance.
+    """
+    return _transform(signal, config, config.depth)
+
+
+def _transform(signal: SignalBuffer, config: EnhanceConfig, depth: int) -> np.ndarray:
+    """Every frame of `signal` split to `depth`: (frames, 2**depth, coeffs).
+
+    The one checked front end of a run: the peak is checked first, so
+    that no value of the transform or the rest of the run overflows.
+    """
+    check_peak(config.frame_len, config.window, signal)
     frames = make_frames(signal, config.frame_len, config.hop, config.window)
-    return wp_analysis(frames.frames, filter_bank(config.wavelet), config.depth)
+    return wp_analysis(frames.frames, filter_bank(config.wavelet), depth)
 
 
 def _noise_bins(n_values: int) -> int:
@@ -228,13 +234,13 @@ def estimate_noise_profile(noise: np.ndarray, config: EnhanceConfig) -> NoisePro
 def _analyse(signal: SignalBuffer, config: EnhanceConfig) -> tuple:
     """(leaves, NoiseProfile) of `signal`, from one framing and one transform.
 
-    The peak, the leading-silence span and epsilon are checked first,
-    epsilon against the noise histogram, the largest the run builds.
+    The leading-silence span and epsilon are checked first, epsilon
+    against the noise histogram, the largest the run builds; then the
+    peak, by the front end that frames and transforms the signal.
     leading_silence: the profile pools the leaves of the frames that lie
     entirely inside the span. mad: the frames split to level 1; the
     detail gives the profile, and its rows split further give the leaves.
     """
-    check_peak(config.frame_len, config.window, signal)
     mad = config.noise_estimation == "mad"
     if mad:  # the level-1 detail of every frame
         n_frames = frame_count(len(signal), config.frame_len, config.hop)
@@ -250,14 +256,11 @@ def _analyse(signal: SignalBuffer, config: EnhanceConfig) -> tuple:
         n_lead = (int(span) - config.frame_len) // config.hop + 1  # inside the span
         noise_values = n_lead * config.frame_len
     check_epsilon(config.epsilon, _noise_bins(noise_values))
-    fb = filter_bank(config.wavelet)
-    frames = make_frames(signal, config.frame_len, config.hop, config.window)
-    coeffs = wp_analysis(frames.frames, fb, 1 if mad else config.depth)
-    del frames
+    coeffs = _transform(signal, config, 1 if mad else config.depth)
     if not mad:
         return coeffs, estimate_noise_profile(coeffs[:n_lead], config)
     profile = estimate_noise_profile(coeffs[:, 1], config)
-    return _split_level1(coeffs, fb, config.depth), profile
+    return _split_level1(coeffs, filter_bank(config.wavelet), config.depth), profile
 
 
 def _split_level1(level1: np.ndarray, fb: FilterBank, depth: int) -> np.ndarray:
@@ -279,12 +282,16 @@ def classify_vuv(leaves, entropy_threshold: float, epsilon: float) -> list:
 
     A frame's leaf coefficients are pooled, histogrammed with the
     square-root bin rule and reduced to their entropy; below the
-    threshold means unvoiced, and a tie goes to voiced.
+    threshold means unvoiced, and a tie goes to voiced. The leaves are
+    real numbers, and the threshold one finite real number (finite_real).
     """
-    leaves = np.asarray(leaves, dtype=np.float64)
+    leaves = real_floats(leaves, "leaves")
+    if leaves.ndim != 3:
+        raise ValueError(f"leaves must be (frames, subbands, coeffs), not {leaves.shape}")
+    threshold = finite_real(entropy_threshold, "entropy_threshold")
     pooled = leaves.reshape(len(leaves), -1)
     h = entropy(to_probability(row_histograms(pooled), epsilon))
-    return np.where(h < entropy_threshold, UNVOICED, VOICED).tolist()
+    return np.where(h < threshold, UNVOICED, VOICED).tolist()
 
 
 def _select_bands(leaves: np.ndarray, dist: ProbabilityVector, config: EnhanceConfig):
@@ -335,15 +342,29 @@ def enhance(
     else:
         vuv = [None] * n_frames
 
-    # Global distribution statistics against the noise profile. Band
-    # selection bins every leaf on the profile's edges, and its counts
-    # summed over the frames are h_sub.
+    # One threshold or band per (frame, subband), broadcast over the
+    # coeffs, and each subband's histogram h_sub on the noise profile's
+    # edges: band selection bins every leaf on them, and its counts
+    # summed over the frames are h_sub. h_sub is binned before the
+    # output exists, so that its leaf-sized copy and the output are
+    # never alive together.
     dist = profile.distribution
+    n_zero_pre = np.count_nonzero(leaves == 0.0, axis=-1)
+    threshold = band = None
     if config.method == "band":
         t1, t2, counts = _select_bands(leaves, dist, config)
         h_sub = Histogram(dist.bin_edges, counts)
+        out = band_hard_threshold(leaves, t1[..., None], t2[..., None])
+        band = np.stack((t1, t2), axis=-1)
     else:
         h_sub = row_histograms(_per_subband(leaves), edges=dist.bin_edges)
+        scale = np.where(np.asarray(vuv) == UNVOICED, config.unvoiced_scale, 1.0)
+        threshold = universal_threshold(profile.sigma, n_coeff) * scale[:, None]
+        threshold = np.broadcast_to(threshold, (n_frames, n_sub))
+        rule = hard_threshold if config.method == "universal-hard" else soft_threshold
+        out = rule(leaves, threshold[..., None])
+
+    # Global distribution statistics against the noise profile.
     divergences = symmetric_divergence(to_probability(h_sub, config.epsilon), dist)
     pooled = profile.pooled
     if config.noise_estimation == "mad":
@@ -352,19 +373,6 @@ def enhance(
     else:
         h_all = row_histograms(leaves.ravel(), edges=pooled.bin_edges)
     ratios = ratio_profile(to_probability(h_all, config.epsilon), pooled)
-
-    # One threshold or band per (frame, subband), broadcast over the coeffs.
-    n_zero_pre = np.count_nonzero(leaves == 0.0, axis=-1)
-    threshold = band = None
-    if config.method == "band":
-        out = band_hard_threshold(leaves, t1[..., None], t2[..., None])
-        band = np.stack((t1, t2), axis=-1)
-    else:
-        scale = np.where(np.asarray(vuv) == UNVOICED, config.unvoiced_scale, 1.0)
-        threshold = universal_threshold(profile.sigma, n_coeff) * scale[:, None]
-        threshold = np.broadcast_to(threshold, (n_frames, n_sub))
-        rule = hard_threshold if config.method == "universal-hard" else soft_threshold
-        out = rule(leaves, threshold[..., None])
     del leaves  # at most two leaf-sized arrays alive at once bounds peak memory
     n_zero_post = np.count_nonzero(out == 0.0, axis=-1)
     enhanced_frames = wp_synthesis(out, filter_bank(config.wavelet))
@@ -413,7 +421,6 @@ def analyze(noisy: SignalBuffer, noise: SignalBuffer, config: EnhanceConfig) -> 
         frame_count(len(s), config.frame_len, config.hop) for s in (noisy, noise)
     )
     check_epsilon(config.epsilon, bin_count(fewer_frames * config.frame_len))
-    check_peak(config.frame_len, config.window, noisy, noise)
     leaves = [leaf_coefficients(s, config) for s in (noisy, noise)]
 
     rows = [_per_subband(side) for side in leaves]

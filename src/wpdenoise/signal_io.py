@@ -6,6 +6,12 @@ PCM sub-format). Anything else is rejected rather than coerced so the
 round-trip behaviour stays exact. Files are written by the stdlib wave
 writer and read by the parser here, which also takes the EXTENSIBLE
 form that wave rejects on Python 3.10 and 3.11.
+
+The argument rules every module applies live here too, each written
+once: real_floats (arrays of real numbers), level (thresholds,
+tolerances and noise levels: finite and >= 0), finite_real (one finite
+real setting) and integer; each raises ValueError naming the argument,
+which shown() prints even when it is an int too long to convert.
 """
 
 from __future__ import annotations
@@ -78,6 +84,39 @@ def real_floats(values, name: str) -> np.ndarray:
             raise ValueError(f"{name} must be real numbers within float range") from None
 
 
+def integer(value, name: str) -> int:
+    """`value` as an int: anything operator.index takes (an int, a bool, a
+    numpy integer). Anything else raises ValueError naming `name`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {shown(value)}") from None
+
+
+def finite_real(value, name: str):
+    """`value`, one finite real number, as the Python int or float it is
+    (a numpy scalar by .item()). A bool, an array, NaN, inf, an int
+    beyond the float range or anything else raises ValueError naming
+    `name`."""
+    value = value.item() if isinstance(value, np.generic) else value
+    # compared, not converted: an int beyond float range is not finite
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite real number, got {shown(value)}")
+    return value
+
+
+def level(value, name: str) -> np.ndarray:
+    """`value`, a scalar or an array of thresholds, tolerances or noise
+    levels, as float64 (real_floats): each a finite number >= 0. NaN and
+    inf are no level, so no rule computes inf - inf; anything else
+    raises ValueError naming `name`."""
+    x = real_floats(value, name)
+    if not np.all((0 <= x) & (x < np.inf)):  # NaN fails both
+        rule = "non-negative" if np.any(x < 0) else "finite (not NaN or inf)"
+        raise ValueError(f"{name} must be {rule}")
+    return x
+
+
 @dataclass
 class SignalBuffer:
     """Mono sample sequence with its sample rate.
@@ -95,12 +134,7 @@ class SignalBuffer:
             raise ValueError("samples must be one-dimensional")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must be finite (no NaN/Inf)")
-        try:
-            self.sample_rate_hz = operator.index(self.sample_rate_hz)
-        except TypeError:
-            raise ValueError(
-                f"sample_rate_hz must be an integer, got {shown(self.sample_rate_hz)}"
-            ) from None
+        self.sample_rate_hz = integer(self.sample_rate_hz, "sample_rate_hz")
         # an int compares exactly with the largest float
         if not 0 < self.sample_rate_hz <= sys.float_info.max:
             raise ValueError("sample_rate_hz must be positive and within float range, "
@@ -228,8 +262,7 @@ def white_noise(
     std_dev: float, duration_s: float, sample_rate_hz: int, seed: int
 ) -> SignalBuffer:
     """Seeded Gaussian noise (numpy PCG64; identical stream for a seed)."""
-    if std_dev < 0:
-        raise ValueError("std_dev must be non-negative")
+    level(std_dev, "std_dev")
     n = _num_samples(duration_s, sample_rate_hz)
     rng = np.random.default_rng(seed)
     return SignalBuffer(rng.normal(0.0, std_dev, n), sample_rate_hz)

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_io import real_floats, shown
+from .signal_io import integer, real_floats, shown
 
 # Half-width used to un-degenerate a single-valued sample range.
 _DEGENERATE_HALF_SPAN = 1e-9
@@ -59,9 +59,9 @@ _BLOCK_VALUES = 1 << 15
 
 def bin_count(n_samples: int) -> int:
     """max(1, floor(sqrt(n)/2)) via exact integer arithmetic."""
-    if n_samples < 1:
+    if integer(n_samples, "n_samples") < 1:
         raise ValueError("n_samples must be >= 1")
-    return max(1, math.isqrt(int(n_samples)) // 2)
+    return max(1, math.isqrt(n_samples) // 2)
 
 
 @dataclass
@@ -97,18 +97,26 @@ class Histogram:
         return self.counts.shape[-1]
 
 
-def _edge_rows(edges, per_bin=None) -> np.ndarray:
+def _edge_rows(edges, per_bin=None, values=None) -> np.ndarray:
     """`edges` as float64 rows (last axis) of B + 1 finite, strictly
-    increasing values, B >= 1; B is the last axis of `per_bin` (counts
-    or probabilities) when given. Each edge is compared with the one
-    before it, never subtracted, so no span overflows. Anything else
-    raises ValueError.
+    increasing values, B >= 1, for the rows of `per_bin` (counts or
+    probabilities, B their last axis) or of `values` when either is
+    given: the edge rows then broadcast over theirs. Each edge is
+    compared with the one before it, never subtracted, so no span
+    overflows. Anything else raises ValueError.
     """
     e = real_floats(edges, "edges")
-    rows = e.shape[-1:]  # () for a 0-d array
-    if rows < (2,) or per_bin is not None and per_bin.shape[-1:] != (rows[0] - 1,):
+    width, lead = e.shape[-1:], e.shape[:-1]  # width () for a 0-d array
+    batch = per_bin if values is None else values
+    rows = lead if batch is None else batch.shape[:-1]
+    over = len(lead) <= len(rows) and all(
+        n in (1, m) for n, m in zip(lead[::-1], rows[::-1]))
+    if width < (2,) or per_bin is not None and (
+            per_bin.shape[-1:] != (width[0] - 1,) or not over):
         bins = "" if per_bin is None else f" for bins of shape {per_bin.shape}"
         raise ValueError(f"edges of shape {e.shape} are not rows of B + 1 >= 2 values{bins}")
+    if not over:
+        raise ValueError(f"edge rows {lead} do not broadcast over value rows {rows}")
     if not (np.all(np.isfinite(e)) and np.all(e[..., 1:] > e[..., :-1])):
         raise ValueError("edges must be finite and strictly increasing")
     return e
@@ -241,12 +249,7 @@ def row_histograms(values, edges=None) -> Histogram:
             np.min(x, axis=-1), np.max(x, axis=-1), bin_count(x.shape[-1])
         )
     else:
-        edges = _edge_rows(edges)
-        if np.broadcast_shapes(edges.shape[:-1], x.shape[:-1]) != x.shape[:-1]:
-            raise ValueError(
-                f"edge rows {edges.shape[:-1]} do not broadcast over value rows "
-                f"{x.shape[:-1]}"
-            )
+        edges = _edge_rows(edges, values=x)
     n_bins = edges.shape[-1] - 1
     width = x.shape[-1]
     rows = x.reshape(-1, width)

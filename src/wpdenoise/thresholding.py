@@ -19,6 +19,12 @@ one threshold per (frame, subband) of a (frames, subbands, coeffs)
 array with a trailing axis of length 1. The estimates reduce the last
 axis: estimate_sigma gives one level per row of coefficients, and
 select_band one band per row of a batch of distributions.
+
+Every argument has one rule, and breaking it raises ValueError naming
+it: coefficients are real numbers (signal_io.real_floats); thresholds,
+sigma and the tolerance are levels, finite and >= 0 (signal_io.level);
+band_hard's signed bounds are real with t1 <= t2; n is an integer
+(signal_io.integer) >= 1.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import math
 
 import numpy as np
 
+from .signal_io import integer, level, real_floats, shown
 from .stats import ProbabilityVector, check_shared_edges, zero_bin_index
 
 # MAD-to-sigma factor for Gaussian data: median(|X|) = 0.6745 sigma.
@@ -40,7 +47,7 @@ def estimate_sigma(detail_coeffs):
     of its two adjacent ones (see _mad_sigma). A 1-D input gives a numpy
     scalar, a batch one level per row; the input is never modified.
     """
-    x = np.asarray(detail_coeffs, dtype=np.float64)
+    x = real_floats(detail_coeffs, "detail_coeffs")
     if x.ndim == 0:
         raise ValueError(f"cannot estimate sigma from an input of shape {x.shape}: "
                          "it needs a row of coefficients")
@@ -83,12 +90,19 @@ def _mad_sigma(magnitudes: np.ndarray):
 
 
 def universal_threshold(sigma, n: int):
-    """sigma * sqrt(2 ln n), the classical shrinkage threshold."""
-    if np.any(np.asarray(sigma) < 0):
-        raise ValueError("sigma must be non-negative")
-    if n < 1:
+    """sigma * sqrt(2 ln n), the classical shrinkage threshold.
+
+    A threshold beyond the float range raises ValueError, as inf is no
+    threshold.
+    """
+    sigma = level(sigma, "sigma")
+    if integer(n, "n") < 1:
         raise ValueError("n must be >= 1")
-    return sigma * math.sqrt(2.0 * math.log(n))
+    with np.errstate(over="ignore"):  # refused below
+        t = sigma * math.sqrt(2.0 * math.log(n))
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"sigma * sqrt(2 ln n) leaves the float range at n = {shown(n)}")
+    return t
 
 
 def hard_threshold(coeffs, t) -> np.ndarray:
@@ -96,9 +110,8 @@ def hard_threshold(coeffs, t) -> np.ndarray:
 
     Idempotent: applying the rule again changes nothing.
     """
-    if np.any(np.asarray(t) < 0):
-        raise ValueError("threshold must be non-negative")
-    w = np.asarray(coeffs, dtype=np.float64)
+    t = level(t, "threshold")
+    w = real_floats(coeffs, "coeffs")
     return np.where(np.abs(w) < t, 0.0, w)
 
 
@@ -108,9 +121,8 @@ def soft_threshold(coeffs, t) -> np.ndarray:
     Not idempotent: it shrinks again on each pass, and applying it twice
     with t equals applying it once with 2t.
     """
-    if np.any(np.asarray(t) < 0):
-        raise ValueError("threshold must be non-negative")
-    w = np.asarray(coeffs, dtype=np.float64)
+    t = level(t, "threshold")
+    w = real_floats(coeffs, "coeffs")
     return np.sign(w) * np.maximum(np.abs(w) - t, 0.0)
 
 
@@ -121,12 +133,14 @@ def semisoft_threshold(coeffs, t1, t2) -> np.ndarray:
     re-maps its own output, and applying the rule twice equals applying
     it once with t1 replaced by t2 - (t2 - t1)**2 / t2 (t2 unchanged).
     """
-    t1, t2 = np.asarray(t1), np.asarray(t2)
-    if not np.all((0 <= t1) & (t1 < t2)):
+    t1, t2 = level(t1, "t1"), level(t2, "t2")
+    if not np.all(t1 < t2):
         raise ValueError("need 0 <= t1 < t2")
-    w = np.asarray(coeffs, dtype=np.float64)
+    w = real_floats(coeffs, "coeffs")
     mag = np.abs(w)
-    ramp = np.sign(w) * t2 * (mag - t1) / (t2 - t1)
+    # (|w| - t1) / (t2 - t1) of |w| held to [t1, t2] lies in [0, 1], so
+    # no ramp value overflows, however large t2 is
+    ramp = np.sign(w) * t2 * ((np.clip(mag, t1, t2) - t1) / (t2 - t1))
     return np.where(mag <= t1, 0.0, np.where(mag >= t2, w, ramp))
 
 
@@ -135,9 +149,10 @@ def band_hard_threshold(coeffs, t1, t2) -> np.ndarray:
 
     Idempotent: applying the rule again changes nothing.
     """
-    if np.any(np.asarray(t1) > np.asarray(t2)):
+    t1, t2 = real_floats(t1, "t1"), real_floats(t2, "t2")
+    if not np.all(t1 <= t2):  # NaN fails
         raise ValueError("need t1 <= t2")
-    w = np.asarray(coeffs, dtype=np.float64)
+    w = real_floats(coeffs, "coeffs")
     return np.where((w >= t1) & (w <= t2), 0.0, w)
 
 
@@ -154,8 +169,7 @@ def select_band(
     p_n (their rows broadcast).
     """
     check_shared_edges(p_ns, p_n)
-    if tolerance < 0:
-        raise ValueError("tolerance must be non-negative")
+    tolerance = level(tolerance, "tolerance")
     edges = p_ns.bin_edges
     contribution = np.abs(
         (p_ns.probs - p_n.probs) * np.log(p_ns.probs / p_n.probs)

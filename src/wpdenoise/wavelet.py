@@ -25,14 +25,13 @@ split alone is wp_analysis(frames, fb, 1).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .signal_io import shown
+from .signal_io import integer, real_floats, shown
 
 # The low-pass analysis taps of each named filter; the high-pass is
 # their quadrature mirror. db4: Daubechies length-8 scaling coefficients
@@ -108,13 +107,10 @@ def filter_bank(name: str) -> FilterBank:
 def check_packet(frame_len: int, depth, fb: FilterBank) -> int:
     """Check that frames of frame_len samples split to depth; return depth.
 
-    frame_len must be a power of two, and depth an integer (anything
-    operator.index takes) >= 1 whose leaves are at least len(fb) long.
+    frame_len must be a power of two, and depth an integer
+    (signal_io.integer) >= 1 whose leaves are at least len(fb) long.
     """
-    try:
-        depth = operator.index(depth)
-    except TypeError:
-        raise ValueError(f"depth must be an integer, got {shown(depth)}") from None
+    depth = integer(depth, "depth")
     if frame_len <= 0 or frame_len & (frame_len - 1):
         raise ValueError(f"frame length {shown(frame_len)} must be a power of two")
     if depth < 1 or frame_len >> depth < len(fb):
@@ -204,7 +200,7 @@ def wp_analysis(frames, fb: FilterBank, depth: int) -> np.ndarray:
     i-th subband in natural order (node 2i is the approximation and
     2i+1 the detail of node i).
     """
-    x = np.asarray(frames, dtype=np.float64)
+    x = real_floats(frames, "frames")
     if x.ndim != 2:
         raise ValueError(f"frames must be (n_frames, frame_len), got shape {x.shape}")
     n_frames, n = x.shape
@@ -224,7 +220,7 @@ def wp_synthesis(leaves, fb: FilterBank) -> np.ndarray:
     for frames of n_subbands * coeffs samples at depth log2(n_subbands).
     The frames come back as a C-contiguous float64 array.
     """
-    x = np.asarray(leaves, dtype=np.float64)
+    x = real_floats(leaves, "leaves")
     if x.ndim != 3:
         raise ValueError(
             f"leaves must be (n_frames, n_subbands, coeffs), got shape {x.shape}"

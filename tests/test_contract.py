@@ -4,8 +4,10 @@ Each entry point is fed adversarial values: huge ints, +-1e308,
 subnormals, NaN and inf, bools, numpy scalars, 0-d and empty arrays,
 lists and strings. A bad argument raises ValueError, never another
 exception type, and a good one runs; no numpy warning is emitted either
-way. Drawn sizes stay small: at most 2000 samples, and frames of at
-most 128 samples wherever a run is drawn.
+way. Drawn sizes stay small: at most 2000 samples, frames of at most
+128 samples wherever a run is drawn, and coefficient arrays of at most
+4 x 4 (leaves of at most 8 x 8 x 8); a huge count, such as
+n = 10**5000, is drawn only where nothing of that size is allocated.
 """
 
 import warnings
@@ -17,11 +19,17 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import examples
 
-from wpdenoise.pipeline import METHODS, NOISE_MODES, EnhanceConfig, analyze, enhance
+from wpdenoise.pipeline import (
+    METHODS, NOISE_MODES, EnhanceConfig, analyze, classify_vuv, enhance, leaf_coefficients,
+)
 from wpdenoise.framing import WINDOWS
 from wpdenoise.signal_io import SignalBuffer
 from wpdenoise.stats import (
     Histogram, ProbabilityVector, row_histograms, shared_edges, to_probability,
+)
+from wpdenoise.thresholding import (
+    band_hard_threshold, estimate_sigma, hard_threshold, select_band, semisoft_threshold,
+    soft_threshold, universal_threshold,
 )
 from wpdenoise.wavelet import FILTERS
 
@@ -234,3 +242,93 @@ def test_stats_records_raise_only_value_error(args):
     p = _only_value_errors(lambda: ProbabilityVector(args["probs"], edges, epsilon))
     if p is not None:
         assert p.probs.dtype == np.float64 and p.n_bins == p.bin_edges.shape[-1] - 1
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS[:7])
+_LEVELS = st.floats(0.0, 4.0) | st.sampled_from([0.0, 5e-324, 1e-310, 1e300, 1e308,
+                                                 1.7976931348623157e308])
+
+
+@st.composite
+def distributions(draw):
+    """Two probability vectors on one drawn edge row of B <= 4 bins (one
+    or two rows each), or None where the drawn counts make none."""
+    n_bins = draw(st.integers(1, 4))
+    edges = np.sort(draw(hnp.arrays(np.float64, n_bins + 1, elements=_FINITE, unique=True)))
+    shape = draw(st.sampled_from([(n_bins,), (2, n_bins)]))
+    eps = draw(st.sampled_from([1e-12, 2.2250738585072014e-308]))
+    vectors = []
+    for _ in range(2):
+        counts = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 50)))
+        vectors.append(_only_value_errors(lambda: to_probability(Histogram(edges, counts), eps)))
+    return vectors
+
+
+@st.composite
+def threshold_args(draw):
+    """Arguments of the thresholding rules and estimates: coefficient
+    arrays of at most 4 x 4 (NaN, inf and the edge floats among them),
+    levels from 0 to the float max, signed bounds, counts n up to
+    10**400 and two distributions; each valid three times in four,
+    else adversarial."""
+    shapes = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)
+    valid = {
+        "coeffs": hnp.arrays(np.float64, shapes, elements=floats),
+        "t": _LEVELS,
+        "t1": _LEVELS,
+        "t2": _LEVELS,
+        "lo": floats,
+        "hi": floats,
+        "n": st.integers(1, 10**6) | st.sampled_from([10**400, np.int64(64)]),
+        "tolerance": _LEVELS,
+    }
+    args = {name: draw(mostly(good, adversarial)) for name, good in valid.items()}
+    args["distributions"] = draw(distributions())
+    return args
+
+
+@PROPERTY
+@given(args=threshold_args())
+def test_thresholding_raises_only_value_error(args):
+    coeffs, t1, t2 = args["coeffs"], args["t1"], args["t2"]
+    for call in (lambda: hard_threshold(coeffs, args["t"]),
+                 lambda: soft_threshold(coeffs, args["t"]),
+                 lambda: semisoft_threshold(coeffs, t1, t2),
+                 lambda: band_hard_threshold(coeffs, args["lo"], args["hi"])):
+        out = _only_value_errors(call)
+        # float64 values shaped as the coefficients and thresholds broadcast
+        assert out is None or np.asarray(out).dtype == np.float64
+    sigma = _only_value_errors(lambda: estimate_sigma(coeffs))
+    if sigma is not None:
+        assert np.shape(sigma) == np.shape(coeffs)[:-1]
+    t = _only_value_errors(lambda: universal_threshold(args["t"], args["n"]))
+    if t is not None:
+        assert np.all(np.isfinite(t)) and np.all(t >= 0)
+    p_ns, p_n = args["distributions"]
+    if p_ns is not None and p_n is not None:
+        band = _only_value_errors(lambda: select_band(p_ns, p_n, args["tolerance"]))
+        if band is not None:
+            assert np.all(band[0] < band[1])
+
+
+@PROPERTY
+@given(leaves=mostly(hnp.arrays(np.float64, hnp.array_shapes(min_dims=3, max_dims=3,
+                                                              max_side=8), elements=floats),
+                     adversarial),
+       threshold=mostly(st.floats(0.0, 3.0), adversarial),
+       epsilon=mostly(st.sampled_from([1e-12, 1e-3]), adversarial),
+       kwargs=config_kwargs(n_bad=1), values=run_samples, rate=rates)
+def test_classify_vuv_and_leaf_coefficients_raise_only_value_error(
+        leaves, threshold, epsilon, kwargs, values, rate):
+    labels = _only_value_errors(lambda: classify_vuv(leaves, threshold, epsilon))
+    if labels is not None:  # a list, one label per frame
+        assert type(labels) is list and len(labels) == len(leaves)
+        assert set(labels) <= {"voiced", "unvoiced"}
+    config = _only_value_errors(lambda: EnhanceConfig(**kwargs))
+    signal = _signal(values, rate)
+    if config is None or signal is None:
+        return
+    out = _only_value_errors(lambda: leaf_coefficients(signal, config))
+    if out is not None:
+        assert out.shape[1:] == (config.n_subbands, config.frame_len >> config.depth)
+        assert np.all(np.isfinite(out))

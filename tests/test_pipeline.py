@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -393,6 +394,27 @@ class TestClassifyVuv:
         leaves = _frame_leaves([spread, peaky, spread])
         assert classify_vuv(leaves, 0.5, 1e-12) == ["voiced", "unvoiced", "voiced"]
 
+    @pytest.mark.parametrize("leaves, threshold, message", [
+        # ComplexWarning before, then labels from the real parts
+        (np.ones((1, 2, 4)) * (1 + 1j), 0.5,
+         "leaves must be real numbers, got dtype complex128"),
+        # OverflowError before
+        (np.array([[[10**400, 1]]], dtype=object), 0.5,
+         "leaves must be real numbers within float range"),
+        (np.ones((2, 4)), 0.5, "leaves must be (frames, subbands, coeffs), not (2, 4)"),
+        (np.arange(8.0).reshape(1, 2, 4), math.nan,
+         "entropy_threshold must be a finite real number, got nan"),
+        (np.arange(8.0).reshape(1, 2, 4), None,
+         "entropy_threshold must be a finite real number, got None"),
+        # broadcast against the one frame's entropy, it gave no label
+        (np.arange(8.0).reshape(1, 2, 4), [],
+         "entropy_threshold must be a finite real number, got []"),
+    ], ids=["complex", "int-beyond-float", "2-d", "nan-threshold", "none-threshold",
+            "empty-threshold"])
+    def test_bad_leaves_or_threshold_raise_value_error(self, leaves, threshold, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            classify_vuv(leaves, threshold, 1e-12)
+
 
 class TestEnhance:
     @pytest.mark.parametrize("method", ["universal-hard", "universal-soft"])
@@ -626,7 +648,8 @@ class TestPeakBound:
         with pytest.raises(ValueError, match=r"samples peak at 6\.753e\+305, above the 8\.068e\+296"):
             enhance(noisy, config)
 
-    @pytest.mark.parametrize("noise_estimation", ["leading_silence", "mad", "analyze"])
+    @pytest.mark.parametrize("noise_estimation",
+                             ["leading_silence", "mad", "analyze", "leaf_coefficients"])
     def test_noise_at_the_float_limit_is_rejected(self, noise_estimation):
         # the transform overflowed in matmul, and stats then failed on
         # the infinite values
@@ -635,6 +658,8 @@ class TestPeakBound:
         with pytest.raises(ValueError, match="samples peak at 1.7e\\+308"):
             if noise_estimation == "analyze":
                 analyze(white_noise(0.1, 1.0, 16000, seed=6), loud, EnhanceConfig())
+            elif noise_estimation == "leaf_coefficients":  # overflowed in matmul
+                leaf_coefficients(loud, EnhanceConfig())
             else:
                 enhance(loud, EnhanceConfig(noise_estimation=noise_estimation))
 

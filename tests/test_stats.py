@@ -49,6 +49,13 @@ class TestBinRule:
         with pytest.raises(ValueError):
             bin_count(0)
 
+    def test_takes_integers_only(self):
+        # a float was truncated (2.5 counted as 2) and None raised TypeError
+        assert bin_count(np.int64(100)) == 5
+        for bad in (2.5, None, "9"):
+            with pytest.raises(ValueError, match=r"^n_samples must be an integer, got "):
+                bin_count(bad)
+
 
 class TestBuildHistogram:
     def test_counts_partition_the_sample(self):
@@ -538,6 +545,16 @@ class TestOneRulePerInput:
         with pytest.raises(ValueError, match=r"^edges of shape \(\) are not rows"):
             call()
 
+    def test_record_edge_rows_broadcast_over_the_leading_axes(self):
+        # the rule row_histograms applies to its value rows: one shared
+        # row, or one row per leading index (size-1 axes broadcast)
+        counts = [[1, 2], [3, 4]]
+        for edges in ([0.0, 1.0, 2.0], [[0.0, 1.0, 2.0]], [[0.0, 1.0, 2.0], [-2.0, 0.0, 1.0]]):
+            p = to_probability(Histogram(edges, counts), 1e-12)
+            assert p.bin_centers.shape[-1] == 2 and p.probs.shape == (2, 2)
+        with pytest.raises(ValueError, match=r"^edges of shape \(1, 2, 3\) are not rows"):
+            Histogram(np.zeros((1, 2, 3)) + [0.0, 1.0, 2.0], counts)
+
     def test_probability_vector_with_decreasing_edges_rejected(self):
         with pytest.raises(ValueError, match="^edges must be finite and strictly increasing$"):
             _pv([0.5, 0.5], edges=(1.0, 0.0, -1.0))
@@ -608,10 +625,19 @@ class TestOneRulePerInput:
      "edges of shape (2,) are not rows of B + 1 >= 2 values for bins of shape (2,)"),
     (lambda: ProbabilityVector([1.0], [[0.0, 1.0, 2.0]], 1e-12),
      "edges of shape (1, 3) are not rows of B + 1 >= 2 values for bins of shape (1,)"),
+    # three edge rows for two count rows were accepted, and gave
+    # bin_centers of shape (3, 2)
+    (lambda: to_probability(Histogram(np.tile([0., 1., 2.], (3, 1)), [[1, 1], [1, 1]]), 1e-12),
+     "edges of shape (3, 3) are not rows of B + 1 >= 2 values for bins of shape (2, 2)"),
+    (lambda: ProbabilityVector(np.full((2, 2), 0.5), np.tile([0., 1., 2.], (3, 1)), 1e-12),
+     "edges of shape (3, 3) are not rows of B + 1 >= 2 values for bins of shape (2, 2)"),
+    (lambda: Histogram(np.tile([0., 1., 2.], (2, 1)), [1, 1]),
+     "edges of shape (2, 3) are not rows of B + 1 >= 2 values for bins of shape (2,)"),
 ], ids=["zero-total", "zero-total-row", "edge-rows-over-one-row", "edge-rows-over-1d",
         "negative-count", "uint64-count-beyond-int64", "histogram-edges-one-too-many",
         "histogram-edges-one-too-few", "probability-edges-one-too-few",
-        "probability-edges-one-too-many"])
+        "probability-edges-one-too-many", "histogram-edge-rows-over-count-rows",
+        "probability-edge-rows-over-probability-rows", "histogram-edge-rows-over-1d"])
 def test_each_rejection_raises_its_error(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
         call()

@@ -123,6 +123,11 @@ class TestUniversalThreshold:
         with pytest.raises(ValueError):
             universal_threshold(1.0, 0)
 
+    def test_any_integer_count_and_the_largest_finite_threshold(self):
+        assert universal_threshold(1.0, np.int64(1024)) == universal_threshold(1.0, 1024)
+        assert universal_threshold(0.5, 10**5000) == 0.5 * math.sqrt(2 * math.log(10**5000))
+        assert math.isfinite(universal_threshold(1e308, 2))  # sqrt(2 ln 2) < 1.2
+
 
 class TestHardThreshold:
     def test_table(self):
@@ -200,6 +205,11 @@ class TestSemisoftThreshold:
             grid = knee + np.linspace(-1e-6, 1e-6, 2001)
             out = semisoft_threshold(grid, 1.0, 2.0)
             assert np.max(np.abs(np.diff(out))) < 1e-5  # ~Lipschitz * step
+
+    def test_knees_near_the_float_max(self):
+        # t2 * (|w| - t1) overflowed for t2 above 1.3e154: 1e199 gave inf
+        out = semisoft_threshold([1e199, -1e308, 5e199], 0.0, 1e200)
+        np.testing.assert_allclose(out, [1e199, -1e308, 5e199], rtol=1e-15)
 
     def test_rejects_bad_knees(self):
         with pytest.raises(ValueError):
@@ -361,11 +371,35 @@ class TestArrayThresholds:
 _EVEN = ProbabilityVector([0.5, 0.5], [-1.0, 0.0, 1.0], 1e-12)
 
 
+_NAN = float("nan")
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: universal_threshold(-1e-3, 64), "sigma must be non-negative"),
     (lambda: universal_threshold(np.array([0.5, -0.5]), 64), "sigma must be non-negative"),
     (lambda: select_band(_EVEN, _EVEN, -1e-3), "tolerance must be non-negative"),
-], ids=["negative-sigma", "one-negative-sigma-row", "negative-tolerance"])
+    # each of these raised TypeError or OverflowError, or passed
+    (lambda: hard_threshold([1 + 1j], 0.5), "coeffs must be real numbers, got dtype complex128"),
+    (lambda: estimate_sigma([1 + 1j]),
+     "detail_coeffs must be real numbers, got dtype complex128"),
+    (lambda: soft_threshold([10**400], 0.5), "coeffs must be real numbers within float range"),
+    (lambda: hard_threshold([1.0], 10**400), "threshold must be real numbers within float range"),
+    (lambda: select_band(_EVEN, _EVEN, None), "tolerance must be finite (not NaN or inf)"),
+    (lambda: select_band(_EVEN, _EVEN, _NAN), "tolerance must be finite (not NaN or inf)"),
+    (lambda: hard_threshold([1.0], _NAN), "threshold must be finite (not NaN or inf)"),
+    (lambda: soft_threshold([np.inf], np.inf), "threshold must be finite (not NaN or inf)"),
+    (lambda: semisoft_threshold([1.0], 0.5, np.inf), "t2 must be finite (not NaN or inf)"),
+    (lambda: band_hard_threshold([1.0], _NAN, 1.0), "need t1 <= t2"),
+    (lambda: band_hard_threshold([1.0], -1.0, "1"), "t2 must be real numbers, got dtype <U1"),
+    (lambda: universal_threshold(1e308, 10**6),
+     "sigma * sqrt(2 ln n) leaves the float range at n = 1000000"),
+    (lambda: universal_threshold(1.0, None), "n must be an integer, got None"),
+    (lambda: universal_threshold(1.0, 64.0), "n must be an integer, got 64.0"),
+], ids=["negative-sigma", "one-negative-sigma-row", "negative-tolerance",
+        "complex-coeffs", "complex-detail", "coeff-beyond-float", "threshold-beyond-float",
+        "none-tolerance", "nan-tolerance", "nan-threshold", "inf-threshold", "inf-t2",
+        "nan-band-bound", "string-band-bound", "threshold-beyond-float-range", "none-n",
+        "float-n"])
 def test_each_rejection_raises_its_error(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
         call()

@@ -1,6 +1,6 @@
 """tools/: the output digests every output-preserving change compares, the
-decisions among them pinned in tests/output_decisions.txt, and the
-BENCH_<label>.json speed record."""
+decisions among them pinned in tests/output_decisions.txt, the
+BENCH_<label>.json speed record, and the code-line count of src/."""
 
 import json
 import os
@@ -95,3 +95,41 @@ def test_bench_stages_outside_a_git_checkout_needs_the_commit(tmp_path):
     assert out.returncode == 2
     assert "--commit" in out.stderr and "not in a git checkout" in out.stderr
     assert not (tmp_path / "BENCH_tiny.json").exists()
+
+
+_TINY_MODULE = '''"""A module docstring,
+over two lines."""
+
+import os  # a comment after code counts
+
+
+def f(x):
+    """A function docstring."""
+    # a comment line does not count
+    y = (x +
+         1)
+
+    return "not a docstring"
+
+
+class C:
+    """A class docstring."""
+
+    z = """a string
+value"""
+'''
+
+
+def test_code_lines_counts_lines_holding_code(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "tiny.py").write_text(_TINY_MODULE, encoding="utf-8")
+    (tmp_path / "empty.py").write_text('"""Only a docstring."""\n', encoding="utf-8")
+    (tmp_path / "notes.txt").write_text("x = 1\n", encoding="utf-8")
+    out = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "code_lines.py"), str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    # import, def, two lines of y, return, class, two lines of z
+    assert out.stdout.splitlines() == ["empty.py 0", os.path.join("pkg", "tiny.py") + " 8",
+                                       "total 8"]
