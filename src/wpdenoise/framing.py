@@ -7,6 +7,10 @@ overlap sum stays above a small floor. The "hann" window here is the
 half-sample-shifted variant sin^2(pi*(n+0.5)/N): its endpoints are small
 but nonzero, which keeps the normalisation well-defined at the very
 first and last samples of the signal, where only one frame contributes.
+
+Each end has one path. make_frames windows every frame from one
+zero-padded copy of the signal; overlap_add sums the windowed frames
+and their squared windows over the whole signal, then divides once.
 """
 
 from __future__ import annotations
@@ -149,33 +153,26 @@ def make_frames(
     """Split a signal into overlapping windowed frames.
 
     Frame k holds window[n] * signal[k*hop + n], zero-padded past the
-    signal end. The geometry must pass check_geometry. Frames that lie
-    inside the signal are windowed straight from it; only the tail
-    frames, at most frame_len / hop of them, are copied into a padded
-    buffer.
+    signal end. The geometry must pass check_geometry. Every frame is
+    windowed from one zero-padded copy of the signal, through a strided
+    view of it.
     """
     frame_len, hop = check_geometry(frame_len, hop, window)
-    x, original_len = signal.samples, len(signal)
-    n_frames = frame_count(original_len, frame_len, hop)
-    n_whole = max(original_len - frame_len, -hop) // hop + 1
-    w = window_values(window, frame_len)
-    frames = np.empty((n_frames, frame_len))
-    if n_whole:
-        np.multiply(sliding_window_view(x, frame_len)[::hop][:n_whole], w,
-                    out=frames[:n_whole])
-    if n_whole < n_frames:
-        tail = np.zeros((n_frames - n_whole - 1) * hop + frame_len)
-        rest = x[n_whole * hop :]
-        tail[: len(rest)] = rest
-        np.multiply(sliding_window_view(tail, frame_len)[::hop], w, out=frames[n_whole:])
-    return FrameSet(frames, frame_len, hop, window, original_len, signal.sample_rate_hz)
+    n_frames = frame_count(len(signal), frame_len, hop)
+    padded = np.zeros((n_frames - 1) * hop + frame_len)
+    padded[: len(signal)] = signal.samples
+    frames = sliding_window_view(padded, frame_len)[::hop] * window_values(window, frame_len)
+    return FrameSet(frames, frame_len, hop, window, len(signal), signal.sample_rate_hz)
 
 
 def overlap_add(frames: FrameSet) -> SignalBuffer:
     """Weighted overlap-add with per-sample window-power normalisation.
 
-    The FrameSet's geometry keeps the normaliser above 1e-12 everywhere.
-    Output is truncated to original_len.
+    The numerator sums each frame's windowed samples and the normaliser
+    each frame's squared window, over the whole signal; the numerator is
+    then divided by it once. The FrameSet's geometry keeps the
+    normaliser above 1e-12 everywhere. Output is truncated to
+    original_len.
     """
     w = window_values(frames.window, frames.frame_len)
     hop, n_frames = frames.hop, frames.n_frames
@@ -184,24 +181,18 @@ def overlap_add(frames: FrameSet) -> SignalBuffer:
     num_blocks = numerator.reshape(-1, hop)
     # Slab r (columns r*hop .. r*hop + hop) of frame k lands in block k + r.
     # Adding slabs in descending r sums each sample's terms in ascending
-    # frame order, as a frame-by-frame loop does. One (frames, hop) buffer
-    # holds each slab's windowed values in turn.
+    # frame order, as a frame-by-frame loop does. The normaliser's first
+    # (frames, hop) rows hold each slab's windowed values in turn before
+    # it is zeroed and summed, so no third signal-sized array is alive.
     slabs = frames.frames.reshape(n_frames, n_slabs, hop)
     w_slabs = w.reshape(n_slabs, hop)
     w2 = (w * w).reshape(n_slabs, hop)
-    product = np.empty((n_frames, hop))
-    # Block b of the normaliser sums w^2 over the slabs that land in it.
-    # A run of m = min(frames, slabs) frames has the same first m - 1
-    # blocks, the same full block m - 1 (every slab's w^2) and the same
-    # last slabs - 1 blocks as the whole signal, whose blocks m - 1 ..
-    # frames - 1 are all full; so the run's normaliser, summed in the
-    # same order, stands in for the whole signal's.
-    run = min(n_frames, n_slabs)
-    norm = np.zeros((run + n_slabs - 1, hop))
+    norm = np.empty_like(num_blocks)
+    product = norm[:n_frames]
     for r in reversed(range(n_slabs)):
         num_blocks[r : r + n_frames] += np.multiply(slabs[:, r], w_slabs[r], out=product)
-        norm[r : r + run] += w2[r]
-    num_blocks[: run - 1] /= norm[: run - 1]
-    num_blocks[run - 1 : n_frames] /= norm[run - 1]
-    num_blocks[n_frames:] /= norm[run:]
+    norm.fill(0.0)
+    for r in reversed(range(n_slabs)):
+        norm[r : r + n_frames] += w2[r]
+    num_blocks /= norm
     return SignalBuffer(numerator[: frames.original_len], frames.sample_rate_hz)

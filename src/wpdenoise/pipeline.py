@@ -172,7 +172,18 @@ def leaf_coefficients(signal: SignalBuffer, config: EnhanceConfig) -> np.ndarray
 
     Samples above framing.max_peak raise ValueError, as in enhance.
     """
+    _check_arguments(signal=signal, config=config)
     return _transform(signal, config, config.depth)
+
+
+def _check_arguments(**arguments) -> None:
+    """Raise ValueError naming the first argument that is not of its type:
+    `config` an EnhanceConfig, any other a SignalBuffer."""
+    for name, value in arguments.items():
+        kind, what = ((EnhanceConfig, "an EnhanceConfig") if name == "config"
+                      else (SignalBuffer, "a SignalBuffer"))
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be {what}, got {type(value).__name__}")
 
 
 def _transform(signal: SignalBuffer, config: EnhanceConfig, depth: int) -> np.ndarray:
@@ -234,33 +245,32 @@ def estimate_noise_profile(noise: np.ndarray, config: EnhanceConfig) -> NoisePro
 def _analyse(signal: SignalBuffer, config: EnhanceConfig) -> tuple:
     """(leaves, NoiseProfile) of `signal`, from one framing and one transform.
 
-    The leading-silence span and epsilon are checked first, epsilon
-    against the noise histogram, the largest the run builds; then the
-    peak, by the front end that frames and transforms the signal.
+    Branches on the noise mode once; each branch checks its own inputs
+    first (leading_silence the span, then both epsilon, against the
+    noise histogram, the largest the run builds), then runs the front
+    end that checks the peak, frames the signal and transforms it, then
+    its profile. mad: the frames split to level 1; the detail gives the
+    profile, and its rows split further give the leaves.
     leading_silence: the profile pools the leaves of the frames that lie
-    entirely inside the span. mad: the frames split to level 1; the
-    detail gives the profile, and its rows split further give the leaves.
+    entirely inside the span.
     """
-    mad = config.noise_estimation == "mad"
-    if mad:  # the level-1 detail of every frame
+    if config.noise_estimation == "mad":  # the level-1 detail of every frame
         n_frames = frame_count(len(signal), config.frame_len, config.hop)
-        noise_values = n_frames * config.frame_len // 2
-    else:
-        # rounded as a float first: a span beyond the float range is inf
-        span = round(config.silence_ms / 1000.0 * signal.sample_rate_hz, 0)
-        if span < config.frame_len:
-            raise ValueError(f"silence span of {int(span)} samples is shorter than "
-                             f"one frame ({config.frame_len})")
-        if len(signal) < span:
-            raise ValueError("signal shorter than the leading-silence span")
-        n_lead = (int(span) - config.frame_len) // config.hop + 1  # inside the span
-        noise_values = n_lead * config.frame_len
-    check_epsilon(config.epsilon, _noise_bins(noise_values))
-    coeffs = _transform(signal, config, 1 if mad else config.depth)
-    if not mad:
-        return coeffs, estimate_noise_profile(coeffs[:n_lead], config)
-    profile = estimate_noise_profile(coeffs[:, 1], config)
-    return _split_level1(coeffs, filter_bank(config.wavelet), config.depth), profile
+        check_epsilon(config.epsilon, _noise_bins(n_frames * config.frame_len // 2))
+        level1 = _transform(signal, config, 1)
+        profile = estimate_noise_profile(level1[:, 1], config)
+        return _split_level1(level1, filter_bank(config.wavelet), config.depth), profile
+    # rounded as a float first: a span beyond the float range is inf
+    span = round(config.silence_ms / 1000.0 * signal.sample_rate_hz, 0)
+    if span < config.frame_len:
+        raise ValueError(f"silence span of {int(span)} samples is shorter than "
+                         f"one frame ({config.frame_len})")
+    if len(signal) < span:
+        raise ValueError("signal shorter than the leading-silence span")
+    n_lead = (int(span) - config.frame_len) // config.hop + 1  # inside the span
+    check_epsilon(config.epsilon, _noise_bins(n_lead * config.frame_len))
+    leaves = _transform(signal, config, config.depth)
+    return leaves, estimate_noise_profile(leaves[:n_lead], config)
 
 
 def _split_level1(level1: np.ndarray, fb: FilterBank, depth: int) -> np.ndarray:
@@ -330,7 +340,9 @@ def enhance(
     When `reference` is given (checked first: the length and sample rate
     of `noisy`), the report carries the input and output SNR against it.
     """
+    _check_arguments(noisy=noisy, config=config)
     if reference is not None:
+        _check_arguments(reference=reference)
         _check_aligned(reference, noisy)
     if len(noisy) == 0:
         raise ValueError("cannot enhance an empty signal")
@@ -413,6 +425,7 @@ def analyze(noisy: SignalBuffer, noise: SignalBuffer, config: EnhanceConfig) -> 
     histograms hold (divergence, noisy Histogram, noise Histogram) per
     subband.
     """
+    _check_arguments(noisy=noisy, noise=noise, config=config)
     if noisy.sample_rate_hz != noise.sample_rate_hz:
         raise ValueError("noisy and noise files must share a sample rate")
     # The pooled histograms are the largest: the smaller signal's frames

@@ -76,6 +76,8 @@ def real_floats(values, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be real numbers, got dtype {x.dtype}")
     if x.dtype.kind != "O":
         return x.astype(np.float64, copy=False)
+    if any(v is None for v in x.flat):  # float(None) would be NaN
+        raise ValueError(f"{name} must be real numbers, got None")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
@@ -117,6 +119,17 @@ def level(value, name: str) -> np.ndarray:
     return x
 
 
+def _rate(sample_rate_hz) -> int:
+    """`sample_rate_hz` as an int (integer) that is positive and within
+    the float range; anything else raises ValueError naming it."""
+    rate = integer(sample_rate_hz, "sample_rate_hz")
+    # an int compares exactly with the largest float
+    if not 0 < rate <= sys.float_info.max:
+        raise ValueError("sample_rate_hz must be positive and within float range, "
+                         f"got {shown(rate)}")
+    return rate
+
+
 @dataclass
 class SignalBuffer:
     """Mono sample sequence with its sample rate.
@@ -134,11 +147,7 @@ class SignalBuffer:
             raise ValueError("samples must be one-dimensional")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must be finite (no NaN/Inf)")
-        self.sample_rate_hz = integer(self.sample_rate_hz, "sample_rate_hz")
-        # an int compares exactly with the largest float
-        if not 0 < self.sample_rate_hz <= sys.float_info.max:
-            raise ValueError("sample_rate_hz must be positive and within float range, "
-                             f"got {shown(self.sample_rate_hz)}")
+        self.sample_rate_hz = _rate(self.sample_rate_hz)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -241,11 +250,16 @@ def write_wav(path, signal: SignalBuffer) -> int:
 
 
 def _num_samples(duration_s: float, sample_rate_hz: int) -> int:
+    """round(duration_s * sample_rate_hz): a finite real duration > 0
+    (finite_real) at a rate SignalBuffer takes, whose product is finite."""
+    duration_s = finite_real(duration_s, "duration_s")
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
-    if sample_rate_hz <= 0:
-        raise ValueError("sample_rate_hz must be positive")
-    return int(round(duration_s * sample_rate_hz))
+    n = duration_s * _rate(sample_rate_hz)
+    if n == math.inf:
+        raise ValueError(f"duration_s={shown(duration_s)} at {sample_rate_hz} Hz "
+                         "is more samples than a float counts")
+    return int(round(n))
 
 
 def sine_wave(

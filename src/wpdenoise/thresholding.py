@@ -123,7 +123,12 @@ def soft_threshold(coeffs, t) -> np.ndarray:
     """
     t = level(t, "threshold")
     w = real_floats(coeffs, "coeffs")
-    return np.sign(w) * np.maximum(np.abs(w) - t, 0.0)
+    # One output buffer and a mask: max(|w| - t, 0) negated where w < 0
+    # is sign(w) times it exactly, +0.0 at w = -0.0 (copysign gives -0.0).
+    out = np.abs(w, out=np.empty(np.broadcast_shapes(w.shape, t.shape)))
+    out -= t
+    np.maximum(out, 0.0, out=out)
+    return np.negative(out, out=out, where=w < 0)
 
 
 def semisoft_threshold(coeffs, t1, t2) -> np.ndarray:

@@ -15,7 +15,7 @@ from wpdenoise.cli import run
 from wpdenoise.experiments import sine_0db_material
 from wpdenoise.framing import make_frames, overlap_add
 from wpdenoise.pipeline import EnhanceConfig, enhance
-from wpdenoise.signal_io import SignalBuffer
+from wpdenoise.signal_io import SignalBuffer, snr_db
 from wpdenoise.stats import (
     Histogram,
     bin_count,
@@ -286,6 +286,47 @@ def test_criterion_7_denoising_improves_snr(method):
             baseline = _FROZEN_IMPROVEMENTS_DB[(method, seed)]
             assert abs(improvement - baseline) <= 0.5, (
                 f"seed {seed}: improvement {improvement:.4f} dB drifted "
+                f"from baseline {baseline:.4f} dB"
+            )
+
+
+# Interior SNR gains (samples frame_len to -frame_len, away from the
+# overlap-add edges) of the four (method, noise mode) pairs criterion 7
+# leaves out, frozen from their first run; repeat runs must stay within
+# +-0.5 dB. band/mad sits at about 0 dB: by chance alone a row of 32
+# coefficients differs from the noise profile by far more than the 1e-3
+# nats tolerance, so bands stay one to three bins wide, and mad mode's
+# noise histogram has about sqrt(frames * frame_len / 2) bins, so narrow
+# that such a band removes next to nothing (ROADMAP item 8).
+_FROZEN_INTERIOR_GAINS_DB = {
+    ("universal-soft", "leading_silence"): (4.663317, 4.600711, 4.114878, 4.411574,
+                                            4.029395),
+    ("universal-soft", "mad"): (4.558156, 4.564728, 4.515147, 4.569163, 4.461609),
+    ("universal-hard", "mad"): (1.211644, 1.219499, 1.172424, 1.199073, 1.159191),
+    ("band", "mad"): (0.002779, 0.002708, 0.002925, 0.002340, 0.002540),
+}
+
+
+def _interior(signal, n):
+    return SignalBuffer(signal.samples[n:-n], signal.sample_rate_hz)
+
+
+@pytest.mark.parametrize("method, noise_estimation", list(_FROZEN_INTERIOR_GAINS_DB))
+def test_criterion_7b_interior_gain_of_every_other_pair(method, noise_estimation):
+    with criterion(f"7b[{method}/{noise_estimation}]",
+                   "sine-0db preset: interior SNR gain for seeds 1-5 within "
+                   "0.5 dB of the frozen baseline"):
+        frozen = _FROZEN_INTERIOR_GAINS_DB[(method, noise_estimation)]
+        for seed, baseline in enumerate(frozen, start=1):
+            clean, noisy = sine_0db_material(seed)
+            config = EnhanceConfig(method=method, noise_estimation=noise_estimation,
+                                   seed=seed)
+            enhanced, _ = enhance(noisy, config)
+            clean, noisy, enhanced = (_interior(s, config.frame_len)
+                                      for s in (clean, noisy, enhanced))
+            gain = snr_db(clean, enhanced) - snr_db(clean, noisy)
+            assert abs(gain - baseline) <= 0.5, (
+                f"seed {seed}: interior gain {gain:.4f} dB drifted "
                 f"from baseline {baseline:.4f} dB"
             )
 

@@ -234,6 +234,20 @@ class TestSynthRate:
         assert not out.exists()
 
 
+class TestSynthDuration:
+    @pytest.mark.parametrize("kind", ["sine", "noise", "mix"])
+    @pytest.mark.parametrize("duration", ["inf", "nan", "1e308"])
+    def test_a_length_no_signal_has_is_processing_error(self, tmp_path, capsys, kind,
+                                                        duration):
+        # inf died with an OverflowError traceback, exit 1
+        out = tmp_path / "x.wav"
+        status = run(["synth", "--kind", kind, f"--duration={duration}", "--out", str(out)])
+        assert status == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: duration_s") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestClippingWarning:
     def test_synth_reports_clipped_count(self, tmp_path, capsys):
         path = tmp_path / "loud.wav"

@@ -519,6 +519,52 @@ class TestEnhance:
         with pytest.raises(ValueError, match=message):
             enhance(noisy, EnhanceConfig(), reference=reference)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda s, c: enhance(s.samples, c), "noisy must be a SignalBuffer, got ndarray"),
+        (lambda s, c: enhance(s, {}), "config must be an EnhanceConfig, got dict"),
+        (lambda s, c: enhance(s, c, reference=s.samples),
+         "reference must be a SignalBuffer, got ndarray"),
+        (lambda s, c: analyze(s, None, c), "noise must be a SignalBuffer, got NoneType"),
+        (lambda s, c: analyze(s, s, None), "config must be an EnhanceConfig, got NoneType"),
+        (lambda s, c: leaf_coefficients(list(s.samples), c),
+         "signal must be a SignalBuffer, got list"),
+        (lambda s, c: leaf_coefficients(s, dataclasses.asdict(c)),
+         "config must be an EnhanceConfig, got dict"),
+    ], ids=["enhance-noisy", "enhance-config", "enhance-reference", "analyze-noise",
+            "analyze-config", "leaves-signal", "leaves-config"])
+    def test_wrong_typed_arguments_named_before_any_work(self, call, message,
+                                                         monkeypatch):
+        # each raised AttributeError
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transform ran before the argument check")
+
+        monkeypatch.setattr(pipeline, "wp_analysis", no_transform)
+        _, noisy = sine_0db_material(seed=1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+            call(noisy, EnhanceConfig())
+        assert info.type is ValueError
+
+    @pytest.mark.parametrize("seconds", [3, 15])
+    @pytest.mark.parametrize("noise_estimation", ["leading_silence", "mad"])
+    def test_soft_peaks_within_the_memory_of_hard(self, seconds, noise_estimation):
+        # soft_threshold held three leaf-sized temporaries: 15.0 MB
+        # against 8.8 MB for hard on a 15 s input
+        rng = np.random.default_rng(5)
+        samples = 0.3 * np.sin(np.arange(seconds * 16000) * 0.11)
+        samples += rng.normal(0.0, 0.1, samples.size)
+        samples[:1600] = rng.normal(0.0, 0.1, 1600)  # the 100 ms leading silence
+        noisy = SignalBuffer(samples, 16000)
+        peaks = {}
+        for method in ("universal-hard", "universal-soft"):
+            config = EnhanceConfig(method=method, noise_estimation=noise_estimation)
+            tracemalloc.start()
+            try:
+                enhance(noisy, config)
+                peaks[method] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["universal-soft"] <= peaks["universal-hard"] + 0.5 * 2**20, peaks
+
     @pytest.mark.parametrize("method", ["universal-hard", "band"])
     def test_denormal_leading_silence(self, method):
         # a noise span of 1e-321: its histogram edges are widened like any

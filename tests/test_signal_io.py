@@ -79,6 +79,12 @@ class TestSignalBuffer:
         with pytest.raises(ValueError, match=r"^samples must be real numbers"):
             SignalBuffer({}, 16000)
 
+    @pytest.mark.parametrize("samples", [None, [None], [0.5, None], [10**20, None]])
+    def test_none_is_no_real_number(self, samples):
+        # float(None) is NaN: the check named a NaN the caller never passed
+        with pytest.raises(ValueError, match=r"^samples must be real numbers, got None$"):
+            SignalBuffer(samples, 16000)
+
     def test_complex_sample_rejected_by_name(self):
         # the float conversion dropped the imaginary part with ComplexWarning
         with pytest.raises(ValueError, match=r"^samples must be real numbers"):
@@ -359,6 +365,28 @@ class TestSynth:
             sine_wave(440, 1.0, 1.0, 0)
         with pytest.raises(ValueError):
             white_noise(1.0, -1.0, 8000, seed=0)
+
+
+    @pytest.mark.parametrize("duration, rate, message", [
+        (math.inf, 16000, r"^duration_s must be a finite real number, got inf$"),  # Overflow
+        (math.nan, 16000, r"^duration_s must be a finite real number, got nan$"),
+        ("1.0", 16000, r"^duration_s must be a finite real number, got '1.0'$"),
+        (True, 16000, r"^duration_s must be a finite real number, got True$"),
+        (1.0, "16000", r"^sample_rate_hz must be an integer, got '16000'$"),  # TypeError
+        (1.0, 16000.0, r"^sample_rate_hz must be an integer, got 16000.0$"),
+        (1.0, 10**400, r"^sample_rate_hz must be positive and within float range"),
+        (1e308, 16000, r"^duration_s=1e\+308 at 16000 Hz is more samples than a float "),
+    ], ids=["inf-duration", "nan-duration", "str-duration", "bool-duration", "str-rate",
+            "float-rate", "huge-rate", "huge-duration"])
+    def test_lengths_follow_the_argument_rules(self, duration, rate, message):
+        for make in (lambda: sine_wave(440, 0.5, duration, rate),
+                     lambda: white_noise(0.1, duration, rate, 0)):
+            with pytest.raises(ValueError, match=message) as info:
+                make()
+            assert info.type is ValueError
+
+    def test_numpy_lengths_are_taken(self):
+        assert len(sine_wave(440, 0.5, np.float32(0.5), np.int64(8000))) == 4000
 
 
 class TestMixAtSnr:

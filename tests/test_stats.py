@@ -592,6 +592,8 @@ class TestOneRulePerInput:
         ([10**400, 1], "^values must be real numbers within float range$"),  # OverflowError
         ([1 + 1j], r"^values must be real numbers, got dtype complex128$"),  # TypeError
         (["a", "b"], r"^values must be real numbers, got dtype <U1$"),
+        ([None], r"^values must be real numbers, got None$"),  # NaN before
+        ([10**20, None], r"^values must be real numbers, got None$"),
     ])
     def test_values_that_are_not_real_numbers_rejected(self, values, message):
         with pytest.raises(ValueError, match=message):

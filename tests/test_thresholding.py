@@ -187,6 +187,28 @@ class TestSoftThreshold:
         lhs = soft_threshold(soft_threshold(x, 0.4), 0.4)
         np.testing.assert_allclose(lhs, soft_threshold(x, 0.8), atol=1e-15)
 
+    @pytest.mark.parametrize("t", [0.0, -0.0, 0.3, 2.0, 1e300, "per-value", "per-row",
+                                   "broader"])
+    def test_is_the_formula_to_the_sign_bit(self, t):
+        # sign(w) * max(|w| - t, 0): +0.0 at w = -0.0, where copysign
+        # would give -0.0; signed zeros, infinities and drawn values
+        rng = np.random.default_rng(11)
+        w = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, 0.3, -0.3, 2.0, -2.0, 5e-324, -5e-324],
+            rng.normal(size=500), 1e300 * rng.normal(size=100),
+            1e-310 * rng.normal(size=100),
+        ]).reshape(2, -1)
+        if t == "per-value":
+            t = np.abs(rng.normal(size=w.shape))
+        elif t == "per-row":
+            t = np.array([[0.0], [0.5]])
+        elif t == "broader":  # broadcasts the coefficients, as the formula does
+            t = np.array([0.0, 0.5, 3.0]).reshape(3, 1, 1)
+        expected = np.sign(w) * np.maximum(np.abs(w) - t, 0.0)
+        out = soft_threshold(w, t)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
+
 
 class TestSemisoftThreshold:
     def test_below_between_above(self):
@@ -384,7 +406,7 @@ _NAN = float("nan")
      "detail_coeffs must be real numbers, got dtype complex128"),
     (lambda: soft_threshold([10**400], 0.5), "coeffs must be real numbers within float range"),
     (lambda: hard_threshold([1.0], 10**400), "threshold must be real numbers within float range"),
-    (lambda: select_band(_EVEN, _EVEN, None), "tolerance must be finite (not NaN or inf)"),
+    (lambda: select_band(_EVEN, _EVEN, None), "tolerance must be real numbers, got None"),
     (lambda: select_band(_EVEN, _EVEN, _NAN), "tolerance must be finite (not NaN or inf)"),
     (lambda: hard_threshold([1.0], _NAN), "threshold must be finite (not NaN or inf)"),
     (lambda: soft_threshold([np.inf], np.inf), "threshold must be finite (not NaN or inf)"),

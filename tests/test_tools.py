@@ -85,6 +85,7 @@ def test_bench_stages_writes_its_record_at_a_tiny_size(tmp_path):
     assert stages["frames"] == 62  # 1 s at 16 kHz in frames of 512, hop 256
     assert stages["estimate_noise_profile_ms"]["best"] > 0
     assert stages["overlap_add_ms"]["best"] > 0
+    assert stages["make_frames_ms"]["best"] > 0
     assert record["cli_import_s"]["best"] > 0
 
 

@@ -16,9 +16,10 @@ The file records:
   input (bench/workloads.py's generator, seed 37) with mad noise
   estimation;
 - the tracemalloc peak of one 60 s universal-hard mad call;
-- on that 60 s input, the time of the mad noise profile
-  (`estimate_noise_profile` of its frames' level-1 detail) and of
-  `overlap_add` of its frames, each called alone;
+- on that 60 s input, the time of both framing ends, `make_frames` of
+  the input and `overlap_add` of its frames, and of the mad noise
+  profile (`estimate_noise_profile` of its frames' level-1 detail), each
+  called alone;
 - the time of Report._frames_text(), which writes the per-frame records,
   on the 312-frame sine-0db universal-hard report and on the 937-frame
   report of the first 15 s long-hard-mad input (universal-hard, mad);
@@ -155,12 +156,14 @@ def speech_like_mad(seconds: float, repeats: int) -> dict:
 
 
 def mad_stages(noisy: SignalBuffer, repeats: int) -> dict:
-    """The mad noise profile and the overlap-add of `noisy`, each timed alone."""
+    """Both framing ends and the mad noise profile of `noisy`, each timed alone."""
     config = EnhanceConfig(noise_estimation="mad")
     frames = make_frames(noisy, config.frame_len, config.hop, config.window)
     detail = wp_analysis(frames.frames, filter_bank(config.wavelet), 1)[:, 1]
     return {
         "frames": frames.n_frames,
+        "make_frames_ms": in_ms(timed(lambda: make_frames(
+            noisy, config.frame_len, config.hop, config.window), repeats)),
         "estimate_noise_profile_ms": in_ms(
             timed(lambda: estimate_noise_profile(detail, config), repeats)),
         "overlap_add_ms": in_ms(timed(lambda: overlap_add(frames), repeats)),
