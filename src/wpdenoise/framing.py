@@ -11,6 +11,9 @@ first and last samples of the signal, where only one frame contributes.
 Each end has one path. make_frames windows every frame from one
 zero-padded copy of the signal; overlap_add sums the windowed frames
 and their squared windows over the whole signal, then divides once.
+The sums are written over the frames, so overlap_add allocates only the
+output: the public function sums a copy, and the pipeline hands over
+frames it owns.
 """
 
 from __future__ import annotations
@@ -172,7 +175,16 @@ def overlap_add(frames: FrameSet) -> SignalBuffer:
     each frame's squared window, over the whole signal; the numerator is
     then divided by it once. The FrameSet's geometry keeps the
     normaliser above 1e-12 everywhere. Output is truncated to
-    original_len.
+    original_len. The sums run on a copy of the frames, which are left
+    as they were.
+    """
+    return _overlap_add(frames, frames.frames.copy())
+
+
+def _overlap_add(frames: FrameSet, values: np.ndarray) -> SignalBuffer:
+    """overlap_add of `frames` from `values`, their samples in C-ordered
+    float64 memory that it writes over: the numerator, which becomes
+    the output, is all it allocates.
     """
     w = window_values(frames.window, frames.frame_len)
     hop, n_frames = frames.hop, frames.n_frames
@@ -181,17 +193,17 @@ def overlap_add(frames: FrameSet) -> SignalBuffer:
     num_blocks = numerator.reshape(-1, hop)
     # Slab r (columns r*hop .. r*hop + hop) of frame k lands in block k + r.
     # Adding slabs in descending r sums each sample's terms in ascending
-    # frame order, as a frame-by-frame loop does. The normaliser's first
-    # (frames, hop) rows hold each slab's windowed values in turn before
-    # it is zeroed and summed, so no third signal-sized array is alive.
-    slabs = frames.frames.reshape(n_frames, n_slabs, hop)
+    # frame order, as a frame-by-frame loop does. Each slab is windowed
+    # in place; then the normaliser is summed, in the same order, in the
+    # frames' own memory: its (frames + slabs - 1, hop) blocks fit in
+    # their (frames * slabs, hop).
+    slabs = values.reshape(n_frames, n_slabs, hop)
     w_slabs = w.reshape(n_slabs, hop)
-    w2 = (w * w).reshape(n_slabs, hop)
-    norm = np.empty_like(num_blocks)
-    product = norm[:n_frames]
     for r in reversed(range(n_slabs)):
-        num_blocks[r : r + n_frames] += np.multiply(slabs[:, r], w_slabs[r], out=product)
+        num_blocks[r : r + n_frames] += np.multiply(slabs[:, r], w_slabs[r], out=slabs[:, r])
+    norm = values.reshape(-1)[: numerator.size].reshape(-1, hop)
     norm.fill(0.0)
+    w2 = w_slabs * w_slabs
     for r in reversed(range(n_slabs)):
         norm[r : r + n_frames] += w2[r]
     num_blocks /= norm

@@ -7,6 +7,13 @@ and thresholds are computed over that whole array, the frames are
 rebuilt from it by packet synthesis and the output is reassembled by
 normalised overlap-add.
 
+Every leaf-sized stage writes into the one buffer make_frames filled:
+the packet transform, the thresholds (block by block of frames, each
+block binned first), the synthesis and the overlap-add normaliser. So
+a call holds its leaves and, beside them, one signal-sized array at a
+time: make_frames' padded copy of the input, the mad profile's copy of
+the level-1 detail (half the leaves) or the output.
+
 Three thresholding strategies are supported:
 
 - "universal-hard" / "universal-soft": per-subband scalar threshold
@@ -36,7 +43,7 @@ import numpy as np
 
 from ._version import __version__
 from .framing import (
-    FrameSet, check_geometry, check_peak, frame_count, make_frames, overlap_add,
+    FrameSet, _overlap_add, check_geometry, check_peak, frame_count, make_frames,
 )
 from .signal_io import (
     SignalBuffer, _check_aligned, finite_real, integer, level, real_floats, shown, snr_db,
@@ -55,15 +62,15 @@ from .stats import (
     to_probability,
 )
 from .thresholding import (
+    _band_hard,
+    _hard,
     _mad_sigma,
-    band_hard_threshold,
+    _soft,
     estimate_sigma,
-    hard_threshold,
     select_band,
-    soft_threshold,
     universal_threshold,
 )
-from .wavelet import FilterBank, check_packet, filter_bank, wp_analysis, wp_synthesis
+from .wavelet import FilterBank, _analysis, _synthesis, check_packet, filter_bank
 from .report import Report
 
 METHODS = ("universal-hard", "universal-soft", "band")
@@ -76,10 +83,15 @@ _REAL_FIELDS = (
 VOICED = "voiced"
 UNVOICED = "unvoiced"
 
-# Band selection holds dense (frames, subbands, bins) probabilities. In
-# mad mode the bin count grows with the input, so frames go in blocks of
-# at most this many values (2 MB per float array): a 15 s band/mad call
-# peaks 28 MB lower than with 8 MB blocks, at the same speed.
+# enhance thresholds its leaves in blocks of frames. A universal block
+# holds at most _LEAF_BLOCK_VALUES leaves (512 kB), so that its
+# temporaries stay small beside the leaves. Band selection holds dense
+# (frames, subbands, bins) probabilities; in mad mode the bin count
+# grows with the input, so a band block holds at most _BAND_BLOCK_VALUES
+# of them, and of leaves (2 MB per float array): a 15 s band/mad call
+# peaks 28 MB lower than with 8 MB blocks, at the same speed, and a 5 s
+# sine-0db call runs in one block, as fast as whole.
+_LEAF_BLOCK_VALUES = 1 << 16
 _BAND_BLOCK_VALUES = 1 << 18
 
 
@@ -191,10 +203,11 @@ def _transform(signal: SignalBuffer, config: EnhanceConfig, depth: int) -> np.nd
 
     The one checked front end of a run: the peak is checked first, so
     that no value of the transform or the rest of the run overflows.
+    The transform is written over the frames make_frames just made.
     """
     check_peak(config.frame_len, config.window, signal)
     frames = make_frames(signal, config.frame_len, config.hop, config.window)
-    return wp_analysis(frames.frames, filter_bank(config.wavelet), depth)
+    return _analysis(frames.frames, filter_bank(config.wavelet), depth)
 
 
 def _noise_bins(n_values: int) -> int:
@@ -276,14 +289,15 @@ def _analyse(signal: SignalBuffer, config: EnhanceConfig) -> tuple:
 def _split_level1(level1: np.ndarray, fb: FilterBank, depth: int) -> np.ndarray:
     """Leaves of frames already split once: (F, 2, N/2) -> (F, 2**depth, N >> depth).
 
-    Each of the 2F level-1 rows splits depth - 1 more levels. In natural
-    order the approximation's 2^(depth-1) leaves come first, then the
-    detail's, so a frame's two rows of leaves are its leaves in order.
+    Each of the 2F level-1 rows splits depth - 1 more levels, written
+    over `level1`. In natural order the approximation's 2^(depth-1)
+    leaves come first, then the detail's, so a frame's two rows of
+    leaves are its leaves in order.
     """
     if depth == 1:
         return level1
     n_frames, _, half = level1.shape
-    leaves = wp_analysis(level1.reshape(2 * n_frames, half), fb, depth - 1)
+    leaves = _analysis(level1.reshape(2 * n_frames, half), fb, depth - 1)
     return leaves.reshape(n_frames, 1 << depth, half >> (depth - 1))
 
 
@@ -304,24 +318,63 @@ def classify_vuv(leaves, entropy_threshold: float, epsilon: float) -> list:
     return np.where(h < threshold, UNVOICED, VOICED).tolist()
 
 
-def _select_bands(leaves: np.ndarray, dist: ProbabilityVector, config: EnhanceConfig):
-    """(t1, t2, counts): the band of every (frame, subband) of `leaves`.
+def _blocks(leaves: np.ndarray, step: int, profile: NoiseProfile,
+            config: EnhanceConfig, all_counts: np.ndarray):
+    """(start, block) for each block of at most `step` frames of `leaves`.
 
-    Every leaf is binned on the edges of `dist`; counts (subbands, bins)
-    sums those histograms over the frames, so it equals the counts of
-    each subband's pooled coefficients on the same edges.
+    With leading silence each block is first binned on the pooled edges
+    into all_counts, h_all's counts, so before it is thresholded. In mad
+    mode the pooled edges are the profile's, and enhance sums h_sub over
+    the subbands instead.
     """
-    step = max(1, _BAND_BLOCK_VALUES // (leaves.shape[1] * dist.n_bins))
-    counts = np.zeros((leaves.shape[1], dist.n_bins), dtype=np.int64)
-    t1, t2 = [], []
-    for block in np.split(leaves, range(step, len(leaves), step)):
+    step = max(1, step)
+    for start in range(0, len(leaves), step):
+        block = leaves[start : start + step]
+        if config.noise_estimation == "leading_silence":
+            all_counts += row_histograms(block.ravel(), edges=profile.pooled.bin_edges).counts
+        yield start, block
+
+
+def _band_blocks(leaves: np.ndarray, profile: NoiseProfile, config: EnhanceConfig,
+                 all_counts: np.ndarray) -> tuple:
+    """Band mode over `leaves`, in place, block by block: (band, h_sub counts).
+
+    Every (frame, subband) of a block is binned alone on the profile's
+    edges, and its band is picked from that histogram and removed; band
+    is (frames, subbands, 2). The counts summed over the frames are
+    each subband's histogram, h_sub.
+    """
+    dist = profile.distribution
+    n_sub, n_coeff = leaves.shape[1:]
+    step = _BAND_BLOCK_VALUES // (n_sub * max(dist.n_bins, n_coeff))
+    counts = np.zeros((n_sub, dist.n_bins), dtype=np.int64)
+    bands = []
+    for _, block in _blocks(leaves, step, profile, config, all_counts):
         h = row_histograms(block, edges=dist.bin_edges)
         counts += np.sum(h.counts, axis=0)
-        lo, hi = select_band(to_probability(h, config.epsilon), dist,
-                             config.band_tolerance)
-        t1.append(lo)
-        t2.append(hi)
-    return np.concatenate(t1), np.concatenate(t2), counts
+        t1, t2 = select_band(to_probability(h, config.epsilon), dist, config.band_tolerance)
+        _band_hard(block, t1[..., None], t2[..., None])
+        bands.append(np.stack((t1, t2), axis=-1))
+    return np.concatenate(bands), counts
+
+
+def _universal_blocks(leaves: np.ndarray, profile: NoiseProfile, config: EnhanceConfig,
+                      threshold: np.ndarray, all_counts: np.ndarray) -> np.ndarray:
+    """A universal rule over `leaves`, in place, block by block: h_sub's counts.
+
+    threshold holds one value per (frame, subband). Each subband of a
+    block is binned on the profile's edges before the rule runs.
+    """
+    dist = profile.distribution
+    n_sub, n_coeff = leaves.shape[1:]
+    rule = _soft if config.method == "universal-soft" else _hard
+    counts = np.zeros((n_sub, dist.n_bins), dtype=np.int64)
+    blocks = _blocks(leaves, _LEAF_BLOCK_VALUES // (n_sub * n_coeff), profile, config,
+                     all_counts)
+    for start, block in blocks:
+        counts += row_histograms(_per_subband(block), edges=dist.bin_edges).counts
+        rule(block, threshold[start : start + len(block), :, None])
+    return counts
 
 
 def _frame_entropy_threshold(config: EnhanceConfig) -> float:
@@ -355,45 +408,33 @@ def enhance(
         vuv = [None] * n_frames
 
     # One threshold or band per (frame, subband), broadcast over the
-    # coeffs, and each subband's histogram h_sub on the noise profile's
-    # edges: band selection bins every leaf on them, and its counts
-    # summed over the frames are h_sub. h_sub is binned before the
-    # output exists, so that its leaf-sized copy and the output are
-    # never alive together.
-    dist = profile.distribution
+    # coeffs. The leaves are the one leaf-sized array of the call:
+    # binned and thresholded in place block by block, rebuilt into
+    # frames in place, and then the overlap-add's normaliser; its output
+    # is the one signal-sized array.
     n_zero_pre = np.count_nonzero(leaves == 0.0, axis=-1)
+    all_counts = np.zeros(profile.pooled.n_bins, dtype=np.int64)
     threshold = band = None
     if config.method == "band":
-        t1, t2, counts = _select_bands(leaves, dist, config)
-        h_sub = Histogram(dist.bin_edges, counts)
-        out = band_hard_threshold(leaves, t1[..., None], t2[..., None])
-        band = np.stack((t1, t2), axis=-1)
+        band, counts = _band_blocks(leaves, profile, config, all_counts)
     else:
-        h_sub = row_histograms(_per_subband(leaves), edges=dist.bin_edges)
         scale = np.where(np.asarray(vuv) == UNVOICED, config.unvoiced_scale, 1.0)
         threshold = universal_threshold(profile.sigma, n_coeff) * scale[:, None]
         threshold = np.broadcast_to(threshold, (n_frames, n_sub))
-        rule = hard_threshold if config.method == "universal-hard" else soft_threshold
-        out = rule(leaves, threshold[..., None])
+        counts = _universal_blocks(leaves, profile, config, threshold, all_counts)
+    n_zero_post = np.count_nonzero(leaves == 0.0, axis=-1)
+    if config.noise_estimation == "mad":  # every subband was binned on the pooled edges
+        all_counts = np.sum(counts, axis=0)
 
     # Global distribution statistics against the noise profile.
-    divergences = symmetric_divergence(to_probability(h_sub, config.epsilon), dist)
-    pooled = profile.pooled
-    if config.noise_estimation == "mad":
-        # every subband was binned on the pooled edges already
-        h_all = Histogram(pooled.bin_edges, np.sum(h_sub.counts, axis=0))
-    else:
-        h_all = row_histograms(leaves.ravel(), edges=pooled.bin_edges)
-    ratios = ratio_profile(to_probability(h_all, config.epsilon), pooled)
-    del leaves  # at most two leaf-sized arrays alive at once bounds peak memory
-    n_zero_post = np.count_nonzero(out == 0.0, axis=-1)
-    enhanced_frames = wp_synthesis(out, filter_bank(config.wavelet))
-    del out
-
-    enhanced = overlap_add(
-        FrameSet(enhanced_frames, config.frame_len, config.hop, config.window,
-                 len(noisy), noisy.sample_rate_hz)
-    )
+    h_sub = Histogram(profile.distribution.bin_edges, counts)
+    divergences = symmetric_divergence(to_probability(h_sub, config.epsilon),
+                                       profile.distribution)
+    h_all = Histogram(profile.pooled.bin_edges, all_counts)
+    ratios = ratio_profile(to_probability(h_all, config.epsilon), profile.pooled)
+    rebuilt = FrameSet(_synthesis(leaves, filter_bank(config.wavelet)), config.frame_len,
+                       config.hop, config.window, len(noisy), noisy.sample_rate_hz)
+    enhanced = _overlap_add(rebuilt, rebuilt.frames)
 
     report = Report(
         tool_version=__version__,

@@ -14,6 +14,12 @@ distribution with an estimated-noise distribution: bins are accepted
 outward from the zero bin while their contribution to the symmetric
 divergence stays within a tolerance.
 
+The hard, soft and band_hard rules each have one body that writes its
+output over a float64 array (_hard, _soft, _band_hard). The public
+functions hand it a new array of the coefficients broadcast against the
+thresholds, so their input is left as it was; the pipeline hands it its
+own leaves, block by block.
+
 Thresholds may be arrays that broadcast against the coefficients, e.g.
 one threshold per (frame, subband) of a (frames, subbands, coeffs)
 array with a trailing axis of length 1. The estimates reduce the last
@@ -112,7 +118,13 @@ def hard_threshold(coeffs, t) -> np.ndarray:
     """
     t = level(t, "threshold")
     w = real_floats(coeffs, "coeffs")
-    return np.where(np.abs(w) < t, 0.0, w)
+    return _hard(_output(w, t), t)
+
+
+def _hard(w: np.ndarray, t) -> np.ndarray:
+    """hard_threshold written over `w`, a checked, writable float64 array."""
+    np.copyto(w, 0.0, where=np.abs(w) < t)
+    return w
 
 
 def soft_threshold(coeffs, t) -> np.ndarray:
@@ -123,12 +135,28 @@ def soft_threshold(coeffs, t) -> np.ndarray:
     """
     t = level(t, "threshold")
     w = real_floats(coeffs, "coeffs")
-    # One output buffer and a mask: max(|w| - t, 0) negated where w < 0
-    # is sign(w) times it exactly, +0.0 at w = -0.0 (copysign gives -0.0).
-    out = np.abs(w, out=np.empty(np.broadcast_shapes(w.shape, t.shape)))
-    out -= t
-    np.maximum(out, 0.0, out=out)
-    return np.negative(out, out=out, where=w < 0)
+    return _soft(_output(w, t), t)
+
+
+def _soft(w: np.ndarray, t) -> np.ndarray:
+    """soft_threshold written over `w`, a checked, writable float64 array.
+
+    max(|w| - t, 0) negated where w < 0 is sign(w) times it exactly,
+    +0.0 at w = -0.0 (copysign gives -0.0).
+    """
+    negative = w < 0
+    np.abs(w, out=w)
+    w -= t
+    np.maximum(w, 0.0, out=w)
+    return np.negative(w, out=w, where=negative)
+
+
+def _output(w: np.ndarray, *thresholds) -> np.ndarray:
+    """A new array of w's values broadcast against the thresholds, for a
+    rule to write its output over."""
+    out = np.empty(np.broadcast_shapes(w.shape, *(t.shape for t in thresholds)))
+    out[...] = w
+    return out
 
 
 def semisoft_threshold(coeffs, t1, t2) -> np.ndarray:
@@ -158,7 +186,13 @@ def band_hard_threshold(coeffs, t1, t2) -> np.ndarray:
     if not np.all(t1 <= t2):  # NaN fails
         raise ValueError("need t1 <= t2")
     w = real_floats(coeffs, "coeffs")
-    return np.where((w >= t1) & (w <= t2), 0.0, w)
+    return _band_hard(_output(w, t1, t2), t1, t2)
+
+
+def _band_hard(w: np.ndarray, t1, t2) -> np.ndarray:
+    """band_hard_threshold written over `w`, a checked, writable float64 array."""
+    np.copyto(w, 0.0, where=(w >= t1) & (w <= t2))
+    return w
 
 
 def select_band(

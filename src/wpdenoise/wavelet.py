@@ -20,6 +20,12 @@ stage's kernel of combined filters. Synthesis multiplies windows of the
 circularly extended leaves by the transposed kernel, time-reversed in
 blocks, and so writes each position's 2^j samples in turn. The level-1
 split alone is wp_analysis(frames, fb, 1).
+
+Every stage writes its product over its own input, so a transform needs
+no memory beyond its input but one chunk's windows. The public
+functions run the stages on a private copy of their input (the float64
+conversion when there is one, else a copy); the pipeline
+calls _analysis and _synthesis on arrays it owns, which they consume.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ FILTERS = tuple(_LOWPASS)
 _STAGE_LEVELS = 4
 
 # Values in one chunk's block of windows (512 kB), so that a chunk stays
-# in L2 and only the output of a stage is as large as the whole batch.
+# in L2 and a stage needs no batch-sized array beside its input.
 _CHUNK_VALUES = 1 << 16
 
 
@@ -198,18 +204,37 @@ def wp_analysis(frames, fb: FilterBank, depth: int) -> np.ndarray:
     frames has shape (F, N); the result is a C-contiguous float64 array
     of shape (F, 2**depth, N >> depth), leaf i of a frame being its
     i-th subband in natural order (node 2i is the approximation and
-    2i+1 the detail of node i).
+    2i+1 the detail of node i). The transform runs on a private copy:
+    `frames` is left as it was.
     """
     x = real_floats(frames, "frames")
     if x.ndim != 2:
         raise ValueError(f"frames must be (n_frames, frame_len), got shape {x.shape}")
+    depth = check_packet(x.shape[1], depth, fb)
+    return _analysis(_private(x, frames), fb, depth)
+
+
+def _private(x: np.ndarray, values) -> np.ndarray:
+    """x, real_floats' array of `values`, in C-ordered memory that no
+    caller holds: copied when it may share the memory of `values`."""
+    if np.may_share_memory(x, values):
+        return x.copy()
+    return np.ascontiguousarray(x)
+
+
+def _analysis(x: np.ndarray, fb: FilterBank, depth: int) -> np.ndarray:
+    """wp_analysis of C-contiguous float64 frames whose depth is checked,
+    written over them: the leaves are a view of `x`'s memory.
+
+    Each stage's product lands in its own input rows. That is safe
+    because _analysis_windows copies a chunk's rows into its extension
+    before _apply_stage writes the chunk's product over them.
+    """
     n_frames, n = x.shape
-    depth = check_packet(n, depth, fb)
     for levels in _stage_levels(depth):
         rows = x.reshape(-1, x.shape[-1])
-        x = np.empty((len(rows), 1 << levels, rows.shape[1] >> levels))
-        kernel = _stage_kernel(fb, levels)
-        _apply_stage(rows, kernel, _analysis_windows, x.swapaxes(1, 2))
+        x = rows.reshape(len(rows), 1 << levels, -1)
+        _apply_stage(rows, _stage_kernel(fb, levels), _analysis_windows, x.swapaxes(1, 2))
     return x.reshape(n_frames, 1 << depth, n >> depth)
 
 
@@ -218,16 +243,28 @@ def wp_synthesis(leaves, fb: FilterBank) -> np.ndarray:
 
     The leaves must have a shape wp_analysis gives: check_packet holds
     for frames of n_subbands * coeffs samples at depth log2(n_subbands).
-    The frames come back as a C-contiguous float64 array.
+    The frames come back as a C-contiguous float64 array, built in a
+    private copy: `leaves` is left as it was.
     """
     x = real_floats(leaves, "leaves")
     if x.ndim != 3:
         raise ValueError(
             f"leaves must be (n_frames, n_subbands, coeffs), got shape {x.shape}"
         )
+    n_sub = x.shape[1]
+    check_packet(n_sub * x.shape[2], n_sub.bit_length() - 1, fb)
+    return _synthesis(_private(x, leaves), fb)
+
+
+def _synthesis(x: np.ndarray, fb: FilterBank) -> np.ndarray:
+    """wp_synthesis of C-contiguous float64 leaves whose shape is checked,
+    written over them: the frames are a view of `x`'s memory.
+
+    As in _analysis, each stage's product lands in its own input rows,
+    which _synthesis_windows has copied into its extension first.
+    """
     n_frames, n_sub, width = x.shape
-    depth = check_packet(n_sub * width, n_sub.bit_length() - 1, fb)
-    for levels in reversed(_stage_levels(depth)):
+    for levels in reversed(_stage_levels(n_sub.bit_length() - 1)):
         block = 1 << levels
         # The transpose of analysis: sample s of block b sums leaf i's
         # coefficient b - q times kernel[q*T + s, i] over q and i. Window
@@ -236,7 +273,7 @@ def wp_synthesis(leaves, fb: FilterBank) -> np.ndarray:
         kernel = _stage_kernel(fb, levels).reshape(-1, block, block)
         kernel = kernel[::-1].swapaxes(1, 2).reshape(-1, block)
         rows = x.reshape(-1, block, x.shape[-1])
-        x = np.empty((len(rows), rows.shape[2] * block))
-        out = x.reshape(len(rows), rows.shape[2], block)
-        _apply_stage(rows, kernel, _synthesis_windows, out)
+        x = rows.reshape(len(rows), -1)
+        _apply_stage(rows, kernel, _synthesis_windows,
+                     x.reshape(len(rows), rows.shape[2], block))
     return x.reshape(n_frames, n_sub * width)

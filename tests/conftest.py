@@ -9,9 +9,11 @@ times as many per property test:
 
     PYTHONPATH=src python -m pytest -q --hypothesis-profile=long
 
-Property tests take their example count from examples(n).
+Property tests take their example count from examples(n), and tests
+that a function leaves its input untouched hand it arrays in_layout.
 """
 
+import numpy as np
 from hypothesis import settings
 
 LONG_FACTOR = 20
@@ -28,3 +30,19 @@ if settings.get_current_profile_name() == "default":
 def examples(n: int) -> int:
     """max_examples for a property test: n, or n * LONG_FACTOR under "long"."""
     return n * LONG_FACTOR if settings.get_current_profile_name() == "long" else n
+
+
+LAYOUTS = ("C", "Fortran", "sliced")
+
+
+def in_layout(x, layout: str):
+    """x's values as a C-ordered copy, a Fortran-ordered copy, or a view
+    taking every other element of each axis of a larger array."""
+    if layout == "Fortran":
+        return np.asfortranarray(x)
+    if layout == "sliced":
+        wide = np.full(tuple(2 * n for n in x.shape), np.nan)
+        view = wide[tuple(slice(None, None, 2) for _ in x.shape)]
+        view[...] = x
+        return view
+    return np.array(x, order="C")

@@ -5,8 +5,10 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 import scalar_oracle as oracle
+from conftest import LAYOUTS, in_layout
 from test_batched import _speech_like
 
+from wpdenoise import framing
 from wpdenoise.framing import (
     ColaError,
     FrameSet,
@@ -150,6 +152,23 @@ class TestOverlapAdd:
         out = overlap_add(fs).samples
         assert len(out) == n
         assert np.array_equal(out, oracle.overlap_add(fs))
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("window", ["rectangular", "hann"])
+    def test_leaves_the_frames_untouched(self, window, layout):
+        # the sums are written over the frames, so the public function
+        # sums a copy; the pipeline's in-place call gives the same bits
+        fs = make_frames(_signal(16077, seed=3), 512, 128, window)
+        frames = fs.frames * np.random.default_rng(4).normal(size=fs.frames.shape)
+        x = in_layout(frames, layout)
+        out = overlap_add(FrameSet(x, 512, 128, window, 16077, 16000)).samples
+        np.testing.assert_array_equal(x, frames)
+        assert np.array_equal(out, oracle.overlap_add(FrameSet(frames, 512, 128, window,
+                                                               16077, 16000)))
+        own = frames.copy()
+        in_place = framing._overlap_add(FrameSet(own, 512, 128, window, 16077, 16000), own)
+        np.testing.assert_array_equal(in_place.samples, out)
+        assert not np.array_equal(own, frames)  # consumed
 
 
 class TestFrameSetValidation:

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import examples
+from conftest import examples, in_layout
 
 from wpdenoise import stats
 from wpdenoise import pipeline
 from wpdenoise.pipeline import (
     METHODS,
+    NOISE_MODES,
     EnhanceConfig,
     analyze,
     classify_vuv,
@@ -25,7 +26,7 @@ from wpdenoise.pipeline import (
     leaf_coefficients,
 )
 from wpdenoise.framing import (
-    WINDOWS, ColaError, edge_gain, frame_count, make_frames, max_peak,
+    WINDOWS, ColaError, edge_gain, frame_count, make_frames, max_peak, overlap_add,
 )
 from wpdenoise.signal_io import SignalBuffer, sine_wave, white_noise
 from wpdenoise.stats import (
@@ -36,8 +37,10 @@ from wpdenoise.stats import (
     to_probability,
 )
 from wpdenoise.report import validate_report_dict
-from wpdenoise.thresholding import universal_threshold
-from wpdenoise.wavelet import FILTERS, filter_bank, wp_analysis
+from wpdenoise.thresholding import (
+    band_hard_threshold, hard_threshold, soft_threshold, universal_threshold,
+)
+from wpdenoise.wavelet import FILTERS, filter_bank, wp_analysis, wp_synthesis
 from wpdenoise.experiments import sine_0db_material
 
 
@@ -244,7 +247,7 @@ class TestEnhanceConfig:
         def no_transform(*args, **kwargs):
             raise AssertionError("transform ran before the epsilon check")
 
-        monkeypatch.setattr(pipeline, "wp_analysis", no_transform)
+        monkeypatch.setattr(pipeline, "_analysis", no_transform)
         _, noisy = sine_0db_material(seed=1)
         config = EnhanceConfig(epsilon=0.05, noise_estimation=noise_estimation)
         bins = 25 if noise_estimation == "leading_silence" else 141
@@ -514,7 +517,7 @@ class TestEnhance:
         def no_transform(*args, **kwargs):
             raise AssertionError("transform ran before the reference check")
 
-        monkeypatch.setattr(pipeline, "wp_analysis", no_transform)
+        monkeypatch.setattr(pipeline, "_analysis", no_transform)
         _, noisy = sine_0db_material(seed=1)
         with pytest.raises(ValueError, match=message):
             enhance(noisy, EnhanceConfig(), reference=reference)
@@ -538,7 +541,7 @@ class TestEnhance:
         def no_transform(*args, **kwargs):
             raise AssertionError("transform ran before the argument check")
 
-        monkeypatch.setattr(pipeline, "wp_analysis", no_transform)
+        monkeypatch.setattr(pipeline, "_analysis", no_transform)
         _, noisy = sine_0db_material(seed=1)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
             call(noisy, EnhanceConfig())
@@ -548,7 +551,10 @@ class TestEnhance:
     @pytest.mark.parametrize("noise_estimation", ["leading_silence", "mad"])
     def test_soft_peaks_within_the_memory_of_hard(self, seconds, noise_estimation):
         # soft_threshold held three leaf-sized temporaries: 15.0 MB
-        # against 8.8 MB for hard on a 15 s input
+        # against 8.8 MB for hard on a 15 s input. Every leaf-sized stage
+        # now writes over the leaves, so a call holds them and one
+        # signal-sized array at a time, plus 1.5 MB: 6.99 MB at 15 s,
+        # where each leaf-sized stage writing a new array peaked at 8.8 MB
         rng = np.random.default_rng(5)
         samples = 0.3 * np.sin(np.arange(seconds * 16000) * 0.11)
         samples += rng.normal(0.0, 0.1, samples.size)
@@ -564,6 +570,9 @@ class TestEnhance:
             finally:
                 tracemalloc.stop()
         assert peaks["universal-soft"] <= peaks["universal-hard"] + 0.5 * 2**20, peaks
+        leaf_bytes = frame_count(len(noisy), 512, 256) * 512 * 8
+        bound = leaf_bytes + samples.nbytes + 1.5 * 2**20
+        assert max(peaks.values()) <= bound, (peaks, bound)
 
     @pytest.mark.parametrize("method", ["universal-hard", "band"])
     def test_denormal_leading_silence(self, method):
@@ -617,20 +626,28 @@ class TestEnhance:
         config = EnhanceConfig(method="band", noise_estimation=noise_estimation)
         leaves, profile = pipeline._analyse(noisy, config)
         dist = profile.distribution
-        one_block = pipeline._select_bands(leaves, dist, config)
+        h_sub = row_histograms(pipeline._per_subband(leaves), edges=dist.bin_edges)
+        whole = leaves.copy()
+        h_all = [np.zeros(profile.pooled.n_bins, dtype=np.int64) for _ in range(2)]
+        one_block = pipeline._band_blocks(whole, profile, config, h_all[0])
         # 7 frames a block: 45 blocks of the 312 frames, the last shorter
         monkeypatch.setattr(pipeline, "_BAND_BLOCK_VALUES",
-                            7 * leaves.shape[1] * dist.n_bins)
-        t1, t2, counts = pipeline._select_bands(leaves, dist, config)
-        h_sub = row_histograms(pipeline._per_subband(leaves), edges=dist.bin_edges)
-        assert counts.dtype == h_sub.counts.dtype
-        assert np.array_equal(counts, h_sub.counts)
-        for got, want in zip((t1, t2, counts), one_block):
-            assert np.array_equal(got, want)
+                            7 * leaves.shape[1] * max(dist.n_bins, leaves.shape[2]))
+        blocks = leaves.copy()
+        band, counts = pipeline._band_blocks(blocks, profile, config, h_all[1])
+        for got in (counts, one_block[1]):
+            assert got.dtype == h_sub.counts.dtype
+            assert np.array_equal(got, h_sub.counts)
+        assert np.array_equal(band, one_block[0])
+        assert np.array_equal(blocks, whole)
+        assert np.array_equal(h_all[0], h_all[1])
+        # the public rule on the run's leaves gives the same thresholded leaves
+        kept = band_hard_threshold(leaves, band[..., :1], band[..., 1:])
+        assert np.array_equal(blocks, kept)
         _, report = enhance(noisy, config)
         divergences = symmetric_divergence(to_probability(h_sub, config.epsilon), dist)
         assert report.subband_divergence == divergences.tolist()
-        np.testing.assert_array_equal(report.band, np.stack((t1, t2), axis=-1))
+        np.testing.assert_array_equal(report.band, band)
 
     @pytest.mark.parametrize("noise_estimation", ["mad", "leading_silence"])
     @pytest.mark.parametrize("depth", [1, 4])
@@ -642,7 +659,7 @@ class TestEnhance:
         # frames' leaves; in mad mode the level-1 split, whose 2F rows the
         # leaves split depth - 1 levels on
         framed, split = [], []
-        make_frames, analysis = pipeline.make_frames, pipeline.wp_analysis
+        make_frames, analysis = pipeline.make_frames, pipeline._analysis
 
         def counting_frames(*args, **kwargs):
             framed.append(args)
@@ -653,7 +670,7 @@ class TestEnhance:
             return analysis(frames, fb, levels)
 
         monkeypatch.setattr(pipeline, "make_frames", counting_frames)
-        monkeypatch.setattr(pipeline, "wp_analysis", counting_analysis)
+        monkeypatch.setattr(pipeline, "_analysis", counting_analysis)
         _, noisy = sine_0db_material(seed=3)
         config = EnhanceConfig(noise_estimation=noise_estimation, depth=depth)
         enhance(noisy, config)
@@ -663,6 +680,46 @@ class TestEnhance:
             assert split == [(n_frames, depth)]
         else:
             assert split == [(n_frames, 1)] + [(2 * n_frames, depth - 1)] * (depth > 1)
+
+    @pytest.mark.parametrize("noise_estimation", NOISE_MODES)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_the_in_place_run_equals_the_public_functions(self, method, noise_estimation):
+        # enhance writes every leaf-sized stage over one buffer; the public
+        # functions, each on a copy of its input, give the same bits
+        _, noisy = sine_0db_material(seed=4)
+        config = EnhanceConfig(method=method, noise_estimation=noise_estimation)
+        fb = filter_bank(config.wavelet)
+        out, report = enhance(noisy, config)
+        frames = make_frames(noisy, config.frame_len, config.hop, config.window)
+        if noise_estimation == "mad":  # the level-1 rows split on
+            level1 = wp_analysis(frames.frames, fb, 1).reshape(2 * frames.n_frames, -1)
+            leaves = wp_analysis(level1, fb, config.depth - 1)
+            leaves = leaves.reshape(frames.n_frames, config.n_subbands, -1)
+        else:
+            leaves = wp_analysis(frames.frames, fb, config.depth)
+        if method == "band":
+            kept = band_hard_threshold(leaves, report.band[..., :1], report.band[..., 1:])
+        else:
+            rule = hard_threshold if method == "universal-hard" else soft_threshold
+            kept = rule(leaves, report.threshold[..., None])
+        np.testing.assert_array_equal(report.n_zero_pre,
+                                      np.count_nonzero(leaves == 0.0, axis=-1))
+        np.testing.assert_array_equal(report.n_zero_post,
+                                      np.count_nonzero(kept == 0.0, axis=-1))
+        rebuilt = overlap_add(dataclasses.replace(frames, frames=wp_synthesis(kept, fb)))
+        assert np.array_equal(out.samples, rebuilt.samples)
+
+    @pytest.mark.parametrize("layout", ["C", "sliced"])
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("wavelet", FILTERS)
+    def test_leaf_coefficients_leave_the_signal_untouched(self, wavelet, window, layout):
+        _, noisy = sine_0db_material(seed=6)
+        samples = in_layout(noisy.samples, layout)
+        config = EnhanceConfig(window=window, wavelet=wavelet, depth=6)
+        leaves = leaf_coefficients(SignalBuffer(samples, noisy.sample_rate_hz), config)
+        np.testing.assert_array_equal(samples, noisy.samples)
+        frames = make_frames(noisy, config.frame_len, config.hop, window).frames
+        np.testing.assert_array_equal(leaves, wp_analysis(frames, filter_bank(wavelet), 6))
 
 
 def _edge_case(scale=1.0):
@@ -688,7 +745,7 @@ class TestPeakBound:
         def no_transform(*args, **kwargs):
             raise AssertionError("transform ran before the peak check")
 
-        monkeypatch.setattr(pipeline, "wp_analysis", no_transform)
+        monkeypatch.setattr(pipeline, "_analysis", no_transform)
         _, noisy = _edge_case(1e306)
         config = EnhanceConfig(noise_estimation="mad")
         with pytest.raises(ValueError, match=r"samples peak at 6\.753e\+305, above the 8\.068e\+296"):

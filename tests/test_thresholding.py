@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import examples
+from conftest import LAYOUTS, examples, in_layout
+from wpdenoise import thresholding
 from wpdenoise.stats import (
     ProbabilityVector, row_histograms, shared_edges, to_probability, zero_bin_index,
 )
@@ -376,6 +377,43 @@ class TestArrayThresholds:
             scalar = fn(x[idx], *params(float(t[idx][0])))
             np.testing.assert_array_equal(out[idx], scalar)
 
+    IN_PLACE = {"hard": thresholding._hard, "soft": thresholding._soft,
+                "band_hard": thresholding._band_hard}
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("rule", list(RULES))
+    def test_input_untouched_and_in_place_body_equal(self, rule, layout):
+        # the public rules write over a new array; the pipeline's
+        # in-place bodies give the same bits in the array they are handed
+        fn, params = self.RULES[rule]
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(5, 4, 32))
+        x[0, 0, :3] = 0.0, -0.0, 1.5  # signed zeros, a value at a threshold
+        t = rng.uniform(0.0, 1.5, size=(5, 4, 1))
+        t[0, 0] = 1.5
+        coeffs, thresholds = in_layout(x, layout), [in_layout(p, layout) for p in params(t)]
+        out = fn(coeffs, *thresholds)
+        np.testing.assert_array_equal(coeffs, x)
+        _assert_same_bits(out, fn(x, *params(t)))
+        if rule in self.IN_PLACE:
+            own = x.copy()
+            in_place = self.IN_PLACE[rule](own, *params(t))
+            assert in_place is own
+            _assert_same_bits(in_place, out)
+
+    @pytest.mark.parametrize("rule", ["hard", "soft", "band_hard"])
+    def test_broadcast_thresholds_widen_the_output(self, rule):
+        # one coefficient row against a column of thresholds: the output
+        # has their broadcast shape and the input stays as it was
+        fn, params = self.RULES[rule]
+        x = np.linspace(-2.0, 2.0, 9)
+        t = np.array([[0.0], [0.5], [1.5]])
+        out = fn(x, *params(t))
+        assert out.shape == (3, 9)
+        np.testing.assert_array_equal(x, np.linspace(-2.0, 2.0, 9))
+        for row, level in zip(out, t[:, 0]):
+            np.testing.assert_array_equal(row, fn(x, *params(level)))
+
     @pytest.mark.parametrize("rule", list(RULES))
     def test_one_bad_row_rejects_the_call(self, rule):
         fn, _ = self.RULES[rule]
@@ -388,6 +426,11 @@ class TestArrayThresholds:
             args = (np.array([[0.5], [1.0]]), np.array([[1.0], [0.5]]))
         with pytest.raises(ValueError):
             fn(x, *args)
+
+
+def _assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 _EVEN = ProbabilityVector([0.5, 0.5], [-1.0, 0.0, 1.0], 1e-12)

@@ -76,8 +76,18 @@ def test_bench_stages_writes_its_record_at_a_tiny_size(tmp_path):
         assert figures["to_json_ms"]["best"] > 0 and figures["to_json_bytes"] > 10**6
     assert sine["frames_text_universal_hard"]["frames"] == 312
     assert sine["material_ms"]["best"] > 0
-    assert sine["band_selection_and_h_sub_ms"]["best"] > 0
+    assert sine["band_sweep_ms"]["best"] > 0
     assert record["report_15s_mad"]["frames_text_universal_hard"]["frames"] == 937
+    memory = record["memory_15s"]
+    assert memory["audio_s"] == 15.0
+    assert memory["leaves_mb"] == 937 * 512 * 8 / 2**20
+    assert memory["samples_mb"] == 15 * 16000 * 8 / 2**20
+    assert sorted(memory["calls"]) == sorted(
+        f"{method}/{mode}" for method in methods for mode in ("mad", "leading_silence"))
+    for figures in memory["calls"].values():
+        # every call holds its leaves at least
+        assert figures["tracemalloc_peak_mb"] > memory["leaves_mb"]
+        assert figures["minor_faults_per_call"] >= 0
     long = record["speech_like_mad"]
     assert long["audio_s"] == 1.0 and sorted(long["methods"]) == sorted(methods)
     assert long["tracemalloc_peak_mb_universal_hard"] > 0

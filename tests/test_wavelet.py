@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import scalar_oracle as oracle
+from conftest import LAYOUTS, in_layout
 from wpdenoise import wavelet
 from wpdenoise.wavelet import FILTERS, FilterBank, filter_bank, wp_analysis, wp_synthesis
 
@@ -313,3 +314,29 @@ def test_stage_kernels_are_built_once_and_shared_read_only():
     with pytest.raises(ValueError, match="read-only"):
         kernel[0, 0] = 1.0
     assert wavelet._stage_kernel(filter_bank("haar"), 4) is not kernel
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("depth", range(1, 10))
+@pytest.mark.parametrize("name", FILTERS)
+def test_public_transforms_leave_their_input_untouched(name, depth, layout):
+    # the stages write over their input, so the public functions run
+    # them on a copy; the pipeline's in-place calls give the same bits
+    # in the memory they were handed
+    fb = filter_bank(name)
+    frames = np.random.default_rng(depth).normal(size=(3, 4096))
+    x = in_layout(frames, layout)
+    leaves = wp_analysis(x, fb, depth)
+    np.testing.assert_array_equal(x, frames)
+    own = frames.copy()
+    in_place = wavelet._analysis(own, fb, depth)
+    assert np.shares_memory(in_place, own)
+    np.testing.assert_array_equal(in_place, leaves)
+
+    x = in_layout(leaves, layout)
+    rebuilt = wp_synthesis(x, fb)
+    np.testing.assert_array_equal(x, leaves)
+    own = leaves.copy()
+    in_place = wavelet._synthesis(own, fb)
+    assert np.shares_memory(in_place, own)
+    np.testing.assert_array_equal(in_place, rebuilt)

@@ -10,8 +10,9 @@ The file records:
   of `enhance` on the 5 s sine-0db preset (seed 1), and the time and
   size of its Report.to_json();
 - on sine-0db, the time of `sine_0db_material` (the preset's input),
-  and of band mode's band selection together with the per-subband
-  counts h_sub, from the leaves and noise profile of the default config;
+  and of band mode's work from the leaves of the default config to the
+  thresholded leaves: band selection, the per-subband counts h_sub, the
+  pooled counts h_all and the threshold, on a copy of the leaves;
 - per method, the real-time factor of `enhance` on a 60 s speech-like
   input (bench/workloads.py's generator, seed 37) with mad noise
   estimation;
@@ -23,6 +24,10 @@ The file records:
 - the time of Report._frames_text(), which writes the per-frame records,
   on the 312-frame sine-0db universal-hard report and on the 937-frame
   report of the first 15 s long-hard-mad input (universal-hard, mad);
+- on that 15 s input, for every method and noise mode, each in a fresh
+  interpreter, the minor page faults per warmed call (that process's
+  ru_minflt over --repeats calls) and the tracemalloc peak of one call,
+  beside the sizes of the input's leaves and samples;
 - the time of `import wpdenoise.cli` in a fresh interpreter;
 - the commit of the measured tree, nproc, and the Python, numpy and BLAS
   versions. The commit is found with git; a tree outside a git checkout
@@ -38,6 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -54,12 +60,13 @@ import workloads  # noqa: E402  (bench/workloads.py, after the path insert)
 import wpdenoise  # noqa: E402
 from wpdenoise import pipeline  # noqa: E402
 from wpdenoise.experiments import sine_0db_material  # noqa: E402
-from wpdenoise.framing import make_frames, overlap_add  # noqa: E402
+from wpdenoise.framing import frame_count, make_frames, overlap_add  # noqa: E402
 from wpdenoise.pipeline import EnhanceConfig, enhance, estimate_noise_profile  # noqa: E402
 from wpdenoise.signal_io import SignalBuffer  # noqa: E402
 from wpdenoise.wavelet import filter_bank, wp_analysis  # noqa: E402
 
 METHODS = ("universal-hard", "universal-soft", "band")
+NOISE_MODES = ("mad", "leading_silence")
 RATE = workloads.RATE
 
 
@@ -125,14 +132,20 @@ def sine_0db(repeats: int) -> dict:
         }
         if method == "universal-hard":
             frames = frames_text(report, repeats)
-    band = EnhanceConfig(method="band", seed=1)
-    leaves, profile = pipeline._analyse(noisy, band)
     return {
         "audio_s": seconds, "methods": methods, "frames_text_universal_hard": frames,
         "material_ms": in_ms(timed(lambda: sine_0db_material(1), repeats)),
-        "band_selection_and_h_sub_ms": in_ms(timed(
-            lambda: pipeline._select_bands(leaves, profile.distribution, band), repeats)),
+        "band_sweep_ms": in_ms(timed(band_sweep(noisy), repeats)),
     }
+
+
+def band_sweep(noisy: SignalBuffer):
+    """A call that takes band mode's leaves of `noisy` (default config) to
+    the thresholded leaves, h_sub and h_all, on a copy of the leaves."""
+    band = EnhanceConfig(method="band", seed=1)
+    leaves, profile = pipeline._analyse(noisy, band)
+    return lambda: pipeline._band_blocks(leaves.copy(), profile, band,
+                                         np.zeros(profile.pooled.n_bins, dtype=np.int64))
 
 
 def speech_like_mad(seconds: float, repeats: int) -> dict:
@@ -170,17 +183,68 @@ def mad_stages(noisy: SignalBuffer, repeats: int) -> dict:
     }
 
 
-def report_15s_mad(repeats: int) -> dict:
+def long_hard_mad_15s() -> SignalBuffer:
     """The first 15 s input of the long-hard-mad workload, as tools/output_digests.py."""
     rng = workloads.rng_for("long-hard-mad", 0, 0)
-    samples = workloads.speech_like(rng, int(workloads.LONG_SECONDS * RATE))[1]
-    _, report = enhance(SignalBuffer(samples, RATE), EnhanceConfig(noise_estimation="mad"))
+    return SignalBuffer(workloads.speech_like(rng, int(workloads.LONG_SECONDS * RATE))[1],
+                        RATE)
+
+
+def report_15s_mad(repeats: int) -> dict:
+    _, report = enhance(long_hard_mad_15s(), EnhanceConfig(noise_estimation="mad"))
     return {
         "audio_s": workloads.LONG_SECONDS,
         "to_json_ms": in_ms(timed(report.to_json, repeats)),
         "to_json_bytes": len(report.to_json().encode("utf-8")),
         "frames_text_universal_hard": frames_text(report, repeats),
     }
+
+
+def memory_15s(repeats: int) -> dict:
+    """memory_call of every method and noise mode, each in a fresh
+    interpreter on this import path, so that no earlier call has shaped
+    the heap it faults in."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR))
+    tools = os.path.dirname(os.path.abspath(__file__))
+    calls = {}
+    for method in METHODS:
+        for mode in NOISE_MODES:
+            code = (f"import json, sys; sys.path.insert(0, {tools!r}); import bench_stages; "
+                    f"print(json.dumps(bench_stages.memory_call({method!r}, {mode!r}, "
+                    f"{repeats})))")
+            out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                 capture_output=True, text=True).stdout
+            calls[f"{method}/{mode}"] = json.loads(out)
+    default = EnhanceConfig()
+    n_samples = int(workloads.LONG_SECONDS * RATE)
+    n_frames = frame_count(n_samples, default.frame_len, default.hop)
+    return {
+        "audio_s": workloads.LONG_SECONDS,
+        "leaves_mb": n_frames * default.frame_len * 8 / 2**20,
+        "samples_mb": n_samples * 8 / 2**20,
+        "calls": calls,
+    }
+
+
+def memory_call(method: str, noise_estimation: str, repeats: int) -> dict:
+    """The minor faults per call of `repeats` calls after two warm-up calls
+    (this process's ru_minflt), then the tracemalloc peak of one more
+    call, on the 15 s input."""
+    noisy = long_hard_mad_15s()
+    config = EnhanceConfig(method=method, noise_estimation=noise_estimation)
+    for _ in range(2):  # the heap and the allocator's thresholds settle
+        enhance(noisy, config)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(repeats):
+        enhance(noisy, config)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    tracemalloc.start()
+    try:
+        enhance(noisy, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"minor_faults_per_call": faults / repeats, "tracemalloc_peak_mb": peak / 2**20}
 
 
 def cli_import_s(repeats: int) -> dict:
@@ -221,6 +285,7 @@ def main(argv=None) -> int:
         "sine_0db": sine_0db(args.repeats),
         "speech_like_mad": speech_like_mad(args.long_seconds, args.repeats),
         "report_15s_mad": report_15s_mad(args.repeats),
+        "memory_15s": memory_15s(args.repeats),
         "cli_import_s": cli_import_s(args.repeats),
     }
     path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
