@@ -8,11 +8,13 @@ rebuilt from it by packet synthesis and the output is reassembled by
 normalised overlap-add.
 
 Every leaf-sized stage writes into the one buffer make_frames filled:
-the packet transform, the thresholds (block by block of frames, each
-block binned first), the synthesis and the overlap-add normaliser. So
-a call holds its leaves and, beside them, one signal-sized array at a
-time: make_frames' padded copy of the input, the mad profile's copy of
-the level-1 detail (half the leaves) or the output.
+the packet transform, the thresholds (block by block of frames), the
+synthesis and the overlap-add normaliser. Every histogram pooled over
+the frames (the noise profile, h_sub, both sides of `analyze`) is
+binned through `_pooled_counts`, which copies one block of frames at a
+time. So a call holds its leaves and, beside them, one signal-sized
+array at a time: make_frames' padded copy of the input, the mad
+profile's |detail| (half the leaves) or the output.
 
 Three thresholding strategies are supported:
 
@@ -83,8 +85,9 @@ _REAL_FIELDS = (
 VOICED = "voiced"
 UNVOICED = "unvoiced"
 
-# enhance thresholds its leaves in blocks of frames. A universal block
-# holds at most _LEAF_BLOCK_VALUES leaves (512 kB), so that its
+# Leaves are binned for the pooled histograms (_pooled_counts) and
+# thresholded by the universal rules in blocks of frames of at most
+# _LEAF_BLOCK_VALUES values (512 kB), so that a block's copy and
 # temporaries stay small beside the leaves. Band selection holds dense
 # (frames, subbands, bins) probabilities; in mad mode the bin count
 # grows with the input, so a band block holds at most _BAND_BLOCK_VALUES
@@ -215,22 +218,35 @@ def _noise_bins(n_values: int) -> int:
     return bin_count(n_values) | 1
 
 
-def _noise_distribution(coeffs: np.ndarray, epsilon: float) -> ProbabilityVector:
-    """Histogram noise samples (each row of `coeffs`) on zero-symmetric edges.
+def _noise_distribution(values: np.ndarray, epsilon: float) -> ProbabilityVector:
+    """Histogram noise samples, (frames, ..., coeffs) pooled over the frames
+    and coeffs (`_pooled_counts`), on zero-symmetric edges.
 
     The square-root bin count is bumped to the next odd value so the
     middle bin is centred on zero; band selection then removes
     coefficients symmetrically instead of inheriting whatever offset the
     sample extremes would give, which would bias tonal subbands.
     """
-    span = np.maximum(np.max(coeffs, axis=-1), -np.min(coeffs, axis=-1))
-    edges = _uniform_edges(-span, span, _noise_bins(coeffs.shape[-1]))
-    return to_probability(row_histograms(coeffs, edges=edges), epsilon)
+    span = np.maximum(np.max(values, axis=(0, -1)), -np.min(values, axis=(0, -1)))
+    edges = _uniform_edges(-span, span, _noise_bins(values.shape[0] * values.shape[-1]))
+    return to_probability(Histogram(edges, _pooled_counts(values, edges)), epsilon)
 
 
-def _per_subband(leaves: np.ndarray) -> np.ndarray:
-    """Each subband's coefficients of every frame: (subbands, frames * coeffs)."""
-    return leaves.swapaxes(0, 1).reshape(leaves.shape[1], -1)
+def _per_subband(values: np.ndarray) -> np.ndarray:
+    """(frames, ..., coeffs) as rows pooled over the frames: (..., frames * coeffs)."""
+    return np.moveaxis(values, 0, -2).reshape(values.shape[1:-1] + (-1,))
+
+
+def _pooled_counts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Counts of `values` (frames, ..., coeffs) pooled over the frames and
+    coeffs on `edges` (B + 1,) or (..., B + 1): (..., B).
+
+    Counts are integers, so binning block by block of frames gives the
+    counts of the whole rows; only one block's rows are copied at a time.
+    """
+    step = max(1, _LEAF_BLOCK_VALUES // values[0].size)
+    return sum(row_histograms(_per_subband(values[start : start + step]), edges=edges).counts
+               for start in range(0, len(values), step))
 
 
 def estimate_noise_profile(noise: np.ndarray, config: EnhanceConfig) -> NoiseProfile:
@@ -241,17 +257,17 @@ def estimate_noise_profile(noise: np.ndarray, config: EnhanceConfig) -> NoisePro
     the first silence_ms of the input; each subband's are pooled.
     mad: the level-1 detail of every frame of the input, (frames,
     frame_len / 2); its single sigma and histogram serve every subband.
+    The detail is binned where it lies and copied once, as |detail|,
+    for the median.
     """
     if config.noise_estimation == "mad":
-        detail = noise.flatten()  # a private copy, histogrammed, then made |detail|
-        distribution = _noise_distribution(detail, config.epsilon)
-        sigma = _mad_sigma(np.abs(detail, out=detail))
+        distribution = _noise_distribution(noise, config.epsilon)
+        sigma = _mad_sigma(np.abs(noise).reshape(-1))
         return NoiseProfile(sigma, distribution, pooled=distribution)
-    per_subband = _per_subband(noise)
     return NoiseProfile(
-        sigma=estimate_sigma(per_subband),
-        distribution=_noise_distribution(per_subband, config.epsilon),
-        pooled=_noise_distribution(noise.ravel(), config.epsilon),
+        sigma=estimate_sigma(_per_subband(noise)),
+        distribution=_noise_distribution(noise, config.epsilon),
+        pooled=_noise_distribution(noise.reshape(len(noise), -1), config.epsilon),
     )
 
 
@@ -318,25 +334,7 @@ def classify_vuv(leaves, entropy_threshold: float, epsilon: float) -> list:
     return np.where(h < threshold, UNVOICED, VOICED).tolist()
 
 
-def _blocks(leaves: np.ndarray, step: int, profile: NoiseProfile,
-            config: EnhanceConfig, all_counts: np.ndarray):
-    """(start, block) for each block of at most `step` frames of `leaves`.
-
-    With leading silence each block is first binned on the pooled edges
-    into all_counts, h_all's counts, so before it is thresholded. In mad
-    mode the pooled edges are the profile's, and enhance sums h_sub over
-    the subbands instead.
-    """
-    step = max(1, step)
-    for start in range(0, len(leaves), step):
-        block = leaves[start : start + step]
-        if config.noise_estimation == "leading_silence":
-            all_counts += row_histograms(block.ravel(), edges=profile.pooled.bin_edges).counts
-        yield start, block
-
-
-def _band_blocks(leaves: np.ndarray, profile: NoiseProfile, config: EnhanceConfig,
-                 all_counts: np.ndarray) -> tuple:
+def _band_blocks(leaves: np.ndarray, profile: NoiseProfile, config: EnhanceConfig) -> tuple:
     """Band mode over `leaves`, in place, block by block: (band, h_sub counts).
 
     Every (frame, subband) of a block is binned alone on the profile's
@@ -346,35 +344,17 @@ def _band_blocks(leaves: np.ndarray, profile: NoiseProfile, config: EnhanceConfi
     """
     dist = profile.distribution
     n_sub, n_coeff = leaves.shape[1:]
-    step = _BAND_BLOCK_VALUES // (n_sub * max(dist.n_bins, n_coeff))
+    step = max(1, _BAND_BLOCK_VALUES // (n_sub * max(dist.n_bins, n_coeff)))
     counts = np.zeros((n_sub, dist.n_bins), dtype=np.int64)
     bands = []
-    for _, block in _blocks(leaves, step, profile, config, all_counts):
+    for start in range(0, len(leaves), step):
+        block = leaves[start : start + step]
         h = row_histograms(block, edges=dist.bin_edges)
         counts += np.sum(h.counts, axis=0)
         t1, t2 = select_band(to_probability(h, config.epsilon), dist, config.band_tolerance)
         _band_hard(block, t1[..., None], t2[..., None])
         bands.append(np.stack((t1, t2), axis=-1))
     return np.concatenate(bands), counts
-
-
-def _universal_blocks(leaves: np.ndarray, profile: NoiseProfile, config: EnhanceConfig,
-                      threshold: np.ndarray, all_counts: np.ndarray) -> np.ndarray:
-    """A universal rule over `leaves`, in place, block by block: h_sub's counts.
-
-    threshold holds one value per (frame, subband). Each subband of a
-    block is binned on the profile's edges before the rule runs.
-    """
-    dist = profile.distribution
-    n_sub, n_coeff = leaves.shape[1:]
-    rule = _soft if config.method == "universal-soft" else _hard
-    counts = np.zeros((n_sub, dist.n_bins), dtype=np.int64)
-    blocks = _blocks(leaves, _LEAF_BLOCK_VALUES // (n_sub * n_coeff), profile, config,
-                     all_counts)
-    for start, block in blocks:
-        counts += row_histograms(_per_subband(block), edges=dist.bin_edges).counts
-        rule(block, threshold[start : start + len(block), :, None])
-    return counts
 
 
 def _frame_entropy_threshold(config: EnhanceConfig) -> float:
@@ -413,15 +393,20 @@ def enhance(
     # frames in place, and then the overlap-add's normaliser; its output
     # is the one signal-sized array.
     n_zero_pre = np.count_nonzero(leaves == 0.0, axis=-1)
-    all_counts = np.zeros(profile.pooled.n_bins, dtype=np.int64)
+    if config.noise_estimation == "leading_silence":
+        all_counts = row_histograms(leaves.ravel(), edges=profile.pooled.bin_edges).counts
     threshold = band = None
     if config.method == "band":
-        band, counts = _band_blocks(leaves, profile, config, all_counts)
+        band, counts = _band_blocks(leaves, profile, config)
     else:
         scale = np.where(np.asarray(vuv) == UNVOICED, config.unvoiced_scale, 1.0)
         threshold = universal_threshold(profile.sigma, n_coeff) * scale[:, None]
         threshold = np.broadcast_to(threshold, (n_frames, n_sub))
-        counts = _universal_blocks(leaves, profile, config, threshold, all_counts)
+        counts = _pooled_counts(leaves, profile.distribution.bin_edges)
+        rule = _soft if config.method == "universal-soft" else _hard
+        step = max(1, _LEAF_BLOCK_VALUES // leaves[0].size)
+        for start in range(0, n_frames, step):
+            rule(leaves[start : start + step], threshold[start : start + step, :, None])
     n_zero_post = np.count_nonzero(leaves == 0.0, axis=-1)
     if config.noise_estimation == "mad":  # every subband was binned on the pooled edges
         all_counts = np.sum(counts, axis=0)
@@ -477,10 +462,11 @@ def analyze(noisy: SignalBuffer, noise: SignalBuffer, config: EnhanceConfig) -> 
     check_epsilon(config.epsilon, bin_count(fewer_frames * config.frame_len))
     leaves = [leaf_coefficients(s, config) for s in (noisy, noise)]
 
-    rows = [_per_subband(side) for side in leaves]
-    edges = shared_edges(*rows)
-    h_ns, h_n = (row_histograms(side, edges=edges) for side in rows)
-    del rows
+    # each subband's shared edges, as shared_edges gives for its rows
+    edges = _uniform_edges(np.minimum(*(np.min(side, axis=(0, 2)) for side in leaves)),
+                           np.maximum(*(np.max(side, axis=(0, 2)) for side in leaves)),
+                           bin_count(min(side.shape[0] * side.shape[2] for side in leaves)))
+    h_ns, h_n = (Histogram(edges, _pooled_counts(side, edges)) for side in leaves)
     divergences = symmetric_divergence(
         to_probability(h_ns, config.epsilon), to_probability(h_n, config.epsilon)
     ).tolist()

@@ -331,6 +331,26 @@ class TestEstimateNoiseProfile:
         np.testing.assert_array_equal(detail, before)
         assert profile.sigma == np.median(np.abs(detail)) / 0.6745
 
+    def test_mad_profile_copies_the_detail_once(self):
+        # the profile flattened the detail into a private copy and binned
+        # the copy: 2.87 MB at 15 s. It bins the detail where it lies, so
+        # its one detail-sized array is |detail| for the median
+        rng = np.random.default_rng(26)
+        samples = 0.3 * np.sin(np.arange(15 * 16000) * 0.11)
+        samples += rng.normal(0.0, 0.1, samples.size)
+        config = EnhanceConfig(noise_estimation="mad")
+        frames = make_frames(SignalBuffer(samples, 16000), config.frame_len, config.hop,
+                             config.window)
+        detail = wp_analysis(frames.frames, filter_bank(config.wavelet), 1)[:, 1]
+        tracemalloc.start()
+        try:
+            estimate_noise_profile(detail, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = detail.nbytes + 0.25 * 2**20
+        assert peak <= bound, (peak, bound)
+
     def test_short_silence_span_rejected(self):
         # the front end checks the span before any transform
         sig = white_noise(1.0, 1.0, 16000, seed=23)
@@ -628,19 +648,17 @@ class TestEnhance:
         dist = profile.distribution
         h_sub = row_histograms(pipeline._per_subband(leaves), edges=dist.bin_edges)
         whole = leaves.copy()
-        h_all = [np.zeros(profile.pooled.n_bins, dtype=np.int64) for _ in range(2)]
-        one_block = pipeline._band_blocks(whole, profile, config, h_all[0])
+        one_block = pipeline._band_blocks(whole, profile, config)
         # 7 frames a block: 45 blocks of the 312 frames, the last shorter
         monkeypatch.setattr(pipeline, "_BAND_BLOCK_VALUES",
                             7 * leaves.shape[1] * max(dist.n_bins, leaves.shape[2]))
         blocks = leaves.copy()
-        band, counts = pipeline._band_blocks(blocks, profile, config, h_all[1])
+        band, counts = pipeline._band_blocks(blocks, profile, config)
         for got in (counts, one_block[1]):
             assert got.dtype == h_sub.counts.dtype
             assert np.array_equal(got, h_sub.counts)
         assert np.array_equal(band, one_block[0])
         assert np.array_equal(blocks, whole)
-        assert np.array_equal(h_all[0], h_all[1])
         # the public rule on the run's leaves gives the same thresholded leaves
         kept = band_hard_threshold(leaves, band[..., :1], band[..., 1:])
         assert np.array_equal(blocks, kept)
@@ -648,7 +666,36 @@ class TestEnhance:
         divergences = symmetric_divergence(to_probability(h_sub, config.epsilon), dist)
         assert report.subband_divergence == divergences.tolist()
         np.testing.assert_array_equal(report.band, band)
+        # h_all: in mad mode h_sub summed over the subbands (they share the
+        # pooled edges), with leading silence every leaf on the pooled edges
+        pooled = profile.pooled
+        if noise_estimation == "mad":
+            all_counts = np.sum(h_sub.counts, axis=0)
+        else:
+            all_counts = row_histograms(leaves.ravel(), edges=pooled.bin_edges).counts
+        h_all = stats.Histogram(pooled.bin_edges, all_counts)
+        assert report.near_zero_ratios == ratio_profile(
+            to_probability(h_all, config.epsilon), pooled)
 
+    @pytest.mark.parametrize("shape", [(312, 256), (312, 16, 32)], ids=["detail", "leaves"])
+    def test_pooled_counts_equal_the_whole_rows_counts(self, shape, monkeypatch):
+        # binned block by block of frames, the counts are those of the
+        # rows pooled over every frame: 9 frames a block, 35 blocks of the
+        # 312 frames, the last shorter
+        values = np.random.default_rng(9).normal(size=shape)
+        if len(shape) == 2:  # the mad profile's detail: a strided view
+            values = np.stack((values, -values), axis=1)[:, 0]
+            rows = values.ravel()
+            edges = stats._uniform_edges(-4.0, 4.0, 113)
+        else:  # leaves, on per-subband edges
+            rows = values.swapaxes(0, 1).reshape(shape[1], -1)
+            edges = stats._uniform_edges(np.min(rows, axis=-1), np.max(rows, axis=-1), 44)
+        want = row_histograms(rows, edges=edges).counts
+        by_default = pipeline._pooled_counts(values, edges)
+        monkeypatch.setattr(pipeline, "_LEAF_BLOCK_VALUES", 9 * values[0].size)
+        for got in (pipeline._pooled_counts(values, edges), by_default):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
     @pytest.mark.parametrize("noise_estimation", ["mad", "leading_silence"])
     @pytest.mark.parametrize("depth", [1, 4])
     def test_each_input_is_framed_and_transformed_once(
@@ -817,6 +864,26 @@ class TestAnalyze:
                 row_histograms(noise_leaves.ravel(), edges=edges), config.epsilon
             ),
         )
+
+    def test_peaks_within_two_leaf_arrays_and_one_signal(self):
+        # analyze copied both sides' leaves into (subbands, frames x coeffs)
+        # rows: 15.6 MB at 15 s. Binned block by block of frames, it holds
+        # the two sides' leaves, one signal-sized array while the second
+        # side is framed, and 1.5 MB
+        rng = np.random.default_rng(27)
+        n = 15 * 16000
+        noisy = SignalBuffer(0.3 * np.sin(np.arange(n) * 0.11) + rng.normal(0.0, 0.1, n),
+                             16000)
+        noise = SignalBuffer(rng.normal(0.0, 0.1, n), 16000)
+        tracemalloc.start()
+        try:
+            analyze(noisy, noise, EnhanceConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        leaf_bytes = frame_count(n, 512, 256) * 512 * 8
+        bound = 2 * leaf_bytes + noisy.samples.nbytes + 1.5 * 2**20
+        assert peak <= bound, (peak, bound)
 
     def test_sample_rate_mismatch_rejected(self):
         with pytest.raises(ValueError, match="sample rate"):

@@ -88,6 +88,8 @@ def test_bench_stages_writes_its_record_at_a_tiny_size(tmp_path):
         # every call holds its leaves at least
         assert figures["tracemalloc_peak_mb"] > memory["leaves_mb"]
         assert figures["minor_faults_per_call"] >= 0
+    # analyze holds both sides' leaves
+    assert memory["analyze_tracemalloc_peak_mb"] > 2 * memory["leaves_mb"]
     long = record["speech_like_mad"]
     assert long["audio_s"] == 1.0 and sorted(long["methods"]) == sorted(methods)
     assert long["tracemalloc_peak_mb_universal_hard"] > 0

@@ -11,8 +11,8 @@ The file records:
   size of its Report.to_json();
 - on sine-0db, the time of `sine_0db_material` (the preset's input),
   and of band mode's work from the leaves of the default config to the
-  thresholded leaves: band selection, the per-subband counts h_sub, the
-  pooled counts h_all and the threshold, on a copy of the leaves;
+  thresholded leaves: band selection, the per-subband counts h_sub and
+  the threshold, on a copy of the leaves;
 - per method, the real-time factor of `enhance` on a 60 s speech-like
   input (bench/workloads.py's generator, seed 37) with mad noise
   estimation;
@@ -27,7 +27,8 @@ The file records:
 - on that 15 s input, for every method and noise mode, each in a fresh
   interpreter, the minor page faults per warmed call (that process's
   ru_minflt over --repeats calls) and the tracemalloc peak of one call,
-  beside the sizes of the input's leaves and samples;
+  beside the sizes of the input's leaves and samples, and the
+  tracemalloc peak of `analyze` of that input against its own noise;
 - the time of `import wpdenoise.cli` in a fresh interpreter;
 - the commit of the measured tree, nproc, and the Python, numpy and BLAS
   versions. The commit is found with git; a tree outside a git checkout
@@ -61,7 +62,9 @@ import wpdenoise  # noqa: E402
 from wpdenoise import pipeline  # noqa: E402
 from wpdenoise.experiments import sine_0db_material  # noqa: E402
 from wpdenoise.framing import frame_count, make_frames, overlap_add  # noqa: E402
-from wpdenoise.pipeline import EnhanceConfig, enhance, estimate_noise_profile  # noqa: E402
+from wpdenoise.pipeline import (  # noqa: E402
+    EnhanceConfig, analyze, enhance, estimate_noise_profile,
+)
 from wpdenoise.signal_io import SignalBuffer  # noqa: E402
 from wpdenoise.wavelet import filter_bank, wp_analysis  # noqa: E402
 
@@ -84,6 +87,16 @@ def timed(call, repeats: int, scale: float = 1.0) -> dict:
 
 def in_ms(timing: dict) -> dict:
     return {**timing, "best": timing["best"] * 1e3, "median": timing["median"] * 1e3}
+
+
+def peak_mb(call) -> float:
+    """The tracemalloc peak of one call, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(wpdenoise.__file__))
@@ -141,11 +154,10 @@ def sine_0db(repeats: int) -> dict:
 
 def band_sweep(noisy: SignalBuffer):
     """A call that takes band mode's leaves of `noisy` (default config) to
-    the thresholded leaves, h_sub and h_all, on a copy of the leaves."""
+    the thresholded leaves and h_sub, on a copy of the leaves."""
     band = EnhanceConfig(method="band", seed=1)
     leaves, profile = pipeline._analyse(noisy, band)
-    return lambda: pipeline._band_blocks(leaves.copy(), profile, band,
-                                         np.zeros(profile.pooled.n_bins, dtype=np.int64))
+    return lambda: pipeline._band_blocks(leaves.copy(), profile, band)
 
 
 def speech_like_mad(seconds: float, repeats: int) -> dict:
@@ -157,14 +169,9 @@ def speech_like_mad(seconds: float, repeats: int) -> dict:
         methods[method] = {
             "enhance_rtf": timed(lambda: enhance(noisy, config), repeats, seconds),
         }
-    tracemalloc.start()
-    try:
-        enhance(noisy, EnhanceConfig(noise_estimation="mad"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_mb(lambda: enhance(noisy, EnhanceConfig(noise_estimation="mad")))
     return {"audio_s": seconds, "methods": methods,
-            "tracemalloc_peak_mb_universal_hard": peak / 2**20,
+            "tracemalloc_peak_mb_universal_hard": peak,
             "stages": mad_stages(noisy, repeats)}
 
 
@@ -183,15 +190,16 @@ def mad_stages(noisy: SignalBuffer, repeats: int) -> dict:
     }
 
 
-def long_hard_mad_15s() -> SignalBuffer:
-    """The first 15 s input of the long-hard-mad workload, as tools/output_digests.py."""
+def long_hard_mad_15s() -> tuple:
+    """(clean, noisy) of the first 15 s input of the long-hard-mad workload,
+    the noisy one as tools/output_digests.py."""
     rng = workloads.rng_for("long-hard-mad", 0, 0)
-    return SignalBuffer(workloads.speech_like(rng, int(workloads.LONG_SECONDS * RATE))[1],
-                        RATE)
+    pair = workloads.speech_like(rng, int(workloads.LONG_SECONDS * RATE))
+    return tuple(SignalBuffer(samples, RATE) for samples in pair)
 
 
 def report_15s_mad(repeats: int) -> dict:
-    _, report = enhance(long_hard_mad_15s(), EnhanceConfig(noise_estimation="mad"))
+    _, report = enhance(long_hard_mad_15s()[1], EnhanceConfig(noise_estimation="mad"))
     return {
         "audio_s": workloads.LONG_SECONDS,
         "to_json_ms": in_ms(timed(report.to_json, repeats)),
@@ -203,7 +211,8 @@ def report_15s_mad(repeats: int) -> dict:
 def memory_15s(repeats: int) -> dict:
     """memory_call of every method and noise mode, each in a fresh
     interpreter on this import path, so that no earlier call has shaped
-    the heap it faults in."""
+    the heap it faults in; then, in this process, the tracemalloc peak
+    of `analyze` of the 15 s input against its noise (noisy - clean)."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR))
     tools = os.path.dirname(os.path.abspath(__file__))
     calls = {}
@@ -218,11 +227,14 @@ def memory_15s(repeats: int) -> dict:
     default = EnhanceConfig()
     n_samples = int(workloads.LONG_SECONDS * RATE)
     n_frames = frame_count(n_samples, default.frame_len, default.hop)
+    clean, noisy = long_hard_mad_15s()
+    noise = SignalBuffer(noisy.samples - clean.samples, RATE)
     return {
         "audio_s": workloads.LONG_SECONDS,
         "leaves_mb": n_frames * default.frame_len * 8 / 2**20,
         "samples_mb": n_samples * 8 / 2**20,
         "calls": calls,
+        "analyze_tracemalloc_peak_mb": peak_mb(lambda: analyze(noisy, noise, default)),
     }
 
 
@@ -230,7 +242,7 @@ def memory_call(method: str, noise_estimation: str, repeats: int) -> dict:
     """The minor faults per call of `repeats` calls after two warm-up calls
     (this process's ru_minflt), then the tracemalloc peak of one more
     call, on the 15 s input."""
-    noisy = long_hard_mad_15s()
+    noisy = long_hard_mad_15s()[1]
     config = EnhanceConfig(method=method, noise_estimation=noise_estimation)
     for _ in range(2):  # the heap and the allocator's thresholds settle
         enhance(noisy, config)
@@ -238,13 +250,8 @@ def memory_call(method: str, noise_estimation: str, repeats: int) -> dict:
     for _ in range(repeats):
         enhance(noisy, config)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    tracemalloc.start()
-    try:
-        enhance(noisy, config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return {"minor_faults_per_call": faults / repeats, "tracemalloc_peak_mb": peak / 2**20}
+    return {"minor_faults_per_call": faults / repeats,
+            "tracemalloc_peak_mb": peak_mb(lambda: enhance(noisy, config))}
 
 
 def cli_import_s(repeats: int) -> dict:
