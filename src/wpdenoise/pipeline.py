@@ -9,12 +9,20 @@ normalised overlap-add.
 
 Every leaf-sized stage writes into the one buffer make_frames filled:
 the packet transform, the thresholds (block by block of frames), the
-synthesis and the overlap-add normaliser. Every histogram pooled over
-the frames (the noise profile, h_sub, both sides of `analyze`) is
-binned through `_pooled_counts`, which copies one block of frames at a
-time. So a call holds its leaves and, beside them, one signal-sized
-array at a time: make_frames' padded copy of the input, the mad
-profile's |detail| (half the leaves) or the output.
+synthesis and the overlap-add normaliser. Histograms pooled over the
+frames per subband (the noise profile, universal h_sub, both sides of
+`analyze`) are binned through `_pooled_counts`, which copies one block
+of frames at a time; band mode's h_sub sums band selection's counts.
+Histograms of all the leaves together (h_all with leading silence,
+`analyze`'s pooled pair) bin the raveled leaves, a view, in
+row_histograms' own blocks; in mad mode h_all is h_sub summed. Every
+sweep over the leaves cuts its blocks of frames by one budget,
+stats._BLOCK_VALUES values in a block's largest array: its leaves for
+the pooled counts and the universal rules, its dense (frames,
+subbands, bins) arrays for band selection. So a call holds its leaves
+and, beside them, one signal-sized array at a time: make_frames'
+padded copy of the input, the mad profile's |detail| (half the
+leaves) or the output.
 
 Three thresholding strategies are supported:
 
@@ -53,13 +61,13 @@ from .signal_io import (
 from .stats import (
     Histogram,
     ProbabilityVector,
+    _BLOCK_VALUES,
     _uniform_edges,
     bin_count,
     check_epsilon,
     entropy,
     ratio_profile,
     row_histograms,
-    shared_edges,
     symmetric_divergence,
     to_probability,
 )
@@ -84,18 +92,6 @@ _REAL_FIELDS = (
 
 VOICED = "voiced"
 UNVOICED = "unvoiced"
-
-# Leaves are binned for the pooled histograms (_pooled_counts) and
-# thresholded by the universal rules in blocks of frames of at most
-# _LEAF_BLOCK_VALUES values (512 kB), so that a block's copy and
-# temporaries stay small beside the leaves. Band selection holds dense
-# (frames, subbands, bins) probabilities; in mad mode the bin count
-# grows with the input, so a band block holds at most _BAND_BLOCK_VALUES
-# of them, and of leaves (2 MB per float array): a 15 s band/mad call
-# peaks 28 MB lower than with 8 MB blocks, at the same speed, and a 5 s
-# sine-0db call runs in one block, as fast as whole.
-_LEAF_BLOCK_VALUES = 1 << 16
-_BAND_BLOCK_VALUES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -244,7 +240,7 @@ def _pooled_counts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     Counts are integers, so binning block by block of frames gives the
     counts of the whole rows; only one block's rows are copied at a time.
     """
-    step = max(1, _LEAF_BLOCK_VALUES // values[0].size)
+    step = max(1, _BLOCK_VALUES // values[0].size)
     return sum(row_histograms(_per_subband(values[start : start + step]), edges=edges).counts
                for start in range(0, len(values), step))
 
@@ -328,6 +324,8 @@ def classify_vuv(leaves, entropy_threshold: float, epsilon: float) -> list:
     leaves = real_floats(leaves, "leaves")
     if leaves.ndim != 3:
         raise ValueError(f"leaves must be (frames, subbands, coeffs), not {leaves.shape}")
+    if leaves.size == 0:
+        raise ValueError(f"leaves must hold values, got shape {leaves.shape}")
     threshold = finite_real(entropy_threshold, "entropy_threshold")
     pooled = leaves.reshape(len(leaves), -1)
     h = entropy(to_probability(row_histograms(pooled), epsilon))
@@ -340,11 +338,13 @@ def _band_blocks(leaves: np.ndarray, profile: NoiseProfile, config: EnhanceConfi
     Every (frame, subband) of a block is binned alone on the profile's
     edges, and its band is picked from that histogram and removed; band
     is (frames, subbands, 2). The counts summed over the frames are
-    each subband's histogram, h_sub.
+    each subband's histogram, h_sub. A block's dense (frames, subbands,
+    bins) arrays hold at most _BLOCK_VALUES values; its leaves are only
+    masked in place, so they do not size it.
     """
     dist = profile.distribution
-    n_sub, n_coeff = leaves.shape[1:]
-    step = max(1, _BAND_BLOCK_VALUES // (n_sub * max(dist.n_bins, n_coeff)))
+    n_sub = leaves.shape[1]
+    step = max(1, _BLOCK_VALUES // (n_sub * dist.n_bins))
     counts = np.zeros((n_sub, dist.n_bins), dtype=np.int64)
     bands = []
     for start in range(0, len(leaves), step):
@@ -389,9 +389,9 @@ def enhance(
 
     # One threshold or band per (frame, subband), broadcast over the
     # coeffs. The leaves are the one leaf-sized array of the call:
-    # binned and thresholded in place block by block, rebuilt into
-    # frames in place, and then the overlap-add's normaliser; its output
-    # is the one signal-sized array.
+    # binned and thresholded in place in blocks of frames cut by
+    # _BLOCK_VALUES, rebuilt into frames in place, and then the
+    # overlap-add's normaliser; its output is the one signal-sized array.
     n_zero_pre = np.count_nonzero(leaves == 0.0, axis=-1)
     if config.noise_estimation == "leading_silence":
         all_counts = row_histograms(leaves.ravel(), edges=profile.pooled.bin_edges).counts
@@ -404,7 +404,7 @@ def enhance(
         threshold = np.broadcast_to(threshold, (n_frames, n_sub))
         counts = _pooled_counts(leaves, profile.distribution.bin_edges)
         rule = _soft if config.method == "universal-soft" else _hard
-        step = max(1, _LEAF_BLOCK_VALUES // leaves[0].size)
+        step = max(1, _BLOCK_VALUES // leaves[0].size)
         for start in range(0, n_frames, step):
             rule(leaves[start : start + step], threshold[start : start + step, :, None])
     n_zero_post = np.count_nonzero(leaves == 0.0, axis=-1)
@@ -462,20 +462,21 @@ def analyze(noisy: SignalBuffer, noise: SignalBuffer, config: EnhanceConfig) -> 
     check_epsilon(config.epsilon, bin_count(fewer_frames * config.frame_len))
     leaves = [leaf_coefficients(s, config) for s in (noisy, noise)]
 
-    # each subband's shared edges, as shared_edges gives for its rows
-    edges = _uniform_edges(np.minimum(*(np.min(side, axis=(0, 2)) for side in leaves)),
-                           np.maximum(*(np.max(side, axis=(0, 2)) for side in leaves)),
-                           bin_count(min(side.shape[0] * side.shape[2] for side in leaves)))
+    # each subband's shared edges, as shared_edges gives for its rows;
+    # the pooled edges, as it gives for all leaves, from the same extremes
+    lo = np.minimum(*(np.min(side, axis=(0, 2)) for side in leaves))
+    hi = np.maximum(*(np.max(side, axis=(0, 2)) for side in leaves))
+    n_fewer = min(side.size for side in leaves)  # the smaller side's leaves
+    edges = _uniform_edges(lo, hi, bin_count(n_fewer // config.n_subbands))
     h_ns, h_n = (Histogram(edges, _pooled_counts(side, edges)) for side in leaves)
     divergences = symmetric_divergence(
         to_probability(h_ns, config.epsilon), to_probability(h_n, config.epsilon)
     ).tolist()
 
-    pooled = [side.ravel() for side in leaves]
-    edges = shared_edges(*pooled)
+    edges = _uniform_edges(lo.min(), hi.max(), bin_count(n_fewer))
     p_ns, p_n = (
-        to_probability(row_histograms(side, edges=edges), config.epsilon)
-        for side in pooled
+        to_probability(row_histograms(side.ravel(), edges=edges), config.epsilon)
+        for side in leaves
     )
     return Report(
         tool_version=__version__,

@@ -25,7 +25,8 @@ one bin at a time until those hold them; so the rule is exact for any
 strictly increasing edges. Values
 are binned and counted in blocks of `_BLOCK_VALUES` (whole rows, or
 column slices of a longer row), so that every temporary stays the size
-of a block, not of the input. NaN has no bin and is rejected; so are
+of a block, not of the input; the pipeline cuts its sweeps over the
+leaves by the same budget. NaN has no bin and is rejected; so are
 infinite values where the edges are chosen from the values.
 
 Each input has one rule, and breaking it raises ValueError naming the
@@ -50,10 +51,15 @@ from .signal_io import integer, real_floats, shown
 # Half-width used to un-degenerate a single-valued sample range.
 _DEGENERATE_HALF_SPAN = 1e-9
 
-# Values binned in one block (256 kB of float64): whole rows, or column
-# slices of a row longer than this. `_bin_index`'s temporaries (a float
-# guess, an index and a mask per value) then stay in L2, and none grows
-# with the input.
+# The one block budget of every histogram and threshold sweep (256 kB
+# of float64). row_histograms bins this many values at a time: whole
+# rows, or column slices of a row longer than this, so `_bin_index`'s
+# temporaries (a float guess, an index and a mask per value) stay in L2.
+# The pipeline's sweeps over the leaves take their frames per block from
+# it too: the pooled counts and the universal rules this many leaf
+# values, band selection this many dense (frames, subbands, bins)
+# values. No temporary grows with the input. Twice this budget peaks
+# above a leaf array + the signal + 1.5 MB on a 3 s universal-hard call.
 _BLOCK_VALUES = 1 << 15
 
 

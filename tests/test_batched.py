@@ -419,9 +419,10 @@ def test_enhance_matches_oracle_on_preset(method):
 def test_enhance_matches_oracle_on_speech_like_mad(method, monkeypatch):
     _, noisy = _speech_like(3.0, seed=12)
     config = EnhanceConfig(method=method, noise_estimation="mad", seed=12)
-    # 187 frames x 16 subbands x 109 bins: blocks of 11 frames, the last
-    # one shorter, check that band selection block by block changes nothing.
-    monkeypatch.setattr(pipeline, "_BAND_BLOCK_VALUES", 11 * 16 * 109)
+    # 187 frames x 16 subbands x 109 bins: a block holds _BLOCK_VALUES //
+    # (subbands x bins) frames, here 11, the last block shorter; band
+    # selection block by block changes nothing.
+    monkeypatch.setattr(pipeline, "_BLOCK_VALUES", 11 * 16 * 109)
     _assert_matches_oracle(noisy, config)
 
 

@@ -425,6 +425,10 @@ class TestClassifyVuv:
         (np.array([[[10**400, 1]]], dtype=object), 0.5,
          "leaves must be real numbers within float range"),
         (np.ones((2, 4)), 0.5, "leaves must be (frames, subbands, coeffs), not (2, 4)"),
+        # numpy's reshape error, and row_histograms' empty-sample error, before
+        (np.ones((0, 2, 4)), 0.5, "leaves must hold values, got shape (0, 2, 4)"),
+        (np.ones((1, 0, 4)), 0.5, "leaves must hold values, got shape (1, 0, 4)"),
+        (np.ones((1, 2, 0)), 0.5, "leaves must hold values, got shape (1, 2, 0)"),
         (np.arange(8.0).reshape(1, 2, 4), math.nan,
          "entropy_threshold must be a finite real number, got nan"),
         (np.arange(8.0).reshape(1, 2, 4), None,
@@ -432,8 +436,8 @@ class TestClassifyVuv:
         # broadcast against the one frame's entropy, it gave no label
         (np.arange(8.0).reshape(1, 2, 4), [],
          "entropy_threshold must be a finite real number, got []"),
-    ], ids=["complex", "int-beyond-float", "2-d", "nan-threshold", "none-threshold",
-            "empty-threshold"])
+    ], ids=["complex", "int-beyond-float", "2-d", "no-frames", "no-subbands", "no-coeffs",
+            "nan-threshold", "none-threshold", "empty-threshold"])
     def test_bad_leaves_or_threshold_raise_value_error(self, leaves, threshold, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             classify_vuv(leaves, threshold, 1e-12)
@@ -574,14 +578,17 @@ class TestEnhance:
         # against 8.8 MB for hard on a 15 s input. Every leaf-sized stage
         # now writes over the leaves, so a call holds them and one
         # signal-sized array at a time, plus 1.5 MB: 6.99 MB at 15 s,
-        # where each leaf-sized stage writing a new array peaked at 8.8 MB
+        # where each leaf-sized stage writing a new array peaked at 8.8 MB.
+        # Band selection's dense blocks are cut by the same budget, so band
+        # keeps the bound in both modes (in mad mode its 2 MB blocks peaked
+        # at 11.55 MB at 3 s and 14.73 MB at 15 s)
         rng = np.random.default_rng(5)
         samples = 0.3 * np.sin(np.arange(seconds * 16000) * 0.11)
         samples += rng.normal(0.0, 0.1, samples.size)
         samples[:1600] = rng.normal(0.0, 0.1, 1600)  # the 100 ms leading silence
         noisy = SignalBuffer(samples, 16000)
         peaks = {}
-        for method in ("universal-hard", "universal-soft"):
+        for method in METHODS:
             config = EnhanceConfig(method=method, noise_estimation=noise_estimation)
             tracemalloc.start()
             try:
@@ -648,16 +655,16 @@ class TestEnhance:
         dist = profile.distribution
         h_sub = row_histograms(pipeline._per_subband(leaves), edges=dist.bin_edges)
         whole = leaves.copy()
-        one_block = pipeline._band_blocks(whole, profile, config)
-        # 7 frames a block: 45 blocks of the 312 frames, the last shorter
-        monkeypatch.setattr(pipeline, "_BAND_BLOCK_VALUES",
-                            7 * leaves.shape[1] * max(dist.n_bins, leaves.shape[2]))
+        by_default = pipeline._band_blocks(whole, profile, config)
+        # a block holds _BLOCK_VALUES // (subbands x bins) frames: 7 frames
+        # a block, 45 blocks of the 312 frames, the last shorter
+        monkeypatch.setattr(pipeline, "_BLOCK_VALUES", 7 * leaves.shape[1] * dist.n_bins)
         blocks = leaves.copy()
         band, counts = pipeline._band_blocks(blocks, profile, config)
-        for got in (counts, one_block[1]):
+        for got in (counts, by_default[1]):
             assert got.dtype == h_sub.counts.dtype
             assert np.array_equal(got, h_sub.counts)
-        assert np.array_equal(band, one_block[0])
+        assert np.array_equal(band, by_default[0])
         assert np.array_equal(blocks, whole)
         # the public rule on the run's leaves gives the same thresholded leaves
         kept = band_hard_threshold(leaves, band[..., :1], band[..., 1:])
@@ -692,7 +699,7 @@ class TestEnhance:
             edges = stats._uniform_edges(np.min(rows, axis=-1), np.max(rows, axis=-1), 44)
         want = row_histograms(rows, edges=edges).counts
         by_default = pipeline._pooled_counts(values, edges)
-        monkeypatch.setattr(pipeline, "_LEAF_BLOCK_VALUES", 9 * values[0].size)
+        monkeypatch.setattr(pipeline, "_BLOCK_VALUES", 9 * values[0].size)
         for got in (pipeline._pooled_counts(values, edges), by_default):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
