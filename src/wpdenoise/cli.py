@@ -150,7 +150,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = _config_from_args(args, default_seed=0)
-    _, _, enhanced, report = run_preset(args.preset, seed=config.seed, config=config)
+    _, _, enhanced, report = run_preset(args.preset, config=config)
     print(f"input_snr_db {report.input_snr_db:.6f}")
     print(f"output_snr_db {report.output_snr_db:.6f}")
     return _write(args, enhanced, report)

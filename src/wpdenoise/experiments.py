@@ -3,9 +3,11 @@
 The "sine-0db" preset mixes a 440 Hz tone (silent for the first quarter
 second so the default leading-silence noise estimation sees noise-only
 material) with seeded white noise at 0 dB overall SNR, 16 kHz, 5 s.
-The tone does not depend on the seed, so it is built once per process
-and every call shares its samples as one read-only array; the seeded
-noise and the mix are built on each call.
+The noise is drawn from the seed of the run's config, the seed its
+report records, so a run is reproduced from its report. The tone does
+not depend on the seed, so it is built once per process and every call
+shares its samples as one read-only array; the seeded noise and the mix
+are built on each call.
 """
 
 from __future__ import annotations
@@ -51,23 +53,29 @@ def sine_0db_material(seed: int) -> tuple:
 def run_preset(
     name: str,
     method: str | None = None,
-    seed: int = 0,
+    seed: int | None = None,
     config: EnhanceConfig | None = None,
 ) -> tuple:
     """Run a named preset; returns (clean, noisy, enhanced, report).
 
-    Pass either `method` (default "universal-hard", with every other
-    setting at its default) or a full `config`, not both. `seed` draws
-    the preset's noise. The report's mode is "experiment" and carries
-    input/output SNR against the clean signal.
+    The preset's noise is drawn from config.seed, which the report
+    records. Pass either `method` (default "universal-hard") and `seed`
+    (default 0), which build the config with every other setting at its
+    default, or a full `config`, not both; a `seed` given beside a
+    config must equal its seed. A config whose seed is None raises
+    ValueError naming seed (white_noise's check_seed), as a preset needs
+    one. The report's mode is "experiment" and carries input/output SNR
+    against the clean signal.
     """
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r} (expected one of {PRESETS})")
-    if method is not None and config is not None:
-        raise ValueError("pass either method or config, not both")
-    clean, noisy = sine_0db_material(seed)
     if config is None:
-        config = EnhanceConfig(method=method or "universal-hard", seed=seed)
+        config = EnhanceConfig(method=method or "universal-hard",
+                               seed=0 if seed is None else seed)
+    elif method is not None or seed not in (None, config.seed):
+        raise ValueError("pass either method or config, not both; a seed beside a "
+                         f"config must be its seed, {config.seed}")
+    clean, noisy = sine_0db_material(config.seed)
     enhanced, report = enhance(noisy, config, reference=clean)
     report = replace(report, mode="experiment")
     return clean, noisy, enhanced, report

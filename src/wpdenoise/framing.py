@@ -12,8 +12,8 @@ Each end has one path. make_frames windows every frame from one
 zero-padded copy of the signal; overlap_add sums the windowed frames
 and their squared windows over the whole signal, then divides once.
 The sums are written over the frames, so overlap_add allocates only the
-output: the public function sums a copy, and the pipeline hands over
-frames it owns.
+output: the public function sums a private copy (signal_io.private_copy),
+and the pipeline hands over frames it owns.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .signal_io import SignalBuffer, integer, peak_magnitude, real_floats, shown
+from .signal_io import SignalBuffer, integer, peak_magnitude, private_copy, real_floats, shown
 
 WINDOWS = ("rectangular", "hann")
 
@@ -175,10 +175,10 @@ def overlap_add(frames: FrameSet) -> SignalBuffer:
     each frame's squared window, over the whole signal; the numerator is
     then divided by it once. The FrameSet's geometry keeps the
     normaliser above 1e-12 everywhere. Output is truncated to
-    original_len. The sums run on a copy of the frames, which are left
-    as they were.
+    original_len. The sums run on a private copy of the frames, which
+    are left as they were.
     """
-    return _overlap_add(frames, frames.frames.copy())
+    return _overlap_add(frames, private_copy(frames.frames))
 
 
 def _overlap_add(frames: FrameSet, values: np.ndarray) -> SignalBuffer:

@@ -56,7 +56,7 @@ from .framing import (
     FrameSet, _overlap_add, check_geometry, check_peak, frame_count, make_frames,
 )
 from .signal_io import (
-    SignalBuffer, _check_aligned, finite_real, integer, level, real_floats, shown, snr_db,
+    SignalBuffer, _check_aligned, check_seed, finite_real, level, real_floats, shown, snr_db,
 )
 from .stats import (
     Histogram,
@@ -101,9 +101,9 @@ class EnhanceConfig:
     Checked when built and immutable: dataclasses.replace derives a new,
     checked config. A bad value raises ValueError naming its field.
     frame_len is a power of two of at most 2^16 (1024 with hann).
-    frame_len, hop, depth and seed (None allowed) are integers
-    (signal_io.integer), and are stored as ints; seed must have few
-    enough digits for the report to write it. The real fields are
+    frame_len, hop and depth are integers (signal_io.integer), and seed
+    is None or a seed (signal_io.check_seed: an integer >= 0 that the
+    report can write); each is stored as an int. The real fields are
     finite Python ints and floats (not bools) or numpy scalars, stored
     as the Python number (signal_io.finite_real); vuv_enabled takes a
     bool or numpy bool, stored as a bool. So every field is one the
@@ -128,13 +128,7 @@ class EnhanceConfig:
     def __post_init__(self):
         frame_len, hop = check_geometry(self.frame_len, self.hop, self.window)
         depth = check_packet(frame_len, self.depth, filter_bank(self.wavelet))
-        try:
-            seed = None if self.seed is None else integer(self.seed, "seed")
-            str(seed)  # the report writes it in decimal
-        except ValueError:
-            raise ValueError(
-                f"seed must be an integer the report can write, got {shown(self.seed)}"
-            ) from None
+        seed = None if self.seed is None else check_seed(self.seed)
         ints = {"frame_len": frame_len, "hop": hop, "depth": depth, "seed": seed}
         for name, value in ints.items():
             object.__setattr__(self, name, value)
@@ -455,18 +449,18 @@ def analyze(noisy: SignalBuffer, noise: SignalBuffer, config: EnhanceConfig) -> 
     if noisy.sample_rate_hz != noise.sample_rate_hz:
         raise ValueError("noisy and noise files must share a sample rate")
     # The pooled histograms are the largest: the smaller signal's frames
-    # times the frame length, binned by the square-root rule.
-    fewer_frames = min(
+    # times the frame length, its leaf count, binned by the square-root
+    # rule; each subband's pair bins that count / n_subbands.
+    n_fewer = config.frame_len * min(
         frame_count(len(s), config.frame_len, config.hop) for s in (noisy, noise)
     )
-    check_epsilon(config.epsilon, bin_count(fewer_frames * config.frame_len))
+    check_epsilon(config.epsilon, bin_count(n_fewer))
     leaves = [leaf_coefficients(s, config) for s in (noisy, noise)]
 
     # each subband's shared edges, as shared_edges gives for its rows;
     # the pooled edges, as it gives for all leaves, from the same extremes
     lo = np.minimum(*(np.min(side, axis=(0, 2)) for side in leaves))
     hi = np.maximum(*(np.max(side, axis=(0, 2)) for side in leaves))
-    n_fewer = min(side.size for side in leaves)  # the smaller side's leaves
     edges = _uniform_edges(lo, hi, bin_count(n_fewer // config.n_subbands))
     h_ns, h_n = (Histogram(edges, _pooled_counts(side, edges)) for side in leaves)
     divergences = symmetric_divergence(

@@ -10,8 +10,12 @@ form that wave rejects on Python 3.10 and 3.11.
 The argument rules every module applies live here too, each written
 once: real_floats (arrays of real numbers), level (thresholds,
 tolerances and noise levels: finite and >= 0), finite_real (one finite
-real setting) and integer; each raises ValueError naming the argument,
-which shown() prints even when it is an int too long to convert.
+real setting), integer and check_seed (the seed of a generator and a
+report); each raises ValueError naming the argument, which shown()
+prints even when it is an int too long to convert. So is the rule of
+the public functions whose bodies write their output over their input:
+each hands its body private_copy's new array, so none writes its
+caller's.
 """
 
 from __future__ import annotations
@@ -93,6 +97,27 @@ def integer(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {shown(value)}") from None
+
+
+def check_seed(value) -> int:
+    """`value` as an int seed, the one rule for every seed: an integer
+    (integer) >= 0, as numpy's generators take, with few enough digits
+    for a report to write it in decimal. Anything else raises
+    ValueError naming seed."""
+    seed = integer(value, "seed")
+    # shown(seed) is all digits unless seed is negative or too long to print
+    if not shown(seed).isdigit():
+        raise ValueError("seed must be an integer >= 0 short enough to print, "
+                         f"got {shown(seed)}")
+    return seed
+
+
+def private_copy(values: np.ndarray, *thresholds: np.ndarray) -> np.ndarray:
+    """A new C-ordered float64 array of `values`, broadcast against the
+    shapes of any `thresholds`: memory no caller holds, for an in-place
+    body to write its output over."""
+    shape = np.broadcast_shapes(values.shape, *(t.shape for t in thresholds))
+    return np.array(np.broadcast_to(values, shape), dtype=np.float64, order="C")
 
 
 def finite_real(value, name: str):
@@ -265,8 +290,18 @@ def _num_samples(duration_s: float, sample_rate_hz: int) -> int:
 def sine_wave(
     freq_hz: float, amplitude: float, duration_s: float, sample_rate_hz: int
 ) -> SignalBuffer:
-    """Generate amplitude * sin(2*pi*freq*n/fs)."""
+    """Generate amplitude * sin(2*pi*freq*n/fs).
+
+    freq_hz and amplitude are finite reals (finite_real), and the largest
+    phase before the division by the rate, 2*pi*freq*(n - 1) (2*pi*freq
+    for a single sample), must be within the float range, so that every
+    sample is finite; otherwise ValueError names the argument.
+    """
+    freq_hz = finite_real(freq_hz, "freq_hz")
+    amplitude = finite_real(amplitude, "amplitude")
     n = _num_samples(duration_s, sample_rate_hz)
+    if not abs(2.0 * math.pi * freq_hz * max(n - 1, 1)) <= sys.float_info.max:
+        raise ValueError(f"freq_hz={shown(freq_hz)} gives a phase beyond the float range")
     t = np.arange(n, dtype=np.float64)
     samples = amplitude * np.sin(2.0 * np.pi * freq_hz * t / sample_rate_hz)
     return SignalBuffer(samples, sample_rate_hz)
@@ -275,10 +310,13 @@ def sine_wave(
 def white_noise(
     std_dev: float, duration_s: float, sample_rate_hz: int, seed: int
 ) -> SignalBuffer:
-    """Seeded Gaussian noise (numpy PCG64; identical stream for a seed)."""
+    """Seeded Gaussian noise (numpy PCG64; identical stream for a seed).
+
+    The seed follows check_seed.
+    """
     level(std_dev, "std_dev")
     n = _num_samples(duration_s, sample_rate_hz)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     return SignalBuffer(rng.normal(0.0, std_dev, n), sample_rate_hz)
 
 

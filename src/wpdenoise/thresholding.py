@@ -16,9 +16,9 @@ divergence stays within a tolerance.
 
 The hard, soft and band_hard rules each have one body that writes its
 output over a float64 array (_hard, _soft, _band_hard). The public
-functions hand it a new array of the coefficients broadcast against the
-thresholds, so their input is left as it was; the pipeline hands it its
-own leaves, block by block.
+functions hand it signal_io.private_copy's new array of the
+coefficients broadcast against the thresholds, so their input is left
+as it was; the pipeline hands it its own leaves, block by block.
 
 Thresholds may be arrays that broadcast against the coefficients, e.g.
 one threshold per (frame, subband) of a (frames, subbands, coeffs)
@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from .signal_io import integer, level, real_floats, shown
+from .signal_io import integer, level, private_copy, real_floats, shown
 from .stats import ProbabilityVector, check_shared_edges, zero_bin_index
 
 # MAD-to-sigma factor for Gaussian data: median(|X|) = 0.6745 sigma.
@@ -118,7 +118,7 @@ def hard_threshold(coeffs, t) -> np.ndarray:
     """
     t = level(t, "threshold")
     w = real_floats(coeffs, "coeffs")
-    return _hard(_output(w, t), t)
+    return _hard(private_copy(w, t), t)
 
 
 def _hard(w: np.ndarray, t) -> np.ndarray:
@@ -135,7 +135,7 @@ def soft_threshold(coeffs, t) -> np.ndarray:
     """
     t = level(t, "threshold")
     w = real_floats(coeffs, "coeffs")
-    return _soft(_output(w, t), t)
+    return _soft(private_copy(w, t), t)
 
 
 def _soft(w: np.ndarray, t) -> np.ndarray:
@@ -149,14 +149,6 @@ def _soft(w: np.ndarray, t) -> np.ndarray:
     w -= t
     np.maximum(w, 0.0, out=w)
     return np.negative(w, out=w, where=negative)
-
-
-def _output(w: np.ndarray, *thresholds) -> np.ndarray:
-    """A new array of w's values broadcast against the thresholds, for a
-    rule to write its output over."""
-    out = np.empty(np.broadcast_shapes(w.shape, *(t.shape for t in thresholds)))
-    out[...] = w
-    return out
 
 
 def semisoft_threshold(coeffs, t1, t2) -> np.ndarray:
@@ -186,7 +178,7 @@ def band_hard_threshold(coeffs, t1, t2) -> np.ndarray:
     if not np.all(t1 <= t2):  # NaN fails
         raise ValueError("need t1 <= t2")
     w = real_floats(coeffs, "coeffs")
-    return _band_hard(_output(w, t1, t2), t1, t2)
+    return _band_hard(private_copy(w, t1, t2), t1, t2)
 
 
 def _band_hard(w: np.ndarray, t1, t2) -> np.ndarray:

@@ -23,9 +23,9 @@ split alone is wp_analysis(frames, fb, 1).
 
 Every stage writes its product over its own input, so a transform needs
 no memory beyond its input but one chunk's windows. The public
-functions run the stages on a private copy of their input (the float64
-conversion when there is one, else a copy); the pipeline
-calls _analysis and _synthesis on arrays it owns, which they consume.
+functions run the stages on a private copy of their input
+(signal_io.private_copy); the pipeline calls _analysis and _synthesis
+on arrays it owns, which they consume.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .signal_io import integer, real_floats, shown
+from .signal_io import integer, private_copy, real_floats, shown
 
 # The low-pass analysis taps of each named filter; the high-pass is
 # their quadrature mirror. db4: Daubechies length-8 scaling coefficients
@@ -211,15 +211,7 @@ def wp_analysis(frames, fb: FilterBank, depth: int) -> np.ndarray:
     if x.ndim != 2:
         raise ValueError(f"frames must be (n_frames, frame_len), got shape {x.shape}")
     depth = check_packet(x.shape[1], depth, fb)
-    return _analysis(_private(x, frames), fb, depth)
-
-
-def _private(x: np.ndarray, values) -> np.ndarray:
-    """x, real_floats' array of `values`, in C-ordered memory that no
-    caller holds: copied when it may share the memory of `values`."""
-    if np.may_share_memory(x, values):
-        return x.copy()
-    return np.ascontiguousarray(x)
+    return _analysis(private_copy(x), fb, depth)
 
 
 def _analysis(x: np.ndarray, fb: FilterBank, depth: int) -> np.ndarray:
@@ -253,7 +245,7 @@ def wp_synthesis(leaves, fb: FilterBank) -> np.ndarray:
         )
     n_sub = x.shape[1]
     check_packet(n_sub * x.shape[2], n_sub.bit_length() - 1, fb)
-    return _synthesis(_private(x, leaves), fb)
+    return _synthesis(private_copy(x), fb)
 
 
 def _synthesis(x: np.ndarray, fb: FilterBank) -> np.ndarray:

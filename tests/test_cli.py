@@ -248,6 +248,41 @@ class TestSynthDuration:
         assert not out.exists()
 
 
+class TestSynthSine:
+    @pytest.mark.parametrize("flag, value", [("--amplitude", "inf"), ("--freq", "1e308")])
+    def test_a_tone_no_float_holds_is_processing_error(self, tmp_path, capsys, flag,
+                                                      value):
+        # numpy warned on stderr before the samples were refused
+        out = tmp_path / "x.wav"
+        status = run(["synth", "--kind", "sine", f"{flag}={value}", "--out", str(out)])
+        assert status == 3
+        err = capsys.readouterr().err
+        name = {"--amplitude": "amplitude", "--freq": "freq_hz"}[flag]
+        assert err.startswith(f"error: {name}") and err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestSeed:
+    @pytest.mark.parametrize("argv, env", [
+        (["experiment", "--preset", "sine-0db", "--seed", "-1"], None),
+        (["synth", "--kind", "noise", "--seed", "-3"], None),
+        (["denoise", "--in", "missing.wav"], "-1"),
+    ], ids=["experiment", "synth", "denoise-env"])
+    def test_a_negative_seed_is_one_line_naming_seed(self, tmp_path, capsys, monkeypatch,
+                                                    argv, env):
+        # numpy's "expected non-negative integer" named nothing, and
+        # denoise only echoed the seed; denoise fails before any read
+        monkeypatch.chdir(tmp_path)
+        if env is not None:
+            monkeypatch.setenv("WAVEDENOISE_SEED", env)
+        out = tmp_path / "o.wav"
+        status = run([*argv, "--out", str(out)])
+        assert status == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be an integer >= 0") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestClippingWarning:
     def test_synth_reports_clipped_count(self, tmp_path, capsys):
         path = tmp_path / "loud.wav"

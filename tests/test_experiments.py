@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wpdenoise.experiments import run_preset, sine_0db_material
-from wpdenoise.pipeline import EnhanceConfig
+from wpdenoise.pipeline import METHODS, EnhanceConfig
 from wpdenoise.signal_io import sine_wave
 
 
@@ -24,6 +24,31 @@ def test_run_preset_method_and_config_runs_agree():
     assert rep_m.config["method"] == rep_c.config["method"] == "universal-soft"
     assert (by_method.samples == by_config.samples).all()
     assert rep_m.to_json() == rep_c.to_json()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_preset_draws_the_noise_from_the_config_seed(method):
+    # the seed the report records is the seed of the noise: a config
+    # alone drew the seed-0 noise under a report that said seed 5
+    clean, noisy, by_config, rep_c = run_preset(
+        "sine-0db", config=EnhanceConfig(method=method, seed=5)
+    )
+    _, noisy_5, by_seed, rep_s = run_preset("sine-0db", method, 5)
+    assert np.array_equal(noisy.samples, noisy_5.samples)
+    assert by_config.samples.tobytes() == by_seed.samples.tobytes()
+    assert rep_c.to_json() == rep_s.to_json() and rep_c.seed == 5
+
+
+def test_run_preset_refuses_a_seed_beside_a_config_with_another():
+    # the report would record seed 5 for noise drawn from seed 3
+    with pytest.raises(ValueError, match=r"a seed beside a config must be its seed, 5$"):
+        run_preset("sine-0db", seed=3, config=EnhanceConfig(seed=5))
+
+
+def test_run_preset_refuses_a_config_without_a_seed():
+    # the report would record no seed for noise drawn from seed 0
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got None$"):
+        run_preset("sine-0db", config=EnhanceConfig())
 
 
 def test_run_preset_default_method():

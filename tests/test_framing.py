@@ -163,6 +163,7 @@ class TestOverlapAdd:
         x = in_layout(frames, layout)
         out = overlap_add(FrameSet(x, 512, 128, window, 16077, 16000)).samples
         np.testing.assert_array_equal(x, frames)
+        assert not np.shares_memory(out, x)
         assert np.array_equal(out, oracle.overlap_add(FrameSet(frames, 512, 128, window,
                                                                16077, 16000)))
         own = frames.copy()

@@ -115,7 +115,7 @@ class TestEnhanceConfig:
         _, noisy = sine_0db_material(seed=1)
         _, report = enhance(noisy, config)
         validate_report_dict(json.loads(report.to_json()))
-        for bad in (1.5, "7"):
+        for bad in (1.5, "7", -1):
             with pytest.raises(ValueError, match=r"seed must be an integer"):
                 EnhanceConfig(seed=bad)
 

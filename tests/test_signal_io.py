@@ -321,7 +321,34 @@ _DATA = _chunk(b"data", b"\x01\x00")
      r": data chunk has a dangling byte$"),
     (lambda tmp_path: white_noise(-0.5, 1.0, 8000, 0), ValueError,
      r"^std_dev must be non-negative$"),
-], ids=["short-fmt", "no-fmt", "no-data", "dangling-byte", "negative-std-dev"])
+    # a seed is an integer >= 0 that a report prints: numpy took a list,
+    # drew fresh entropy for None and failed on the rest without naming it
+    (lambda tmp_path: white_noise(0.1, 1.0, 8000, None), ValueError,
+     r"^seed must be an integer, got None$"),
+    (lambda tmp_path: white_noise(0.1, 1.0, 8000, 1.5), ValueError,
+     r"^seed must be an integer, got 1.5$"),
+    (lambda tmp_path: white_noise(0.1, 1.0, 8000, -1), ValueError,
+     r"^seed must be an integer >= 0 short enough to print, got -1$"),
+    (lambda tmp_path: white_noise(0.1, 1.0, 8000, [1, 2]), ValueError,
+     r"^seed must be an integer, got \[1, 2\]$"),
+    (lambda tmp_path: white_noise(0.1, 1.0, 8000, 10**5000), ValueError,
+     r"^seed must be an integer >= 0 short enough to print, got <int of 16610 bits>$"),
+    # a tone's arguments are finite reals whose phase stays finite: these
+    # raised TypeError, or warned before the samples were refused
+    (lambda tmp_path: sine_wave("440", 0.5, 1.0, 8000), ValueError,
+     r"^freq_hz must be a finite real number, got '440'$"),
+    (lambda tmp_path: sine_wave(440.0, None, 1.0, 8000), ValueError,
+     r"^amplitude must be a finite real number, got None$"),
+    (lambda tmp_path: sine_wave(440.0, math.inf, 1.0, 8000), ValueError,
+     r"^amplitude must be a finite real number, got inf$"),
+    (lambda tmp_path: sine_wave(1e308, 0.5, 1.0, 8000), ValueError,
+     r"^freq_hz=1e\+308 gives a phase beyond the float range$"),
+    (lambda tmp_path: sine_wave(1e308, 0.5, 1 / 8000, 8000), ValueError,
+     r"^freq_hz=1e\+308 gives a phase beyond the float range$"),
+], ids=["short-fmt", "no-fmt", "no-data", "dangling-byte", "negative-std-dev",
+        "none-seed", "float-seed", "negative-seed", "list-seed", "huge-seed",
+        "str-freq", "none-amplitude", "inf-amplitude", "huge-phase",
+        "huge-phase-one-sample"])
 def test_each_rejection_raises_its_error(tmp_path, call, error, message):
     with pytest.raises(error, match=message) as info:
         call(tmp_path)

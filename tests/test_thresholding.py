@@ -394,6 +394,7 @@ class TestArrayThresholds:
         coeffs, thresholds = in_layout(x, layout), [in_layout(p, layout) for p in params(t)]
         out = fn(coeffs, *thresholds)
         np.testing.assert_array_equal(coeffs, x)
+        assert not np.shares_memory(out, coeffs)
         _assert_same_bits(out, fn(x, *params(t)))
         if rule in self.IN_PLACE:
             own = x.copy()

@@ -328,6 +328,7 @@ def test_public_transforms_leave_their_input_untouched(name, depth, layout):
     x = in_layout(frames, layout)
     leaves = wp_analysis(x, fb, depth)
     np.testing.assert_array_equal(x, frames)
+    assert not np.shares_memory(leaves, x)
     own = frames.copy()
     in_place = wavelet._analysis(own, fb, depth)
     assert np.shares_memory(in_place, own)
@@ -336,6 +337,7 @@ def test_public_transforms_leave_their_input_untouched(name, depth, layout):
     x = in_layout(leaves, layout)
     rebuilt = wp_synthesis(x, fb)
     np.testing.assert_array_equal(x, leaves)
+    assert not np.shares_memory(rebuilt, x)
     own = leaves.copy()
     in_place = wavelet._synthesis(own, fb)
     assert np.shares_memory(in_place, own)

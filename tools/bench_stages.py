@@ -63,13 +63,11 @@ from wpdenoise import pipeline  # noqa: E402
 from wpdenoise.experiments import sine_0db_material  # noqa: E402
 from wpdenoise.framing import frame_count, make_frames, overlap_add  # noqa: E402
 from wpdenoise.pipeline import (  # noqa: E402
-    EnhanceConfig, analyze, enhance, estimate_noise_profile,
+    METHODS, NOISE_MODES, EnhanceConfig, analyze, enhance, estimate_noise_profile,
 )
 from wpdenoise.signal_io import SignalBuffer  # noqa: E402
 from wpdenoise.wavelet import filter_bank, wp_analysis  # noqa: E402
 
-METHODS = ("universal-hard", "universal-soft", "band")
-NOISE_MODES = ("mad", "leading_silence")
 RATE = workloads.RATE
 
 

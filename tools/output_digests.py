@@ -37,12 +37,11 @@ import numpy as np
 
 from wpdenoise import cli
 from wpdenoise.experiments import run_preset, sine_0db_material
-from wpdenoise.pipeline import EnhanceConfig, analyze, enhance
+from wpdenoise.pipeline import METHODS, EnhanceConfig, analyze, enhance
 from wpdenoise.signal_io import SignalBuffer
 from wpdenoise.wavelet import filter_bank, wp_analysis, wp_synthesis
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-METHODS = ("universal-hard", "universal-soft", "band")
 
 # Run in order in one temporary directory; later calls read earlier files.
 CLI_SCRIPT = (
