@@ -22,6 +22,7 @@ from .framing import WINDOWS
 from .pipeline import METHODS, NOISE_MODES, EnhanceConfig, analyze, enhance
 from .signal_io import (
     WavFormatError,
+    check_seed,
     mix_at_snr,
     read_wav,
     sine_wave,
@@ -138,7 +139,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    seed = _resolve_seed(args, default=0)
+    seed = check_seed(_resolve_seed(args, default=0))  # every kind's, a sine's too
     if args.kind != "noise":  # sine, or the clean part of a mix
         signal = clean = sine_wave(args.freq, args.amplitude, args.duration, args.rate)
     if args.kind != "sine":

@@ -178,7 +178,7 @@ def overlap_add(frames: FrameSet) -> SignalBuffer:
     original_len. The sums run on a private copy of the frames, which
     are left as they were.
     """
-    return _overlap_add(frames, private_copy(frames.frames))
+    return _overlap_add(frames, private_copy(frames.frames, frames.frames))
 
 
 def _overlap_add(frames: FrameSet, values: np.ndarray) -> SignalBuffer:

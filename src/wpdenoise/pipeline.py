@@ -11,8 +11,9 @@ Every leaf-sized stage writes into the one buffer make_frames filled:
 the packet transform, the thresholds (block by block of frames), the
 synthesis and the overlap-add normaliser. Histograms pooled over the
 frames per subband (the noise profile, universal h_sub, both sides of
-`analyze`) are binned through `_pooled_counts`, which copies one block
-of frames at a time; band mode's h_sub sums band selection's counts.
+`analyze`) are binned through `_pooled_counts`, in place, block by
+block of frames, with no copy; band mode's h_sub sums band selection's
+counts.
 Histograms of all the leaves together (h_all with leading silence,
 `analyze`'s pooled pair) bin the raveled leaves, a view, in
 row_histograms' own blocks; in mad mode h_all is h_sub summed. Every
@@ -62,6 +63,9 @@ from .stats import (
     Histogram,
     ProbabilityVector,
     _BLOCK_VALUES,
+    _check_no_nan,
+    _count,
+    _edge_rows,
     _uniform_edges,
     bin_count,
     check_epsilon,
@@ -231,12 +235,19 @@ def _pooled_counts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Counts of `values` (frames, ..., coeffs) pooled over the frames and
     coeffs on `edges` (B + 1,) or (..., B + 1): (..., B).
 
-    Counts are integers, so binning block by block of frames gives the
-    counts of the whole rows; only one block's rows are copied at a time.
+    Binned where they lie, block by block of frames, with no copy: each
+    row's bins are offset by its index, which broadcasts over the frames
+    (stats._count). The edges are checked once against the rows, and
+    each block is checked for NaN, as row_histograms checks its input.
     """
+    edges = _edge_rows(edges, values=values[0])
+    counts = np.zeros(values.shape[1:-1] + (edges.shape[-1] - 1,), dtype=np.int64)
     step = max(1, _BLOCK_VALUES // values[0].size)
-    return sum(row_histograms(_per_subband(values[start : start + step]), edges=edges).counts
-               for start in range(0, len(values), step))
+    for start in range(0, len(values), step):
+        block = values[start : start + step]
+        _check_no_nan(block)
+        _count(counts, block, edges)
+    return counts
 
 
 def estimate_noise_profile(noise: np.ndarray, config: EnhanceConfig) -> NoiseProfile:

@@ -19,6 +19,8 @@ from importlib import resources
 
 import numpy as np
 
+from .signal_io import output_file
+
 SCHEMA_VERSION = 1
 SCHEMA_RESOURCE = "schemas/report-v1.schema.json"
 
@@ -205,8 +207,8 @@ class Report:
         return self._frames_text(text[:cut], text[cut + 2 :] + "\n")
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+        with output_file(path) as fh:
+            fh.write(self.to_json().encode("utf-8"))
 
 
 def report_schema() -> dict:

@@ -5,7 +5,9 @@ little-endian (a plain PCM fmt chunk, or WAVE_FORMAT_EXTENSIBLE with the
 PCM sub-format). Anything else is rejected rather than coerced so the
 round-trip behaviour stays exact. Files are written by the stdlib wave
 writer and read by the parser here, which also takes the EXTENSIBLE
-form that wave rejects on Python 3.10 and 3.11.
+form that wave rejects on Python 3.10 and 3.11. Every file the package
+writes, a WAV or a report, is opened by output_file, which writes over
+an existing file and cuts it after, instead of truncating it first.
 
 The argument rules every module applies live here too, each written
 once: real_floats (arrays of real numbers), level (thresholds,
@@ -20,8 +22,11 @@ caller's.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
+import os
+import stat
 import struct
 import sys
 import warnings
@@ -112,12 +117,16 @@ def check_seed(value) -> int:
     return seed
 
 
-def private_copy(values: np.ndarray, *thresholds: np.ndarray) -> np.ndarray:
-    """A new C-ordered float64 array of `values`, broadcast against the
-    shapes of any `thresholds`: memory no caller holds, for an in-place
-    body to write its output over."""
-    shape = np.broadcast_shapes(values.shape, *(t.shape for t in thresholds))
-    return np.array(np.broadcast_to(values, shape), dtype=np.float64, order="C")
+def private_copy(x: np.ndarray, values, *thresholds: np.ndarray) -> np.ndarray:
+    """x, real_floats' array of `values`, broadcast against the shapes of
+    any `thresholds`, in C-ordered memory no caller holds: for an
+    in-place body to write its output over. Where no threshold
+    broadcasts x and real_floats converted `values` into new memory,
+    that conversion is the copy; otherwise x is copied."""
+    shape = np.broadcast_shapes(x.shape, *(t.shape for t in thresholds))
+    if shape == x.shape and x.flags.c_contiguous and not np.may_share_memory(x, values):
+        return x
+    return np.array(np.broadcast_to(x, shape), order="C")
 
 
 def finite_real(value, name: str):
@@ -268,10 +277,27 @@ def write_wav(path, signal: SignalBuffer) -> int:
     # writeframes call writes the header once, with the final sizes, so
     # the output need not be seekable.
     pcm = np.rint(clamped * _PCM_SCALE).astype(np.int16)
-    with open(path, "wb") as fh, wave.open(fh, "wb") as out:
+    with output_file(path) as fh, wave.open(fh, "wb") as out:
         out.setparams((1, 2, signal.sample_rate_hz, len(pcm), "NONE", "not compressed"))
         out.writeframes(pcm.tobytes())
     return n_clipped
+
+
+@contextlib.contextmanager
+def output_file(path):
+    """A binary file object that writes `path` over from its start, for
+    every file the package writes (write_wav, Report.write).
+
+    Opened without O_TRUNC, which on some filesystems stalls for tens
+    of milliseconds when the file already has blocks; a regular file is
+    cut to what was written once the writer is done, so no stale tail
+    of a longer old file stays. A FIFO, a device such as os.devnull or
+    a symlink to either is written as open(path, "wb") would write it.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        yield fh
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def _num_samples(duration_s: float, sample_rate_hz: int) -> int:

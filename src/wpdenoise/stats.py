@@ -22,12 +22,17 @@ than the edge row's largest |f(e_k) - k| lies strictly inside bin
 floor(f(x)). Only the values within that slack of an edge line, few on
 the uniform edges built here, look up the edges on either side and move
 one bin at a time until those hold them; so the rule is exact for any
-strictly increasing edges. Values
-are binned and counted in blocks of `_BLOCK_VALUES` (whole rows, or
-column slices of a longer row), so that every temporary stays the size
-of a block, not of the input; the pipeline cuts its sweeps over the
-leaves by the same budget. NaN has no bin and is rejected; so are
-infinite values where the edges are chosen from the values.
+strictly increasing edges. The guess is clamped into range by one
+np.clip, and when every edge row of a call has a proven slack, one
+bound, the largest of them, picks the values to look up: a superset of
+each row's, compared with a scalar. Values are binned and counted in
+blocks of `_BLOCK_VALUES` (whole rows, or column slices of a longer
+row), each block's bins added into the counts in place with np.add.at
+(`_count`), so that every temporary stays the size of a block, not of
+the input; the pipeline cuts its sweeps over the leaves by the same
+budget and counts its blocks of frames with `_count` too. NaN has no
+bin and is rejected; so are infinite values where the edges are chosen
+from the values.
 
 Each input has one rule, and breaking it raises ValueError naming the
 input: values, edges and probabilities are real numbers
@@ -171,17 +176,22 @@ def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     per row, broadcast over the leading axes of `x`.
 
     The guess is f(x) = (x - e0) * (B / (eB - e0)), clipped to
-    [0.5, B - 0.5]. Under IEEE rounding f never decreases as x grows, so
-    f(x) < f(e_k) means x < e_k and f(x) > f(e_k) means x > e_k. With
-    slack = max_k |f(e_k) - k| for the edge row, a guess more than
-    slack from every whole number lies strictly inside bin floor(f(x)),
-    and that is its bin. Only the other values are looked up: each steps
-    one bin down where x < edges[i] (i > 0) or one bin up where
-    x >= edges[i + 1] (i < B - 1), until none moves. They are the values
-    within slack of an edge line, and every value of a row whose scale
-    is 0, inf or NaN (its slack is NaN). A value stops only inside its
-    own bin, so the result is exact for any strictly increasing edges;
-    non-uniform edges have a large slack and take the steps throughout.
+    [0.5, B - 0.5] by one np.clip. Under IEEE rounding f never decreases
+    as x grows, so f(x) < f(e_k) means x < e_k and f(x) > f(e_k) means
+    x > e_k. With slack = max_k |f(e_k) - k| for the edge row, a guess
+    more than slack from every whole number lies strictly inside bin
+    floor(f(x)), and that is its bin. Only the other values are looked
+    up: each steps one bin down where x < edges[i] (i > 0) or one bin up
+    where x >= edges[i + 1] (i < B - 1), until none moves. When every
+    row's slack is proven (below 0.5), they are the values within the
+    largest slack of the call of an edge line: one scalar bound, which
+    marks a superset of each row's. Otherwise each row keeps its own
+    slack, and every value of a row whose scale is 0, inf or NaN (its
+    slack is NaN, and a guess of its may be NaN, set to 0.5 first) is
+    looked up; values are not NaN, so no proven row has a NaN guess. A
+    value stops only inside its own bin, so the result is exact for any
+    strictly increasing edges; non-uniform edges have a large slack and
+    take the steps throughout.
     """
     n_bins = edges.shape[-1] - 1
     lo = edges[..., :1]
@@ -194,14 +204,19 @@ def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
         )
         guess = x - lo
         guess *= scale
-    slack[~(slack < 0.5)] = np.inf  # no guess is proven: every value steps
-    # fmax/fmin map a NaN guess into range like any other
-    np.fmin(np.fmax(guess, 0.5, out=guess), n_bins - 0.5, out=guess)
+    proven = slack < 0.5
+    if np.all(proven):  # one bound for the block: the rows' largest slack
+        bound = slack.max()
+    else:  # an unproven row's guesses may be NaN, and each of its values steps
+        np.fmax(guess, 0.5, out=guess)
+        slack[~proven] = np.inf
+        bound = slack
+    np.clip(guess, 0.5, n_bins - 0.5, out=guess)
     idx = guess.astype(np.intp)
     # |f - round(f)| is exact for f in [0.5, B - 0.5]
     off = np.rint(guess)
     np.subtract(guess, off, out=off)
-    unsure = np.flatnonzero(np.abs(off, out=off) <= slack)
+    unsure = np.flatnonzero(np.abs(off, out=off) <= bound)
     if not unsure.size:
         return idx
     # The edges below and above each bin, one row of B per edge row; NaN
@@ -248,8 +263,7 @@ def row_histograms(values, edges=None) -> Histogram:
     x = real_floats(values, "values")
     if x.ndim == 0 or x.size == 0:
         raise ValueError("cannot histogram an empty sample")
-    if np.isnan(np.min(x)):  # np.min propagates NaN
-        raise ValueError("cannot histogram NaN values")
+    _check_no_nan(x)
     if edges is None:
         edges = _uniform_edges(
             np.min(x, axis=-1), np.max(x, axis=-1), bin_count(x.shape[-1])
@@ -268,12 +282,30 @@ def row_histograms(values, edges=None) -> Histogram:
     for r in range(0, len(rows), step):
         block_edges = edges if edges.ndim == 1 else edge_rows[r : r + step]
         for c in range(0, width, cols):
-            idx = _bin_index(rows[r : r + step, c : c + cols], block_edges)
-            idx += n_bins * np.arange(len(idx))[:, None]
-            counts[r : r + step] += np.bincount(
-                idx.ravel(), minlength=len(idx) * n_bins
-            ).reshape(-1, n_bins)
+            # a slice of whole rows of counts is C-ordered: _count adds into it
+            _count(counts[r : r + step], rows[r : r + step, c : c + cols], block_edges)
     return Histogram(bin_edges=edges, counts=counts.reshape(x.shape[:-1] + (n_bins,)))
+
+
+def _check_no_nan(x: np.ndarray) -> None:
+    """Refuse values to bin that hold a NaN, which has no bin."""
+    if np.isnan(np.min(x)):  # np.min propagates NaN
+        raise ValueError("cannot histogram NaN values")
+
+
+def _count(counts: np.ndarray, x: np.ndarray, edges: np.ndarray) -> None:
+    """Add the bins of `x` (..., R..., n) into `counts` (R..., B), in place.
+
+    `counts` is C-ordered int64, so that its flat reshape is a view; row r
+    of it takes the values x[..., r, :], binned (`_bin_index`) on
+    `edges`, (B + 1,) or one (R..., B + 1) row per count row. The bins
+    are offset by B times the row and added with np.add.at.
+    """
+    n_bins = counts.shape[-1]
+    idx = _bin_index(x, edges)
+    if counts.size > n_bins:
+        idx += n_bins * np.arange(counts.size // n_bins).reshape(counts.shape[:-1] + (1,))
+    np.add.at(counts.reshape(-1), idx.reshape(-1), 1)
 
 
 @dataclass

@@ -118,7 +118,7 @@ def hard_threshold(coeffs, t) -> np.ndarray:
     """
     t = level(t, "threshold")
     w = real_floats(coeffs, "coeffs")
-    return _hard(private_copy(w, t), t)
+    return _hard(private_copy(w, coeffs, t), t)
 
 
 def _hard(w: np.ndarray, t) -> np.ndarray:
@@ -135,7 +135,7 @@ def soft_threshold(coeffs, t) -> np.ndarray:
     """
     t = level(t, "threshold")
     w = real_floats(coeffs, "coeffs")
-    return _soft(private_copy(w, t), t)
+    return _soft(private_copy(w, coeffs, t), t)
 
 
 def _soft(w: np.ndarray, t) -> np.ndarray:
@@ -178,7 +178,7 @@ def band_hard_threshold(coeffs, t1, t2) -> np.ndarray:
     if not np.all(t1 <= t2):  # NaN fails
         raise ValueError("need t1 <= t2")
     w = real_floats(coeffs, "coeffs")
-    return _band_hard(private_copy(w, t1, t2), t1, t2)
+    return _band_hard(private_copy(w, coeffs, t1, t2), t1, t2)
 
 
 def _band_hard(w: np.ndarray, t1, t2) -> np.ndarray:

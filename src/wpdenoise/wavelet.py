@@ -211,7 +211,7 @@ def wp_analysis(frames, fb: FilterBank, depth: int) -> np.ndarray:
     if x.ndim != 2:
         raise ValueError(f"frames must be (n_frames, frame_len), got shape {x.shape}")
     depth = check_packet(x.shape[1], depth, fb)
-    return _analysis(private_copy(x), fb, depth)
+    return _analysis(private_copy(x, frames), fb, depth)
 
 
 def _analysis(x: np.ndarray, fb: FilterBank, depth: int) -> np.ndarray:
@@ -245,7 +245,7 @@ def wp_synthesis(leaves, fb: FilterBank) -> np.ndarray:
         )
     n_sub = x.shape[1]
     check_packet(n_sub * x.shape[2], n_sub.bit_length() - 1, fb)
-    return _synthesis(private_copy(x), fb)
+    return _synthesis(private_copy(x, leaves), fb)
 
 
 def _synthesis(x: np.ndarray, fb: FilterBank) -> np.ndarray:

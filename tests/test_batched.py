@@ -233,6 +233,27 @@ def test_row_histograms_equal_np_histogram(case):
         assert abs(entropy(p)[i] - entropy(q)) <= 1e-12
 
 
+def test_bin_index_of_proven_and_unproven_rows_in_one_call():
+    # proven rows alone share the block's largest slack as their bound
+    # (0 for -3..3, 8e-10 for 1e6 + 0.1 k, whose f(e_4) is below 4); a
+    # +-1e308 span has scale 0 and a subnormal span scale inf, so their
+    # guesses of +-inf or an edge are NaN, set to 0.5 before every value
+    # of such a row steps, and each row keeps its own slack
+    k = np.arange(7) - 3.0
+    edges = np.stack([k, 1e6 + 0.1 * k, k * (1e308 / 3), k * 5e-324])
+    values = np.stack([
+        np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf),
+                        e[:-1] / 2 + e[1:] / 2, [-np.inf, np.inf, 0.0, 1e6]])
+        for e in edges
+    ])
+    blocks = np.stack([values, np.random.default_rng(3).permuted(values, axis=-1)])
+    for rows in (slice(2), slice(None)):  # the proven rows, then all
+        # (rows, n), and (frames, rows, n) as the pooled counts bin them
+        for x in (values[rows], blocks[:, rows]):
+            np.testing.assert_array_equal(stats._bin_index(x, edges[rows]),
+                                          oracle.bin_index(x, edges[rows]))
+
+
 @pytest.mark.parametrize("block", [stats._BLOCK_VALUES, 48])
 def test_blocked_row_histograms_equal_np_histogram(block, monkeypatch):
     # rows are binned in blocks of `block` values: whole rows, or column

@@ -267,11 +267,14 @@ class TestSeed:
         (["experiment", "--preset", "sine-0db", "--seed", "-1"], None),
         (["synth", "--kind", "noise", "--seed", "-3"], None),
         (["denoise", "--in", "missing.wav"], "-1"),
-    ], ids=["experiment", "synth", "denoise-env"])
+        (["synth", "--kind", "sine", "--seed", "-5"], None),
+        (["synth", "--kind", "sine"], "-1"),
+    ], ids=["experiment", "synth", "denoise-env", "synth-sine", "synth-sine-env"])
     def test_a_negative_seed_is_one_line_naming_seed(self, tmp_path, capsys, monkeypatch,
                                                     argv, env):
         # numpy's "expected non-negative integer" named nothing, and
-        # denoise only echoed the seed; denoise fails before any read
+        # denoise only echoed the seed; denoise fails before any read, and
+        # synth checks the seed of every kind, a sine's too, which it ignores
         monkeypatch.chdir(tmp_path)
         if env is not None:
             monkeypatch.setenv("WAVEDENOISE_SEED", env)

@@ -684,25 +684,41 @@ class TestEnhance:
         assert report.near_zero_ratios == ratio_profile(
             to_probability(h_all, config.epsilon), pooled)
 
-    @pytest.mark.parametrize("shape", [(312, 256), (312, 16, 32)], ids=["detail", "leaves"])
-    def test_pooled_counts_equal_the_whole_rows_counts(self, shape, monkeypatch):
-        # binned block by block of frames, the counts are those of the
-        # rows pooled over every frame: 9 frames a block, 35 blocks of the
-        # 312 frames, the last shorter
+    @pytest.mark.parametrize("case", ["detail", "leaves", "leaves-shared"])
+    def test_pooled_counts_equal_the_whole_rows_counts(self, case, monkeypatch):
+        # binned where they lie, block by block of frames, the counts are
+        # those of the rows pooled over every frame: 9 frames a block, 35
+        # blocks of the 312 frames, the last shorter
+        shape = (312, 256) if case == "detail" else (312, 16, 32)
         values = np.random.default_rng(9).normal(size=shape)
-        if len(shape) == 2:  # the mad profile's detail: a strided view
+        if case == "detail":  # the mad profile's detail: a strided view
             values = np.stack((values, -values), axis=1)[:, 0]
             rows = values.ravel()
             edges = stats._uniform_edges(-4.0, 4.0, 113)
-        else:  # leaves, on per-subband edges
+        elif case == "leaves":  # on per-subband edges
             rows = values.swapaxes(0, 1).reshape(shape[1], -1)
             edges = stats._uniform_edges(np.min(rows, axis=-1), np.max(rows, axis=-1), 44)
+        else:  # on one shared support, as mad mode's h_sub
+            rows = values.swapaxes(0, 1).reshape(shape[1], -1)
+            edges = stats._uniform_edges(-3.0, 3.0, 113)
         want = row_histograms(rows, edges=edges).counts
         by_default = pipeline._pooled_counts(values, edges)
         monkeypatch.setattr(pipeline, "_BLOCK_VALUES", 9 * values[0].size)
         for got in (pipeline._pooled_counts(values, edges), by_default):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
+
+    def test_pooled_counts_refuse_nan_and_edges_that_are_no_rows(self):
+        values = np.random.default_rng(9).normal(size=(40, 16, 32))
+        values[-1, 3, 5] = np.nan  # in the last block
+        edges = stats._uniform_edges(-3.0, 3.0, 45)
+        with pytest.raises(ValueError, match="cannot histogram NaN values"):
+            pipeline._pooled_counts(values, edges)
+        values[-1, 3, 5] = 0.0
+        # one edge row per frame is no support of the rows pooled over them
+        with pytest.raises(ValueError, match="do not broadcast over value rows"):
+            pipeline._pooled_counts(values, np.broadcast_to(edges, (40, 16, 46)))
+
     @pytest.mark.parametrize("noise_estimation", ["mad", "leading_silence"])
     @pytest.mark.parametrize("depth", [1, 4])
     def test_each_input_is_framed_and_transformed_once(

@@ -5,6 +5,8 @@ is `scalar_oracle.v1_json`, the whole v1 dict through json.dumps.
 """
 
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -94,6 +96,26 @@ def test_report_without_vuv_labels():
     _, report = enhance(noisy, EnhanceConfig(vuv_enabled=False, seed=4))
     assert report.vuv and all(label is None for label in report.vuv)
     assert report.to_json() == oracle.v1_json(report)
+
+
+def test_write_is_the_json_text_and_a_shorter_rewrite_leaves_no_tail(tmp_path):
+    # written over from the start, then cut; a FIFO is written, not cut
+    long, short = (enhance(_noisy(4), EnhanceConfig(method=method, seed=4))[1]
+                   for method in ("band", "universal-hard"))
+    assert len(long.to_json()) > len(short.to_json())
+    path = tmp_path / "report.json"
+    long.write(path)
+    short.write(path)
+    assert path.read_text(encoding="utf-8") == short.to_json()
+    fifo = tmp_path / "pipe.json"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text(encoding="utf-8")),
+                              daemon=True)
+    reader.start()
+    short.write(fifo)
+    reader.join(timeout=30)
+    assert not reader.is_alive() and got == [short.to_json()]
 
 
 def test_band_bounds_keep_negative_zero():

@@ -169,6 +169,22 @@ class TestWavBytes:
         assert not reader.is_alive()
         assert got == [(tmp_path / "file.wav").read_bytes()]
 
+    def test_a_shorter_rewrite_leaves_no_stale_tail(self, tmp_path):
+        # the file is written over without O_TRUNC, then cut to what was
+        # written; through a symlink the target is, and a device is not cut
+        path = tmp_path / "file.wav"
+        write_wav(path, white_noise(0.1, 1.0, 16000, 4))
+        short = white_noise(0.1, 0.25, 16000, 5)
+        write_wav(tmp_path / "fresh.wav", short)
+        link = tmp_path / "link.wav"
+        link.symlink_to(path)
+        for target in (path, link):
+            write_wav(target, white_noise(0.1, 0.5, 16000, 6))
+            write_wav(target, short)
+            assert path.read_bytes() == (tmp_path / "fresh.wav").read_bytes()
+        assert link.is_symlink()
+        write_wav(os.devnull, short)
+
     def test_unseekable_input_reads_the_same_samples(self, tmp_path):
         # an odd-sized chunk before the data puts a pad byte on the way
         path = tmp_path / "file.wav"

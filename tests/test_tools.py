@@ -98,6 +98,8 @@ def test_bench_stages_writes_its_record_at_a_tiny_size(tmp_path):
     assert stages["estimate_noise_profile_ms"]["best"] > 0
     assert stages["overlap_add_ms"]["best"] > 0
     assert stages["make_frames_ms"]["best"] > 0
+    assert stages["classify_vuv_ms"]["best"] > 0
+    assert stages["h_sub_ms"]["best"] > 0
     assert record["cli_import_s"]["best"] > 0
 
 

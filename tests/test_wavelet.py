@@ -8,6 +8,7 @@ wp_synthesis on the batched (frames, subbands, coeffs) array.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,3 +343,30 @@ def test_public_transforms_leave_their_input_untouched(name, depth, layout):
     in_place = wavelet._synthesis(own, fb)
     assert np.shares_memory(in_place, own)
     np.testing.assert_array_equal(in_place, rebuilt)
+
+
+def _peak(call) -> tuple:
+    """(result, tracemalloc peak in bytes) of one call."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("direction", ["analysis", "synthesis"])
+def test_a_converted_input_is_the_private_copy(direction):
+    # real_floats' float64 conversion of float32 frames is memory no
+    # caller holds, so the transform runs on it: a float32 call peaks
+    # where a float64 call does (4.7 MB), not one frames-sized copy above
+    fb = filter_bank("db4")
+    single = np.random.default_rng(4).normal(size=(937, 512)).astype(np.float32)
+    if direction == "synthesis":  # as the (frames, subbands, coeffs) leaves
+        single = single.reshape(937, 16, 32)
+    double = single.astype(np.float64)
+    transforms = {"analysis": lambda x: wp_analysis(x, fb, 4),
+                  "synthesis": lambda x: wp_synthesis(x, fb)}
+    want, peak_double = _peak(lambda: transforms[direction](double))
+    got, peak_single = _peak(lambda: transforms[direction](single))
+    np.testing.assert_array_equal(got, want)
+    assert peak_single <= peak_double + double.nbytes // 8

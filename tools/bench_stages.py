@@ -18,9 +18,10 @@ The file records:
   estimation;
 - the tracemalloc peak of one 60 s universal-hard mad call;
 - on that 60 s input, the time of both framing ends, `make_frames` of
-  the input and `overlap_add` of its frames, and of the mad noise
-  profile (`estimate_noise_profile` of its frames' level-1 detail), each
-  called alone;
+  the input and `overlap_add` of its frames, of the mad noise profile
+  (`estimate_noise_profile` of its frames' level-1 detail), of
+  `classify_vuv` of its leaves and of their per-subband counts h_sub
+  (`pipeline._pooled_counts` on the profile's edges), each called alone;
 - the time of Report._frames_text(), which writes the per-frame records,
   on the 312-frame sine-0db universal-hard report and on the 937-frame
   report of the first 15 s long-hard-mad input (universal-hard, mad);
@@ -63,7 +64,8 @@ from wpdenoise import pipeline  # noqa: E402
 from wpdenoise.experiments import sine_0db_material  # noqa: E402
 from wpdenoise.framing import frame_count, make_frames, overlap_add  # noqa: E402
 from wpdenoise.pipeline import (  # noqa: E402
-    METHODS, NOISE_MODES, EnhanceConfig, analyze, enhance, estimate_noise_profile,
+    METHODS, NOISE_MODES, EnhanceConfig, analyze, classify_vuv, enhance,
+    estimate_noise_profile,
 )
 from wpdenoise.signal_io import SignalBuffer  # noqa: E402
 from wpdenoise.wavelet import filter_bank, wp_analysis  # noqa: E402
@@ -174,11 +176,18 @@ def speech_like_mad(seconds: float, repeats: int) -> dict:
 
 
 def mad_stages(noisy: SignalBuffer, repeats: int) -> dict:
-    """Both framing ends and the mad noise profile of `noisy`, each timed alone."""
+    """Both framing ends, the mad noise profile, VUV and the per-subband
+    counts h_sub of `noisy`, each timed alone."""
     config = EnhanceConfig(noise_estimation="mad")
     frames = make_frames(noisy, config.frame_len, config.hop, config.window)
     detail = wp_analysis(frames.frames, filter_bank(config.wavelet), 1)[:, 1]
+    leaves, profile = pipeline._analyse(noisy, config)
+    threshold = pipeline._frame_entropy_threshold(config)
     return {
+        "classify_vuv_ms": in_ms(timed(
+            lambda: classify_vuv(leaves, threshold, config.epsilon), repeats)),
+        "h_sub_ms": in_ms(timed(lambda: pipeline._pooled_counts(
+            leaves, profile.distribution.bin_edges), repeats)),
         "frames": frames.n_frames,
         "make_frames_ms": in_ms(timed(lambda: make_frames(
             noisy, config.frame_len, config.hop, config.window), repeats)),
