@@ -7,11 +7,19 @@ file written) or samples were clipped on writing a WAV (one warning
 line on stderr); the experiment subcommand's SNR lines are its output,
 not diagnostics. The environment variable WAVEDENOISE_SEED overrides
 --seed everywhere.
+
+main(), the console script and `python -m wpdenoise.cli`, freezes the
+garbage collector's view of everything imported before it parses: a
+CLI process runs one request and exits, and at exit the collector would
+otherwise sweep every object the imports of numpy, the stdlib and this
+package made, which live until then anyway. run() leaves GC state
+alone, so tests and long-lived callers collect as before.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from dataclasses import fields
@@ -50,6 +58,10 @@ class _Parser(argparse.ArgumentParser):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
+
+# --help shows the docstring's title and exit statuses, not its note on
+# main(); python -OO strips the docstring, and --help then has neither
+_HELP = __doc__ and "\n\n".join(__doc__.split("\n\n")[:2])
 
 # The choices of the config fields that name one of a set.
 _CHOICES = {"window": WINDOWS, "wavelet": FILTERS, "noise_estimation": NOISE_MODES}
@@ -158,7 +170,7 @@ def _cmd_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="wpdenoise", description=__doc__)
+    parser = _Parser(prog="wpdenoise", description=_HELP)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     common, config = _parents()
@@ -218,6 +230,16 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    """The process entry point: run(sys.argv[1:]) and exit with its status.
+
+    gc.freeze() first moves every object alive now (the imports) into
+    the permanent generation, which no collection traverses, so the
+    exit-time collections skip them; garbage the request makes is still
+    collected. It is here and not in run() or at import, because a
+    process that calls run() or imports the package lives on and keeps
+    its own GC state.
+    """
+    gc.freeze()
     sys.exit(run())
 
 

@@ -57,7 +57,7 @@ from .framing import (
     FrameSet, _overlap_add, check_geometry, check_peak, frame_count, make_frames,
 )
 from .signal_io import (
-    SignalBuffer, _check_aligned, check_seed, finite_real, level, real_floats, shown, snr_db,
+    SignalBuffer, _check_aligned, check_seed, finite_real, level, real_floats, shown, snr_dbs,
 )
 from .stats import (
     Histogram,
@@ -441,8 +441,7 @@ def enhance(
         near_zero_ratios=ratios,
     )
     if reference is not None:
-        report.input_snr_db = snr_db(reference, noisy)
-        report.output_snr_db = snr_db(reference, enhanced)
+        report.input_snr_db, report.output_snr_db = snr_dbs(reference, noisy, enhanced)
     return enhanced, report
 
 

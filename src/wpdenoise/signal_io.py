@@ -426,24 +426,37 @@ def snr_db(reference: SignalBuffer, test: SignalBuffer) -> float:
     that of the unscaled sums wherever they neither overflow nor lose
     bits, and any finite pair gives a finite value.
     """
-    _check_aligned(reference, test)
-    r, t = reference.samples, test.samples
+    return snr_dbs(reference, test)[0]
+
+
+def snr_dbs(reference: SignalBuffer, *tests: SignalBuffer) -> tuple:
+    """(snr_db(reference, test) for each test), bit for bit, with the
+    reference's peak, exponent and scaled power taken once for all."""
+    for test in tests:
+        _check_aligned(reference, test)
+    r = reference.samples
     peak_ref = peak_magnitude(r)
-    e_ref, e = _exponent(peak_ref), _exponent(max(peak_ref, peak_magnitude(t)))
-    buf = r * 2.0**-e_ref  # both powers are summed in this one buffer
+    e_ref = _exponent(peak_ref)
+    buf = r * 2.0**-e_ref  # every power is summed in this one buffer
     p_ref = float(np.sum(np.square(buf, out=buf)))
     if p_ref == 0.0:
         raise ValueError("reference signal has zero power")
-    scale = 2.0**-e
-    np.multiply(r, scale, out=buf)
-    buf -= t * scale
-    p_residual = float(np.sum(np.square(buf, out=buf)))
-    if p_residual == 0.0:
-        return SNR_CAP_DB
-    # the ratio is p_ref / p_residual * 2**shift, shift <= 0; ldexp is
-    # exact while the ratio is a normal float, and where it might not be
-    # one (SNRs far below -2000 dB) the logs add instead
-    shift = 2 * (e_ref - e)
-    if shift > -800:
-        return min(10.0 * math.log10(math.ldexp(p_ref / p_residual, shift)), SNR_CAP_DB)
-    return 10.0 * (math.log10(p_ref / p_residual) + shift * math.log10(2.0))
+    snrs = []
+    for test in tests:
+        e = _exponent(max(peak_ref, peak_magnitude(test.samples)))
+        scale = 2.0**-e
+        np.multiply(r, scale, out=buf)
+        buf -= test.samples * scale
+        p_residual = float(np.sum(np.square(buf, out=buf)))
+        # the ratio is p_ref / p_residual * 2**shift, shift <= 0; ldexp is
+        # exact while the ratio is a normal float, and where it might not be
+        # one (SNRs far below -2000 dB) the logs add instead
+        shift = 2 * (e_ref - e)
+        if p_residual == 0.0:
+            snrs.append(SNR_CAP_DB)
+        elif shift > -800:
+            snrs.append(min(10.0 * math.log10(math.ldexp(p_ref / p_residual, shift)),
+                            SNR_CAP_DB))
+        else:
+            snrs.append(10.0 * (math.log10(p_ref / p_residual) + shift * math.log10(2.0)))
+    return tuple(snrs)

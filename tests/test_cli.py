@@ -519,11 +519,19 @@ class TestSharedFlags:
         assert wrote(["experiment", "--preset", "sine-0db"]) == []
 
 
+_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+
+def _fresh_env() -> dict:
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    env.pop("WAVEDENOISE_SEED", None)
+    return env
+
+
 def test_cli_import_leaves_out_jsonschema():
     # jsonschema is only needed to validate reports; the CLI must not pay
     # for its import at start-up.
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=_SRC)
     probe = "import sys, wpdenoise.cli; print('jsonschema' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
@@ -534,3 +542,40 @@ def test_cli_import_leaves_out_jsonschema():
     out = subprocess.run([sys.executable, "-W", "error", "-c", "import wpdenoise.cli"],
                          env=env, capture_output=True, text=True)
     assert out.returncode == 0 and out.stderr == ""
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["experiment", "--preset", "sine-0db", "--seed", "4"], 0),
+    (["denoise", "--bogus"], 1),
+    (["denoise", "--in", "missing.wav", "--out", "o.wav"], 2),
+])
+def test_entry_point_is_run_in_a_process(tmp_path, capsys, monkeypatch, argv, status):
+    # the console script and `python -m wpdenoise.cli` go through main(),
+    # which must exit as run() returns and print what it prints
+    fresh = subprocess.run([sys.executable, "-m", "wpdenoise.cli", *argv], cwd=tmp_path,
+                           env=_fresh_env(), capture_output=True, text=True)
+    monkeypatch.delenv("WAVEDENOISE_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == fresh.returncode == status
+    out, err = capsys.readouterr()
+    assert (fresh.stdout, fresh.stderr) == (out, err)
+    if status == 0:
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "input_snr_db", "output_snr_db"]
+    else:
+        assert err.startswith(("usage: ", "error: ")) and out == ""
+
+
+@pytest.mark.parametrize("call, frozen", [
+    ('c.run(["--version"])', False),
+    ('sys.argv = ["wpdenoise", "--version"]\ntry:\n    c.main()\nexcept SystemExit:\n    pass',
+     True),
+], ids=["run", "main"])
+def test_only_main_freezes_the_collector(call, frozen):
+    # main() keeps the exit-time collections off the imports; a caller of
+    # run() or of the library keeps its GC state
+    code = f"import gc, sys\nimport wpdenoise.cli as c\n{call}\nprint(gc.get_freeze_count())"
+    out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
+                         capture_output=True, text=True, check=True)
+    count = int(out.stdout.splitlines()[-1])
+    assert count > 0 if frozen else count == 0

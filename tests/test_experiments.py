@@ -7,7 +7,7 @@ import pytest
 
 from wpdenoise.experiments import run_preset, sine_0db_material
 from wpdenoise.pipeline import METHODS, EnhanceConfig
-from wpdenoise.signal_io import sine_wave
+from wpdenoise.signal_io import sine_wave, snr_db, snr_dbs
 
 
 def test_run_preset_takes_method_or_config_not_both():
@@ -37,6 +37,17 @@ def test_run_preset_draws_the_noise_from_the_config_seed(method):
     assert np.array_equal(noisy.samples, noisy_5.samples)
     assert by_config.samples.tobytes() == by_seed.samples.tobytes()
     assert rep_c.to_json() == rep_s.to_json() and rep_c.seed == 5
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_report_snrs_are_snr_db_bit_for_bit(seed):
+    # enhance takes both SNRs in one call that reads the reference once;
+    # each must still be exactly the one SNR rule's value
+    clean, noisy, enhanced, report = run_preset("sine-0db", seed=seed)
+    assert report.input_snr_db == snr_db(clean, noisy)
+    assert report.output_snr_db == snr_db(clean, enhanced)
+    assert snr_dbs(clean, noisy, enhanced) == (report.input_snr_db, report.output_snr_db)
+    assert snr_dbs(clean) == ()
 
 
 def test_run_preset_refuses_a_seed_beside_a_config_with_another():

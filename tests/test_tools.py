@@ -90,6 +90,11 @@ def test_bench_stages_writes_its_record_at_a_tiny_size(tmp_path):
         assert figures["minor_faults_per_call"] >= 0
     # analyze holds both sides' leaves
     assert memory["analyze_tracemalloc_peak_mb"] > 2 * memory["leaves_mb"]
+    # the peaks move by a few kB between fresh interpreters, so they are
+    # kept to 0.01 MB
+    peaks = [figures["tracemalloc_peak_mb"] for figures in memory["calls"].values()]
+    for peak in [*peaks, memory["analyze_tracemalloc_peak_mb"]]:
+        assert round(peak, 2) == peak
     long = record["speech_like_mad"]
     assert long["audio_s"] == 1.0 and sorted(long["methods"]) == sorted(methods)
     assert long["tracemalloc_peak_mb_universal_hard"] > 0
@@ -101,6 +106,11 @@ def test_bench_stages_writes_its_record_at_a_tiny_size(tmp_path):
     assert stages["classify_vuv_ms"]["best"] > 0
     assert stages["h_sub_ms"]["best"] > 0
     assert record["cli_import_s"]["best"] > 0
+    # a fresh request, and the interpreter's start and numpy's import
+    # that it includes
+    for key in ("cli_request_ms", "python_pass_ms", "python_import_numpy_ms"):
+        assert 0 < record[key]["best"] <= record[key]["median"] and record[key]["n"] == 1
+    assert record["python_pass_ms"]["best"] < record["cli_request_ms"]["best"]
 
 
 def test_bench_stages_outside_a_git_checkout_needs_the_commit(tmp_path):

@@ -30,7 +30,13 @@ The file records:
   ru_minflt over --repeats calls) and the tracemalloc peak of one call,
   beside the sizes of the input's leaves and samples, and the
   tracemalloc peak of `analyze` of that input against its own noise;
+  each peak is rounded to 0.01 MB, as it moves by a few kB from one
+  fresh interpreter to the next on the same tree;
 - the time of `import wpdenoise.cli` in a fresh interpreter;
+- the wall time of one fresh-process request, `python -m wpdenoise.cli
+  denoise --ref ... --report ...` of a 2 s speech-like clip (seed 37),
+  and beside it the same interpreter running `-c pass` and
+  `-c "import numpy"`, which split it into start-up, numpy and the rest;
 - the commit of the measured tree, nproc, and the Python, numpy and BLAS
   versions. The commit is found with git; a tree outside a git checkout
   (such as a `git archive` copy) needs --commit, or nothing is measured.
@@ -49,6 +55,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -241,7 +248,8 @@ def memory_15s(repeats: int) -> dict:
         "leaves_mb": n_frames * default.frame_len * 8 / 2**20,
         "samples_mb": n_samples * 8 / 2**20,
         "calls": calls,
-        "analyze_tracemalloc_peak_mb": peak_mb(lambda: analyze(noisy, noise, default)),
+        "analyze_tracemalloc_peak_mb": round(
+            peak_mb(lambda: analyze(noisy, noise, default)), 2),
     }
 
 
@@ -258,7 +266,7 @@ def memory_call(method: str, noise_estimation: str, repeats: int) -> dict:
         enhance(noisy, config)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     return {"minor_faults_per_call": faults / repeats,
-            "tracemalloc_peak_mb": peak_mb(lambda: enhance(noisy, config))}
+            "tracemalloc_peak_mb": round(peak_mb(lambda: enhance(noisy, config)), 2)}
 
 
 def cli_import_s(repeats: int) -> dict:
@@ -274,6 +282,30 @@ def cli_import_s(repeats: int) -> dict:
     once()
     times = [once() for _ in range(repeats)]
     return {"best": min(times), "median": statistics.median(times), "n": repeats}
+
+
+def cli_request(repeats: int) -> dict:
+    """Wall ms of fresh processes on this import path, without a seed
+    override: a `denoise --ref --report` request of a 2 s speech-like
+    clip, and the same interpreter running `pass` and `import numpy`."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR))
+    env.pop("WAVEDENOISE_SEED", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        clean, noisy = workloads.speech_like(np.random.default_rng(37), 2 * RATE)
+        ref, clip = os.path.join(tmp, "ref.wav"), os.path.join(tmp, "clip.wav")
+        workloads.write_wav(ref, clean)
+        workloads.write_wav(clip, noisy)
+        argvs = {
+            "cli_request_ms": ["-m", "wpdenoise.cli", "denoise", "--in", clip, "--ref", ref,
+                               "--out", os.path.join(tmp, "out.wav"),
+                               "--report", os.path.join(tmp, "report.json")],
+            "python_pass_ms": ["-c", "pass"],
+            "python_import_numpy_ms": ["-c", "import numpy"],
+        }
+        return {key: in_ms(timed(lambda: subprocess.run(
+                    [sys.executable, *argv], env=env, check=True, capture_output=True),
+                    repeats))
+                for key, argv in argvs.items()}
 
 
 def main(argv=None) -> int:
@@ -301,6 +333,7 @@ def main(argv=None) -> int:
         "report_15s_mad": report_15s_mad(args.repeats),
         "memory_15s": memory_15s(args.repeats),
         "cli_import_s": cli_import_s(args.repeats),
+        **cli_request(args.repeats),
     }
     path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:
