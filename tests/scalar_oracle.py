@@ -5,7 +5,8 @@ became one (frames, subbands, coeffs) array: a dict-of-nodes packet tree
 per frame, per-frame, per-subband loops for VUV classification,
 band selection, thresholding and the report records, the MAD noise
 level by np.median, overlap-add one frame at a time over the whole
-signal's normaliser, the report writer that builds the whole
+signal's normaliser, the masked-write bodies of the hard, soft and
+band_hard rules, the report writer that builds the whole
 schema-v1 dict and hands it to json.dumps, and the histogram bin
 index by binary search. The tests compare the library against it; it
 is not part of the package.
@@ -139,6 +140,27 @@ def select_band(p_ns: ProbabilityVector, p_n: ProbabilityVector, tolerance: floa
     while right < len(contribution) - 1 and contribution[right + 1] <= tolerance:
         right += 1
     return float(edges[left]), float(edges[right + 1])
+
+
+def hard_masked(w: np.ndarray, t) -> np.ndarray:
+    """thresholding._hard as a masked write: +0.0 where |w| < t."""
+    np.copyto(w, 0.0, where=np.abs(w) < t)
+    return w
+
+
+def soft_masked(w: np.ndarray, t) -> np.ndarray:
+    """thresholding._soft with a masked negation where w < 0."""
+    negative = w < 0
+    np.abs(w, out=w)
+    w -= t
+    np.maximum(w, 0.0, out=w)
+    return np.negative(w, out=w, where=negative)
+
+
+def band_hard_masked(w: np.ndarray, t1, t2) -> np.ndarray:
+    """thresholding._band_hard as a masked write: +0.0 where t1 <= w <= t2."""
+    np.copyto(w, 0.0, where=(w >= t1) & (w <= t2))
+    return w
 
 
 def classify_vuv(leaves, entropy_threshold: float, epsilon: float) -> str:

@@ -519,6 +519,32 @@ class TestSharedFlags:
         assert wrote(["experiment", "--preset", "sine-0db"]) == []
 
 
+class TestOutputs:
+    @pytest.mark.parametrize("command", ["denoise", "experiment"])
+    def test_an_output_that_cannot_be_opened_writes_none(self, tmp_path, capsys, command):
+        # every output is opened before any is written; a WAV written
+        # before the report's open failed would be left behind
+        if command == "denoise":
+            argv = ["denoise", "--in", str(_synth(tmp_path))]
+            capsys.readouterr()  # the mix's clipping warning
+        else:
+            argv = ["experiment", "--preset", "sine-0db"]
+        out, report, missing = tmp_path / "o.wav", tmp_path / "r.json", tmp_path / "missing"
+        for outputs, absent in [
+            (["--out", str(out), "--report", str(missing / "r.json")], missing / "r.json"),
+            (["--out", str(missing / "o.wav"), "--report", str(report)], missing / "o.wav"),
+        ]:
+            assert run([*argv, *outputs]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: [Errno 2] No such file or directory: '{absent}'\n"
+            assert not out.exists() and not report.exists()
+        # an existing output is left as it was
+        out.write_bytes(b"old")
+        assert run([*argv, "--out", str(out), "--report", str(missing / "r.json")]) == 2
+        assert out.read_bytes() == b"old"
+        capsys.readouterr()
+
+
 _SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_oracle
 from conftest import LAYOUTS, examples, in_layout
 from wpdenoise import thresholding
+from wpdenoise.pipeline import _zero_counts
 from wpdenoise.stats import (
     ProbabilityVector, row_histograms, shared_edges, to_probability, zero_bin_index,
 )
@@ -432,6 +434,72 @@ class TestArrayThresholds:
 def _assert_same_bits(a, b):
     assert a.shape == b.shape
     assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# Values each body must keep or zero bit for bit: zeros of both signs,
+# NaNs of both signs, with a payload and signaling, infinities, the
+# smallest subnormal and normal, and values a drawn threshold may equal.
+_RULE_SPECIAL = tuple(np.array(
+    [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123, 0x7FF0000000000001],
+    dtype=np.uint64).view(np.float64)) + (
+    0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 0.5)
+
+
+@st.composite
+def rule_inputs(draw):
+    """(coefficients in a layout, their values, a threshold, a band).
+
+    The coefficients are 0-d or hold rows; the threshold is one level or
+    one per row, and the band's bounds are drawn apart, so that many
+    bands exclude 0."""
+    shape = draw(st.sampled_from(((), (1,), (9,), (3, 8), (2, 3, 5))))
+    pool = draw(st.lists(st.floats() | st.sampled_from(_RULE_SPECIAL), min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=64))
+    x = np.asarray(np.array(pool)[np.resize(picks, shape)])
+    layout = draw(st.sampled_from(LAYOUTS)) if x.ndim else "C"
+    finite = [abs(v) for v in pool if np.isfinite(v)]
+    levels = st.sampled_from([0.0, 5e-324, 0.5, *finite]) | st.floats(0.0, 1e308)
+    if x.ndim and draw(st.booleans()):  # one threshold per row
+        t = np.resize(draw(st.lists(levels, min_size=1, max_size=8)), x.shape[:-1] + (1,))
+    else:
+        t = draw(levels)
+    bounds = st.sampled_from([0.0, -0.0, *(v for v in pool if np.isfinite(v))]) | st.floats(
+        -1e308, 1e308)
+    t1, t2 = sorted((draw(bounds), draw(bounds)))
+    return in_layout(x, layout), x, t, (t1, t2)
+
+
+@pytest.mark.parametrize("rule", ["hard", "soft", "band_hard"])
+@settings(max_examples=examples(300), deadline=None)
+@given(drawn=rule_inputs())
+def test_in_place_bodies_equal_the_masked_writes_bit_for_bit(rule, drawn):
+    """The arithmetic bodies give the masked-write references' bits,
+    NaN payloads and signed zeros included, in the array they are handed."""
+    coeffs, x, t, band = drawn
+    body, reference, args = {
+        "hard": (thresholding._hard, scalar_oracle.hard_masked, (t,)),
+        "soft": (thresholding._soft, scalar_oracle.soft_masked, (t,)),
+        "band_hard": (thresholding._band_hard, scalar_oracle.band_hard_masked, band),
+    }[rule]
+    want = in_layout(x, "C")
+    # a signaling NaN warns in soft's subtraction on both sides alike
+    with np.errstate(invalid="ignore"):
+        reference(want, *args)
+        got = body(coeffs, *args)
+    assert got is coeffs
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("n_coeff", [2, 4, 32, 4096])
+def test_zero_counts_equal_count_nonzero(n_coeff):
+    # several blocks of rows, holding zeros of both signs among values
+    # that are not zero
+    rng = np.random.default_rng(n_coeff)
+    shape = (3 * (2**16 // n_coeff) + 1, 2, n_coeff)
+    leaves = rng.choice([0.0, -0.0, 5e-324, -1.0, np.nan, np.inf], size=shape)
+    counts = _zero_counts(leaves)
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(counts, np.count_nonzero(leaves == 0.0, axis=-1))
 
 
 _EVEN = ProbabilityVector([0.5, 0.5], [-1.0, 0.0, 1.0], 1e-12)

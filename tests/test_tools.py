@@ -90,11 +90,18 @@ def test_bench_stages_writes_its_record_at_a_tiny_size(tmp_path):
         assert figures["minor_faults_per_call"] >= 0
     # analyze holds both sides' leaves
     assert memory["analyze_tracemalloc_peak_mb"] > 2 * memory["leaves_mb"]
-    # the peaks move by a few kB between fresh interpreters, so they are
-    # kept to 0.01 MB
+    # the peaks move by a few kB between fresh interpreters, so each is
+    # the median of three, kept to 0.01 MB
     peaks = [figures["tracemalloc_peak_mb"] for figures in memory["calls"].values()]
     for peak in [*peaks, memory["analyze_tracemalloc_peak_mb"]]:
         assert round(peak, 2) == peak
+    rules = record["rules_15s"]
+    assert rules["audio_s"] == 15.0
+    for body in ("hard", "soft", "band_hard"):
+        assert 0 < rules[f"{body}_ms"]["best"] <= rules[f"{body}_ms"]["median"]
+        assert 0 < rules[f"{body}_zeroed_frac"] < 1
+    for count in ("zero_counts_pre_ms", "zero_counts_post_ms"):
+        assert 0 < rules[count]["best"] <= rules[count]["median"] and rules[count]["n"] == 1
     long = record["speech_like_mad"]
     assert long["audio_s"] == 1.0 and sorted(long["methods"]) == sorted(methods)
     assert long["tracemalloc_peak_mb_universal_hard"] > 0

@@ -25,13 +25,18 @@ The file records:
 - the time of Report._frames_text(), which writes the per-frame records,
   on the 312-frame sine-0db universal-hard report and on the 937-frame
   report of the first 15 s long-hard-mad input (universal-hard, mad);
-- on that 15 s input, for every method and noise mode, each in a fresh
-  interpreter, the minor page faults per warmed call (that process's
-  ru_minflt over --repeats calls) and the tracemalloc peak of one call,
-  beside the sizes of the input's leaves and samples, and the
-  tracemalloc peak of `analyze` of that input against its own noise;
-  each peak is rounded to 0.01 MB, as it moves by a few kB from one
-  fresh interpreter to the next on the same tree;
+- on that 15 s input, for every method and noise mode, the minor page
+  faults per warmed call (a process's ru_minflt over --repeats calls)
+  and the tracemalloc peak of one call, beside the sizes of the input's
+  leaves and samples, and the tracemalloc peak of `analyze` of that
+  input against its own noise; each figure is the median of 3 fresh
+  interpreters, and each peak is rounded to 0.01 MB, as it moves by a
+  few kB from one fresh interpreter to the next on the same tree;
+- on that 15 s input's mad leaves, the block sweep of each in-place
+  rule body (`_hard`, `_soft`, `_band_hard`) with the thresholds or
+  bands `enhance` uses, each on a fresh copy made before the timer
+  starts, with the fraction of the leaves it zeroes, and the zero
+  counts of the leaves before and after universal-hard;
 - the time of `import wpdenoise.cli` in a fresh interpreter;
 - the wall time of one fresh-process request, `python -m wpdenoise.cli
   denoise --ref ... --report ...` of a 2 s speech-like clip (seed 37),
@@ -49,6 +54,7 @@ OPENBLAS_NUM_THREADS to pin the BLAS threads (the value is recorded).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import resource
@@ -67,7 +73,7 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 import workloads  # noqa: E402  (bench/workloads.py, after the path insert)
 
 import wpdenoise  # noqa: E402
-from wpdenoise import pipeline  # noqa: E402
+from wpdenoise import pipeline, thresholding  # noqa: E402
 from wpdenoise.experiments import sine_0db_material  # noqa: E402
 from wpdenoise.framing import frame_count, make_frames, overlap_add  # noqa: E402
 from wpdenoise.pipeline import (  # noqa: E402
@@ -80,12 +86,15 @@ from wpdenoise.wavelet import filter_bank, wp_analysis  # noqa: E402
 RATE = workloads.RATE
 
 
-def timed(call, repeats: int, scale: float = 1.0) -> dict:
+def timed(call, repeats: int, scale: float = 1.0, setup=None) -> dict:
     """Best and median wall time of `repeats` calls (after one warm-up),
-    divided by `scale`."""
+    divided by `scale`; `setup`, if given, is called untimed before each."""
+    setup = setup or (lambda: None)
+    setup()
     call()
     times = []
     for _ in range(repeats):
+        setup()
         start = time.perf_counter()
         call()
         times.append((time.perf_counter() - start) / scale)
@@ -222,35 +231,51 @@ def report_15s_mad(repeats: int) -> dict:
     }
 
 
-def memory_15s(repeats: int) -> dict:
-    """memory_call of every method and noise mode, each in a fresh
-    interpreter on this import path, so that no earlier call has shaped
-    the heap it faults in; then, in this process, the tracemalloc peak
-    of `analyze` of the 15 s input against its noise (noisy - clean)."""
+FRESH_RUNS = 3
+
+
+def in_fresh_interpreters(call: str) -> dict:
+    """The median of each figure of `bench_stages.<call>`, a dict of
+    numbers, over FRESH_RUNS fresh interpreters on this import path, so
+    that no earlier call has shaped the heap a call faults in; each
+    "tracemalloc_peak_mb" rounded to 0.01 MB."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR))
     tools = os.path.dirname(os.path.abspath(__file__))
-    calls = {}
-    for method in METHODS:
-        for mode in NOISE_MODES:
-            code = (f"import json, sys; sys.path.insert(0, {tools!r}); import bench_stages; "
-                    f"print(json.dumps(bench_stages.memory_call({method!r}, {mode!r}, "
-                    f"{repeats})))")
-            out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                 capture_output=True, text=True).stdout
-            calls[f"{method}/{mode}"] = json.loads(out)
+    code = (f"import json, sys; sys.path.insert(0, {tools!r}); import bench_stages; "
+            f"print(json.dumps(bench_stages.{call}))")
+    runs = [json.loads(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                      capture_output=True, text=True).stdout)
+            for _ in range(FRESH_RUNS)]
+    figures = {key: statistics.median(run[key] for run in runs) for key in runs[0]}
+    figures["tracemalloc_peak_mb"] = round(figures["tracemalloc_peak_mb"], 2)
+    return figures
+
+
+def memory_15s(repeats: int) -> dict:
+    """memory_call of every method and noise mode, and memory_analyze,
+    each in fresh interpreters."""
+    calls = {f"{method}/{mode}": in_fresh_interpreters(
+                 f"memory_call({method!r}, {mode!r}, {repeats})")
+             for method in METHODS for mode in NOISE_MODES}
     default = EnhanceConfig()
     n_samples = int(workloads.LONG_SECONDS * RATE)
     n_frames = frame_count(n_samples, default.frame_len, default.hop)
-    clean, noisy = long_hard_mad_15s()
-    noise = SignalBuffer(noisy.samples - clean.samples, RATE)
     return {
         "audio_s": workloads.LONG_SECONDS,
         "leaves_mb": n_frames * default.frame_len * 8 / 2**20,
         "samples_mb": n_samples * 8 / 2**20,
         "calls": calls,
-        "analyze_tracemalloc_peak_mb": round(
-            peak_mb(lambda: analyze(noisy, noise, default)), 2),
+        "analyze_tracemalloc_peak_mb": in_fresh_interpreters(
+            "memory_analyze()")["tracemalloc_peak_mb"],
     }
+
+
+def memory_analyze() -> dict:
+    """The tracemalloc peak of `analyze` of the 15 s input against its
+    noise (noisy - clean), default config."""
+    clean, noisy = long_hard_mad_15s()
+    noise = SignalBuffer(noisy.samples - clean.samples, RATE)
+    return {"tracemalloc_peak_mb": peak_mb(lambda: analyze(noisy, noise, EnhanceConfig()))}
 
 
 def memory_call(method: str, noise_estimation: str, repeats: int) -> dict:
@@ -266,7 +291,43 @@ def memory_call(method: str, noise_estimation: str, repeats: int) -> dict:
         enhance(noisy, config)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     return {"minor_faults_per_call": faults / repeats,
-            "tracemalloc_peak_mb": round(peak_mb(lambda: enhance(noisy, config)), 2)}
+            "tracemalloc_peak_mb": peak_mb(lambda: enhance(noisy, config))}
+
+
+def rules_15s(repeats: int) -> dict:
+    """The in-place rule bodies' block sweeps over the 15 s input's mad
+    leaves, as `enhance` runs them, and the zero counts before and after
+    universal-hard."""
+    noisy = long_hard_mad_15s()[1]
+    config = EnhanceConfig(noise_estimation="mad")
+    leaves, _ = pipeline._analyse(noisy, config)
+    threshold = enhance(noisy, config)[1].threshold[..., None]
+    band = enhance(noisy, dataclasses.replace(config, method="band"))[1].band
+    bodies = {
+        "hard": (thresholding._hard, (threshold,)),
+        "soft": (thresholding._soft, (threshold,)),
+        "band_hard": (thresholding._band_hard, (band[..., :1], band[..., 1:])),
+    }
+    work = np.empty_like(leaves)
+    step = max(1, pipeline._BLOCK_VALUES // leaves[0].size)
+
+    def sweep(body, args):
+        for start in range(0, len(work), step):
+            body(work[start : start + step], *(a[start : start + step] for a in args))
+
+    # a tree from before pipeline._zero_counts counted along the rows
+    zero_counts = getattr(pipeline, "_zero_counts",
+                          lambda x: np.count_nonzero(x == 0.0, axis=-1))
+    record = {"audio_s": workloads.LONG_SECONDS}
+    for name, (body, args) in bodies.items():
+        record[f"{name}_ms"] = in_ms(timed(lambda: sweep(body, args), repeats,
+                                           setup=lambda: np.copyto(work, leaves)))
+        record[f"{name}_zeroed_frac"] = np.count_nonzero(work == 0.0) / work.size
+    record["zero_counts_pre_ms"] = in_ms(timed(lambda: zero_counts(leaves), repeats))
+    np.copyto(work, leaves)
+    sweep(*bodies["hard"])
+    record["zero_counts_post_ms"] = in_ms(timed(lambda: zero_counts(work), repeats))
+    return record
 
 
 def cli_import_s(repeats: int) -> dict:
@@ -332,6 +393,7 @@ def main(argv=None) -> int:
         "speech_like_mad": speech_like_mad(args.long_seconds, args.repeats),
         "report_15s_mad": report_15s_mad(args.repeats),
         "memory_15s": memory_15s(args.repeats),
+        "rules_15s": rules_15s(args.repeats),
         "cli_import_s": cli_import_s(args.repeats),
         **cli_request(args.repeats),
     }
