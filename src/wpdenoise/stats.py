@@ -61,9 +61,9 @@ _DEGENERATE_HALF_SPAN = 1e-9
 # rows, or column slices of a row longer than this, so `_bin_index`'s
 # temporaries (a float guess, an index and a mask per value) stay in L2.
 # The pipeline's sweeps over the leaves take their frames per block from
-# it too: the pooled counts and the universal rules this many leaf
-# values, band selection this many dense (frames, subbands, bins)
-# values. No temporary grows with the input. Twice this budget peaks
+# it too: a block's largest array, its leaves or band selection's dense
+# (frames, subbands, bins) counts, holds this many values. No temporary
+# grows with the input. Twice this budget peaks
 # above a leaf array + the signal + 1.5 MB on a 3 s universal-hard call.
 _BLOCK_VALUES = 1 << 15
 

@@ -544,6 +544,34 @@ class TestOutputs:
         assert out.read_bytes() == b"old"
         capsys.readouterr()
 
+    @pytest.mark.parametrize("spelling", ["same", "./same", "link"])
+    @pytest.mark.parametrize("command", ["denoise", "experiment"])
+    def test_two_outputs_that_name_one_file_are_refused(
+        self, tmp_path, capsys, monkeypatch, command, spelling
+    ):
+        # the report written over the WAV would leave only the report:
+        # refused with nothing opened, whether the file exists or not
+        if command == "denoise":
+            argv = ["denoise", "--in", str(_synth(tmp_path))]
+            capsys.readouterr()  # the mix's clipping warning
+        else:
+            argv = ["experiment", "--preset", "sine-0db"]
+        monkeypatch.chdir(tmp_path)
+        os.symlink("same", "link")  # dangling until "same" is written
+        outputs = ["--out", spelling, "--report", "same", "--verbose"]
+        for old in (None, b"old"):
+            if old is not None:
+                (tmp_path / "same").write_bytes(old)
+            assert run([*argv, *outputs]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: --out {spelling} and --report same name the same file\n"
+            assert sorted(os.listdir(tmp_path)) == sorted(
+                ["link"] + ["in.wav"] * (command == "denoise") + ["same"] * (old is not None))
+            assert old is None or (tmp_path / "same").read_bytes() == old
+        # a device takes both
+        assert run([*argv, "--out", os.devnull, "--report", os.devnull]) == 0
+        capsys.readouterr()
+
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 

@@ -646,25 +646,30 @@ class TestEnhance:
     def test_band_subband_counts_are_the_band_selection_counts(
         self, noise_estimation, monkeypatch
     ):
-        # band selection bins every leaf on the profile's edges, block by
-        # block; summed over the frames its counts are each subband's
-        # histogram on those edges, the h_sub of the divergences
+        # the walk bins every leaf on the profile's edges for band
+        # selection, block by block; summed over the frames its counts are
+        # each subband's histogram on those edges, the h_sub of the
+        # divergences
         _, noisy = sine_0db_material(seed=5)
         config = EnhanceConfig(method="band", noise_estimation=noise_estimation)
         leaves, profile = pipeline._analyse(noisy, config)
+        vuv = [None] * len(leaves)  # band ignores the labels
         dist = profile.distribution
         h_sub = row_histograms(pipeline._per_subband(leaves), edges=dist.bin_edges)
         whole = leaves.copy()
-        by_default = pipeline._band_blocks(whole, profile, config)
-        # a block holds _BLOCK_VALUES // (subbands x bins) frames: 7 frames
-        # a block, 45 blocks of the 312 frames, the last shorter
-        monkeypatch.setattr(pipeline, "_BLOCK_VALUES", 7 * leaves.shape[1] * dist.n_bins)
+        by_default = pipeline._sweep(whole, profile, vuv, config)
+        # a block's largest array, its leaves (7 bins with leading
+        # silence) or its dense (frames, subbands, bins) counts (141 bins
+        # in mad mode), holds _BLOCK_VALUES values: 7 frames a block, 45
+        # blocks of the 312 frames, the last shorter
+        n_sub, n_coeff = leaves.shape[1:]
+        monkeypatch.setattr(pipeline, "_BLOCK_VALUES", 7 * n_sub * max(n_coeff, dist.n_bins))
         blocks = leaves.copy()
-        band, counts = pipeline._band_blocks(blocks, profile, config)
-        for got in (counts, by_default[1]):
+        _, band, h_blocks, h_all_blocks, *_ = pipeline._sweep(blocks, profile, vuv, config)
+        for got in (h_blocks.counts, by_default[2].counts):
             assert got.dtype == h_sub.counts.dtype
             assert np.array_equal(got, h_sub.counts)
-        assert np.array_equal(band, by_default[0])
+        assert np.array_equal(band, by_default[1])
         assert np.array_equal(blocks, whole)
         # the public rule on the run's leaves gives the same thresholded leaves
         kept = band_hard_threshold(leaves, band[..., :1], band[..., 1:])
@@ -680,9 +685,38 @@ class TestEnhance:
             all_counts = np.sum(h_sub.counts, axis=0)
         else:
             all_counts = row_histograms(leaves.ravel(), edges=pooled.bin_edges).counts
+        for got in (h_all_blocks, by_default[3]):
+            assert np.array_equal(got.counts, all_counts)
         h_all = stats.Histogram(pooled.bin_edges, all_counts)
         assert report.near_zero_ratios == ratio_profile(
             to_probability(h_all, config.epsilon), pooled)
+
+    @pytest.mark.parametrize("noise_estimation", NOISE_MODES)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_the_walk_gives_one_run_at_every_block_size(
+        self, method, noise_estimation, monkeypatch
+    ):
+        # blocks of 1 frame and of 7 frames (the last shorter) give the
+        # samples and the report bytes of the default budget
+        _, noisy = sine_0db_material(seed=4)
+        config = EnhanceConfig(method=method, noise_estimation=noise_estimation, seed=4)
+        want, want_report = enhance(noisy, config)
+        leaves, profile = pipeline._analyse(noisy, config)
+        n_frames, n_sub, n_coeff = leaves.shape
+        width = max(n_coeff, profile.distribution.n_bins) if method == "band" else n_coeff
+        calls = []
+        zero_counts = pipeline._zero_counts
+        monkeypatch.setattr(pipeline, "_zero_counts",
+                            lambda block: calls.append(len(block)) or zero_counts(block))
+        for frames in (1, 7):
+            calls.clear()
+            monkeypatch.setattr(pipeline, "_BLOCK_VALUES", frames * n_sub * width)
+            got, report = enhance(noisy, config)
+            # each block's zeros are counted before and after its rule
+            assert calls[::2] == calls[1::2] == [frames] * (n_frames // frames) + (
+                [n_frames % frames] if n_frames % frames else [])
+            assert np.array_equal(got.samples, want.samples)
+            assert report.to_json() == want_report.to_json()
 
     @pytest.mark.parametrize("case", ["detail", "leaves", "leaves-shared"])
     def test_pooled_counts_equal_the_whole_rows_counts(self, case, monkeypatch):

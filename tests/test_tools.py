@@ -76,7 +76,7 @@ def test_bench_stages_writes_its_record_at_a_tiny_size(tmp_path):
         assert figures["to_json_ms"]["best"] > 0 and figures["to_json_bytes"] > 10**6
     assert sine["frames_text_universal_hard"]["frames"] == 312
     assert sine["material_ms"]["best"] > 0
-    assert sine["band_sweep_ms"]["best"] > 0
+    assert 0 < sine["band_sweep_ms"]["best"] <= sine["band_sweep_ms"]["median"]
     assert record["report_15s_mad"]["frames_text_universal_hard"]["frames"] == 937
     memory = record["memory_15s"]
     assert memory["audio_s"] == 15.0
@@ -86,15 +86,20 @@ def test_bench_stages_writes_its_record_at_a_tiny_size(tmp_path):
         f"{method}/{mode}" for method in methods for mode in ("mad", "leading_silence"))
     for figures in memory["calls"].values():
         # every call holds its leaves at least
-        assert figures["tracemalloc_peak_mb"] > memory["leaves_mb"]
+        assert figures["tracemalloc_peak_kb"]["min"] > memory["leaves_mb"] * 2**10
         assert figures["minor_faults_per_call"] >= 0
     # analyze holds both sides' leaves
-    assert memory["analyze_tracemalloc_peak_mb"] > 2 * memory["leaves_mb"]
+    assert memory["analyze_tracemalloc_peak_kb"]["min"] > 2 * memory["leaves_mb"] * 2**10
     # the peaks move by a few kB between fresh interpreters, so each is
-    # the median of three, kept to 0.01 MB
-    peaks = [figures["tracemalloc_peak_mb"] for figures in memory["calls"].values()]
-    for peak in [*peaks, memory["analyze_tracemalloc_peak_mb"]]:
-        assert round(peak, 2) == peak
+    # the spread of three, unrounded
+    peaks = [figures["tracemalloc_peak_kb"] for figures in memory["calls"].values()]
+    for peak in [*peaks, memory["analyze_tracemalloc_peak_kb"]]:
+        assert sorted(peak) == ["max", "median", "min"]
+        assert peak["min"] <= peak["median"] <= peak["max"]
+    sweep = record["sweep_15s"]
+    assert sweep["audio_s"] == 15.0 and sorted(sweep["methods"]) == sorted(methods)
+    for walk in sweep["methods"].values():
+        assert 0 < walk["best"] <= walk["median"] and walk["n"] == 1
     rules = record["rules_15s"]
     assert rules["audio_s"] == 15.0
     for body in ("hard", "soft", "band_hard"):
@@ -104,7 +109,7 @@ def test_bench_stages_writes_its_record_at_a_tiny_size(tmp_path):
         assert 0 < rules[count]["best"] <= rules[count]["median"] and rules[count]["n"] == 1
     long = record["speech_like_mad"]
     assert long["audio_s"] == 1.0 and sorted(long["methods"]) == sorted(methods)
-    assert long["tracemalloc_peak_mb_universal_hard"] > 0
+    assert long["tracemalloc_peak_kb_universal_hard"] > 0
     stages = long["stages"]
     assert stages["frames"] == 62  # 1 s at 16 kHz in frames of 512, hop 256
     assert stages["estimate_noise_profile_ms"]["best"] > 0

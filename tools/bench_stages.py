@@ -10,13 +10,13 @@ The file records:
   of `enhance` on the 5 s sine-0db preset (seed 1), and the time and
   size of its Report.to_json();
 - on sine-0db, the time of `sine_0db_material` (the preset's input),
-  and of band mode's work from the leaves of the default config to the
-  thresholded leaves: band selection, the per-subband counts h_sub and
-  the threshold, on a copy of the leaves;
+  and of band mode's walk over the leaves of the default config
+  (`pipeline._sweep`: the zero counts, band selection, h_sub, h_all and
+  the threshold), on a copy of the leaves made before the timer starts;
 - per method, the real-time factor of `enhance` on a 60 s speech-like
   input (bench/workloads.py's generator, seed 37) with mad noise
   estimation;
-- the tracemalloc peak of one 60 s universal-hard mad call;
+- the tracemalloc peak of one 60 s universal-hard mad call, in kB;
 - on that 60 s input, the time of both framing ends, `make_frames` of
   the input and `overlap_add` of its frames, of the mad noise profile
   (`estimate_noise_profile` of its frames' level-1 detail), of
@@ -29,14 +29,19 @@ The file records:
   faults per warmed call (a process's ru_minflt over --repeats calls)
   and the tracemalloc peak of one call, beside the sizes of the input's
   leaves and samples, and the tracemalloc peak of `analyze` of that
-  input against its own noise; each figure is the median of 3 fresh
-  interpreters, and each peak is rounded to 0.01 MB, as it moves by a
-  few kB from one fresh interpreter to the next on the same tree;
-- on that 15 s input's mad leaves, the block sweep of each in-place
+  input against its own noise, each from 3 fresh interpreters: the
+  faults their median, each peak in kB (2**10 bytes) their min, median
+  and max, unrounded, as a peak moves by a few kB from one fresh
+  interpreter to the next on the same tree, so that two records show
+  whether their peaks overlap;
+- on that 15 s input's mad leaves, the walk of each method
+  (`pipeline._sweep`, as above), the block sweep of each in-place
   rule body (`_hard`, `_soft`, `_band_hard`) with the thresholds or
   bands `enhance` uses, each on a fresh copy made before the timer
   starts, with the fraction of the leaves it zeroes, and the zero
-  counts of the leaves before and after universal-hard;
+  counts of the leaves before and after universal-hard, block by block
+  as the walk counts them; a tree without the walk records each walk
+  figure as null;
 - the time of `import wpdenoise.cli` in a fresh interpreter;
 - the wall time of one fresh-process request, `python -m wpdenoise.cli
   denoise --ref ... --report ...` of a 2 s speech-like clip (seed 37),
@@ -105,12 +110,12 @@ def in_ms(timing: dict) -> dict:
     return {**timing, "best": timing["best"] * 1e3, "median": timing["median"] * 1e3}
 
 
-def peak_mb(call) -> float:
-    """The tracemalloc peak of one call, in MB."""
+def peak_kb(call) -> float:
+    """The tracemalloc peak of one call, in kB (2**10 bytes)."""
     tracemalloc.start()
     try:
         call()
-        return tracemalloc.get_traced_memory()[1] / 2**20
+        return tracemalloc.get_traced_memory()[1] / 2**10
     finally:
         tracemalloc.stop()
 
@@ -164,16 +169,22 @@ def sine_0db(repeats: int) -> dict:
     return {
         "audio_s": seconds, "methods": methods, "frames_text_universal_hard": frames,
         "material_ms": in_ms(timed(lambda: sine_0db_material(1), repeats)),
-        "band_sweep_ms": in_ms(timed(band_sweep(noisy), repeats)),
+        "band_sweep_ms": walk_ms(noisy, EnhanceConfig(method="band", seed=1), repeats),
     }
 
 
-def band_sweep(noisy: SignalBuffer):
-    """A call that takes band mode's leaves of `noisy` (default config) to
-    the thresholded leaves and h_sub, on a copy of the leaves."""
-    band = EnhanceConfig(method="band", seed=1)
-    leaves, profile = pipeline._analyse(noisy, band)
-    return lambda: pipeline._band_blocks(leaves.copy(), profile, band)
+def walk_ms(noisy: SignalBuffer, config: EnhanceConfig, repeats: int) -> dict | None:
+    """The walk of `config` (`pipeline._sweep`) over the leaves of `noisy`,
+    with the labels `enhance` hands it, each call on a fresh copy made
+    before the timer starts; None on a tree without the walk."""
+    sweep = getattr(pipeline, "_sweep", None)
+    if sweep is None:
+        return None
+    leaves, profile = pipeline._analyse(noisy, config)
+    vuv = classify_vuv(leaves, pipeline._frame_entropy_threshold(config), config.epsilon)
+    work = np.empty_like(leaves)
+    return in_ms(timed(lambda: sweep(work, profile, vuv, config), repeats,
+                       setup=lambda: np.copyto(work, leaves)))
 
 
 def speech_like_mad(seconds: float, repeats: int) -> dict:
@@ -185,9 +196,9 @@ def speech_like_mad(seconds: float, repeats: int) -> dict:
         methods[method] = {
             "enhance_rtf": timed(lambda: enhance(noisy, config), repeats, seconds),
         }
-    peak = peak_mb(lambda: enhance(noisy, EnhanceConfig(noise_estimation="mad")))
+    peak = peak_kb(lambda: enhance(noisy, EnhanceConfig(noise_estimation="mad")))
     return {"audio_s": seconds, "methods": methods,
-            "tracemalloc_peak_mb_universal_hard": peak,
+            "tracemalloc_peak_kb_universal_hard": peak,
             "stages": mad_stages(noisy, repeats)}
 
 
@@ -235,10 +246,10 @@ FRESH_RUNS = 3
 
 
 def in_fresh_interpreters(call: str) -> dict:
-    """The median of each figure of `bench_stages.<call>`, a dict of
-    numbers, over FRESH_RUNS fresh interpreters on this import path, so
-    that no earlier call has shaped the heap a call faults in; each
-    "tracemalloc_peak_mb" rounded to 0.01 MB."""
+    """Each figure of `bench_stages.<call>`, a dict of numbers, over
+    FRESH_RUNS fresh interpreters on this import path, so that no earlier
+    call has shaped the heap a call faults in: the median of each, and
+    of "tracemalloc_peak_kb" the min, median and max."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR))
     tools = os.path.dirname(os.path.abspath(__file__))
     code = (f"import json, sys; sys.path.insert(0, {tools!r}); import bench_stages; "
@@ -247,7 +258,9 @@ def in_fresh_interpreters(call: str) -> dict:
                                       capture_output=True, text=True).stdout)
             for _ in range(FRESH_RUNS)]
     figures = {key: statistics.median(run[key] for run in runs) for key in runs[0]}
-    figures["tracemalloc_peak_mb"] = round(figures["tracemalloc_peak_mb"], 2)
+    peaks = [run["tracemalloc_peak_kb"] for run in runs]
+    figures["tracemalloc_peak_kb"] = {
+        "min": min(peaks), "median": statistics.median(peaks), "max": max(peaks)}
     return figures
 
 
@@ -265,8 +278,8 @@ def memory_15s(repeats: int) -> dict:
         "leaves_mb": n_frames * default.frame_len * 8 / 2**20,
         "samples_mb": n_samples * 8 / 2**20,
         "calls": calls,
-        "analyze_tracemalloc_peak_mb": in_fresh_interpreters(
-            "memory_analyze()")["tracemalloc_peak_mb"],
+        "analyze_tracemalloc_peak_kb": in_fresh_interpreters(
+            "memory_analyze()")["tracemalloc_peak_kb"],
     }
 
 
@@ -275,7 +288,7 @@ def memory_analyze() -> dict:
     noise (noisy - clean), default config."""
     clean, noisy = long_hard_mad_15s()
     noise = SignalBuffer(noisy.samples - clean.samples, RATE)
-    return {"tracemalloc_peak_mb": peak_mb(lambda: analyze(noisy, noise, EnhanceConfig()))}
+    return {"tracemalloc_peak_kb": peak_kb(lambda: analyze(noisy, noise, EnhanceConfig()))}
 
 
 def memory_call(method: str, noise_estimation: str, repeats: int) -> dict:
@@ -291,13 +304,21 @@ def memory_call(method: str, noise_estimation: str, repeats: int) -> dict:
         enhance(noisy, config)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     return {"minor_faults_per_call": faults / repeats,
-            "tracemalloc_peak_mb": peak_mb(lambda: enhance(noisy, config))}
+            "tracemalloc_peak_kb": peak_kb(lambda: enhance(noisy, config))}
+
+
+def sweep_15s(repeats: int) -> dict:
+    """The walk of every method over the 15 s input's mad leaves."""
+    noisy = long_hard_mad_15s()[1]
+    return {"audio_s": workloads.LONG_SECONDS, "methods": {
+        method: walk_ms(noisy, EnhanceConfig(method=method, noise_estimation="mad"), repeats)
+        for method in METHODS}}
 
 
 def rules_15s(repeats: int) -> dict:
     """The in-place rule bodies' block sweeps over the 15 s input's mad
     leaves, as `enhance` runs them, and the zero counts before and after
-    universal-hard."""
+    universal-hard, block by block as the walk counts them."""
     noisy = long_hard_mad_15s()[1]
     config = EnhanceConfig(noise_estimation="mad")
     leaves, _ = pipeline._analyse(noisy, config)
@@ -315,9 +336,10 @@ def rules_15s(repeats: int) -> dict:
         for start in range(0, len(work), step):
             body(work[start : start + step], *(a[start : start + step] for a in args))
 
-    # a tree from before pipeline._zero_counts counted along the rows
-    zero_counts = getattr(pipeline, "_zero_counts",
-                          lambda x: np.count_nonzero(x == 0.0, axis=-1))
+    def zero_counts(x):
+        for start in range(0, len(x), step):
+            pipeline._zero_counts(x[start : start + step])
+
     record = {"audio_s": workloads.LONG_SECONDS}
     for name, (body, args) in bodies.items():
         record[f"{name}_ms"] = in_ms(timed(lambda: sweep(body, args), repeats,
@@ -393,6 +415,7 @@ def main(argv=None) -> int:
         "speech_like_mad": speech_like_mad(args.long_seconds, args.repeats),
         "report_15s_mad": report_15s_mad(args.repeats),
         "memory_15s": memory_15s(args.repeats),
+        "sweep_15s": sweep_15s(args.repeats),
         "rules_15s": rules_15s(args.repeats),
         "cli_import_s": cli_import_s(args.repeats),
         **cli_request(args.repeats),
