@@ -120,17 +120,20 @@ def _write(args, audio=None, report=None) -> int:
 
     Both are opened before either is written (open_outputs): an output
     that cannot be opened exits 2 with no file written, no new file left
-    behind and an existing one untouched. Two outputs that resolve to one
-    regular file, or to one that does not exist yet, exit 1 before
-    either is opened, as the report would overwrite the WAV; a device
-    such as os.devnull may take both. Warns on stderr if the WAV write
-    clipped samples, and with --verbose names every file written.
+    behind and an existing one untouched. Two outputs that name one
+    regular file (two existing names by their device and inode, as
+    os.path.samefile compares them, so a hard link too; otherwise by
+    realpath), or one that does not exist yet, exit 1 before either is
+    opened, as the report would overwrite the WAV; a device such as
+    os.devnull may take both. Warns on stderr if the WAV write clipped
+    samples, and with --verbose names every file written.
     """
     wav = args.out if audio is not None else None
     report_path = args.report if report is not None else None
     written = [path for path in (wav, report_path) if path]
-    if (len({os.path.realpath(path) for path in written}) < len(written)
-            and (os.path.isfile(wav) or not os.path.exists(wav))):
+    both_exist = len(written) == 2 and all(map(os.path.exists, written))
+    if (os.path.isfile(wav) and os.path.samefile(wav, report_path) if both_exist
+            else len({os.path.realpath(path) for path in written}) < len(written)):
         raise UsageError(f"--out {wav} and --report {report_path} name the same file")
     clipped = 0
     with open_outputs(written):

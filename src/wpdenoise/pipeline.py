@@ -16,15 +16,14 @@ applied in place and its zeros are counted again. Universal h_sub is
 binned pooled over the frames; band bins each (frame, subband) alone,
 picks its band from that histogram and sums the counts over the frames
 into h_sub; in mad mode h_all is h_sub summed. The noise profile and
-both sides of `analyze` are binned through `_pooled_counts`, in place,
-block by block of frames, with no copy; `analyze`'s pooled pair bins
-the raveled leaves, a view, in row_histograms' own blocks. Every block
-of frames is cut by one rule: a block's largest array holds at most
-stats._BLOCK_VALUES values, which is its leaves, or band's dense
-(frames, subbands, bins) counts where those are larger. So a call holds
-its leaves and, beside them, one signal-sized array at a time:
-make_frames' padded copy of the input, the mad profile's |detail|
-(half the leaves) or the output.
+both sides of `analyze`, per subband and pooled, are binned through
+`_pooled_counts`, in place, block by block of frames, with no copy.
+Every block of frames is cut by one rule: a block's largest array
+holds at most stats._BLOCK_VALUES values, which is its leaves, or
+band's dense (frames, subbands, bins) counts where those are larger.
+So a call holds its leaves and, beside them, one signal-sized array
+at a time: make_frames' padded copy of the input, the mad profile's
+|detail| (half the leaves) or the output.
 
 Three thresholding strategies are supported:
 
@@ -514,10 +513,8 @@ def analyze(noisy: SignalBuffer, noise: SignalBuffer, config: EnhanceConfig) -> 
     ).tolist()
 
     edges = _uniform_edges(lo.min(), hi.max(), bin_count(n_fewer))
-    p_ns, p_n = (
-        to_probability(row_histograms(side.ravel(), edges=edges), config.epsilon)
-        for side in leaves
-    )
+    p_ns, p_n = (to_probability(Histogram(edges, _pooled_counts(
+        side.reshape(len(side), -1), edges)), config.epsilon) for side in leaves)
     return Report(
         tool_version=__version__,
         mode="analyze",

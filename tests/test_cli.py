@@ -572,6 +572,25 @@ class TestOutputs:
         assert run([*argv, "--out", os.devnull, "--report", os.devnull]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["denoise", "experiment"])
+    def test_two_names_of_one_file_by_a_hard_link_are_refused(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # realpath tells the two names apart; their inode does not
+        if command == "denoise":
+            argv = ["denoise", "--in", str(_synth(tmp_path))]
+            capsys.readouterr()  # the mix's clipping warning
+        else:
+            argv = ["experiment", "--preset", "sine-0db"]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.wav").write_bytes(b"old")
+        os.link("a.wav", "b.json")
+        assert run([*argv, "--out", "a.wav", "--report", "b.json", "--verbose"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --out a.wav and --report b.json name the same file\n")
+        for name in ("a.wav", "b.json"):
+            assert (tmp_path / name).read_bytes() == b"old"
+
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -76,7 +77,6 @@ def test_bench_stages_writes_its_record_at_a_tiny_size(tmp_path):
         assert figures["to_json_ms"]["best"] > 0 and figures["to_json_bytes"] > 10**6
     assert sine["frames_text_universal_hard"]["frames"] == 312
     assert sine["material_ms"]["best"] > 0
-    assert 0 < sine["band_sweep_ms"]["best"] <= sine["band_sweep_ms"]["median"]
     assert record["report_15s_mad"]["frames_text_universal_hard"]["frames"] == 937
     memory = record["memory_15s"]
     assert memory["audio_s"] == 15.0
@@ -96,33 +96,50 @@ def test_bench_stages_writes_its_record_at_a_tiny_size(tmp_path):
     for peak in [*peaks, memory["analyze_tracemalloc_peak_kb"]]:
         assert sorted(peak) == ["max", "median", "min"]
         assert peak["min"] <= peak["median"] <= peak["max"]
-    sweep = record["sweep_15s"]
-    assert sweep["audio_s"] == 15.0 and sorted(sweep["methods"]) == sorted(methods)
-    for walk in sweep["methods"].values():
-        assert 0 < walk["best"] <= walk["median"] and walk["n"] == 1
-    rules = record["rules_15s"]
-    assert rules["audio_s"] == 15.0
-    for body in ("hard", "soft", "band_hard"):
-        assert 0 < rules[f"{body}_ms"]["best"] <= rules[f"{body}_ms"]["median"]
-        assert 0 < rules[f"{body}_zeroed_frac"] < 1
-    for count in ("zero_counts_pre_ms", "zero_counts_post_ms"):
-        assert 0 < rules[count]["best"] <= rules[count]["median"] and rules[count]["n"] == 1
-    long = record["speech_like_mad"]
-    assert long["audio_s"] == 1.0 and sorted(long["methods"]) == sorted(methods)
-    assert long["tracemalloc_peak_kb_universal_hard"] > 0
-    stages = long["stages"]
-    assert stages["frames"] == 62  # 1 s at 16 kHz in frames of 512, hop 256
-    assert stages["estimate_noise_profile_ms"]["best"] > 0
-    assert stages["overlap_add_ms"]["best"] > 0
-    assert stages["make_frames_ms"]["best"] > 0
-    assert stages["classify_vuv_ms"]["best"] > 0
-    assert stages["h_sub_ms"]["best"] > 0
+    long = record["speech_like"]
+    assert long["audio_s"] == 1.0
+    assert long["frames"] == 62  # 1 s at 16 kHz in frames of 512, hop 256
+    assert long["tracemalloc_peak_kb_universal_hard_mad"] > 0
+    assert sorted(long["configs"]) == sorted(
+        f"{method}/{mode}" for method in methods for mode in ("mad", "leading_silence"))
+    for figures in long["configs"].values():
+        calls = figures["calls"]
+        assert [call.pop("call") for call in calls] == [
+            "pipeline._analyse", "pipeline.classify_vuv", "pipeline._sweep",
+            "wavelet._synthesis", "framing._overlap_add"]
+        for timing in [figures["enhance_ms"], *calls]:
+            assert 0 < timing["best"] <= timing["median"] and timing["n"] == 1
+        medians = sum(call["median"] for call in calls)
+        assert figures["calls_median_share"] == medians / figures["enhance_ms"]["median"]
     assert record["cli_import_s"]["best"] > 0
     # a fresh request, and the interpreter's start and numpy's import
     # that it includes
     for key in ("cli_request_ms", "python_pass_ms", "python_import_numpy_ms"):
         assert 0 < record[key]["best"] <= record[key]["median"] and record[key]["n"] == 1
     assert record["python_pass_ms"]["best"] < record["cli_request_ms"]["best"]
+
+
+def test_bench_stages_replay_ends_with_the_samples_of_enhance():
+    sys.path.insert(0, os.path.join(ROOT, "tools"))
+    try:
+        import bench_stages
+    finally:
+        sys.path.remove(os.path.join(ROOT, "tools"))
+    from wpdenoise.pipeline import EnhanceConfig
+    from wpdenoise.signal_io import SignalBuffer
+
+    rate = bench_stages.RATE  # 1 s of bench/workloads.py's speech-like input
+    noisy = SignalBuffer(
+        bench_stages.workloads.speech_like(np.random.default_rng(37), rate)[1], rate)
+    config = EnhanceConfig(method="band", noise_estimation="mad")
+    calls = bench_stages.enhance_calls(noisy, config)
+    figures = bench_stages.replay(noisy, config, calls, 1)
+    assert [figure["call"] for figure in figures] == [name for name, _ in calls]
+    # a stage list gone stale (here a synthesis that rebuilds nothing)
+    # raises instead of timing a call enhance does not make
+    calls[3] = ("wavelet._synthesis", lambda leaves: leaves.reshape(len(leaves), -1))
+    with pytest.raises(RuntimeError, match="do not give the samples of enhance"):
+        bench_stages.replay(noisy, config, calls, 1)
 
 
 def test_bench_stages_outside_a_git_checkout_needs_the_commit(tmp_path):

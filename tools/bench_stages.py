@@ -9,19 +9,19 @@ The file records:
 - per method, the real-time factor (wall seconds per second of audio)
   of `enhance` on the 5 s sine-0db preset (seed 1), and the time and
   size of its Report.to_json();
-- on sine-0db, the time of `sine_0db_material` (the preset's input),
-  and of band mode's walk over the leaves of the default config
-  (`pipeline._sweep`: the zero counts, band selection, h_sub, h_all and
-  the threshold), on a copy of the leaves made before the timer starts;
-- per method, the real-time factor of `enhance` on a 60 s speech-like
-  input (bench/workloads.py's generator, seed 37) with mad noise
-  estimation;
-- the tracemalloc peak of one 60 s universal-hard mad call, in kB;
-- on that 60 s input, the time of both framing ends, `make_frames` of
-  the input and `overlap_add` of its frames, of the mad noise profile
-  (`estimate_noise_profile` of its frames' level-1 detail), of
-  `classify_vuv` of its leaves and of their per-subband counts h_sub
-  (`pipeline._pooled_counts` on the profile's edges), each called alone;
+- on sine-0db, the time of `sine_0db_material` (the preset's input);
+- on a --long-seconds speech-like input (bench/workloads.py's
+  generator, seed 37), for every method and noise mode, the time of
+  `enhance` in ms and of each call it makes, in order (`enhance_calls`):
+  `pipeline._analyse` (peak check, framing, packet analysis and noise
+  profile), `pipeline.classify_vuv`, `pipeline._sweep` (zero counts,
+  histograms, band selection and the rule), `wavelet._synthesis` and
+  `framing._overlap_add`. Each call is timed alone on a fresh copy of
+  the array the call before it left, made before the timer starts, and
+  the replay must end with the samples `enhance` returns, or the run
+  raises; beside them, the share of `enhance`'s median that the calls'
+  medians sum to, and the tracemalloc peak of one universal-hard mad
+  call, in kB;
 - the time of Report._frames_text(), which writes the per-frame records,
   on the 312-frame sine-0db universal-hard report and on the 937-frame
   report of the first 15 s long-hard-mad input (universal-hard, mad);
@@ -34,14 +34,6 @@ The file records:
   and max, unrounded, as a peak moves by a few kB from one fresh
   interpreter to the next on the same tree, so that two records show
   whether their peaks overlap;
-- on that 15 s input's mad leaves, the walk of each method
-  (`pipeline._sweep`, as above), the block sweep of each in-place
-  rule body (`_hard`, `_soft`, `_band_hard`) with the thresholds or
-  bands `enhance` uses, each on a fresh copy made before the timer
-  starts, with the fraction of the leaves it zeroes, and the zero
-  counts of the leaves before and after universal-hard, block by block
-  as the walk counts them; a tree without the walk records each walk
-  figure as null;
 - the time of `import wpdenoise.cli` in a fresh interpreter;
 - the wall time of one fresh-process request, `python -m wpdenoise.cli
   denoise --ref ... --report ...` of a 2 s speech-like clip (seed 37),
@@ -59,7 +51,6 @@ OPENBLAS_NUM_THREADS to pin the BLAS threads (the value is recorded).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import resource
@@ -78,15 +69,14 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 import workloads  # noqa: E402  (bench/workloads.py, after the path insert)
 
 import wpdenoise  # noqa: E402
-from wpdenoise import pipeline, thresholding  # noqa: E402
+from wpdenoise import pipeline  # noqa: E402
 from wpdenoise.experiments import sine_0db_material  # noqa: E402
-from wpdenoise.framing import frame_count, make_frames, overlap_add  # noqa: E402
+from wpdenoise.framing import FrameSet, _overlap_add, frame_count  # noqa: E402
 from wpdenoise.pipeline import (  # noqa: E402
     METHODS, NOISE_MODES, EnhanceConfig, analyze, classify_vuv, enhance,
-    estimate_noise_profile,
 )
 from wpdenoise.signal_io import SignalBuffer  # noqa: E402
-from wpdenoise.wavelet import filter_bank, wp_analysis  # noqa: E402
+from wpdenoise.wavelet import _synthesis, filter_bank  # noqa: E402
 
 RATE = workloads.RATE
 
@@ -169,59 +159,84 @@ def sine_0db(repeats: int) -> dict:
     return {
         "audio_s": seconds, "methods": methods, "frames_text_universal_hard": frames,
         "material_ms": in_ms(timed(lambda: sine_0db_material(1), repeats)),
-        "band_sweep_ms": walk_ms(noisy, EnhanceConfig(method="band", seed=1), repeats),
     }
 
 
-def walk_ms(noisy: SignalBuffer, config: EnhanceConfig, repeats: int) -> dict | None:
-    """The walk of `config` (`pipeline._sweep`) over the leaves of `noisy`,
-    with the labels `enhance` hands it, each call on a fresh copy made
-    before the timer starts; None on a tree without the walk."""
-    sweep = getattr(pipeline, "_sweep", None)
-    if sweep is None:
-        return None
-    leaves, profile = pipeline._analyse(noisy, config)
-    vuv = classify_vuv(leaves, pipeline._frame_entropy_threshold(config), config.epsilon)
-    work = np.empty_like(leaves)
-    return in_ms(timed(lambda: sweep(work, profile, vuv, config), repeats,
-                       setup=lambda: np.copyto(work, leaves)))
+def enhance_calls(noisy: SignalBuffer, config: EnhanceConfig) -> list:
+    """The calls `enhance(noisy, config)` makes, in order, with VUV on:
+    (name, call) pairs. Each call takes the array the call before it
+    left (the first takes None) and returns the one it leaves; the
+    profile and VUV labels a later call needs are the last its
+    forerunner made."""
+    made = {}
+
+    def analyse(_):
+        leaves, made["profile"] = pipeline._analyse(noisy, config)
+        return leaves
+
+    def vuv(leaves):
+        made["vuv"] = classify_vuv(
+            leaves, pipeline._frame_entropy_threshold(config), config.epsilon)
+        return leaves
+
+    def sweep(leaves):
+        pipeline._sweep(leaves, made["profile"], made["vuv"], config)
+        return leaves
+
+    def overlap_add(frames):
+        rebuilt = FrameSet(frames, config.frame_len, config.hop, config.window,
+                           len(noisy), noisy.sample_rate_hz)
+        return _overlap_add(rebuilt, frames).samples
+
+    return [
+        ("pipeline._analyse", analyse),
+        ("pipeline.classify_vuv", vuv),
+        ("pipeline._sweep", sweep),
+        ("wavelet._synthesis", lambda leaves: _synthesis(leaves, filter_bank(config.wavelet))),
+        ("framing._overlap_add", overlap_add),
+    ]
 
 
-def speech_like_mad(seconds: float, repeats: int) -> dict:
+def replay(noisy: SignalBuffer, config: EnhanceConfig, calls: list, repeats: int) -> list:
+    """Each of `calls` (enhance_calls) timed alone in ms, in order, each
+    on a fresh copy of the array the call before it left, made before
+    the timer starts. Raises RuntimeError unless the last call leaves
+    the samples `enhance(noisy, config)` returns."""
+    figures, left = [], None
+    for name, call in calls:
+        given = left
+        work = None if given is None else np.empty_like(given)
+        out = {}
+        timing = timed(lambda: out.update(left=call(work)), repeats,
+                       setup=None if given is None else lambda: np.copyto(work, given))
+        figures.append({"call": name, **in_ms(timing)})
+        left = out["left"]
+    if not np.array_equal(left, enhance(noisy, config)[0].samples):
+        raise RuntimeError(f"the calls replayed do not give the samples of enhance "
+                           f"({config.method}/{config.noise_estimation})")
+    return figures
+
+
+def speech_like(seconds: float, repeats: int) -> dict:
+    """`enhance` and each call it makes (replay), for every method and
+    noise mode, on the speech-like input of `seconds` (seed 37)."""
     _, samples = workloads.speech_like(np.random.default_rng(37), int(seconds * RATE))
     noisy = SignalBuffer(samples, RATE)
-    methods = {}
+    configs = {}
     for method in METHODS:
-        config = EnhanceConfig(method=method, noise_estimation="mad")
-        methods[method] = {
-            "enhance_rtf": timed(lambda: enhance(noisy, config), repeats, seconds),
-        }
+        for mode in NOISE_MODES:
+            config = EnhanceConfig(method=method, noise_estimation=mode)
+            whole = in_ms(timed(lambda: enhance(noisy, config), repeats))
+            calls = replay(noisy, config, enhance_calls(noisy, config), repeats)
+            configs[f"{method}/{mode}"] = {
+                "enhance_ms": whole, "calls": calls,
+                "calls_median_share": sum(c["median"] for c in calls) / whole["median"],
+            }
+    default = EnhanceConfig()
     peak = peak_kb(lambda: enhance(noisy, EnhanceConfig(noise_estimation="mad")))
-    return {"audio_s": seconds, "methods": methods,
-            "tracemalloc_peak_kb_universal_hard": peak,
-            "stages": mad_stages(noisy, repeats)}
-
-
-def mad_stages(noisy: SignalBuffer, repeats: int) -> dict:
-    """Both framing ends, the mad noise profile, VUV and the per-subband
-    counts h_sub of `noisy`, each timed alone."""
-    config = EnhanceConfig(noise_estimation="mad")
-    frames = make_frames(noisy, config.frame_len, config.hop, config.window)
-    detail = wp_analysis(frames.frames, filter_bank(config.wavelet), 1)[:, 1]
-    leaves, profile = pipeline._analyse(noisy, config)
-    threshold = pipeline._frame_entropy_threshold(config)
-    return {
-        "classify_vuv_ms": in_ms(timed(
-            lambda: classify_vuv(leaves, threshold, config.epsilon), repeats)),
-        "h_sub_ms": in_ms(timed(lambda: pipeline._pooled_counts(
-            leaves, profile.distribution.bin_edges), repeats)),
-        "frames": frames.n_frames,
-        "make_frames_ms": in_ms(timed(lambda: make_frames(
-            noisy, config.frame_len, config.hop, config.window), repeats)),
-        "estimate_noise_profile_ms": in_ms(
-            timed(lambda: estimate_noise_profile(detail, config), repeats)),
-        "overlap_add_ms": in_ms(timed(lambda: overlap_add(frames), repeats)),
-    }
+    return {"audio_s": seconds, "configs": configs,
+            "frames": frame_count(len(samples), default.frame_len, default.hop),
+            "tracemalloc_peak_kb_universal_hard_mad": peak}
 
 
 def long_hard_mad_15s() -> tuple:
@@ -307,51 +322,6 @@ def memory_call(method: str, noise_estimation: str, repeats: int) -> dict:
             "tracemalloc_peak_kb": peak_kb(lambda: enhance(noisy, config))}
 
 
-def sweep_15s(repeats: int) -> dict:
-    """The walk of every method over the 15 s input's mad leaves."""
-    noisy = long_hard_mad_15s()[1]
-    return {"audio_s": workloads.LONG_SECONDS, "methods": {
-        method: walk_ms(noisy, EnhanceConfig(method=method, noise_estimation="mad"), repeats)
-        for method in METHODS}}
-
-
-def rules_15s(repeats: int) -> dict:
-    """The in-place rule bodies' block sweeps over the 15 s input's mad
-    leaves, as `enhance` runs them, and the zero counts before and after
-    universal-hard, block by block as the walk counts them."""
-    noisy = long_hard_mad_15s()[1]
-    config = EnhanceConfig(noise_estimation="mad")
-    leaves, _ = pipeline._analyse(noisy, config)
-    threshold = enhance(noisy, config)[1].threshold[..., None]
-    band = enhance(noisy, dataclasses.replace(config, method="band"))[1].band
-    bodies = {
-        "hard": (thresholding._hard, (threshold,)),
-        "soft": (thresholding._soft, (threshold,)),
-        "band_hard": (thresholding._band_hard, (band[..., :1], band[..., 1:])),
-    }
-    work = np.empty_like(leaves)
-    step = max(1, pipeline._BLOCK_VALUES // leaves[0].size)
-
-    def sweep(body, args):
-        for start in range(0, len(work), step):
-            body(work[start : start + step], *(a[start : start + step] for a in args))
-
-    def zero_counts(x):
-        for start in range(0, len(x), step):
-            pipeline._zero_counts(x[start : start + step])
-
-    record = {"audio_s": workloads.LONG_SECONDS}
-    for name, (body, args) in bodies.items():
-        record[f"{name}_ms"] = in_ms(timed(lambda: sweep(body, args), repeats,
-                                           setup=lambda: np.copyto(work, leaves)))
-        record[f"{name}_zeroed_frac"] = np.count_nonzero(work == 0.0) / work.size
-    record["zero_counts_pre_ms"] = in_ms(timed(lambda: zero_counts(leaves), repeats))
-    np.copyto(work, leaves)
-    sweep(*bodies["hard"])
-    record["zero_counts_post_ms"] = in_ms(timed(lambda: zero_counts(work), repeats))
-    return record
-
-
 def cli_import_s(repeats: int) -> dict:
     """`import wpdenoise.cli` in a fresh interpreter, on this import path."""
     code = ("import time; t = time.perf_counter(); import wpdenoise.cli; "
@@ -396,7 +366,7 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
     parser.add_argument("--repeats", type=int, default=7, help="timed calls per figure")
     parser.add_argument("--long-seconds", type=float, default=60.0,
-                        help="length of the speech-like mad input")
+                        help="length of the speech-like input")
     parser.add_argument("--out-dir", default=ROOT, help="directory of the file")
     parser.add_argument("--commit", help="the measured commit, for a tree outside a "
                         "git checkout (default: found with git)")
@@ -412,11 +382,9 @@ def main(argv=None) -> int:
         "label": args.label,
         "machine": machine(commit),
         "sine_0db": sine_0db(args.repeats),
-        "speech_like_mad": speech_like_mad(args.long_seconds, args.repeats),
+        "speech_like": speech_like(args.long_seconds, args.repeats),
         "report_15s_mad": report_15s_mad(args.repeats),
         "memory_15s": memory_15s(args.repeats),
-        "sweep_15s": sweep_15s(args.repeats),
-        "rules_15s": rules_15s(args.repeats),
         "cli_import_s": cli_import_s(args.repeats),
         **cli_request(args.repeats),
     }
