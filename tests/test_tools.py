@@ -9,7 +9,6 @@ import shutil
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -67,17 +66,40 @@ def test_bench_stages_writes_its_record_at_a_tiny_size(tmp_path):
     with open(tmp_path / "BENCH_tiny.json", encoding="utf-8") as fh:
         record = json.load(fh)
     assert record["label"] == "tiny"
-    assert record["machine"]["nproc"] >= 1 and record["machine"]["numpy"]
-    assert record["machine"]["commit"] == "abc123"
+    machine = record["machine"]
+    assert machine["nproc"] >= 1 and machine["numpy"]
+    assert machine["commit"] == "abc123"
+    assert machine["cpu_model"] is None or machine["cpu_model"]
+    assert sorted(machine["calibrate_kernel_s"]) == ["after", "before"]
+    assert all(seconds > 0 for seconds in machine["calibrate_kernel_s"].values())
     methods = ("universal-hard", "universal-soft", "band")
+    stages = ["pipeline._analyse", "pipeline.classify_vuv", "pipeline._sweep",
+              "wavelet._synthesis", "framing._overlap_add"]
+
+    def check_split(whole, parts):
+        # every part is timed inside the same calls as the whole
+        for timing in [whole, *parts]:
+            assert 0 < timing["best"] <= timing["median"] and timing["n"] == 1
+        assert sum(part["median"] for part in parts) <= whole["median"]
+
+    def check_calls(calls):
+        assert [call.pop("call") for call in calls] == stages
+        return calls
+
     sine = record["sine_0db"]
+    assert sine["frames"] == 312
     assert sorted(sine["methods"]) == sorted(methods)
     for figures in sine["methods"].values():
-        assert 0 < figures["enhance_rtf"]["best"] <= figures["enhance_rtf"]["median"]
-        assert figures["to_json_ms"]["best"] > 0 and figures["to_json_bytes"] > 10**6
-    assert sine["frames_text_universal_hard"]["frames"] == 312
-    assert sine["material_ms"]["best"] > 0
-    assert record["report_15s_mad"]["frames_text_universal_hard"]["frames"] == 937
+        check_split(figures["whole_ms"], [figures["sine_0db_material_ms"],
+                                          figures["enhance_ms"], figures["to_json_ms"]])
+        check_split(figures["enhance_ms"], check_calls(figures["calls"]))
+        check_split(figures["to_json_ms"], [figures["_frames_text_ms"]])
+        rtf = figures["enhance_rtf"]["median"] * sine["audio_s"] * 1e3
+        assert rtf == pytest.approx(figures["enhance_ms"]["median"])
+        assert figures["to_json_bytes"] > 10**6
+    report = record["report_15s_mad"]
+    assert report["frames"] == 937 and report["to_json_bytes"] > 10**6
+    check_split(report["to_json_ms"], [report["_frames_text_ms"]])
     memory = record["memory_15s"]
     assert memory["audio_s"] == 15.0
     assert memory["leaves_mb"] == 937 * 512 * 8 / 2**20
@@ -90,27 +112,22 @@ def test_bench_stages_writes_its_record_at_a_tiny_size(tmp_path):
         assert figures["minor_faults_per_call"] >= 0
     # analyze holds both sides' leaves
     assert memory["analyze_tracemalloc_peak_kb"]["min"] > 2 * memory["leaves_mb"] * 2**10
+    long = record["speech_like"]
     # the peaks move by a few kB between fresh interpreters, so each is
     # the spread of three, unrounded
     peaks = [figures["tracemalloc_peak_kb"] for figures in memory["calls"].values()]
-    for peak in [*peaks, memory["analyze_tracemalloc_peak_kb"]]:
+    for peak in [*peaks, memory["analyze_tracemalloc_peak_kb"],
+                 long["tracemalloc_peak_kb_universal_hard_mad"]]:
         assert sorted(peak) == ["max", "median", "min"]
-        assert peak["min"] <= peak["median"] <= peak["max"]
-    long = record["speech_like"]
+        assert 0 < peak["min"] <= peak["median"] <= peak["max"]
     assert long["audio_s"] == 1.0
     assert long["frames"] == 62  # 1 s at 16 kHz in frames of 512, hop 256
-    assert long["tracemalloc_peak_kb_universal_hard_mad"] > 0
     assert sorted(long["configs"]) == sorted(
         f"{method}/{mode}" for method in methods for mode in ("mad", "leading_silence"))
     for figures in long["configs"].values():
-        calls = figures["calls"]
-        assert [call.pop("call") for call in calls] == [
-            "pipeline._analyse", "pipeline.classify_vuv", "pipeline._sweep",
-            "wavelet._synthesis", "framing._overlap_add"]
-        for timing in [figures["enhance_ms"], *calls]:
-            assert 0 < timing["best"] <= timing["median"] and timing["n"] == 1
-        medians = sum(call["median"] for call in calls)
-        assert figures["calls_median_share"] == medians / figures["enhance_ms"]["median"]
+        check_split(figures["enhance_ms"], check_calls(figures["calls"]))
+        # the stages lie inside the call, so their sum is at most its time
+        assert 0 < figures["calls_share"] <= 1
     assert record["cli_import_s"]["best"] > 0
     # a fresh request, and the interpreter's start and numpy's import
     # that it includes
@@ -119,27 +136,68 @@ def test_bench_stages_writes_its_record_at_a_tiny_size(tmp_path):
     assert record["python_pass_ms"]["best"] < record["cli_request_ms"]["best"]
 
 
-def test_bench_stages_replay_ends_with_the_samples_of_enhance():
+@pytest.fixture(scope="module")
+def bench_stages():
     sys.path.insert(0, os.path.join(ROOT, "tools"))
     try:
         import bench_stages
     finally:
         sys.path.remove(os.path.join(ROOT, "tools"))
-    from wpdenoise.pipeline import EnhanceConfig
-    from wpdenoise.signal_io import SignalBuffer
+    return bench_stages
 
-    rate = bench_stages.RATE  # 1 s of bench/workloads.py's speech-like input
-    noisy = SignalBuffer(
-        bench_stages.workloads.speech_like(np.random.default_rng(37), rate)[1], rate)
-    config = EnhanceConfig(method="band", noise_estimation="mad")
-    calls = bench_stages.enhance_calls(noisy, config)
-    figures = bench_stages.replay(noisy, config, calls, 1)
-    assert [figure["call"] for figure in figures] == [name for name, _ in calls]
-    # a stage list gone stale (here a synthesis that rebuilds nothing)
-    # raises instead of timing a call enhance does not make
-    calls[3] = ("wavelet._synthesis", lambda leaves: leaves.reshape(len(leaves), -1))
-    with pytest.raises(RuntimeError, match="do not give the samples of enhance"):
-        bench_stages.replay(noisy, config, calls, 1)
+
+def _boundary_objects() -> tuple:
+    # split wraps these in the pytest process, so each must be put back
+    from wpdenoise import experiments, pipeline
+    from wpdenoise.report import Report
+
+    return pipeline._sweep, experiments.enhance, Report._frames_text
+
+
+def _are(objects, originals) -> bool:
+    return all(now is before for now, before in zip(objects, originals, strict=True))
+
+
+def test_split_of_a_boundary_that_does_not_resolve_raises(bench_stages):
+    from wpdenoise import pipeline
+
+    originals = _boundary_objects()
+    boundaries = {**bench_stages.PRESET, "pipeline._gone": (pipeline, "_gone")}
+    with pytest.raises(AttributeError, match="_gone"):
+        bench_stages.split(lambda: None, boundaries, 1)
+    assert _are(_boundary_objects(), originals)
+
+
+@pytest.mark.parametrize("block", ["speech_like", "sine_0db"])
+def test_split_of_a_stage_the_call_skips_raises_naming_it(bench_stages, block):
+    from wpdenoise import experiments, pipeline
+    from wpdenoise.pipeline import EnhanceConfig
+
+    originals = _boundary_objects()
+    config = EnhanceConfig(seed=1, noise_estimation="mad", vuv_enabled=False)
+    noisy = bench_stages.speech_like_input(1.0)  # bench/workloads.py's, 1 s
+
+    def call():
+        if block == "speech_like":
+            return pipeline.enhance(noisy, config)
+        return experiments.run_preset("sine-0db", config=config)[3].to_json()
+
+    boundaries = bench_stages.STAGES if block == "speech_like" else bench_stages.PRESET
+    # a list gone stale (here a stage the call does not make) raises
+    # instead of timing a call that does not run
+    with pytest.raises(RuntimeError, match=r"^pipeline\.classify_vuv entered 0 times"):
+        bench_stages.split(call, boundaries, 1)
+    assert _are(_boundary_objects(), originals)
+    # the boundaries the call enters are timed inside the same calls
+    boundaries = {name: boundary for name, boundary in boundaries.items()
+                  if name != "pipeline.classify_vuv"}
+    times = bench_stages.split(call, boundaries, 2)
+    assert sorted(times) == sorted(["whole", *boundaries])
+    assert all(len(seconds) == 2 for seconds in times.values())
+    for run in range(2):
+        stages = [times[name][run] for name in bench_stages.STAGES if name in boundaries]
+        assert 0 < sum(stages) <= times["whole"][run]
+    assert _are(_boundary_objects(), originals)
 
 
 def test_bench_stages_outside_a_git_checkout_needs_the_commit(tmp_path):

@@ -4,48 +4,30 @@
 
 It measures the wpdenoise package first on the import path, so a
 parent revision is measured by putting its src/ on PYTHONPATH instead.
-The file records:
+Each wall time but the import's comes from `split`, which times a real
+call and, inside that same call, each named boundary it enters:
 
-- per method, the real-time factor (wall seconds per second of audio)
-  of `enhance` on the 5 s sine-0db preset (seed 1), and the time and
-  size of its Report.to_json();
-- on sine-0db, the time of `sine_0db_material` (the preset's input);
-- on a --long-seconds speech-like input (bench/workloads.py's
-  generator, seed 37), for every method and noise mode, the time of
-  `enhance` in ms and of each call it makes, in order (`enhance_calls`):
-  `pipeline._analyse` (peak check, framing, packet analysis and noise
-  profile), `pipeline.classify_vuv`, `pipeline._sweep` (zero counts,
-  histograms, band selection and the rule), `wavelet._synthesis` and
-  `framing._overlap_add`. Each call is timed alone on a fresh copy of
-  the array the call before it left, made before the timer starts, and
-  the replay must end with the samples `enhance` returns, or the run
-  raises; beside them, the share of `enhance`'s median that the calls'
-  medians sum to, and the tracemalloc peak of one universal-hard mad
-  call, in kB;
-- the time of Report._frames_text(), which writes the per-frame records,
-  on the 312-frame sine-0db universal-hard report and on the 937-frame
-  report of the first 15 s long-hard-mad input (universal-hard, mad);
-- on that 15 s input, for every method and noise mode, the minor page
-  faults per warmed call (a process's ru_minflt over --repeats calls)
-  and the tracemalloc peak of one call, beside the sizes of the input's
-  leaves and samples, and the tracemalloc peak of `analyze` of that
-  input against its own noise, each from 3 fresh interpreters: the
-  faults their median, each peak in kB (2**10 bytes) their min, median
-  and max, unrounded, as a peak moves by a few kB from one fresh
-  interpreter to the next on the same tree, so that two records show
-  whether their peaks overlap;
-- the time of `import wpdenoise.cli` in a fresh interpreter;
-- the wall time of one fresh-process request, `python -m wpdenoise.cli
-  denoise --ref ... --report ...` of a 2 s speech-like clip (seed 37),
-  and beside it the same interpreter running `-c pass` and
-  `-c "import numpy"`, which split it into start-up, numpy and the rest;
-- the commit of the measured tree, nproc, and the Python, numpy and BLAS
-  versions. The commit is found with git; a tree outside a git checkout
-  (such as a `git archive` copy) needs --commit, or nothing is measured.
+- `sine_0db`: per method, the 5 s preset call (seed 1), `run_preset` and
+  `to_json()`, split into `sine_0db_material`, `enhance` (also as wall s
+  per s of audio), its STAGES, `to_json` and its `_frames_text`;
+- `speech_like`: per method and noise mode, `enhance` split into STAGES
+  on a --long-seconds speech-like input (seed 37), `calls_share`, the
+  median over the calls of the stages' sum over the call's time, and
+  the tracemalloc peak of a universal-hard mad call;
+- `report_15s_mad`: `to_json()` of the first 15 s long-hard-mad input's
+  report (universal-hard, mad) split into `_frames_text`;
+- `memory_15s`: on that input, per method and noise mode, the minor
+  page faults per warmed call and the tracemalloc peak of one call;
+- the time of `import wpdenoise.cli`, and of fresh processes: a CLI
+  `denoise` request on a 2 s clip, `-c pass` and `-c "import numpy"`;
+- `machine`: the commit (found with git; a tree outside a git checkout
+  needs --commit), the CPU, Python, numpy and BLAS, and the host's speed
+  (bench/calibrate.py's kernel) before and after the in-process figures.
 
-Each timing is given as the best and the median of --repeats calls,
-after one untimed call. Runs are single-process; set
-OPENBLAS_NUM_THREADS to pin the BLAS threads (the value is recorded).
+Each tracemalloc peak is the min, median and max over 3 fresh
+interpreters, in kB (2**10 bytes); each time the best and median of
+--repeats calls after an untimed one. Set OPENBLAS_NUM_THREADS to pin
+the BLAS threads.
 """
 
 from __future__ import annotations
@@ -66,38 +48,86 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
-import workloads  # noqa: E402  (bench/workloads.py, after the path insert)
+import calibrate  # noqa: E402  (bench/calibrate.py, after the path insert)
+import workloads  # noqa: E402  (bench/workloads.py)
 
 import wpdenoise  # noqa: E402
-from wpdenoise import pipeline  # noqa: E402
-from wpdenoise.experiments import sine_0db_material  # noqa: E402
-from wpdenoise.framing import FrameSet, _overlap_add, frame_count  # noqa: E402
+from wpdenoise import experiments, pipeline  # noqa: E402
+from wpdenoise.experiments import run_preset, sine_0db_material  # noqa: E402
+from wpdenoise.framing import frame_count  # noqa: E402
 from wpdenoise.pipeline import (  # noqa: E402
-    METHODS, NOISE_MODES, EnhanceConfig, analyze, classify_vuv, enhance,
+    METHODS, NOISE_MODES, EnhanceConfig, analyze, enhance,
 )
+from wpdenoise.report import Report  # noqa: E402
 from wpdenoise.signal_io import SignalBuffer  # noqa: E402
-from wpdenoise.wavelet import _synthesis, filter_bank  # noqa: E402
 
 RATE = workloads.RATE
+DEFAULT = EnhanceConfig()
+
+# The stages `enhance` calls, in order, by record name: (owner, attribute)
+# where `enhance` looks each up, its module's globals.
+STAGES = {
+    "pipeline._analyse": (pipeline, "_analyse"),
+    "pipeline.classify_vuv": (pipeline, "classify_vuv"),
+    "pipeline._sweep": (pipeline, "_sweep"),
+    "wavelet._synthesis": (pipeline, "_synthesis"),
+    "framing._overlap_add": (pipeline, "_overlap_add"),
+}
+# Those of `run_preset("sine-0db", ...)[3].to_json()`, the preset sweep's call.
+PRESET = {
+    "sine_0db_material": (experiments, "sine_0db_material"),
+    "enhance": (experiments, "enhance"),
+    **STAGES,
+    "to_json": (Report, "to_json"),
+    "_frames_text": (Report, "_frames_text"),
+}
 
 
-def timed(call, repeats: int, scale: float = 1.0, setup=None) -> dict:
-    """Best and median wall time of `repeats` calls (after one warm-up),
-    divided by `scale`; `setup`, if given, is called untimed before each."""
-    setup = setup or (lambda: None)
-    setup()
-    call()
-    times = []
-    for _ in range(repeats):
-        setup()
-        start = time.perf_counter()
-        call()
-        times.append((time.perf_counter() - start) / scale)
-    return {"best": min(times), "median": statistics.median(times), "n": repeats}
+def spread(seconds: list, unit: float = 1e3) -> dict:
+    """Best and median of `seconds` times `unit` (default: in ms), and their count."""
+    return {"best": min(seconds) * unit, "median": statistics.median(seconds) * unit,
+            "n": len(seconds)}
 
 
-def in_ms(timing: dict) -> dict:
-    return {**timing, "best": timing["best"] * 1e3, "median": timing["median"] * 1e3}
+def split(call, boundaries: dict, repeats: int) -> dict:
+    """Wall seconds of `repeats` calls of `call`, after one untimed call,
+    as "whole" and, by name, each boundary's inclusive time in the same call.
+
+    `boundaries` maps a name to (owner, attribute), a module global or a
+    class's method, wrapped where the call looks it up while split runs.
+    One that does not resolve raises AttributeError before any is wrapped,
+    one not entered exactly once in a call RuntimeError naming it; the
+    originals are put back however the calls end.
+    """
+    originals = [(owner, attribute, getattr(owner, attribute))
+                 for owner, attribute in boundaries.values()]
+    times = {name: [] for name in ("whole", *boundaries)}
+
+    def wrapped(name, original):
+        def boundary(*args, **kwargs):
+            start = time.perf_counter()
+            out = original(*args, **kwargs)
+            spans[name].append(time.perf_counter() - start)
+            return out
+        return boundary
+
+    try:
+        for name, (owner, attribute, original) in zip(boundaries, originals):
+            setattr(owner, attribute, wrapped(name, original))
+        for run in range(repeats + 1):
+            spans = {name: [] for name in boundaries}
+            start = time.perf_counter()
+            call()
+            spans["whole"] = [time.perf_counter() - start]
+            for name, entered in spans.items():
+                if len(entered) != 1:
+                    raise RuntimeError(f"{name} entered {len(entered)} times in a call")
+                if run:
+                    times[name] += entered
+    finally:
+        for owner, attribute, original in originals:
+            setattr(owner, attribute, original)
+    return times
 
 
 def peak_kb(call) -> float:
@@ -125,11 +155,28 @@ def source_commit() -> dict | None:
     return {"commit": commit, "tracked_changes": dirty}
 
 
-def machine(commit: dict) -> dict:
+def cpu_model() -> str | None:
+    """The `model name` of /proc/cpuinfo, or None where there is none."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return next((line.partition(":")[2].strip() for line in fh
+                         if line.startswith("model name")), None)
+    except OSError:
+        return None
+
+
+def kernel_s() -> float:
+    """The host's speed: median wall seconds of 9 runs of the calibration kernel."""
+    return statistics.median(calibrate.kernel_seconds() for _ in range(9))
+
+
+def machine(commit: dict, kernel: dict) -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         **commit,
         "nproc": os.cpu_count(),
+        "cpu_model": cpu_model(),
+        "calibrate_kernel_s": kernel,
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "blas": {key: blas.get(key) for key in ("name", "version")},
@@ -137,106 +184,58 @@ def machine(commit: dict) -> dict:
     }
 
 
-def frames_text(report, repeats: int) -> dict:
-    return {"frames": len(report.vuv), "ms": in_ms(timed(report._frames_text, repeats))}
-
-
 def sine_0db(repeats: int) -> dict:
-    clean, noisy = sine_0db_material(1)
+    noisy = sine_0db_material(1)[1]
     seconds = len(noisy) / noisy.sample_rate_hz
     methods = {}
     for method in METHODS:
-        config = EnhanceConfig(method=method, seed=1)
-        _, report = enhance(noisy, config, reference=clean)
+        def call():
+            return run_preset("sine-0db", method, 1)[3].to_json()
+
+        times = split(call, PRESET, repeats)
         methods[method] = {
-            "enhance_rtf": timed(lambda: enhance(noisy, config, reference=clean),
-                                 repeats, seconds),
-            "to_json_ms": in_ms(timed(report.to_json, repeats)),
-            "to_json_bytes": len(report.to_json().encode("utf-8")),
+            **{f"{name}_ms": spread(t) for name, t in times.items() if name not in STAGES},
+            "enhance_rtf": spread(times["enhance"], 1 / seconds),
+            "calls": [{"call": name, **spread(times[name])} for name in STAGES],
+            "to_json_bytes": len(call().encode("utf-8")),
         }
-        if method == "universal-hard":
-            frames = frames_text(report, repeats)
-    return {
-        "audio_s": seconds, "methods": methods, "frames_text_universal_hard": frames,
-        "material_ms": in_ms(timed(lambda: sine_0db_material(1), repeats)),
-    }
+    return {"audio_s": seconds, "methods": methods,
+            "frames": frame_count(len(noisy), DEFAULT.frame_len, DEFAULT.hop)}
 
 
-def enhance_calls(noisy: SignalBuffer, config: EnhanceConfig) -> list:
-    """The calls `enhance(noisy, config)` makes, in order, with VUV on:
-    (name, call) pairs. Each call takes the array the call before it
-    left (the first takes None) and returns the one it leaves; the
-    profile and VUV labels a later call needs are the last its
-    forerunner made."""
-    made = {}
-
-    def analyse(_):
-        leaves, made["profile"] = pipeline._analyse(noisy, config)
-        return leaves
-
-    def vuv(leaves):
-        made["vuv"] = classify_vuv(
-            leaves, pipeline._frame_entropy_threshold(config), config.epsilon)
-        return leaves
-
-    def sweep(leaves):
-        pipeline._sweep(leaves, made["profile"], made["vuv"], config)
-        return leaves
-
-    def overlap_add(frames):
-        rebuilt = FrameSet(frames, config.frame_len, config.hop, config.window,
-                           len(noisy), noisy.sample_rate_hz)
-        return _overlap_add(rebuilt, frames).samples
-
-    return [
-        ("pipeline._analyse", analyse),
-        ("pipeline.classify_vuv", vuv),
-        ("pipeline._sweep", sweep),
-        ("wavelet._synthesis", lambda leaves: _synthesis(leaves, filter_bank(config.wavelet))),
-        ("framing._overlap_add", overlap_add),
-    ]
-
-
-def replay(noisy: SignalBuffer, config: EnhanceConfig, calls: list, repeats: int) -> list:
-    """Each of `calls` (enhance_calls) timed alone in ms, in order, each
-    on a fresh copy of the array the call before it left, made before
-    the timer starts. Raises RuntimeError unless the last call leaves
-    the samples `enhance(noisy, config)` returns."""
-    figures, left = [], None
-    for name, call in calls:
-        given = left
-        work = None if given is None else np.empty_like(given)
-        out = {}
-        timing = timed(lambda: out.update(left=call(work)), repeats,
-                       setup=None if given is None else lambda: np.copyto(work, given))
-        figures.append({"call": name, **in_ms(timing)})
-        left = out["left"]
-    if not np.array_equal(left, enhance(noisy, config)[0].samples):
-        raise RuntimeError(f"the calls replayed do not give the samples of enhance "
-                           f"({config.method}/{config.noise_estimation})")
-    return figures
+def speech_like_input(seconds: float) -> SignalBuffer:
+    """The noisy speech-like input of `seconds` (seed 37)."""
+    _, samples = workloads.speech_like(np.random.default_rng(37), int(seconds * RATE))
+    return SignalBuffer(samples, RATE)
 
 
 def speech_like(seconds: float, repeats: int) -> dict:
-    """`enhance` and each call it makes (replay), for every method and
-    noise mode, on the speech-like input of `seconds` (seed 37)."""
-    _, samples = workloads.speech_like(np.random.default_rng(37), int(seconds * RATE))
-    noisy = SignalBuffer(samples, RATE)
+    """The split of `enhance` into STAGES for every method and noise mode
+    on the speech-like input of `seconds` (seed 37)."""
+    noisy = speech_like_input(seconds)
     configs = {}
     for method in METHODS:
         for mode in NOISE_MODES:
             config = EnhanceConfig(method=method, noise_estimation=mode)
-            whole = in_ms(timed(lambda: enhance(noisy, config), repeats))
-            calls = replay(noisy, config, enhance_calls(noisy, config), repeats)
+            times = split(lambda: enhance(noisy, config), STAGES, repeats)
+            shares = [sum(stages) / whole for whole, *stages in
+                      zip(*(times[name] for name in ("whole", *STAGES)))]
             configs[f"{method}/{mode}"] = {
-                "enhance_ms": whole, "calls": calls,
-                "calls_median_share": sum(c["median"] for c in calls) / whole["median"],
+                "enhance_ms": spread(times["whole"]),
+                "calls": [{"call": name, **spread(times[name])} for name in STAGES],
+                "calls_share": statistics.median(shares),
             }
-    default = EnhanceConfig()
-    peak = peak_kb(lambda: enhance(noisy, EnhanceConfig(noise_estimation="mad")))
+    peak = in_fresh_interpreters(f"speech_like_peak({seconds!r})")["tracemalloc_peak_kb"]
     return {"audio_s": seconds, "configs": configs,
-            "frames": frame_count(len(samples), default.frame_len, default.hop),
+            "frames": frame_count(len(noisy), DEFAULT.frame_len, DEFAULT.hop),
             "tracemalloc_peak_kb_universal_hard_mad": peak}
+
+
+def speech_like_peak(seconds: float) -> dict:
+    """The tracemalloc peak of a universal-hard mad call on speech_like_input."""
+    noisy = speech_like_input(seconds)
+    config = EnhanceConfig(noise_estimation="mad")
+    return {"tracemalloc_peak_kb": peak_kb(lambda: enhance(noisy, config))}
 
 
 def long_hard_mad_15s() -> tuple:
@@ -249,11 +248,13 @@ def long_hard_mad_15s() -> tuple:
 
 def report_15s_mad(repeats: int) -> dict:
     _, report = enhance(long_hard_mad_15s()[1], EnhanceConfig(noise_estimation="mad"))
+    times = split(report.to_json, {"_frames_text": (Report, "_frames_text")}, repeats)
     return {
         "audio_s": workloads.LONG_SECONDS,
-        "to_json_ms": in_ms(timed(report.to_json, repeats)),
+        "frames": len(report.vuv),
+        "to_json_ms": spread(times["whole"]),
+        "_frames_text_ms": spread(times["_frames_text"]),
         "to_json_bytes": len(report.to_json().encode("utf-8")),
-        "frames_text_universal_hard": frames_text(report, repeats),
     }
 
 
@@ -263,8 +264,8 @@ FRESH_RUNS = 3
 def in_fresh_interpreters(call: str) -> dict:
     """Each figure of `bench_stages.<call>`, a dict of numbers, over
     FRESH_RUNS fresh interpreters on this import path, so that no earlier
-    call has shaped the heap a call faults in: the median of each, and
-    of "tracemalloc_peak_kb" the min, median and max."""
+    call has shaped the heap a call faults in or peaks on: the median of
+    each, and of "tracemalloc_peak_kb" the min, median and max."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR))
     tools = os.path.dirname(os.path.abspath(__file__))
     code = (f"import json, sys; sys.path.insert(0, {tools!r}); import bench_stages; "
@@ -285,12 +286,11 @@ def memory_15s(repeats: int) -> dict:
     calls = {f"{method}/{mode}": in_fresh_interpreters(
                  f"memory_call({method!r}, {mode!r}, {repeats})")
              for method in METHODS for mode in NOISE_MODES}
-    default = EnhanceConfig()
     n_samples = int(workloads.LONG_SECONDS * RATE)
-    n_frames = frame_count(n_samples, default.frame_len, default.hop)
+    n_frames = frame_count(n_samples, DEFAULT.frame_len, DEFAULT.hop)
     return {
         "audio_s": workloads.LONG_SECONDS,
-        "leaves_mb": n_frames * default.frame_len * 8 / 2**20,
+        "leaves_mb": n_frames * DEFAULT.frame_len * 8 / 2**20,
         "samples_mb": n_samples * 8 / 2**20,
         "calls": calls,
         "analyze_tracemalloc_peak_kb": in_fresh_interpreters(
@@ -333,8 +333,7 @@ def cli_import_s(repeats: int) -> dict:
                                     capture_output=True, text=True).stdout)
 
     once()
-    times = [once() for _ in range(repeats)]
-    return {"best": min(times), "median": statistics.median(times), "n": repeats}
+    return spread([once() for _ in range(repeats)], 1.0)
 
 
 def cli_request(repeats: int) -> dict:
@@ -355,9 +354,9 @@ def cli_request(repeats: int) -> dict:
             "python_pass_ms": ["-c", "pass"],
             "python_import_numpy_ms": ["-c", "import numpy"],
         }
-        return {key: in_ms(timed(lambda: subprocess.run(
+        return {key: spread(split(lambda: subprocess.run(
                     [sys.executable, *argv], env=env, check=True, capture_output=True),
-                    repeats))
+                    {}, repeats)["whole"])
                 for key, argv in argvs.items()}
 
 
@@ -378,16 +377,16 @@ def main(argv=None) -> int:
         if commit is None:
             parser.error(f"{PACKAGE_DIR} is not in a git checkout: "
                          "name the measured commit with --commit")
+    before = kernel_s()
     record = {
         "label": args.label,
-        "machine": machine(commit),
         "sine_0db": sine_0db(args.repeats),
         "speech_like": speech_like(args.long_seconds, args.repeats),
         "report_15s_mad": report_15s_mad(args.repeats),
-        "memory_15s": memory_15s(args.repeats),
-        "cli_import_s": cli_import_s(args.repeats),
-        **cli_request(args.repeats),
     }
+    record["machine"] = machine(commit, {"before": before, "after": kernel_s()})
+    record.update(memory_15s=memory_15s(args.repeats),
+                  cli_import_s=cli_import_s(args.repeats), **cli_request(args.repeats))
     path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
