@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from importlib import resources
 
 import numpy as np
 
@@ -213,6 +212,10 @@ class Report:
 
 def report_schema() -> dict:
     """The JSON schema shipped with the package."""
+    # Imported here, as jsonschema below: no CLI request reads the schema,
+    # so none should pay for importing importlib.resources.
+    from importlib import resources
+
     text = resources.files("wpdenoise").joinpath(SCHEMA_RESOURCE).read_text()
     return json.loads(text)
 

@@ -263,12 +263,12 @@ def row_histograms(values, edges=None) -> Histogram:
     x = real_floats(values, "values")
     if x.ndim == 0 or x.size == 0:
         raise ValueError("cannot histogram an empty sample")
-    _check_no_nan(x)
     if edges is None:
-        edges = _uniform_edges(
-            np.min(x, axis=-1), np.max(x, axis=-1), bin_count(x.shape[-1])
-        )
+        lo = np.min(x, axis=-1)
+        _check_no_nan(lo)  # a row's min is NaN where the row holds one
+        edges = _uniform_edges(lo, np.max(x, axis=-1), bin_count(x.shape[-1]))
     else:
+        _check_no_nan(x)
         edges = _edge_rows(edges, values=x)
     n_bins = edges.shape[-1] - 1
     width = x.shape[-1]

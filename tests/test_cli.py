@@ -617,6 +617,19 @@ def test_cli_import_leaves_out_jsonschema():
     assert out.returncode == 0 and out.stderr == ""
 
 
+def test_cli_import_leaves_out_importlib_resources():
+    # only report_schema reads the packaged schema, so a CLI request need
+    # not import importlib.resources; site hooks (.pth files) may import it
+    # at start-up, so the probe runs without them (-S) on the same paths
+    import site
+
+    probe = (f"import sys; sys.path += {site.getsitepackages()!r}; import wpdenoise.cli; "
+             "print('importlib.resources' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=_fresh_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("argv, status", [
     (["experiment", "--preset", "sine-0db", "--seed", "4"], 0),
     (["denoise", "--bogus"], 1),

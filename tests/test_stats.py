@@ -218,6 +218,17 @@ class TestNonFiniteValues:
             row_histograms(np.array([[0.1, 0.2], [bad, 0.3]]))
         with pytest.raises(ValueError, match="infinite"):
             shared_edges([0.1, bad], [0.2, 0.3])
+        # NaN is found from the row minima the edges are chosen from: in
+        # one row of many, and before any infinity
+        rows = np.zeros((40, 8))
+        rows[17, 3] = bad
+        message = "cannot histogram NaN" if math.isnan(bad) else "cannot choose bin edges"
+        with pytest.raises(ValueError, match=message):
+            row_histograms(rows)
+        for beside_inf in ([[0.1, bad, math.nan], [0.2, 0.3, 0.4]],
+                           [[0.1, math.inf, 0.2], [bad, 0.3, math.nan]]):
+            with pytest.raises(ValueError, match="^cannot histogram NaN values$"):
+                row_histograms(beside_inf)
 
     def test_infinities_clamped_with_edges(self):
         h = row_histograms([-math.inf, 0.2, 0.7, math.inf], edges=self.EDGES)

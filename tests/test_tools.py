@@ -2,12 +2,14 @@
 decisions among them pinned in tests/output_decisions.txt, the
 BENCH_<label>.json speed record, and the code-line count of src/."""
 
+import functools
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -128,10 +130,11 @@ def test_bench_stages_writes_its_record_at_a_tiny_size(tmp_path):
         check_split(figures["enhance_ms"], check_calls(figures["calls"]))
         # the stages lie inside the call, so their sum is at most its time
         assert 0 < figures["calls_share"] <= 1
-    assert record["cli_import_s"]["best"] > 0
-    # a fresh request, and the interpreter's start and numpy's import
-    # that it includes
-    for key in ("cli_request_ms", "python_pass_ms", "python_import_numpy_ms"):
+    # a fresh request, and the interpreter's start, numpy's import and the
+    # CLI's import that it includes, each a fresh process of the same rounds
+    assert "cli_import_s" not in record
+    for key in ("cli_request_ms", "python_pass_ms", "python_import_numpy_ms",
+                "python_import_cli_ms"):
         assert 0 < record[key]["best"] <= record[key]["median"] and record[key]["n"] == 1
     assert record["python_pass_ms"]["best"] < record["cli_request_ms"]["best"]
 
@@ -164,7 +167,7 @@ def test_split_of_a_boundary_that_does_not_resolve_raises(bench_stages):
     originals = _boundary_objects()
     boundaries = {**bench_stages.PRESET, "pipeline._gone": (pipeline, "_gone")}
     with pytest.raises(AttributeError, match="_gone"):
-        bench_stages.split(lambda: None, boundaries, 1)
+        bench_stages.split({"nothing": lambda: None}, boundaries, 1)
     assert _are(_boundary_objects(), originals)
 
 
@@ -185,19 +188,47 @@ def test_split_of_a_stage_the_call_skips_raises_naming_it(bench_stages, block):
     boundaries = bench_stages.STAGES if block == "speech_like" else bench_stages.PRESET
     # a list gone stale (here a stage the call does not make) raises
     # instead of timing a call that does not run
-    with pytest.raises(RuntimeError, match=r"^pipeline\.classify_vuv entered 0 times"):
-        bench_stages.split(call, boundaries, 1)
+    with pytest.raises(RuntimeError, match=r"^pipeline\.classify_vuv entered 0 times "
+                                           r"in a call of no_vuv$"):
+        bench_stages.split({"no_vuv": call}, boundaries, 1)
     assert _are(_boundary_objects(), originals)
     # the boundaries the call enters are timed inside the same calls
     boundaries = {name: boundary for name, boundary in boundaries.items()
                   if name != "pipeline.classify_vuv"}
-    times = bench_stages.split(call, boundaries, 2)
+    times = bench_stages.split({"no_vuv": call}, boundaries, 2)["no_vuv"]
     assert sorted(times) == sorted(["whole", *boundaries])
     assert all(len(seconds) == 2 for seconds in times.values())
     for run in range(2):
         stages = [times[name][run] for name in bench_stages.STAGES if name in boundaries]
         assert 0 < sum(stages) <= times["whole"][run]
     assert _are(_boundary_objects(), originals)
+
+
+def test_split_times_its_calls_in_rounds(bench_stages):
+    log = []
+    owner = types.SimpleNamespace(step=lambda label: log.append(f"{label}.step"))
+
+    def call(label, step=True):
+        log.append(label)
+        if step:
+            owner.step(label)
+
+    original = owner.step
+    calls = {"A": functools.partial(call, "A"), "B": functools.partial(call, "B")}
+    times = bench_stages.split(calls, {"step": (owner, "step")}, 3)
+    # an untimed round, then every call once a round, in turn
+    assert log == ["A", "A.step", "B", "B.step"] * 4
+    assert sorted(times) == ["A", "B"]
+    for figures in times.values():
+        assert sorted(figures) == ["step", "whole"]
+        assert all(len(seconds) == 3 for seconds in figures.values())
+        assert all(0 < step <= whole for step, whole in zip(figures["step"], figures["whole"]))
+    assert owner.step is original
+    # a boundary one call skips names both, and every original is put back
+    calls["B"] = functools.partial(call, "B", step=False)
+    with pytest.raises(RuntimeError, match="^step entered 0 times in a call of B$"):
+        bench_stages.split(calls, {"step": (owner, "step")}, 3)
+    assert owner.step is original
 
 
 def test_bench_stages_outside_a_git_checkout_needs_the_commit(tmp_path):

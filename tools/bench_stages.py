@@ -4,8 +4,8 @@
 
 It measures the wpdenoise package first on the import path, so a
 parent revision is measured by putting its src/ on PYTHONPATH instead.
-Each wall time but the import's comes from `split`, which times a real
-call and, inside that same call, each named boundary it enters:
+Each wall time comes from `split`, which times named calls in rounds,
+each call once a round, and inside each call every boundary it enters:
 
 - `sine_0db`: per method, the 5 s preset call (seed 1), `run_preset` and
   `to_json()`, split into `sine_0db_material`, `enhance` (also as wall s
@@ -18,21 +18,22 @@ call and, inside that same call, each named boundary it enters:
   report (universal-hard, mad) split into `_frames_text`;
 - `memory_15s`: on that input, per method and noise mode, the minor
   page faults per warmed call and the tracemalloc peak of one call;
-- the time of `import wpdenoise.cli`, and of fresh processes: a CLI
-  `denoise` request on a 2 s clip, `-c pass` and `-c "import numpy"`;
+- fresh processes: a CLI `denoise` request on a 2 s clip, `-c pass`,
+  `-c "import numpy"` and `-c "import wpdenoise.cli"`;
 - `machine`: the commit (found with git; a tree outside a git checkout
   needs --commit), the CPU, Python, numpy and BLAS, and the host's speed
   (bench/calibrate.py's kernel) before and after the in-process figures.
 
 Each tracemalloc peak is the min, median and max over 3 fresh
 interpreters, in kB (2**10 bytes); each time the best and median of
---repeats calls after an untimed one. Set OPENBLAS_NUM_THREADS to pin
+--repeats rounds after an untimed one. Set OPENBLAS_NUM_THREADS to pin
 the BLAS threads.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import resource
@@ -73,7 +74,7 @@ STAGES = {
     "wavelet._synthesis": (pipeline, "_synthesis"),
     "framing._overlap_add": (pipeline, "_overlap_add"),
 }
-# Those of `run_preset("sine-0db", ...)[3].to_json()`, the preset sweep's call.
+# Those of `preset_json`, the preset sweep's call.
 PRESET = {
     "sine_0db_material": (experiments, "sine_0db_material"),
     "enhance": (experiments, "enhance"),
@@ -89,19 +90,22 @@ def spread(seconds: list, unit: float = 1e3) -> dict:
             "n": len(seconds)}
 
 
-def split(call, boundaries: dict, repeats: int) -> dict:
-    """Wall seconds of `repeats` calls of `call`, after one untimed call,
-    as "whole" and, by name, each boundary's inclusive time in the same call.
+def split(calls: dict, boundaries: dict, repeats: int) -> dict:
+    """By name of each of `calls` (callables of no argument), its wall
+    seconds as "whole" and each boundary's inclusive time in the same call.
 
-    `boundaries` maps a name to (owner, attribute), a module global or a
-    class's method, wrapped where the call looks it up while split runs.
-    One that does not resolve raises AttributeError before any is wrapped,
-    one not entered exactly once in a call RuntimeError naming it; the
-    originals are put back however the calls end.
+    The calls run in rounds, one untimed and then `repeats` timed, each
+    call once a round in turn, so a change of the host's speed falls on
+    every call of a round alike. `boundaries` maps a name to (owner,
+    attribute), a module global or a class's method, wrapped where the
+    calls look it up while split runs. One that does not resolve raises
+    AttributeError before any is wrapped, one not entered exactly once in
+    a call RuntimeError naming it and the call; the originals are put
+    back however the calls end.
     """
     originals = [(owner, attribute, getattr(owner, attribute))
                  for owner, attribute in boundaries.values()]
-    times = {name: [] for name in ("whole", *boundaries)}
+    times = {label: {name: [] for name in ("whole", *boundaries)} for label in calls}
 
     def wrapped(name, original):
         def boundary(*args, **kwargs):
@@ -115,15 +119,17 @@ def split(call, boundaries: dict, repeats: int) -> dict:
         for name, (owner, attribute, original) in zip(boundaries, originals):
             setattr(owner, attribute, wrapped(name, original))
         for run in range(repeats + 1):
-            spans = {name: [] for name in boundaries}
-            start = time.perf_counter()
-            call()
-            spans["whole"] = [time.perf_counter() - start]
-            for name, entered in spans.items():
-                if len(entered) != 1:
-                    raise RuntimeError(f"{name} entered {len(entered)} times in a call")
-                if run:
-                    times[name] += entered
+            for label, call in calls.items():
+                spans = {name: [] for name in boundaries}
+                start = time.perf_counter()
+                call()
+                spans["whole"] = [time.perf_counter() - start]
+                for name, entered in spans.items():
+                    if len(entered) != 1:
+                        raise RuntimeError(
+                            f"{name} entered {len(entered)} times in a call of {label}")
+                    if run:
+                        times[label][name] += entered
     finally:
         for owner, attribute, original in originals:
             setattr(owner, attribute, original)
@@ -184,21 +190,21 @@ def machine(commit: dict, kernel: dict) -> dict:
     }
 
 
+def preset_json(method: str) -> str:
+    """The preset sweep's call: the sine-0db preset (seed 1) as report JSON."""
+    return run_preset("sine-0db", method, 1)[3].to_json()
+
+
 def sine_0db(repeats: int) -> dict:
     noisy = sine_0db_material(1)[1]
     seconds = len(noisy) / noisy.sample_rate_hz
-    methods = {}
-    for method in METHODS:
-        def call():
-            return run_preset("sine-0db", method, 1)[3].to_json()
-
-        times = split(call, PRESET, repeats)
-        methods[method] = {
-            **{f"{name}_ms": spread(t) for name, t in times.items() if name not in STAGES},
-            "enhance_rtf": spread(times["enhance"], 1 / seconds),
-            "calls": [{"call": name, **spread(times[name])} for name in STAGES],
-            "to_json_bytes": len(call().encode("utf-8")),
-        }
+    calls = {method: functools.partial(preset_json, method) for method in METHODS}
+    methods = {method: {
+        **{f"{name}_ms": spread(t) for name, t in times.items() if name not in STAGES},
+        "enhance_rtf": spread(times["enhance"], 1 / seconds),
+        "calls": [{"call": name, **spread(times[name])} for name in STAGES],
+        "to_json_bytes": len(calls[method]().encode("utf-8")),
+    } for method, times in split(calls, PRESET, repeats).items()}
     return {"audio_s": seconds, "methods": methods,
             "frames": frame_count(len(noisy), DEFAULT.frame_len, DEFAULT.hop)}
 
@@ -213,18 +219,16 @@ def speech_like(seconds: float, repeats: int) -> dict:
     """The split of `enhance` into STAGES for every method and noise mode
     on the speech-like input of `seconds` (seed 37)."""
     noisy = speech_like_input(seconds)
-    configs = {}
-    for method in METHODS:
-        for mode in NOISE_MODES:
-            config = EnhanceConfig(method=method, noise_estimation=mode)
-            times = split(lambda: enhance(noisy, config), STAGES, repeats)
-            shares = [sum(stages) / whole for whole, *stages in
-                      zip(*(times[name] for name in ("whole", *STAGES)))]
-            configs[f"{method}/{mode}"] = {
-                "enhance_ms": spread(times["whole"]),
-                "calls": [{"call": name, **spread(times[name])} for name in STAGES],
-                "calls_share": statistics.median(shares),
-            }
+    calls = {f"{method}/{mode}": functools.partial(
+                 enhance, noisy, EnhanceConfig(method=method, noise_estimation=mode))
+             for method in METHODS for mode in NOISE_MODES}
+    configs = {key: {
+        "enhance_ms": spread(times["whole"]),
+        "calls": [{"call": name, **spread(times[name])} for name in STAGES],
+        "calls_share": statistics.median(
+            sum(stages) / whole
+            for whole, *stages in zip(*(times[name] for name in ("whole", *STAGES)))),
+    } for key, times in split(calls, STAGES, repeats).items()}
     peak = in_fresh_interpreters(f"speech_like_peak({seconds!r})")["tracemalloc_peak_kb"]
     return {"audio_s": seconds, "configs": configs,
             "frames": frame_count(len(noisy), DEFAULT.frame_len, DEFAULT.hop),
@@ -248,7 +252,8 @@ def long_hard_mad_15s() -> tuple:
 
 def report_15s_mad(repeats: int) -> dict:
     _, report = enhance(long_hard_mad_15s()[1], EnhanceConfig(noise_estimation="mad"))
-    times = split(report.to_json, {"_frames_text": (Report, "_frames_text")}, repeats)
+    times = split({"to_json": report.to_json},
+                  {"_frames_text": (Report, "_frames_text")}, repeats)["to_json"]
     return {
         "audio_s": workloads.LONG_SECONDS,
         "frames": len(report.vuv),
@@ -322,24 +327,11 @@ def memory_call(method: str, noise_estimation: str, repeats: int) -> dict:
             "tracemalloc_peak_kb": peak_kb(lambda: enhance(noisy, config))}
 
 
-def cli_import_s(repeats: int) -> dict:
-    """`import wpdenoise.cli` in a fresh interpreter, on this import path."""
-    code = ("import time; t = time.perf_counter(); import wpdenoise.cli; "
-            "print(time.perf_counter() - t)")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR))
-
-    def once() -> float:
-        return float(subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                    capture_output=True, text=True).stdout)
-
-    once()
-    return spread([once() for _ in range(repeats)], 1.0)
-
-
 def cli_request(repeats: int) -> dict:
     """Wall ms of fresh processes on this import path, without a seed
-    override: a `denoise --ref --report` request of a 2 s speech-like
-    clip, and the same interpreter running `pass` and `import numpy`."""
+    override, in rounds: a `denoise --ref --report` request of a 2 s
+    speech-like clip, and the same interpreter running `pass`, `import
+    numpy` and `import wpdenoise.cli`."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR))
     env.pop("WAVEDENOISE_SEED", None)
     with tempfile.TemporaryDirectory() as tmp:
@@ -353,11 +345,13 @@ def cli_request(repeats: int) -> dict:
                                "--report", os.path.join(tmp, "report.json")],
             "python_pass_ms": ["-c", "pass"],
             "python_import_numpy_ms": ["-c", "import numpy"],
+            "python_import_cli_ms": ["-c", "import wpdenoise.cli"],
         }
-        return {key: spread(split(lambda: subprocess.run(
-                    [sys.executable, *argv], env=env, check=True, capture_output=True),
-                    {}, repeats)["whole"])
-                for key, argv in argvs.items()}
+        calls = {key: functools.partial(subprocess.run, [sys.executable, *argv], env=env,
+                                        check=True, capture_output=True)
+                 for key, argv in argvs.items()}
+        return {key: spread(times["whole"])
+                for key, times in split(calls, {}, repeats).items()}
 
 
 def main(argv=None) -> int:
@@ -385,8 +379,7 @@ def main(argv=None) -> int:
         "report_15s_mad": report_15s_mad(args.repeats),
     }
     record["machine"] = machine(commit, {"before": before, "after": kernel_s()})
-    record.update(memory_15s=memory_15s(args.repeats),
-                  cli_import_s=cli_import_s(args.repeats), **cli_request(args.repeats))
+    record.update(memory_15s=memory_15s(args.repeats), **cli_request(args.repeats))
     path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
