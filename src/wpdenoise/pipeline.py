@@ -11,12 +11,13 @@ Every leaf-sized stage writes into the one buffer make_frames filled:
 the packet transform, the thresholds, the synthesis and the overlap-add
 normaliser. After VUV, `enhance` touches each coefficient in one walk
 over blocks of frames (`_sweep`): a block's zeros are counted, it is
-binned onto h_all (with leading silence) and onto h_sub, the rule is
-applied in place and its zeros are counted again. Universal h_sub is
-binned pooled over the frames; band bins each (frame, subband) alone,
-picks its band from that histogram and sums the counts over the frames
-into h_sub; in mad mode h_all is h_sub summed. The noise profile and
-both sides of `analyze`, per subband and pooled, are binned through
+binned onto h_all (for a profile of leaves) and onto h_sub, the rule
+is applied in place and its zeros are counted again. Universal h_sub
+is binned pooled over the frames; band bins each (frame, subband)
+alone, picks its band from that histogram and sums the counts over the
+frames into h_sub; for a profile of one pool, h_all is h_sub summed.
+The noise profile and both sides of `analyze`, per subband and pooled,
+are binned through
 `_pooled_counts`, in place, block by block of frames, with no copy.
 Every block of frames is cut by one rule: a block's largest array
 holds at most stats._BLOCK_VALUES values, which is its leaves, or
@@ -44,7 +45,10 @@ input or from a MAD estimate over the finest detail coefficients.
 Either way `enhance` frames the input and transforms it once, and the
 profile is computed from coefficients the run already has: the leaves
 of the frames that lie inside the leading span, or the detail of the
-level-1 split, whose rows then split further into the leaves.
+level-1 split, whose rows then split further into the leaves. Only
+`_analyse` reads the noise mode: it picks those coefficients, and the
+profile's shape follows theirs, a level and histogram per subband from
+leaves, one shared level and histogram from a single pool.
 """
 
 from __future__ import annotations
@@ -82,7 +86,6 @@ from .thresholding import (
     _hard,
     _mad_sigma,
     _soft,
-    estimate_sigma,
     select_band,
     universal_threshold,
 )
@@ -167,10 +170,12 @@ class EnhanceConfig:
 class NoiseProfile:
     """Noise level and coefficient distribution of each leaf subband.
 
-    sigma holds one level per subband and distribution one row per
-    subband; in mad mode every subband shares one estimate, a single
-    level and distribution that broadcast over the subbands. pooled is
-    the distribution of all subbands' coefficients together.
+    From leaves (estimate_noise_profile), sigma holds one level per
+    subband, distribution one row per subband and pooled is a separate
+    distribution of all subbands' coefficients together. From one pool
+    (mad mode's level-1 detail), every subband shares one estimate, a
+    single level and distribution that broadcast over the subbands, and
+    pooled is that same distribution object.
     """
 
     sigma: float | np.ndarray
@@ -271,23 +276,20 @@ def _zero_counts(leaves: np.ndarray) -> np.ndarray:
 def estimate_noise_profile(noise: np.ndarray, config: EnhanceConfig) -> NoiseProfile:
     """Estimate per-subband noise sigma and coefficient distribution.
 
-    `noise` holds noise-only coefficients. leading_silence: the leaves
-    (frames, subbands, coeffs) of the frames that lie entirely inside
-    the first silence_ms of the input; each subband's are pooled.
-    mad: the level-1 detail of every frame of the input, (frames,
-    frame_len / 2); its single sigma and histogram serve every subband.
-    The detail is binned where it lies and copied once, as |detail|,
-    for the median.
+    `noise` holds noise-only coefficients, and the profile follows its
+    shape, whatever the noise mode. Leaves (frames, subbands, coeffs),
+    as those of the frames inside the leading silence: each subband's
+    are pooled into its own sigma and histogram, and pooled is a second
+    histogram of all the values. One pool (frames, coeffs), as mad
+    mode's level-1 detail: a single sigma and histogram serve every
+    subband, and pooled is that histogram. The values are binned where
+    they lie and copied once, as magnitudes, for the median (leaves
+    twice, their subbands gathered into rows).
     """
-    if config.noise_estimation == "mad":
-        distribution = _noise_distribution(noise, config.epsilon)
-        sigma = _mad_sigma(np.abs(noise).reshape(-1))
-        return NoiseProfile(sigma, distribution, pooled=distribution)
-    return NoiseProfile(
-        sigma=estimate_sigma(_per_subband(noise)),
-        distribution=_noise_distribution(noise, config.epsilon),
-        pooled=_noise_distribution(noise.reshape(len(noise), -1), config.epsilon),
-    )
+    distribution = _noise_distribution(noise, config.epsilon)
+    pooled = distribution if noise.ndim == 2 else _noise_distribution(
+        noise.reshape(len(noise), -1), config.epsilon)
+    return NoiseProfile(_mad_sigma(_per_subband(np.abs(noise))), distribution, pooled)
 
 
 def _analyse(signal: SignalBuffer, config: EnhanceConfig) -> tuple:
@@ -367,23 +369,26 @@ def _sweep(leaves: np.ndarray, profile: NoiseProfile, vuv: list,
     """The one walk over `leaves`, thresholding them in place: (threshold,
     band, h_sub, h_all, n_zero_pre, n_zero_post).
 
-    Each block of frames has its zeros counted; with leading silence it
-    is binned onto h_all (every leaf on the pooled edges); it is binned
+    Each block of frames has its zeros counted; where the profile's
+    pooled distribution is its own (a profile of leaves) the block is
+    binned onto h_all, every leaf on the pooled edges; it is binned
     onto h_sub on the profile's edges (universal: pooled over the
     frames; band: per (frame, subband), whose band is picked from that
     histogram and whose counts summed over the frames are h_sub); then
-    the rule is applied and its zeros are counted again. In mad mode
-    every subband was binned on the pooled edges, so h_all is h_sub
-    summed. A block's largest array, its leaves or band's dense (frames,
-    subbands, bins) counts, holds at most _BLOCK_VALUES values. The edges
-    are checked once, each block for NaN. One of threshold (frames,
-    subbands) and band (frames, subbands, 2) is None.
+    the rule is applied and its zeros are counted again. Where pooled
+    is the distribution (a profile of one pool) every subband was
+    binned on the pooled edges, so h_all is h_sub summed: the profile's
+    shape decides, not the noise mode. A block's largest array, its
+    leaves or band's dense (frames, subbands, bins) counts, holds at
+    most _BLOCK_VALUES values. The edges are checked once, each block
+    for NaN. One of threshold (frames, subbands) and band (frames,
+    subbands, 2) is None.
     """
     n_frames, n_sub, n_coeff = leaves.shape
     dist = profile.distribution
     edges = _edge_rows(dist.bin_edges, values=leaves[0])
     counts = np.zeros((n_sub, dist.n_bins), dtype=np.int64)
-    lead = config.noise_estimation == "leading_silence"
+    apart = profile.pooled is not profile.distribution  # h_all on its own edges
     all_counts = np.zeros(profile.pooled.n_bins, dtype=np.int64)
     band = np.empty((n_frames, n_sub, 2)) if config.method == "band" else None
     scale = np.where(np.asarray(vuv) == UNVOICED, config.unvoiced_scale, 1.0)[:, None]
@@ -398,7 +403,7 @@ def _sweep(leaves: np.ndarray, profile: NoiseProfile, vuv: list,
         block = leaves[at]
         zeros[0, at] = _zero_counts(block)
         _check_no_nan(block)
-        if lead:
+        if apart:
             _count(all_counts, block, profile.pooled.bin_edges)
         if band is None:
             _count(counts, block, edges)
@@ -412,7 +417,7 @@ def _sweep(leaves: np.ndarray, profile: NoiseProfile, vuv: list,
             band[at, :, 0], band[at, :, 1] = t1, t2
             _band_hard(block, t1[..., None], t2[..., None])
         zeros[1, at] = _zero_counts(block)
-    all_counts = all_counts if lead else np.sum(counts, axis=0)
+    all_counts = all_counts if apart else np.sum(counts, axis=0)
     return (threshold, band, Histogram(dist.bin_edges, counts),
             Histogram(profile.pooled.bin_edges, all_counts), *zeros)
 
@@ -488,9 +493,12 @@ def analyze(noisy: SignalBuffer, noise: SignalBuffer, config: EnhanceConfig) -> 
     compared by symmetric divergence. All leaves pooled, binned the same
     way, give the near-zero ratio profile. The report has no frames; its
     histograms hold (divergence, noisy Histogram, noise Histogram) per
-    subband.
+    subband. An empty `noisy` or `noise` raises ValueError naming it.
     """
     _check_arguments(noisy=noisy, noise=noise, config=config)
+    for name, side in (("noisy", noisy), ("noise", noise)):
+        if len(side) == 0:
+            raise ValueError(f"cannot analyze an empty signal: {name} holds no samples")
     if noisy.sample_rate_hz != noise.sample_rate_hz:
         raise ValueError("noisy and noise files must share a sample rate")
     # The pooled histograms are the largest: the smaller signal's frames

@@ -10,13 +10,14 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from wpdenoise.cli import build_parser, run
 from wpdenoise.framing import WINDOWS
 from wpdenoise.pipeline import NOISE_MODES, EnhanceConfig, enhance
 from wpdenoise.report import validate_report_dict
-from wpdenoise.signal_io import read_wav, white_noise
+from wpdenoise.signal_io import SignalBuffer, read_wav, white_noise, write_wav
 from wpdenoise.wavelet import FILTERS
 
 
@@ -358,6 +359,22 @@ class TestAnalyze:
         ]) == 0
         report = json.loads(report_path.read_text())
         assert any(d > 0 for d in report["subband_divergence"])
+
+    @pytest.mark.parametrize("empty", ["noisy", "noise"])
+    def test_an_empty_input_exits_3_with_no_report(self, tmp_path, capsys, empty):
+        # a header-only WAV on either side was framed as one zero-padded
+        # frame, and the report written with status 0
+        files = {"noisy": _synth(tmp_path, "mix.wav"), "noise": tmp_path / "empty.wav"}
+        write_wav(files["noise"], SignalBuffer(np.zeros(0), 16000))
+        if empty == "noisy":
+            files = {"noisy": files["noise"], "noise": files["noisy"]}
+        report_path = tmp_path / "a.json"
+        capsys.readouterr()
+        assert run(["analyze", "--in", str(files["noisy"]), "--noise", str(files["noise"]),
+                    "--report", str(report_path)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: cannot analyze an empty signal: {empty} holds no samples\n")
+        assert not report_path.exists()
 
 
 class TestExperiment:

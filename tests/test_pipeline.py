@@ -386,6 +386,65 @@ class TestEstimateNoiseProfile:
         _same_profile(profile, estimate_noise_profile(lead_leaves, config))
 
 
+    @pytest.mark.parametrize("mode", NOISE_MODES)
+    def test_a_profile_of_one_pool_shares_its_distribution(self, mode):
+        # (frames, coeffs), as mad mode's level-1 detail, whatever the mode
+        detail = np.random.default_rng(28).normal(size=(9, 256))
+        config = EnhanceConfig(noise_estimation=mode)
+        profile = estimate_noise_profile(detail, config)
+        assert profile.pooled is profile.distribution
+        assert profile.distribution.bin_edges.shape == (pipeline._noise_bins(detail.size) + 1,)
+        assert profile.sigma == np.median(np.abs(detail)) / 0.6745
+        other = dataclasses.replace(config, noise_estimation=NOISE_MODES[mode == "mad"])
+        _same_profile(profile, estimate_noise_profile(detail, other))
+
+    @pytest.mark.parametrize("mode", NOISE_MODES)
+    def test_a_profile_of_leaves_pools_all_values_apart(self, mode):
+        # (frames, subbands, coeffs), as the leading-silence frames'
+        # leaves, whatever the mode: one row per subband, and a pooled
+        # distribution of all the values
+        leaves = np.random.default_rng(29).normal(size=(5, 16, 32))
+        config = EnhanceConfig(noise_estimation=mode)
+        profile = estimate_noise_profile(leaves, config)
+        assert profile.pooled is not profile.distribution
+        assert profile.distribution.probs.shape[0] == 16
+        pooled = pipeline._noise_distribution(leaves.reshape(1, -1), config.epsilon)
+        np.testing.assert_array_equal(profile.pooled.bin_edges, pooled.bin_edges)
+        np.testing.assert_array_equal(profile.pooled.probs, pooled.probs)
+        np.testing.assert_array_equal(
+            profile.sigma, np.median(np.abs(np.moveaxis(leaves, 1, 0)).reshape(16, -1),
+                                     axis=-1) / 0.6745)
+        other = dataclasses.replace(config, noise_estimation=NOISE_MODES[mode == "mad"])
+        _same_profile(profile, estimate_noise_profile(leaves, other))
+
+
+class TestSweep:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("profile_mode", NOISE_MODES)
+    def test_the_profile_not_the_noise_mode_shapes_the_walk(self, method, profile_mode):
+        # a profile of either mode walks the same under either mode's
+        # config; a leading-silence profile under a mad config raised,
+        # its per-subband edges summed into h_all
+        _, noisy = sine_0db_material(seed=1)
+        config = EnhanceConfig(method=method, noise_estimation=profile_mode)
+        leaves, profile = pipeline._analyse(noisy, config)
+        vuv = classify_vuv(leaves, pipeline._frame_entropy_threshold(config), config.epsilon)
+        # h_all is every leaf on the pooled edges, binned apart or summed
+        want_all = pipeline._pooled_counts(leaves.reshape(len(leaves), -1),
+                                           profile.pooled.bin_edges)
+        walks = [pipeline._sweep(leaves.copy(), profile, vuv,
+                                 dataclasses.replace(config, noise_estimation=mode))
+                 for mode in NOISE_MODES]
+        for walk in walks:
+            np.testing.assert_array_equal(walk[3].counts, want_all)
+            np.testing.assert_array_equal(walk[3].bin_edges, profile.pooled.bin_edges)
+        for got, want in zip(*walks):  # threshold, band, h_sub, h_all, zero counts
+            if isinstance(want, stats.Histogram):
+                np.testing.assert_array_equal(got.bin_edges, want.bin_edges)
+                got, want = got.counts, want.counts
+            np.testing.assert_array_equal(got, want)
+
+
 def _frame_leaves(frames):
     return wp_analysis(np.atleast_2d(frames), filter_bank("db4"), 4)
 
@@ -941,6 +1000,20 @@ class TestAnalyze:
         leaf_bytes = frame_count(n, 512, 256) * 512 * 8
         bound = 2 * leaf_bytes + noisy.samples.nbytes + 1.5 * 2**20
         assert peak <= bound, (peak, bound)
+
+    @pytest.mark.parametrize("empty", ["noisy", "noise"])
+    def test_empty_signal_rejected_before_any_transform(self, empty, monkeypatch):
+        # an empty side was framed as one zero-padded frame and compared
+        def transform(*args):
+            raise AssertionError("transformed")
+
+        monkeypatch.setattr(pipeline, "_transform", transform)
+        sides = {"noisy": white_noise(0.1, 0.5, 16000, seed=1),
+                 "noise": white_noise(0.1, 0.5, 16000, seed=2)}
+        sides[empty] = SignalBuffer(np.zeros(0), 16000)
+        with pytest.raises(ValueError, match=f"^cannot analyze an empty signal: {empty} "
+                                             "holds no samples$"):
+            analyze(sides["noisy"], sides["noise"], EnhanceConfig())
 
     def test_sample_rate_mismatch_rejected(self):
         with pytest.raises(ValueError, match="sample rate"):

@@ -49,7 +49,7 @@ def test_output_decisions_are_the_recorded_ones(digests):
     with open(os.path.join(ROOT, "tests", "output_decisions.txt"), encoding="utf-8") as fh:
         recorded = [line for line in fh.read().splitlines() if not line.startswith("#")]
     decisions = [line for line in digests.splitlines() if line.startswith("decisions/")]
-    assert len(recorded) == 23
+    assert len(recorded) == 25
     assert decisions == recorded
 
 
@@ -229,6 +229,27 @@ def test_split_times_its_calls_in_rounds(bench_stages):
     with pytest.raises(RuntimeError, match="^step entered 0 times in a call of B$"):
         bench_stages.split(calls, {"step": (owner, "step")}, 3)
     assert owner.step is original
+
+
+def test_fresh_interpreters_cache_bytecode_outside_the_tree(bench_stages, tmp_path,
+                                                           monkeypatch):
+    monkeypatch.setenv("WAVEDENOISE_SEED", "5")
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    env = bench_stages.fresh_env(str(tmp_path))
+    assert env["PYTHONPATH"] == os.path.dirname(bench_stages.PACKAGE_DIR)
+    assert env["PYTHONPYCACHEPREFIX"] == str(tmp_path) and "WAVEDENOISE_SEED" not in env
+    # the child loads the package from bytecode it wrote under the prefix,
+    # not from a __pycache__ that the measured tree may or may not hold
+    code = "import wpdenoise.cli as cli; print(cli.__file__); print(cli.__cached__)"
+    source, cached = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                    capture_output=True, text=True).stdout.split()
+    assert source.startswith(bench_stages.PACKAGE_DIR)
+    assert cached.startswith(str(tmp_path) + os.sep) and os.path.isfile(cached)
+    # whether the timed rounds compile from source is in the record
+    for value in (None, "1"):
+        if value:
+            monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+        assert bench_stages.machine({}, {})["PYTHONDONTWRITEBYTECODE"] == value
 
 
 def test_bench_stages_outside_a_git_checkout_needs_the_commit(tmp_path):

@@ -22,12 +22,14 @@ each call once a round, and inside each call every boundary it enters:
   `-c "import numpy"` and `-c "import wpdenoise.cli"`;
 - `machine`: the commit (found with git; a tree outside a git checkout
   needs --commit), the CPU, Python, numpy and BLAS, and the host's speed
-  (bench/calibrate.py's kernel) before and after the in-process figures.
+  (bench/calibrate.py's kernel) before and after the in-process figures,
+  and OPENBLAS_NUM_THREADS and PYTHONDONTWRITEBYTECODE.
 
 Each tracemalloc peak is the min, median and max over 3 fresh
 interpreters, in kB (2**10 bytes); each time the best and median of
 --repeats rounds after an untimed one. Set OPENBLAS_NUM_THREADS to pin
-the BLAS threads.
+the BLAS threads. Fresh interpreters cache their bytecode under a
+PYTHONPYCACHEPREFIX that the run makes and removes, never in the tree.
 """
 
 from __future__ import annotations
@@ -187,6 +189,7 @@ def machine(commit: dict, kernel: dict) -> dict:
         "numpy": np.__version__,
         "blas": {key: blas.get(key) for key in ("name", "version")},
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
     }
 
 
@@ -215,9 +218,10 @@ def speech_like_input(seconds: float) -> SignalBuffer:
     return SignalBuffer(samples, RATE)
 
 
-def speech_like(seconds: float, repeats: int) -> dict:
+def speech_like(seconds: float, repeats: int, env: dict) -> dict:
     """The split of `enhance` into STAGES for every method and noise mode
-    on the speech-like input of `seconds` (seed 37)."""
+    on the speech-like input of `seconds` (seed 37); the peak in fresh
+    interpreters of `env`."""
     noisy = speech_like_input(seconds)
     calls = {f"{method}/{mode}": functools.partial(
                  enhance, noisy, EnhanceConfig(method=method, noise_estimation=mode))
@@ -229,7 +233,8 @@ def speech_like(seconds: float, repeats: int) -> dict:
             sum(stages) / whole
             for whole, *stages in zip(*(times[name] for name in ("whole", *STAGES)))),
     } for key, times in split(calls, STAGES, repeats).items()}
-    peak = in_fresh_interpreters(f"speech_like_peak({seconds!r})")["tracemalloc_peak_kb"]
+    peak = in_fresh_interpreters(f"speech_like_peak({seconds!r})", env)[
+        "tracemalloc_peak_kb"]
     return {"audio_s": seconds, "configs": configs,
             "frames": frame_count(len(noisy), DEFAULT.frame_len, DEFAULT.hop),
             "tracemalloc_peak_kb_universal_hard_mad": peak}
@@ -266,12 +271,21 @@ def report_15s_mad(repeats: int) -> dict:
 FRESH_RUNS = 3
 
 
-def in_fresh_interpreters(call: str) -> dict:
+def fresh_env(pycache: str) -> dict:
+    """The environment of every fresh interpreter: this import path, no
+    seed override, and bytecode cached under `pycache`, so that no
+    __pycache__ of the measured tree is read or written."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR),
+               PYTHONPYCACHEPREFIX=pycache)
+    env.pop("WAVEDENOISE_SEED", None)
+    return env
+
+
+def in_fresh_interpreters(call: str, env: dict) -> dict:
     """Each figure of `bench_stages.<call>`, a dict of numbers, over
-    FRESH_RUNS fresh interpreters on this import path, so that no earlier
-    call has shaped the heap a call faults in or peaks on: the median of
-    each, and of "tracemalloc_peak_kb" the min, median and max."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR))
+    FRESH_RUNS fresh interpreters of `env`, so that no earlier call has
+    shaped the heap a call faults in or peaks on: the median of each,
+    and of "tracemalloc_peak_kb" the min, median and max."""
     tools = os.path.dirname(os.path.abspath(__file__))
     code = (f"import json, sys; sys.path.insert(0, {tools!r}); import bench_stages; "
             f"print(json.dumps(bench_stages.{call}))")
@@ -285,11 +299,11 @@ def in_fresh_interpreters(call: str) -> dict:
     return figures
 
 
-def memory_15s(repeats: int) -> dict:
+def memory_15s(repeats: int, env: dict) -> dict:
     """memory_call of every method and noise mode, and memory_analyze,
-    each in fresh interpreters."""
+    each in fresh interpreters of `env`."""
     calls = {f"{method}/{mode}": in_fresh_interpreters(
-                 f"memory_call({method!r}, {mode!r}, {repeats})")
+                 f"memory_call({method!r}, {mode!r}, {repeats})", env)
              for method in METHODS for mode in NOISE_MODES}
     n_samples = int(workloads.LONG_SECONDS * RATE)
     n_frames = frame_count(n_samples, DEFAULT.frame_len, DEFAULT.hop)
@@ -299,7 +313,7 @@ def memory_15s(repeats: int) -> dict:
         "samples_mb": n_samples * 8 / 2**20,
         "calls": calls,
         "analyze_tracemalloc_peak_kb": in_fresh_interpreters(
-            "memory_analyze()")["tracemalloc_peak_kb"],
+            "memory_analyze()", env)["tracemalloc_peak_kb"],
     }
 
 
@@ -327,13 +341,10 @@ def memory_call(method: str, noise_estimation: str, repeats: int) -> dict:
             "tracemalloc_peak_kb": peak_kb(lambda: enhance(noisy, config))}
 
 
-def cli_request(repeats: int) -> dict:
-    """Wall ms of fresh processes on this import path, without a seed
-    override, in rounds: a `denoise --ref --report` request of a 2 s
-    speech-like clip, and the same interpreter running `pass`, `import
-    numpy` and `import wpdenoise.cli`."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR))
-    env.pop("WAVEDENOISE_SEED", None)
+def cli_request(repeats: int, env: dict) -> dict:
+    """Wall ms of fresh processes of `env`, in rounds: a `denoise --ref
+    --report` request of a 2 s speech-like clip, and the same interpreter
+    running `pass`, `import numpy` and `import wpdenoise.cli`."""
     with tempfile.TemporaryDirectory() as tmp:
         clean, noisy = workloads.speech_like(np.random.default_rng(37), 2 * RATE)
         ref, clip = os.path.join(tmp, "ref.wav"), os.path.join(tmp, "clip.wav")
@@ -371,15 +382,18 @@ def main(argv=None) -> int:
         if commit is None:
             parser.error(f"{PACKAGE_DIR} is not in a git checkout: "
                          "name the measured commit with --commit")
-    before = kernel_s()
-    record = {
-        "label": args.label,
-        "sine_0db": sine_0db(args.repeats),
-        "speech_like": speech_like(args.long_seconds, args.repeats),
-        "report_15s_mad": report_15s_mad(args.repeats),
-    }
-    record["machine"] = machine(commit, {"before": before, "after": kernel_s()})
-    record.update(memory_15s=memory_15s(args.repeats), **cli_request(args.repeats))
+    with tempfile.TemporaryDirectory() as pycache:
+        env = fresh_env(pycache)
+        before = kernel_s()
+        record = {
+            "label": args.label,
+            "sine_0db": sine_0db(args.repeats),
+            "speech_like": speech_like(args.long_seconds, args.repeats, env),
+            "report_15s_mad": report_15s_mad(args.repeats),
+        }
+        record["machine"] = machine(commit, {"before": before, "after": kernel_s()})
+        record.update(memory_15s=memory_15s(args.repeats, env),
+                      **cli_request(args.repeats, env))
     path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)

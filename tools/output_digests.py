@@ -9,8 +9,9 @@ parent. Put the source tree to check on the path and compare:
 
 The cases are the sine-0db preset (every method, both noise modes,
 seeds 1 and 7; and with leading silence from 250 ms, which holds 14
-frames of 512 and 6 of 1024), a 15 s speech-like input from bench/workloads.py in mad
-mode (universal-hard and band, VUV on and off), one analyze report, the
+frames of 512 and 6 of 1024), a 15 s speech-like input from bench/workloads.py
+(universal-hard and band: in mad mode with VUV on and off, and with the
+default leading silence), one analyze report, the
 packet transform of random frames (haar and db4, 16 to 4096 samples,
 every depth they allow, and the level-1 detail), and a fixed script of
 CLI calls run in a temporary directory. Array digests cover dtype,
@@ -117,13 +118,14 @@ def _speech_like():
 
 def speech_cases():
     noisy = _speech_like()
-    for method in ("universal-hard", "band"):
-        for vuv in (True, False):
-            config = EnhanceConfig(method=method, noise_estimation="mad",
-                                   vuv_enabled=vuv, seed=0)
-            out, report = enhance(noisy, config)
-            yield from report_cases(f"speech-15s/{method}/mad/vuv={vuv}", report,
-                                    out.samples)
+    methods = ("universal-hard", "band")
+    configs = [EnhanceConfig(method=method, noise_estimation="mad", vuv_enabled=vuv, seed=0)
+               for method in methods for vuv in (True, False)]
+    configs += [EnhanceConfig(method=method, seed=0) for method in methods]
+    for config in configs:
+        out, report = enhance(noisy, config)
+        yield from report_cases(f"speech-15s/{config.method}/{config.noise_estimation}/"
+                                f"vuv={config.vuv_enabled}", report, out.samples)
 
 
 def analyze_case():
