@@ -69,7 +69,8 @@ def edge_gain(window: str, frame_len: int) -> float:
 def max_peak(frame_len: int, window: str) -> float:
     """The largest |sample| a run takes: float max / (8 N^2 g).
 
-    enhance, analyze and leaf_coefficients check it first. For frames
+    enhance, analyze and leaf_coefficients check it first, and that
+    every sample is finite (check_peak). For frames
     of N samples and the window's edge gain g, that is about 8.1e296
     for the default 512-sample hann. A packet coefficient is at most the
     frame's norm, sqrt(N) times the peak, and a sum inside the transform
@@ -82,10 +83,18 @@ def max_peak(frame_len: int, window: str) -> float:
 
 
 def check_peak(frame_len: int, window: str, signal: SignalBuffer) -> None:
-    """Raise ValueError naming the peak of `signal` if it is above max_peak."""
+    """Raise ValueError unless every sample of `signal` is finite and at
+    most max_peak in magnitude: naming the peak if it is above the bound.
+
+    A SignalBuffer refuses non-finite samples when built, but its
+    samples array is not copied, so a NaN or inf written into it later
+    reaches here: the peak is then NaN or inf, and never <= the bound.
+    """
     bound = max_peak(frame_len, window)
     peak = peak_magnitude(signal.samples)
-    if peak > bound:
+    if not peak <= bound:
+        if not math.isfinite(peak):
+            raise ValueError("samples must be finite (no NaN/Inf)")
         raise ValueError(
             f"samples peak at {peak:.4g}, above the {bound:.4g} that frames of "
             f"{frame_len} samples and the {window} window can process"

@@ -18,7 +18,11 @@ alone, picks its band from that histogram and sums the counts over the
 frames into h_sub; for a profile of one pool, h_all is h_sub summed.
 The noise profile and both sides of `analyze`, per subband and pooled,
 are binned through
-`_pooled_counts`, in place, block by block of frames, with no copy.
+`_pooled_counts`, in place, block by block of frames, with no copy;
+`analyze`'s report holds the per-subband pair as the batch histograms
+it binned. One front end (`_transform`) checks the samples, finite and
+under framing.max_peak, before any transform, so every leaf of a run is
+finite and no later stage checks its values again.
 Every block of frames is cut by one rule: a block's largest array
 holds at most stats._BLOCK_VALUES values, which is its leaves, or
 band's dense (frames, subbands, bins) counts where those are larger.
@@ -45,7 +49,8 @@ input or from a MAD estimate over the finest detail coefficients.
 Either way `enhance` frames the input and transforms it once, and the
 profile is computed from coefficients the run already has: the leaves
 of the frames that lie inside the leading span, or the detail of the
-level-1 split, whose rows then split further into the leaves. Only
+level-1 split, whose 2F rows then split depth - 1 levels further into
+the leaves, as any rows split (none at depth 1). Only
 `_analyse` reads the noise mode: it picks those coefficients, and the
 profile's shape follows theirs, a level and histogram per subband from
 leaves, one shared level and histogram from a single pool.
@@ -69,9 +74,7 @@ from .stats import (
     Histogram,
     ProbabilityVector,
     _BLOCK_VALUES,
-    _check_no_nan,
     _count,
-    _edge_rows,
     _uniform_edges,
     bin_count,
     check_epsilon,
@@ -89,7 +92,7 @@ from .thresholding import (
     select_band,
     universal_threshold,
 )
-from .wavelet import FilterBank, _analysis, _synthesis, check_packet, filter_bank
+from .wavelet import _analysis, _synthesis, check_packet, filter_bank
 from .report import Report
 
 METHODS = ("universal-hard", "universal-soft", "band")
@@ -186,9 +189,13 @@ class NoiseProfile:
 def leaf_coefficients(signal: SignalBuffer, config: EnhanceConfig) -> np.ndarray:
     """Packet leaves of every frame of `signal`: (frames, subbands, coeffs).
 
-    Samples above framing.max_peak raise ValueError, as in enhance.
+    An empty signal, and samples that are not finite or lie above
+    framing.max_peak, raise ValueError before any transform, as in
+    enhance.
     """
     _check_arguments(signal=signal, config=config)
+    if len(signal) == 0:
+        raise ValueError("cannot transform an empty signal: signal holds no samples")
     return _transform(signal, config, config.depth)
 
 
@@ -205,9 +212,11 @@ def _check_arguments(**arguments) -> None:
 def _transform(signal: SignalBuffer, config: EnhanceConfig, depth: int) -> np.ndarray:
     """Every frame of `signal` split to `depth`: (frames, 2**depth, coeffs).
 
-    The one checked front end of a run: the peak is checked first, so
-    that no value of the transform or the rest of the run overflows.
-    The transform is written over the frames make_frames just made.
+    The one checked front end of a run: the samples are checked first,
+    finite and under framing.max_peak (check_peak), so that every value
+    of the transform and of the rest of the run is finite, and no later
+    stage checks its values again. The transform is written over the
+    frames make_frames just made.
     """
     check_peak(config.frame_len, config.window, signal)
     frames = make_frames(signal, config.frame_len, config.hop, config.window)
@@ -244,16 +253,15 @@ def _pooled_counts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
     Binned where they lie, block by block of frames, with no copy: each
     row's bins are offset by its index, which broadcasts over the frames
-    (stats._count). The edges are checked once against the rows, and
-    each block is checked for NaN, as row_histograms checks its input.
+    (stats._count). Nothing is checked again: the values are leaves of
+    samples the front end found finite (`_transform`), and the edges
+    were built by the run from those values, a finite, increasing row
+    per subband or one row for all.
     """
-    edges = _edge_rows(edges, values=values[0])
     counts = np.zeros(values.shape[1:-1] + (edges.shape[-1] - 1,), dtype=np.int64)
     step = max(1, _BLOCK_VALUES // values[0].size)
     for start in range(0, len(values), step):
-        block = values[start : start + step]
-        _check_no_nan(block)
-        _count(counts, block, edges)
+        _count(counts, values[start : start + step], edges)
     return counts
 
 
@@ -284,8 +292,13 @@ def estimate_noise_profile(noise: np.ndarray, config: EnhanceConfig) -> NoisePro
     mode's level-1 detail: a single sigma and histogram serve every
     subband, and pooled is that histogram. The values are binned where
     they lie and copied once, as magnitudes, for the median (leaves
-    twice, their subbands gathered into rows).
+    twice, their subbands gathered into rows). Any other shape, or an
+    array with no values, raises ValueError naming the shape before any
+    histogram.
     """
+    if noise.ndim not in (2, 3) or noise.size == 0:
+        raise ValueError("noise must be a non-empty (frames, coeffs) pool or (frames, "
+                         f"subbands, coeffs) leaves, got shape {noise.shape}")
     distribution = _noise_distribution(noise, config.epsilon)
     pooled = distribution if noise.ndim == 2 else _noise_distribution(
         noise.reshape(len(noise), -1), config.epsilon)
@@ -298,9 +311,12 @@ def _analyse(signal: SignalBuffer, config: EnhanceConfig) -> tuple:
     Branches on the noise mode once; each branch checks its own inputs
     first (leading_silence the span, then both epsilon, against the
     noise histogram, the largest the run builds), then runs the front
-    end that checks the peak, frames the signal and transforms it, then
-    its profile. mad: the frames split to level 1; the detail gives the
-    profile, and its rows split further give the leaves.
+    end that checks the samples, frames the signal and transforms it,
+    then its profile. mad: the frames split to level 1; the detail gives
+    the profile, and the 2F level-1 rows split depth - 1 more levels,
+    written over them, give the leaves: in natural order a frame's
+    approximation leaves come first, then its detail's, so its two rows
+    of leaves are its leaves in order (at depth 1 the split is none).
     leading_silence: the profile pools the leaves of the frames that lie
     entirely inside the span.
     """
@@ -309,7 +325,9 @@ def _analyse(signal: SignalBuffer, config: EnhanceConfig) -> tuple:
         check_epsilon(config.epsilon, _noise_bins(n_frames * config.frame_len // 2))
         level1 = _transform(signal, config, 1)
         profile = estimate_noise_profile(level1[:, 1], config)
-        return _split_level1(level1, filter_bank(config.wavelet), config.depth), profile
+        leaves = _analysis(level1.reshape(-1, level1.shape[-1]),
+                           filter_bank(config.wavelet), config.depth - 1)
+        return leaves.reshape(len(level1), config.n_subbands, -1), profile
     # rounded as a float first: a span beyond the float range is inf
     span = round(config.silence_ms / 1000.0 * signal.sample_rate_hz, 0)
     if span < config.frame_len:
@@ -321,21 +339,6 @@ def _analyse(signal: SignalBuffer, config: EnhanceConfig) -> tuple:
     check_epsilon(config.epsilon, _noise_bins(n_lead * config.frame_len))
     leaves = _transform(signal, config, config.depth)
     return leaves, estimate_noise_profile(leaves[:n_lead], config)
-
-
-def _split_level1(level1: np.ndarray, fb: FilterBank, depth: int) -> np.ndarray:
-    """Leaves of frames already split once: (F, 2, N/2) -> (F, 2**depth, N >> depth).
-
-    Each of the 2F level-1 rows splits depth - 1 more levels, written
-    over `level1`. In natural order the approximation's 2^(depth-1)
-    leaves come first, then the detail's, so a frame's two rows of
-    leaves are its leaves in order.
-    """
-    if depth == 1:
-        return level1
-    n_frames, _, half = level1.shape
-    leaves = _analysis(level1.reshape(2 * n_frames, half), fb, depth - 1)
-    return leaves.reshape(n_frames, 1 << depth, half >> (depth - 1))
 
 
 def classify_vuv(leaves, entropy_threshold: float, epsilon: float) -> list:
@@ -380,13 +383,14 @@ def _sweep(leaves: np.ndarray, profile: NoiseProfile, vuv: list,
     binned on the pooled edges, so h_all is h_sub summed: the profile's
     shape decides, not the noise mode. A block's largest array, its
     leaves or band's dense (frames, subbands, bins) counts, holds at
-    most _BLOCK_VALUES values. The edges are checked once, each block
-    for NaN. One of threshold (frames, subbands) and band (frames,
-    subbands, 2) is None.
+    most _BLOCK_VALUES values. No block is checked for NaN, nor are the
+    edges checked again: the leaves come from samples the front end
+    found finite (`_transform`), and the profile's edges were built by
+    the run from its own coefficients. One of threshold (frames, subbands) and
+    band (frames, subbands, 2) is None.
     """
     n_frames, n_sub, n_coeff = leaves.shape
     dist = profile.distribution
-    edges = _edge_rows(dist.bin_edges, values=leaves[0])
     counts = np.zeros((n_sub, dist.n_bins), dtype=np.int64)
     apart = profile.pooled is not profile.distribution  # h_all on its own edges
     all_counts = np.zeros(profile.pooled.n_bins, dtype=np.int64)
@@ -402,17 +406,16 @@ def _sweep(leaves: np.ndarray, profile: NoiseProfile, vuv: list,
         at = slice(start, start + step)
         block = leaves[at]
         zeros[0, at] = _zero_counts(block)
-        _check_no_nan(block)
         if apart:
             _count(all_counts, block, profile.pooled.bin_edges)
         if band is None:
-            _count(counts, block, edges)
+            _count(counts, block, dist.bin_edges)
             rule(block, threshold[at, :, None])
         else:
             dense = np.zeros((len(block), n_sub, dist.n_bins), dtype=np.int64)
-            _count(dense, block, edges)
+            _count(dense, block, dist.bin_edges)
             counts += np.sum(dense, axis=0)
-            p_block = to_probability(Histogram(edges, dense), config.epsilon)
+            p_block = to_probability(Histogram(dist.bin_edges, dense), config.epsilon)
             t1, t2 = select_band(p_block, dist, config.band_tolerance)
             band[at, :, 0], band[at, :, 1] = t1, t2
             _band_hard(block, t1[..., None], t2[..., None])
@@ -492,8 +495,9 @@ def analyze(noisy: SignalBuffer, noise: SignalBuffer, config: EnhanceConfig) -> 
     their joint range (square-root rule on the smaller sample) and
     compared by symmetric divergence. All leaves pooled, binned the same
     way, give the near-zero ratio profile. The report has no frames; its
-    histograms hold (divergence, noisy Histogram, noise Histogram) per
-    subband. An empty `noisy` or `noise` raises ValueError naming it.
+    histograms are the (noisy, noise) pair of batch Histograms, one row
+    of counts per subband on that subband's shared edges. An empty
+    `noisy` or `noise` raises ValueError naming it.
     """
     _check_arguments(noisy=noisy, noise=noise, config=config)
     for name, side in (("noisy", noisy), ("noise", noise)):
@@ -508,7 +512,7 @@ def analyze(noisy: SignalBuffer, noise: SignalBuffer, config: EnhanceConfig) -> 
         frame_count(len(s), config.frame_len, config.hop) for s in (noisy, noise)
     )
     check_epsilon(config.epsilon, bin_count(n_fewer))
-    leaves = [leaf_coefficients(s, config) for s in (noisy, noise)]
+    leaves = [_transform(s, config, config.depth) for s in (noisy, noise)]
 
     # each subband's shared edges, as shared_edges gives for its rows;
     # the pooled edges, as it gives for all leaves, from the same extremes
@@ -516,9 +520,6 @@ def analyze(noisy: SignalBuffer, noise: SignalBuffer, config: EnhanceConfig) -> 
     hi = np.maximum(*(np.max(side, axis=(0, 2)) for side in leaves))
     edges = _uniform_edges(lo, hi, bin_count(n_fewer // config.n_subbands))
     h_ns, h_n = (Histogram(edges, _pooled_counts(side, edges)) for side in leaves)
-    divergences = symmetric_divergence(
-        to_probability(h_ns, config.epsilon), to_probability(h_n, config.epsilon)
-    ).tolist()
 
     edges = _uniform_edges(lo.min(), hi.max(), bin_count(n_fewer))
     p_ns, p_n = (to_probability(Histogram(edges, _pooled_counts(
@@ -528,10 +529,9 @@ def analyze(noisy: SignalBuffer, noise: SignalBuffer, config: EnhanceConfig) -> 
         mode="analyze",
         config=asdict(config),
         seed=config.seed,
-        subband_divergence=divergences,
+        subband_divergence=symmetric_divergence(
+            to_probability(h_ns, config.epsilon), to_probability(h_n, config.epsilon)
+        ).tolist(),
         near_zero_ratios=ratio_profile(p_ns, p_n),
-        histograms=[
-            (div, Histogram(e, a), Histogram(e, b))
-            for div, e, a, b in zip(divergences, h_ns.bin_edges, h_ns.counts, h_n.counts)
-        ],
+        histograms=(h_ns, h_n),
     )

@@ -1,10 +1,12 @@
 """Machine-readable run reports and their JSON schema.
 
 A Report is plain data: the per-frame, per-subband thresholding detail
-as the arrays the pipeline computed, plus global divergence statistics.
-The schema-v1 layout (a record per frame holding a record per subband,
-and {"edges", "counts"} histograms) is written here, only when a report
-is serialised: the frame records straight from the arrays through text
+as the arrays the pipeline computed, plus global divergence statistics;
+an analyze report's histograms are the batch Histograms it binned. The
+schema-v1 layout (a record per frame holding a record per subband, and
+a record per subband holding its {"edges", "counts"} rows of both
+histograms) is written here, only when a report is serialised: the
+frame records straight from the arrays through text
 templates that json.dumps writes once at import, the rest through
 json.dumps, and the whole text is joined once. The bytes are those of
 json.dumps(v1 dict, indent=2, sort_keys=True, allow_nan=False), so
@@ -26,10 +28,6 @@ SCHEMA_RESOURCE = "schemas/report-v1.schema.json"
 
 def _empty() -> np.ndarray:
     return np.zeros(0)
-
-
-def _histogram_json(h) -> dict:
-    return {"edges": h.bin_edges.tolist(), "counts": h.counts.tolist()}
 
 
 def _layout(record, depth: int) -> str:
@@ -102,8 +100,9 @@ class Report:
     - n_zero_pre / n_zero_post: (F, S) zero coefficients before and
       after thresholding.
 
-    An analyze report has no frames; its histograms hold
-    (divergence, noisy Histogram, noise Histogram) per subband.
+    An analyze report has no frames; its histograms are the (noisy,
+    noise) pair of batch Histograms, counts (S, B) on edges (S, B + 1),
+    row s that of subband s, whose divergence is subband_divergence[s].
     """
 
     tool_version: str
@@ -120,7 +119,7 @@ class Report:
     near_zero_ratios: list = field(default_factory=list)  # (center, ratio)
     input_snr_db: float | None = None
     output_snr_db: float | None = None
-    histograms: list | None = None
+    histograms: tuple | None = None
 
     def _frames_text(self, before: str = "", after: str = "") -> str:
         """`before`, the v1 "frames" list as a report's json.dumps writes it, `after`.
@@ -190,15 +189,13 @@ class Report:
             d["input_snr_db"] = self.input_snr_db
         if self.output_snr_db is not None:
             d["output_snr_db"] = self.output_snr_db
-        if self.histograms is not None:
+        if self.histograms is not None:  # one v1 record per subband, from the rows
+            noisy, noise = ([{"edges": e, "counts": c} for e, c in zip(
+                h.bin_edges.tolist(), h.counts.tolist(), strict=True)] for h in self.histograms)
             d["histograms"] = [
-                {
-                    "subband": s,
-                    "divergence": div,
-                    "noisy": _histogram_json(noisy),
-                    "noise": _histogram_json(noise),
-                }
-                for s, (div, noisy, noise) in enumerate(self.histograms)
+                {"subband": s, "divergence": div, "noisy": a, "noise": b}
+                for s, (div, a, b) in enumerate(
+                    zip(self.subband_divergence, noisy, noise, strict=True))
             ]
         text = json.dumps(d, indent=2, sort_keys=True, allow_nan=False)
         # JSON escapes newlines inside strings, so this is the top-level key.

@@ -324,14 +324,15 @@ def v1_json(report) -> str:
         d["input_snr_db"] = report.input_snr_db
     if report.output_snr_db is not None:
         d["output_snr_db"] = report.output_snr_db
-    if report.histograms is not None:
+    if report.histograms is not None:  # row s of each batch is subband s
+        ns, n = report.histograms
         d["histograms"] = [
             {
                 "subband": s,
-                "divergence": div,
-                "noisy": {"edges": ns.bin_edges.tolist(), "counts": ns.counts.tolist()},
-                "noise": {"edges": n.bin_edges.tolist(), "counts": n.counts.tolist()},
+                "divergence": report.subband_divergence[s],
+                "noisy": {"edges": ns.bin_edges[s].tolist(), "counts": ns.counts[s].tolist()},
+                "noise": {"edges": n.bin_edges[s].tolist(), "counts": n.counts[s].tolist()},
             }
-            for s, (div, ns, n) in enumerate(report.histograms)
+            for s in range(len(report.subband_divergence))
         ]
     return json.dumps(d, indent=2, sort_keys=True, allow_nan=False) + "\n"

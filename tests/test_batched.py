@@ -82,14 +82,16 @@ def test_batched_round_trip(case):
 @pytest.mark.parametrize("n", [64, 1024])
 def test_level_1_split_further_equals_the_full_split(name, n):
     # mad-mode enhance splits its frames to level 1 once, for the noise
-    # profile, and splits that level's 2F rows on for the leaves, written
-    # over the level-1 array: each depth splits a copy of it
+    # profile, and splits that level's 2F rows depth - 1 levels on for
+    # the leaves (none at depth 1), written over the level-1 array: each
+    # depth splits a copy of it
     fb = filter_bank(name)
     frames = 30.0 * np.random.default_rng(n).normal(size=(3, n))
     level1 = wp_analysis(frames, fb, 1)
     depth = 1
     while n >> depth >= len(fb):  # every depth check_packet allows
-        leaves = pipeline._split_level1(level1.copy(), fb, depth)
+        rows = pipeline._analysis(level1.reshape(-1, n // 2).copy(), fb, depth - 1)
+        leaves = rows.reshape(len(frames), 1 << depth, -1)
         want = wp_analysis(frames, fb, depth)
         assert leaves.shape == want.shape
         if depth == 1:

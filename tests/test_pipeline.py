@@ -417,6 +417,19 @@ class TestEstimateNoiseProfile:
         other = dataclasses.replace(config, noise_estimation=NOISE_MODES[mode == "mad"])
         _same_profile(profile, estimate_noise_profile(leaves, other))
 
+    @pytest.mark.parametrize("shape", [(32,), (0, 32), (3, 0, 8), (2, 3, 4, 8)])
+    def test_noise_that_is_no_pool_or_leaves_is_rejected_first(self, shape, monkeypatch):
+        # numpy's "duplicate value in 'axis'" (1-D), "zero-size array to
+        # reduction operation" (empty), and a (3, 4) sigma for 4-D noise
+        def no_histogram(*args):
+            raise AssertionError("binned before the shape check")
+
+        monkeypatch.setattr(pipeline, "_noise_distribution", no_histogram)
+        message = ("noise must be a non-empty (frames, coeffs) pool or (frames, "
+                   f"subbands, coeffs) leaves, got shape {shape}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_noise_profile(np.ones(shape), EnhanceConfig())
+
 
 class TestSweep:
     @pytest.mark.parametrize("method", METHODS)
@@ -801,17 +814,6 @@ class TestEnhance:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
 
-    def test_pooled_counts_refuse_nan_and_edges_that_are_no_rows(self):
-        values = np.random.default_rng(9).normal(size=(40, 16, 32))
-        values[-1, 3, 5] = np.nan  # in the last block
-        edges = stats._uniform_edges(-3.0, 3.0, 45)
-        with pytest.raises(ValueError, match="cannot histogram NaN values"):
-            pipeline._pooled_counts(values, edges)
-        values[-1, 3, 5] = 0.0
-        # one edge row per frame is no support of the rows pooled over them
-        with pytest.raises(ValueError, match="do not broadcast over value rows"):
-            pipeline._pooled_counts(values, np.broadcast_to(edges, (40, 16, 46)))
-
     @pytest.mark.parametrize("noise_estimation", ["mad", "leading_silence"])
     @pytest.mark.parametrize("depth", [1, 4])
     def test_each_input_is_framed_and_transformed_once(
@@ -820,7 +822,7 @@ class TestEnhance:
         # the noise profile and the leaves share one framing and one
         # transform: with leading silence the profile takes the first
         # frames' leaves; in mad mode the level-1 split, whose 2F rows the
-        # leaves split depth - 1 levels on
+        # leaves split depth - 1 levels on (0 levels, no stage, at depth 1)
         framed, split = [], []
         make_frames, analysis = pipeline.make_frames, pipeline._analysis
 
@@ -842,7 +844,7 @@ class TestEnhance:
         if noise_estimation == "leading_silence":
             assert split == [(n_frames, depth)]
         else:
-            assert split == [(n_frames, 1)] + [(2 * n_frames, depth - 1)] * (depth > 1)
+            assert split == [(n_frames, 1), (2 * n_frames, depth - 1)]
 
     @pytest.mark.parametrize("noise_estimation", NOISE_MODES)
     @pytest.mark.parametrize("method", METHODS)
@@ -871,6 +873,17 @@ class TestEnhance:
                                       np.count_nonzero(kept == 0.0, axis=-1))
         rebuilt = overlap_add(dataclasses.replace(frames, frames=wp_synthesis(kept, fb)))
         assert np.array_equal(out.samples, rebuilt.samples)
+
+    def test_leaf_coefficients_of_an_empty_signal_rejected_before_any_transform(
+            self, monkeypatch):
+        # it returned one zero-padded frame's leaves, (1, 16, 32) zeros
+        def transform(*args):
+            raise AssertionError("transformed")
+
+        monkeypatch.setattr(pipeline, "_transform", transform)
+        with pytest.raises(ValueError, match="^cannot transform an empty signal: "
+                                             "signal holds no samples$"):
+            leaf_coefficients(SignalBuffer(np.zeros(0), 16000), EnhanceConfig())
 
     @pytest.mark.parametrize("layout", ["C", "sliced"])
     @pytest.mark.parametrize("window", WINDOWS)
@@ -929,6 +942,42 @@ class TestPeakBound:
             else:
                 enhance(loud, EnhanceConfig(noise_estimation=noise_estimation))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", [
+        "enhance/leading_silence/vuv", "enhance/leading_silence/no-vuv", "enhance/mad/vuv",
+        "enhance/mad/no-vuv", "analyze/noisy", "analyze/noise", "leaf_coefficients",
+    ])
+    def test_non_finite_samples_written_after_construction_are_rejected_first(
+            self, call, bad, monkeypatch):
+        # a SignalBuffer's samples are not copied, so a value written into
+        # them after it was built passed the peak check (NaN > bound is
+        # false): leaf_coefficients returned NaN leaves, and enhance
+        # failed late in the histograms
+        analysis, transformed = pipeline._analysis, []
+
+        def finite_analysis(frames, fb, depth):
+            assert np.all(np.isfinite(frames)), "non-finite frames were transformed"
+            transformed.append(len(frames))
+            return analysis(frames, fb, depth)
+
+        monkeypatch.setattr(pipeline, "_analysis", finite_analysis)
+        clean, noisy = sine_0db_material(seed=1)
+        noise = SignalBuffer(noisy.samples - clean.samples, noisy.sample_rate_hz)
+        target = noise if call == "analyze/noise" else noisy
+        target.samples[len(target) // 2] = bad
+        kind, _, rest = call.partition("/")
+        mode, _, vuv = rest.partition("/")
+        with pytest.raises(ValueError, match=r"^samples must be finite \(no NaN/Inf\)$"):
+            if kind == "enhance":
+                enhance(noisy, EnhanceConfig(noise_estimation=mode, vuv_enabled=vuv == "vuv"))
+            elif kind == "analyze":
+                analyze(noisy, noise, EnhanceConfig())
+            else:
+                leaf_coefficients(noisy, EnhanceConfig())
+        # nothing was transformed but analyze's noisy side, checked and
+        # transformed before the noise side is checked
+        assert len(transformed) == (call == "analyze/noise")
+
     @pytest.mark.parametrize("geometry", [
         dict(), dict(frame_len=1024, hop=64), dict(window="rectangular", hop=32),
         dict(frame_len=16, hop=1, depth=1),
@@ -958,16 +1007,20 @@ class TestAnalyze:
         assert report.mode == "analyze" and report.seed == 4 and report.vuv == []
         noisy_leaves = leaf_coefficients(noisy, config)
         noise_leaves = leaf_coefficients(noise, config)
-        assert len(report.histograms) == config.n_subbands
-        for i, (div, h_ns, h_n) in enumerate(report.histograms):
+        # the batch pair it binned: one row per subband, on that subband's edges
+        h_ns, h_n = report.histograms
+        assert h_ns.counts.shape[0] == h_n.counts.shape[0] == config.n_subbands
+        assert len(report.subband_divergence) == config.n_subbands
+        for i in range(config.n_subbands):
             sub_ns, sub_n = noisy_leaves[:, i].ravel(), noise_leaves[:, i].ravel()
             edges = shared_edges(sub_ns, sub_n)
             want_ns = row_histograms(sub_ns, edges=edges)
             want_n = row_histograms(sub_n, edges=edges)
-            np.testing.assert_array_equal(h_ns.bin_edges, edges)
-            np.testing.assert_array_equal(h_ns.counts, want_ns.counts)
-            np.testing.assert_array_equal(h_n.counts, want_n.counts)
-            assert div == report.subband_divergence[i] == symmetric_divergence(
+            np.testing.assert_array_equal(h_ns.bin_edges[i], edges)
+            np.testing.assert_array_equal(h_n.bin_edges[i], edges)
+            np.testing.assert_array_equal(h_ns.counts[i], want_ns.counts)
+            np.testing.assert_array_equal(h_n.counts[i], want_n.counts)
+            assert report.subband_divergence[i] == symmetric_divergence(
                 to_probability(want_ns, config.epsilon),
                 to_probability(want_n, config.epsilon),
             )

@@ -71,24 +71,28 @@ def test_every_valid_config_gives_a_valid_stable_report(config):
 
 
 def test_analyze_report_with_histograms_and_no_frames():
+    # the (noisy, noise) pair of batch histograms, a row per subband on
+    # that subband's shared edges, written as one v1 record per subband
     rng = np.random.default_rng(3)
-    histograms = []
-    for s in range(4):
-        noisy, noise = rng.normal(size=200), rng.normal(scale=0.5, size=150)
-        edges = shared_edges(noisy, noise)
-        pair = row_histograms(noisy, edges=edges), row_histograms(noise, edges=edges)
-        histograms.append((0.1 * s, *pair))
+    noisy, noise = rng.normal(size=(4, 200)), rng.normal(scale=0.5, size=(4, 150))
+    edges = np.stack([shared_edges(a, b) for a, b in zip(noisy, noise)])
     report = Report(
         tool_version="0", mode="analyze", config={"depth": 2}, seed=5,
-        subband_divergence=[d for d, _, _ in histograms],
+        subband_divergence=[0.1 * s for s in range(4)],
         near_zero_ratios=[(0.0, 1.5), (0.25, 0.75)],
-        histograms=histograms,
+        histograms=(row_histograms(noisy, edges=edges), row_histograms(noise, edges=edges)),
     )
     text = report.to_json()
     assert text == oracle.v1_json(report)
     d = json.loads(text)
     validate_report_dict(d)
     assert d["frames"] == [] and len(d["histograms"]) == 4
+    for s, record in enumerate(d["histograms"]):
+        assert record["subband"] == s and record["divergence"] == 0.1 * s
+        for side, values in (("noisy", noisy[s]), ("noise", noise[s])):
+            assert record[side] == {
+                "edges": edges[s].tolist(),
+                "counts": row_histograms(values, edges=edges[s]).counts.tolist()}
 
 
 def test_report_without_vuv_labels():

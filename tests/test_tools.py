@@ -49,7 +49,7 @@ def test_output_decisions_are_the_recorded_ones(digests):
     with open(os.path.join(ROOT, "tests", "output_decisions.txt"), encoding="utf-8") as fh:
         recorded = [line for line in fh.read().splitlines() if not line.startswith("#")]
     decisions = [line for line in digests.splitlines() if line.startswith("decisions/")]
-    assert len(recorded) == 25
+    assert len(recorded) == 26
     assert decisions == recorded
 
 

@@ -11,7 +11,9 @@ The cases are the sine-0db preset (every method, both noise modes,
 seeds 1 and 7; and with leading silence from 250 ms, which holds 14
 frames of 512 and 6 of 1024), a 15 s speech-like input from bench/workloads.py
 (universal-hard and band: in mad mode with VUV on and off, and with the
-default leading silence), one analyze report, the
+default leading silence), two analyze reports (sine-0db, and the 15 s
+input against its noise, noisy - clean, as tools/bench_stages.py's
+memory_analyze), the
 packet transform of random frames (haar and db4, 16 to 4096 samples,
 every depth they allow, and the level-1 detail), and a fixed script of
 CLI calls run in a temporary directory. Array digests cover dtype,
@@ -106,18 +108,19 @@ def long_silence_cases():
 
 
 def _speech_like():
-    """The first 15 s input of bench/workloads.py's long-hard-mad workload."""
+    """(clean, noisy) of the first 15 s input of bench/workloads.py's
+    long-hard-mad workload."""
     sys.dont_write_bytecode = True  # read the benchmark, leave no file in it
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     import workloads
 
     rng = workloads.rng_for("long-hard-mad", 0, 0)
     n = int(workloads.LONG_SECONDS * workloads.RATE)
-    return SignalBuffer(workloads.speech_like(rng, n)[1], workloads.RATE)
+    return tuple(SignalBuffer(x, workloads.RATE) for x in workloads.speech_like(rng, n))
 
 
 def speech_cases():
-    noisy = _speech_like()
+    noisy = _speech_like()[1]
     methods = ("universal-hard", "band")
     configs = [EnhanceConfig(method=method, noise_estimation="mad", vuv_enabled=vuv, seed=0)
                for method in methods for vuv in (True, False)]
@@ -128,11 +131,11 @@ def speech_cases():
                                 f"vuv={config.vuv_enabled}", report, out.samples)
 
 
-def analyze_case():
-    clean, noisy = sine_0db_material(1)
-    noise = SignalBuffer(noisy.samples - clean.samples, noisy.sample_rate_hz)
-    report = analyze(noisy, noise, EnhanceConfig())
-    yield from report_cases("analyze/sine-0db/seed=1", report)
+def analyze_cases():
+    for case, (clean, noisy) in (("sine-0db/seed=1", sine_0db_material(1)),
+                                 ("speech-15s", _speech_like())):
+        noise = SignalBuffer(noisy.samples - clean.samples, noisy.sample_rate_hz)
+        yield from report_cases(f"analyze/{case}", analyze(noisy, noise, EnhanceConfig()))
 
 
 def wavelet_cases():
@@ -174,7 +177,7 @@ def cli_cases():
 
 def main() -> None:
     lines = []
-    for cases in (enhance_cases, long_silence_cases, speech_cases, analyze_case,
+    for cases in (enhance_cases, long_silence_cases, speech_cases, analyze_cases,
                   wavelet_cases, cli_cases):
         lines.extend(" ".join(case) for case in cases())
     print("\n".join(sorted(lines)))
